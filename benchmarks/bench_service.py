@@ -1,4 +1,4 @@
-"""Serving-layer economics: cache warmth, digests, and worker scaling.
+"""Serving-layer economics: cache warmth and digest short-circuits.
 
 The §1 warehouse ingests periodic snapshot dumps, most of them repeats or
 near-repeats of content already seen. This bench measures what the
@@ -8,10 +8,10 @@ near-repeats of content already seen. This bench measures what the
   least 1.5× faster once the digest-keyed cache is warm (it is typically
   orders of magnitude faster);
 * **digest short-circuits** — identical snapshots complete without running
-  any matching;
-* **multi-worker scaling** — ≥100 independent pairs fanned over a process
-  pool. The speedup assertion is gated on the machine actually having more
-  than one usable core (single-core boxes still print the table).
+  any matching.
+
+Multi-core scaling is measured through the cluster instead
+(``benchmarks/bench_cluster.py``): one engine per worker process.
 
 Run directly with ``python benchmarks/bench_service.py`` for the tables, or
 ``--smoke`` for the tiny correctness-only configuration CI uses.
@@ -20,7 +20,6 @@ Run directly with ``python benchmarks/bench_service.py`` for the tables, or
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -32,15 +31,6 @@ from conftest import print_table
 SPEC = DocumentSpec(sections=4, paragraphs_per_section=4, sentences_per_paragraph=3)
 REPEATED_BATCH = 32      # jobs per batch in the warm/cold measurement
 DISTINCT_PAIRS = 8       # distinct contents behind the repeated batch
-SCALING_PAIRS = 120      # independent pairs for the worker-scaling table
-WORKER_LADDER = (1, 2, 4, 8)
-
-
-def effective_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-linux
-        return os.cpu_count() or 1
 
 
 def repeated_snapshot_pairs(batch=REPEATED_BATCH, distinct=DISTINCT_PAIRS, seed=1234):
@@ -53,16 +43,6 @@ def repeated_snapshot_pairs(batch=REPEATED_BATCH, distinct=DISTINCT_PAIRS, seed=
         new = MutationEngine(seed + 100 + i).mutate(old, 8).tree
         pool.append((old, new))
     return [pool[i % distinct] for i in range(batch)]
-
-
-def independent_pairs(count=SCALING_PAIRS, seed=99):
-    """Fully independent pairs (distinct digests): no cache help possible."""
-    pairs = []
-    for i in range(count):
-        base = generate_document(seed + i, SPEC)
-        new = MutationEngine(seed * 2 + i).mutate(base, 6).tree
-        pairs.append((base, new))
-    return pairs
 
 
 def run_batch(engine, pairs):
@@ -113,25 +93,6 @@ def measure_digest_short_circuit(batch=REPEATED_BATCH):
     return {"short_s": short_s, "full_s": full_s, "speedup": full_s / short_s}
 
 
-def measure_worker_scaling(count=SCALING_PAIRS, ladder=WORKER_LADDER):
-    pairs = independent_pairs(count=count)
-    timings = {}
-    for workers in ladder:
-        engine = DiffEngine(workers=workers, cache=None, executor="process")
-        try:
-            elapsed, _ = run_batch(engine, pairs)
-        finally:
-            engine.close()
-        timings[workers] = elapsed
-    base = timings[ladder[0]]
-    return {
-        "pairs": count,
-        "timings": timings,
-        "speedups": {w: base / t for w, t in timings.items()},
-        "cores": effective_cores(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -144,19 +105,6 @@ def report_warm_cold(stats):
             ("warm", f"{stats['warm_s']:.3f}", f"{stats['warm_throughput']:.0f}"),
             ("speedup", f"{stats['speedup']:.1f}x", ""),
         ],
-    )
-
-
-def report_scaling(stats):
-    rows = [
-        (w, f"{stats['timings'][w]:.3f}", f"{stats['speedups'][w]:.2f}x")
-        for w in sorted(stats["timings"])
-    ]
-    print_table(
-        f"Process-pool scaling: {stats['pairs']} independent pairs "
-        f"({stats['cores']} usable cores)",
-        ["workers", "seconds", "speedup"],
-        rows,
     )
 
 
@@ -187,20 +135,6 @@ def test_service_digest_short_circuit(benchmark):
     assert stats["speedup"] > 1.0
 
 
-def test_service_worker_scaling(benchmark):
-    stats = benchmark.pedantic(measure_worker_scaling, rounds=1, iterations=1)
-    report_scaling(stats)
-    best = max(stats["speedups"].values())
-    benchmark.extra_info["best_speedup"] = round(best, 2)
-    benchmark.extra_info["cores"] = stats["cores"]
-    if stats["cores"] >= 2:
-        # with real cores available, fanning out must pay
-        assert best >= 1.15, f"no multi-worker speedup: {stats['speedups']}"
-    else:
-        # single-core box: only require that fan-out is not pathological
-        assert best > 0.3, f"pathological fan-out overhead: {stats['speedups']}"
-
-
 # ---------------------------------------------------------------------------
 # Direct / CI-smoke execution
 # ---------------------------------------------------------------------------
@@ -210,10 +144,6 @@ def smoke() -> int:
     warm = measure_warm_vs_cold(batch=6, distinct=3)
     report_warm_cold(warm)
     assert warm["metrics"]["counters"]["cache_hits"] >= 3
-
-    scaling = measure_worker_scaling(count=8, ladder=(1, 2))
-    report_scaling(scaling)
-    assert set(scaling["timings"]) == {1, 2}
     print("service benchmark smoke: OK")
     return 0
 
@@ -228,7 +158,6 @@ def main(argv=None) -> int:
     if args.smoke:
         return smoke()
     report_warm_cold(measure_warm_vs_cold())
-    report_scaling(measure_worker_scaling())
     return 0
 
 

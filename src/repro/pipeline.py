@@ -25,7 +25,6 @@ measure, and one place to add backends.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -52,6 +51,7 @@ from .matching.matching import Matching
 from .matching.postprocess import postprocess_matching
 from .matching.schema import LabelSchema
 from .matching.simple import match as simple_match
+from .simtest.clock import SYSTEM_CLOCK, Clock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .deltatree.builder import DeltaTree
@@ -155,22 +155,25 @@ class Trace:
     ``index_cache_hits``.
     """
 
-    __slots__ = ("spans", "counters", "_listeners")
+    __slots__ = ("spans", "counters", "_listeners", "_clock")
 
-    def __init__(self, listeners: Tuple[SpanListener, ...] = ()) -> None:
+    def __init__(
+        self, listeners: Tuple[SpanListener, ...] = (), clock: Clock = SYSTEM_CLOCK
+    ) -> None:
         self.spans: List[Span] = []
         self.counters: Dict[str, int] = {}
         self._listeners = tuple(listeners)
+        self._clock = clock
 
     @contextmanager
     def span(self, name: str) -> Iterator[Span]:
         """Record one named stage; notifies subscribers when it closes."""
         span = Span(name)
-        start = time.perf_counter()
+        start = self._clock.perf_counter()
         try:
             yield span
         finally:
-            span.wall_ms = (time.perf_counter() - start) * 1000.0
+            span.wall_ms = (self._clock.perf_counter() - start) * 1000.0
             self.spans.append(span)
             for listener in self._listeners:
                 listener(span)
@@ -270,15 +273,20 @@ class DiffPipeline:
     listeners:
         Span subscribers notified as each stage closes (e.g.
         ``ServiceMetrics.stage_listener()``).
+    clock:
+        The :class:`~repro.simtest.clock.Clock` stage timings are read
+        from; the simulation harness passes its virtual clock.
     """
 
     def __init__(
         self,
         config: Optional[DiffConfig] = None,
         listeners: Tuple[SpanListener, ...] = (),
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         self.config = config if config is not None else DiffConfig()
         self._listeners: Tuple[SpanListener, ...] = tuple(listeners)
+        self._clock = clock
 
     def subscribe(self, listener: SpanListener) -> None:
         """Add a span listener for all subsequent runs."""
@@ -298,7 +306,7 @@ class DiffPipeline:
         ``tree_diff(matching=...)`` did.
         """
         config = self.config
-        trace = Trace(self._listeners)
+        trace = Trace(self._listeners, self._clock)
         stats = MatchingStats()
         repairs = 0
 

@@ -21,24 +21,19 @@ Overload policy for the diff service, in the order the app applies it:
 
 Everything here is synchronous, lock-protected, and clock-injectable so
 the policy is unit-testable without sockets or an event loop. Every
-``clock=`` parameter accepts either the legacy bare callable
-(``() -> float`` monotonic reader) or a full
-:class:`repro.simtest.clock.Clock` object — both are normalized through
-:func:`repro.simtest.clock.monotonic_callable`, so the simulation harness
-can drive admission deadlines and token refill on virtual time.
+``clock=`` parameter takes a :class:`repro.simtest.clock.Clock`
+(default :data:`~repro.simtest.clock.SYSTEM_CLOCK`), so the simulation
+harness drives admission deadlines and token refill on virtual time.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
-from ..simtest.clock import monotonic_callable
-
-Clock = Callable[[], float]
+from ..simtest.clock import SYSTEM_CLOCK, Clock
 
 
 @dataclass
@@ -53,20 +48,20 @@ class Decision:
 class TokenBucket:
     """Classic token bucket: ``rate`` tokens/s, at most ``burst`` banked."""
 
-    def __init__(self, rate: float, burst: float, clock: Clock = time.monotonic) -> None:
+    def __init__(self, rate: float, burst: float, clock: Clock = SYSTEM_CLOCK) -> None:
         if rate <= 0.0:
             raise ValueError(f"rate must be > 0, got {rate}")
         if burst < 1.0:
             raise ValueError(f"burst must be >= 1, got {burst}")
         self.rate = rate
         self.burst = burst
-        self._clock = monotonic_callable(clock)
+        self._clock = clock
         self._tokens = burst
-        self._stamp = self._clock()
+        self._stamp = clock.monotonic()
 
     def try_acquire(self, tokens: float = 1.0) -> float:
         """Take *tokens* if available; return 0.0, else seconds until refill."""
-        now = self._clock()
+        now = self._clock.monotonic()
         self._tokens = min(self.burst, self._tokens + (now - self._stamp) * self.rate)
         self._stamp = now
         if self._tokens >= tokens:
@@ -88,12 +83,12 @@ class RateLimiter:
         rate: float = 0.0,
         burst: float = 10.0,
         max_clients: int = 1024,
-        clock: Clock = time.monotonic,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         self.rate = rate
         self.burst = burst
         self.max_clients = max_clients
-        self._clock = monotonic_callable(clock)
+        self._clock = clock
         self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -122,13 +117,13 @@ class RateLimiter:
 class Deadline:
     """A monotonic budget: how long this request may still take."""
 
-    def __init__(self, budget_s: float, clock: Clock = time.monotonic) -> None:
-        self._clock = monotonic_callable(clock)
-        self._expires = self._clock() + budget_s
+    def __init__(self, budget_s: float, clock: Clock = SYSTEM_CLOCK) -> None:
+        self._clock = clock
+        self._expires = clock.monotonic() + budget_s
         self.budget_s = budget_s
 
     def remaining(self) -> float:
-        return self._expires - self._clock()
+        return self._expires - self._clock.monotonic()
 
     @property
     def expired(self) -> bool:
@@ -154,7 +149,7 @@ class AdmissionController:
         max_body_bytes: int = 1 << 20,
         default_deadline_ms: float = 30_000.0,
         mean_wall_ms: Optional[Callable[[], float]] = None,
-        clock: Clock = time.monotonic,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
@@ -167,8 +162,8 @@ class AdmissionController:
         self.queue_capacity = queue_capacity
         self.max_body_bytes = max_body_bytes
         self.default_deadline_ms = default_deadline_ms
-        self._clock = monotonic_callable(clock)
-        self.limiter = RateLimiter(rate=rate, burst=burst, clock=self._clock)
+        self._clock = clock
+        self.limiter = RateLimiter(rate=rate, burst=burst, clock=clock)
         self._mean_wall_ms = mean_wall_ms
         self._lock = threading.Lock()
         self._in_flight = 0

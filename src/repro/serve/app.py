@@ -1,4 +1,4 @@
-"""The asyncio HTTP/1.1 diff service: routing, handlers, serve loop.
+"""The asyncio HTTP/1.1 diff service: the worker core and its socket loop.
 
 A deliberately small, stdlib-only HTTP server (no frameworks, matching the
 repo's no-new-runtime-deps rule) that puts :class:`repro.service.DiffEngine`
@@ -14,10 +14,15 @@ GET       ``/healthz``    liveness + draining state (never admission-gated)
 GET       ``/metrics``    deterministic JSON snapshot of ServiceMetrics
 ========  ==============  ====================================================
 
-Compute requests pass through :class:`~repro.serve.admission.AdmissionController`
-(413 / 429 + ``Retry-After`` / 504 / 503-while-draining; see that module)
-and run on the engine's worker pool via ``run_in_executor`` so the event
-loop only ever parses, routes, and writes — it never blocks on matching.
+:meth:`DiffServer.dispatch` is the sans-IO worker core: routing, the
+admission bracket (503 while draining, 429 + ``Retry-After``, 504 on the
+deadline, slot release), the worker/admission/engine spans, the metrics
+counters and response shaping. Two callers run it: the socket loop of
+:class:`~repro.serve.protocol.HttpFront`, and the simulator
+(:mod:`repro.simtest.scenario`), which calls :meth:`~repro.serve.protocol
+.HttpFront.handle` directly. They differ in one method, :meth:`DiffServer
+._offload`: here compute runs on the engine's worker pool under
+a timeout, so the event loop only parses, routes and writes.
 
 Concurrency note: an expired deadline answers the *request* with 504, but
 the underlying pool job is not forcibly killed (CPython offers no safe
@@ -29,31 +34,28 @@ for stragglers: ``engine.close()`` joins its pool after the drain.
 from __future__ import annotations
 
 import asyncio
-import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..matching.criteria import MatchConfig
 from ..obs.export import validate_trace
 from ..obs.trace import Tracer, extract_trace_context, is_valid_trace_id
 from ..service.engine import DiffEngine
 from ..service.metrics import ServiceMetrics
-from ..simtest.clock import SYSTEM_CLOCK
+from ..simtest.clock import SYSTEM_CLOCK, Clock
 from .admission import AdmissionController, Deadline
 from .lifecycle import Lifecycle, dump_final_metrics, dump_final_traces
 from .protocol import (
-    MAX_HEADERS,
     PROTOCOL,
-    STATUS_PHRASES,
     HttpError,
-    dumps,
+    HttpFront,
+    Response,
     job_result_to_dict,
     pairs_from_batch,
     parse_body,
-    parse_request_line,
-    read_content_length_body,
-    read_headers,
+    require_method,
     require_pair,
 )
 
@@ -89,22 +91,24 @@ class ServeConfig:
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
-class DiffServer:
-    """One engine, one admission controller, one listening socket."""
+class DiffServer(HttpFront):
+    """One engine, one admission controller, one (optional) listening socket."""
 
     def __init__(
         self,
         config: Optional[ServeConfig] = None,
         engine: Optional[DiffEngine] = None,
         metrics: Optional[ServiceMetrics] = None,
-        clock: Optional[Any] = None,
+        clock: Optional[Clock] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
+        super().__init__(self.config.max_body_bytes)
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.metrics = (
             metrics if metrics is not None else ServiceMetrics(clock=self.clock)
         )
-        self.tracer = Tracer(
+        self.tracer = tracer if tracer is not None else Tracer(
             fraction=self.config.trace_fraction,
             capacity=self.config.trace_buffer,
             clock=self.clock,
@@ -124,6 +128,7 @@ class DiffServer:
                 retries=self.config.retries,
                 verify_fraction=self.config.verify_fraction,
                 tracer=self.tracer,
+                clock=self.clock,
             )
         self.admission = AdmissionController(
             queue_capacity=self.config.queue_capacity,
@@ -138,16 +143,8 @@ class DiffServer:
             drain_timeout=self.config.drain_timeout,
             clock=clock,  # None in production: the loop clock drives drains
         )
-        self._server: Optional[asyncio.AbstractServer] = None
         self._started = self.clock.monotonic()
-        self.port: Optional[int] = None  #: actual bound port once started
         self._job_seq = 0
-        # Loop-thread-only state: requests between first byte and last byte
-        # (drain waits on this — admission releases before the response is
-        # written) and the open connection tasks (cancelled post-drain so
-        # idle keep-alive sockets don't outlive the loop noisily).
-        self._active_requests = 0
-        self._conn_tasks: set = set()
 
     # ------------------------------------------------------------------
     # Serve loop
@@ -155,12 +152,7 @@ class DiffServer:
     async def start(self) -> None:
         """Bind the listening socket (resolving port 0 to the real port)."""
         self.lifecycle.bind(asyncio.get_running_loop())
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        await self.listen(self.config.host, self.config.port)
 
     async def run(
         self,
@@ -169,7 +161,7 @@ class DiffServer:
         dump_metrics: bool = True,
     ) -> Dict[str, Any]:
         """Serve until shutdown is requested, drain, return final metrics."""
-        if self._server is None:
+        if self.server is None:
             await self.start()
         if install_signals:
             self.lifecycle.install_signal_handlers()
@@ -177,16 +169,15 @@ class DiffServer:
             announce(f"http://{self.config.host}:{self.port}")
         try:
             await self.lifecycle.wait_for_shutdown()
+            # Admission releases before the response is written, so the
+            # drain waits on both counts.
             await self.lifecycle.drain(
-                self._server,
-                lambda: self._active_requests + self.admission.in_flight,
+                self.server,
+                lambda: self.active_requests + self.admission.in_flight,
             )
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+            await self.close_connections()
         finally:
-            self._server = None
+            self.server = None
             self.engine.close()
         if self.config.trace_export:
             dump_final_traces(self.tracer.export_jsonl(), self.config.trace_export)
@@ -195,187 +186,42 @@ class DiffServer:
             dump_final_metrics(snapshot)
         return snapshot
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        peer_id = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "unknown"
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                keep_alive = await self._handle_one_request(reader, writer, peer_id)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass  # client went away mid-request; nothing to answer
-        except asyncio.CancelledError:
-            pass  # post-drain cleanup of an idle keep-alive socket
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    def count(self, name: str) -> None:
+        self.metrics.incr(name if name.startswith("rejected_") else f"http_{name}")
 
-    async def _handle_one_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, peer_id: str
-    ) -> bool:
-        """Read, dispatch, and answer one request; True to keep the socket."""
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return False
-        started = self.clock.perf_counter()
-        self.metrics.incr("http_requests")
-        self._active_requests += 1
-        try:
-            return await self._process_request(
-                reader, writer, peer_id, request_line, started
-            )
-        finally:
-            self._active_requests -= 1
-
-    async def _process_request(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        peer_id: str,
-        request_line: bytes,
-        started: float,
-    ) -> bool:
-        keep_alive = True
-        status = 500
-        body_read = False
-        try:
-            method, path, version = self._parse_request_line(request_line)
-            headers = await self._read_headers(reader)
-            wants_close = headers.get("connection", "").lower() == "close"
-            keep_alive = version == "HTTP/1.1" and not wants_close
-            body = await self._read_body(reader, method, headers)
-            body_read = True
-            client = headers.get("x-client-id", peer_id)
-            status, payload, extra = await self._dispatch(
-                method, path, headers, body, client
-            )
-        except HttpError as exc:
-            status, payload, extra = exc.status, exc.body(), {}
-            if exc.retry_after is not None:
-                extra["Retry-After"] = str(max(1, math.ceil(exc.retry_after)))
-            if not body_read:
-                # The request body was never consumed (413, bad framing):
-                # the socket is mid-stream, so it cannot be reused.
-                keep_alive = False
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # never let a handler bug kill the server
-            self.metrics.incr("http_internal_errors")
-            status = 500
-            payload = {
-                "error": "internal",
-                "message": f"{type(exc).__name__}: {exc}",
-                "protocol": PROTOCOL,
-            }
-            extra = {}
-        if self.lifecycle.draining:
-            keep_alive = False
-        self._count_response(status)
-        self.metrics.observe_stage(
-            "http", (self.clock.perf_counter() - started) * 1000.0
-        )
-        await self._respond(writer, status, payload, extra, keep_alive)
-        return keep_alive
-
-    @staticmethod
-    def _parse_request_line(raw: bytes) -> Tuple[str, str, str]:
-        return parse_request_line(raw)
-
-    @staticmethod
-    async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
-        return await read_headers(reader, MAX_HEADERS)
-
-    async def _read_body(
-        self, reader: asyncio.StreamReader, method: str, headers: Dict[str, str]
-    ) -> bytes:
-        if method not in ("POST", "PUT"):
-            return b""
-        try:
-            return await read_content_length_body(
-                reader, headers, self.admission.max_body_bytes
-            )
-        except HttpError as exc:
-            if exc.status == 413:
-                self.metrics.incr("rejected_too_large")
-            raise
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        extra_headers: Dict[str, str],
-        keep_alive: bool,
-    ) -> None:
-        body = dumps(payload)
-        phrase = STATUS_PHRASES.get(status, "Unknown")
-        head = [
-            f"HTTP/1.1 {status} {phrase}",
-            f"Server: {PROTOCOL}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in extra_headers.items())
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
-
-    def _count_response(self, status: int) -> None:
-        self.metrics.incr(f"http_responses_{status // 100}xx")
+    def observe(self, status: int, elapsed_ms: float) -> None:
+        super().observe(status, elapsed_ms)
+        self.metrics.observe_stage("http", elapsed_ms)
 
     # ------------------------------------------------------------------
-    # Routing
+    # The worker core
     # ------------------------------------------------------------------
-    async def _dispatch(
-        self,
-        method: str,
-        path: str,
-        headers: Dict[str, str],
-        body: bytes,
-        client: str,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    async def dispatch(
+        self, method: str, path: str, headers: Dict[str, str], body: bytes, peer: str
+    ) -> Response:
         if path == "/healthz":
-            self._require_method(method, "GET", path)
+            require_method(method, "GET", path)
             return 200, self.health_payload(), {}
         if path == "/metrics":
-            self._require_method(method, "GET", path)
+            require_method(method, "GET", path)
             return 200, self.metrics_payload(), {}
         if path.startswith("/v1/trace/"):
-            self._require_method(method, "GET", path)
+            require_method(method, "GET", path)
             return 200, self.trace_payload(path[len("/v1/trace/"):]), {}
         if path in COMPUTE_ROUTES:
-            self._require_method(method, "POST", path)
+            require_method(method, "POST", path)
             data = parse_body(body)
-            payload, extra = await self._admitted(path, data, headers, client)
-            return 200, payload, extra
+            return await self._admitted(
+                path, data, headers, headers.get("x-client-id", peer)
+            )
         raise HttpError(404, "not_found", f"no route for {path}")
-
-    @staticmethod
-    def _require_method(method: str, expected: str, path: str) -> None:
-        if method != expected:
-            raise HttpError(405, "method_not_allowed", f"{path} only accepts {expected}")
 
     async def _admitted(
         self, path: str, data: Dict[str, Any], headers: Dict[str, str], client: str
-    ) -> Tuple[Dict[str, Any], Dict[str, str]]:
+    ) -> Response:
         """The shared admission bracket around every compute endpoint.
 
-        Returns ``(payload, extra response headers)``; a traced request
-        echoes its trace id back as ``X-Trace-Id``.
+        A traced request echoes its trace id back as ``X-Trace-Id``.
         """
         if self.lifecycle.draining:
             self.metrics.incr("rejected_draining")
@@ -416,9 +262,9 @@ class DiffServer:
                 f"admission refused ({decision.reason}); retry later",
                 retry_after=decision.retry_after,
             )
-        deadline = self.admission.deadline(self._requested_deadline(data, headers))
         trace = (trace_id, worker_span.span_id) if worker_span is not None else None
         try:
+            deadline = self.admission.deadline(self._requested_deadline(data, headers))
             if path == "/v1/diff":
                 payload = await self._handle_diff(data, deadline, trace)
             elif path == "/v1/batch":
@@ -432,7 +278,7 @@ class DiffServer:
         else:
             if worker_span is not None:
                 worker_span.close("ok")
-            return payload, extra
+            return 200, payload, extra
         finally:
             self.admission.release()
 
@@ -448,26 +294,44 @@ class DiffServer:
         except (TypeError, ValueError):
             raise HttpError(400, "bad_deadline", f"deadline_ms {raw!r} is not a number")
 
+    async def _compute(self, deadline: Deadline, calls: List[Callable[[], Any]]) -> List[Any]:
+        """Run *calls* within the request's deadline; 504 when it passes first."""
+        remaining = deadline.remaining()
+        if remaining > 0.0:
+            try:
+                return await self._offload(calls, remaining)
+            except asyncio.TimeoutError:
+                pass
+        self.metrics.incr("deadline_timeouts")
+        raise HttpError(
+            504,
+            "deadline",
+            f"no result within the {deadline.budget_s * 1000.0:.0f}ms deadline",
+        )
+
+    async def _offload(self, calls: List[Callable[[], Any]], timeout: float) -> List[Any]:
+        """The compute leg: *calls* on the engine pool, bounded by *timeout*.
+
+        This is the one step the simulator replaces (it runs the calls
+        inline and advances virtual time instead).
+        """
+        loop = asyncio.get_running_loop()
+        pool = self.engine.pool()
+        futures = [loop.run_in_executor(pool, call) for call in calls]
+        # asyncio.wait, not wait_for(gather(...)): one fewer loop hop
+        # between the pool finishing and this request resuming.
+        try:
+            _, pending = await asyncio.wait(futures, timeout=timeout)
+            if not pending:
+                return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()  # no-op once done; drops queued jobs otherwise
+        raise asyncio.TimeoutError
+
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    async def _await_with_deadline(self, awaitable: Awaitable, deadline: Deadline):
-        remaining = deadline.remaining()
-        if remaining <= 0.0:
-            self.metrics.incr("deadline_timeouts")
-            raise HttpError(
-                504, "deadline", "deadline exhausted before compute started"
-            )
-        try:
-            return await asyncio.wait_for(awaitable, timeout=remaining)
-        except asyncio.TimeoutError:
-            self.metrics.incr("deadline_timeouts")
-            raise HttpError(
-                504,
-                "deadline",
-                f"no result within the {deadline.budget_s * 1000.0:.0f}ms deadline",
-            )
-
     def _next_job_id(self, prefix: str) -> str:
         self._job_seq += 1
         return f"{prefix}-{self._job_seq}"
@@ -480,10 +344,9 @@ class DiffServer:
     ) -> Dict[str, Any]:
         old, new = require_pair(data)
         job_id = str(data.get("id", self._next_job_id("http")))
-        future = asyncio.wrap_future(
-            self.engine.submit(old, new, job_id=job_id, trace=trace)
+        [result] = await self._compute(
+            deadline, [partial(self.engine.diff, old, new, job_id, trace)]
         )
-        result = await self._await_with_deadline(future, deadline)
         include_script = bool(data.get("include_script", True))
         return job_result_to_dict(result, include_script=include_script)
 
@@ -494,11 +357,10 @@ class DiffServer:
         trace: Optional[Tuple[str, str]] = None,
     ) -> Dict[str, Any]:
         pairs = pairs_from_batch(data, self.config.max_batch)
-        futures = [
-            asyncio.wrap_future(self.engine.submit(old, new, job_id=job_id, trace=trace))
-            for old, new, job_id in pairs
-        ]
-        results = await self._await_with_deadline(asyncio.gather(*futures), deadline)
+        results = await self._compute(
+            deadline,
+            [partial(self.engine.diff, old, new, job_id, trace) for old, new, job_id in pairs],
+        )
         include_script = bool(data.get("include_script", True))
         jobs = [job_result_to_dict(r, include_script=include_script) for r in results]
         out = {
@@ -526,10 +388,8 @@ class DiffServer:
             differential=bool(data.get("differential", False)),
             shrink=False,
         )
-        loop = asyncio.get_running_loop()
-        report = await self._await_with_deadline(
-            loop.run_in_executor(None, check_pair, old, new, config, default_runner),
-            deadline,
+        [report] = await self._compute(
+            deadline, [partial(check_pair, old, new, config, default_runner)]
         )
         self.metrics.absorb_verify_report(report)
         out = report.to_dict()

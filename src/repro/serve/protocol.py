@@ -7,15 +7,20 @@ and every response body is a JSON object serialized deterministically
 (``sort_keys=True``) so clients, tests, and logs see byte-stable output.
 
 Errors are modelled as :class:`HttpError` — raised anywhere while handling
-a request, rendered once into a JSON error body by the app. Overload
-responses (429/503) carry a ``Retry-After`` header that
+a request, rendered once into a JSON error body by :func:`error_response`.
+Overload responses (429/503) carry a ``Retry-After`` header that
 :class:`repro.serve.client.DiffServiceClient` honors.
+
+:class:`HttpFront` is the one HTTP/1.1 connection loop and response
+writer; :class:`~repro.serve.app.DiffServer` and
+:class:`~repro.serve.router.Router` both serve through it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import ParseError
@@ -88,6 +93,40 @@ def dumps(payload: Any) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
+#: One answer: ``(status, JSON payload or raw body bytes, extra headers)``.
+Response = Tuple[int, Any, Dict[str, str]]
+
+
+def error_response(exc: HttpError) -> Response:
+    """Render an :class:`HttpError`; ``Retry-After`` is whole seconds, >= 1."""
+    headers: Dict[str, str] = {}
+    if exc.retry_after is not None:
+        headers["Retry-After"] = str(max(1, math.ceil(exc.retry_after)))
+    return exc.status, exc.body(), headers
+
+
+def require_method(method: str, expected: str, path: str) -> None:
+    """405 unless *method* is the one *path* accepts."""
+    if method != expected:
+        raise HttpError(405, "method_not_allowed", f"{path} only accepts {expected}")
+
+
+def encode_response(
+    status: int, payload: Any, headers: Dict[str, str], keep_alive: bool
+) -> bytes:
+    """The full HTTP/1.1 response: status line, headers, JSON body."""
+    body = payload if isinstance(payload, bytes) else dumps(payload)
+    head = [
+        f"HTTP/1.1 {status} {STATUS_PHRASES.get(status, 'Unknown')}",
+        f"Server: {PROTOCOL}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    head.extend(f"{name}: {value}" for name, value in headers.items())
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
 # ---------------------------------------------------------------------------
 # Low-level HTTP/1.1 framing, shared by the app, the cluster router, and the
 # supervisor's health checks. Everything raises HttpError so callers answer
@@ -127,7 +166,10 @@ async def read_headers(
     """Read header lines up to the blank separator into a lowercased dict."""
     headers: Dict[str, str] = {}
     for _ in range(max_headers):
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:  # longer than the stream's line limit
+            raise HttpError(400, "bad_headers", "header line too long")
         if line in (b"\r\n", b"\n", b""):
             return headers
         name, sep, value = line.decode("latin-1").partition(":")
@@ -203,7 +245,8 @@ def parse_body(raw: bytes) -> Dict[str, Any]:
     """Decode a request body into a JSON object (400 on anything else)."""
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack allows.
         raise HttpError(400, "bad_json", f"request body is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise HttpError(400, "bad_json", "request body must be a JSON object")
@@ -221,7 +264,7 @@ def tree_from_payload(spec: Any, field: str) -> Tree:
             return tree_from_dict(spec)
         if isinstance(spec, str):
             return tree_from_sexpr(spec)
-    except (ParseError, KeyError, TypeError, ValueError) as exc:
+    except (ParseError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise HttpError(400, "bad_tree", f"field {field!r} does not parse: {exc}")
     raise HttpError(
         400, "bad_tree", f"field {field!r} must be a tree dict or s-expression string"
@@ -295,3 +338,141 @@ def pairs_from_batch(data: Dict[str, Any], max_pairs: int) -> List[Tuple[Tree, T
 def tree_to_payload(tree: Tree) -> Optional[Dict[str, Any]]:
     """Client-side helper: the wire form of a snapshot (dict format)."""
     return tree_to_dict(tree)
+
+
+# ---------------------------------------------------------------------------
+# The shared HTTP/1.1 front
+# ---------------------------------------------------------------------------
+class HttpFront:
+    """The keep-alive connection loop shared by DiffServer and Router.
+
+    A subclass supplies :meth:`dispatch` (route and answer one framed
+    request), :meth:`count`, and ``clock``/``lifecycle`` attributes.
+    :meth:`handle` is the sans-IO entry point: one framed request in, one
+    :data:`Response` out. The socket loop here runs it in production;
+    the simulator drives :meth:`handle` directly, without a socket.
+    """
+
+    clock: Any
+    lifecycle: Any
+
+    def __init__(self, max_body_bytes: int) -> None:
+        self.max_body_bytes = max_body_bytes
+        #: Requests between first byte and last byte (drain waits on this).
+        self.active_requests = 0
+        self.server: Optional[asyncio.AbstractServer] = None
+        self.port: Optional[int] = None  #: actual bound port once listening
+        self._conn_tasks: set = set()
+
+    async def dispatch(
+        self, method: str, path: str, headers: Dict[str, str], body: bytes, peer: str
+    ) -> Response:
+        raise NotImplementedError
+
+    def count(self, name: str) -> None:
+        raise NotImplementedError
+
+    def observe(self, status: int, elapsed_ms: float) -> None:
+        """Account one answered request (subclasses may record timing)."""
+        self.count(f"responses_{status // 100}xx")
+
+    async def handle(
+        self,
+        method: str,
+        path: str,
+        headers: Dict[str, str],
+        body: bytes,
+        peer: str = "unknown",
+    ) -> Response:
+        """Answer one framed request; an :class:`HttpError` becomes its response."""
+        try:
+            return await self.dispatch(method, path, headers, body, peer)
+        except HttpError as exc:
+            return error_response(exc)
+
+    # ------------------------------------------------------------------
+    # The socket loop
+    # ------------------------------------------------------------------
+    async def listen(self, host: str, port: int) -> None:
+        """Bind the listening socket (resolving port 0 to the real port)."""
+        self.server = await asyncio.start_server(self._serve_connection, host, port)
+        sockets = self.server.sockets or []
+        if sockets:
+            self.port = sockets[0].getsockname()[1]
+
+    async def close_connections(self) -> None:
+        """Cancel idle keep-alive connections (post-drain cleanup)."""
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        peer = writer.get_extra_info("peername")
+        peer_id = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "unknown"
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+        try:
+            while await self._serve_one(reader, writer, peer_id):
+                pass
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            pass  # client went away mid-request; nothing to answer
+        except asyncio.CancelledError:
+            pass  # post-drain cleanup of an idle keep-alive socket
+        finally:
+            if task is not None:
+                self._conn_tasks.discard(task)
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _serve_one(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, peer: str
+    ) -> bool:
+        """Read, answer and write one request; True to keep the socket."""
+        request_line = await reader.readline()
+        if not request_line.strip():
+            return False
+        started = self.clock.perf_counter()
+        self.count("requests")
+        self.active_requests += 1
+        try:
+            try:
+                method, path, version = parse_request_line(request_line)
+                headers = await read_headers(reader)
+                wants_close = headers.get("connection", "").lower() == "close"
+                keep_alive = version == "HTTP/1.1" and not wants_close
+                body = b""
+                if method in ("POST", "PUT"):
+                    body = await read_content_length_body(
+                        reader, headers, self.max_body_bytes
+                    )
+            except HttpError as exc:
+                # Bad framing: the body was never consumed, so the socket
+                # is mid-stream and cannot be reused.
+                if exc.status == 413:
+                    self.count("rejected_too_large")
+                keep_alive = False
+                response = error_response(exc)
+            else:
+                try:
+                    response = await self.handle(method, path, headers, body, peer)
+                except Exception as exc:  # never let a handler bug kill the server
+                    self.count("internal_errors")
+                    response = error_response(
+                        HttpError(500, "internal", f"{type(exc).__name__}: {exc}")
+                    )
+            if self.lifecycle.draining:
+                keep_alive = False
+            status, payload, extra = response
+            self.observe(status, (self.clock.perf_counter() - started) * 1000.0)
+            writer.write(encode_response(status, payload, extra, keep_alive))
+            await writer.drain()
+            return keep_alive
+        finally:
+            self.active_requests -= 1

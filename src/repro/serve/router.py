@@ -24,6 +24,10 @@ truncated response) is **replayed** on the next distinct worker along the
 ring. The ring handles re-ranging naturally — removing a worker reassigns
 only that worker's arc to its ring successors, everything else keeps its
 shard (and its warm cache).
+
+The replay chain (:meth:`Router._proxy`) is transport-agnostic: each
+attempt goes through ``Router.transport``, a socket exchange in
+production and a direct call into an in-process worker in the simulator.
 """
 
 from __future__ import annotations
@@ -42,22 +46,43 @@ from ..obs.trace import (
     extract_trace_context,
     is_valid_trace_id,
 )
-from ..simtest.clock import SYSTEM_CLOCK
+from ..simtest.clock import SYSTEM_CLOCK, Clock
 from .lifecycle import Lifecycle
 from .protocol import (
     PROTOCOL,
-    STATUS_PHRASES,
     HttpError,
-    dumps,
+    HttpFront,
+    Response,
     fetch_json,
-    parse_request_line,
     parse_status_line,
-    read_content_length_body,
     read_headers,
+    require_method,
 )
 
 #: Request headers forwarded verbatim to the backend worker.
 FORWARDED_HEADERS = ("x-client-id", "x-deadline-ms", "x-affinity-key", "accept")
+
+#: One forwarding attempt:
+#: ``(worker_id, method, path, headers, body, trace) -> (status, body)``.
+Transport = Callable[
+    [str, str, str, Dict[str, str], bytes, Optional[Tuple[str, str]]],
+    Awaitable[Tuple[int, bytes]],
+]
+
+
+def forwarded_headers(
+    headers: Dict[str, str], trace: Optional[Tuple[str, str]]
+) -> Dict[str, str]:
+    """What a proxied request carries to its worker (lowercased names).
+
+    The trace id travels verbatim; the parent span becomes the proxy leg
+    so the worker hangs beneath it.
+    """
+    out = {name: headers[name] for name in FORWARDED_HEADERS if name in headers}
+    if trace is not None:
+        out[TRACE_ID_HEADER.lower()] = trace[0]
+        out[SPAN_ID_HEADER.lower()] = trace[1]
+    return out
 
 
 def hash_key(key: str) -> int:
@@ -144,14 +169,14 @@ def affinity_key(path: str, headers: Dict[str, str], body: bytes) -> str:
     if body and b'"id"' in body:
         try:
             data = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            data = None
+        except (ValueError, UnicodeDecodeError, RecursionError):
+            data = None  # the worker answers the bad body with a 400
         if isinstance(data, dict) and "id" in data:
             return str(data["id"])
     return hashlib.sha1(body if body else path.encode("utf-8")).hexdigest()
 
 
-class Router:
+class Router(HttpFront):
     """The cluster's front listener: parse, route, proxy, fail over.
 
     GET ``/healthz`` and ``/metrics`` are answered by the router itself
@@ -172,10 +197,12 @@ class Router:
         max_body_bytes: int = 1 << 20,
         connect_timeout: float = 5.0,
         proxy_timeout: float = 120.0,
-        clock: Optional[Any] = None,
+        clock: Optional[Clock] = None,
         faults: Optional[Any] = None,
         tracer: Optional[Tracer] = None,
+        transport: Optional[Transport] = None,
     ) -> None:
+        super().__init__(max_body_bytes)
         self.ring = ring
         self.ports = ports
         self.lifecycle = lifecycle
@@ -183,7 +210,6 @@ class Router:
         self.merge_metrics = merge_metrics
         self.on_backend_failure = on_backend_failure
         self.backend_host = backend_host
-        self.max_body_bytes = max_body_bytes
         self.connect_timeout = connect_timeout
         self.proxy_timeout = proxy_timeout
         self.clock = clock if clock is not None else SYSTEM_CLOCK
@@ -193,148 +219,33 @@ class Router:
         # it records one ``router.proxy`` span per forwarding attempt for
         # requests that arrive with a valid X-Trace-Id.
         self.tracer = tracer if tracer is not None else Tracer(clock=self.clock)
+        #: How each forwarding attempt reaches its worker (the socket leg
+        #: unless one is passed in).
+        self.transport: Transport = transport if transport is not None else self._forward
         #: Loop-thread-only counters surfaced under ``cluster.router``.
         self.counters: Dict[str, int] = {}
-        self.active_requests = 0
-        self.server: Optional[asyncio.AbstractServer] = None
-        self.port: Optional[int] = None
-        self._conn_tasks: set = set()
         self._started = self.clock.monotonic()
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    # ------------------------------------------------------------------
-    # Serve loop (same connection discipline as app.DiffServer)
-    # ------------------------------------------------------------------
-    async def start(self, host: str, port: int) -> None:
-        self.server = await asyncio.start_server(self._handle_connection, host, port)
-        sockets = self.server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-
-    async def close_connections(self) -> None:
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                keep_alive = await self._handle_one_request(reader, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass  # client went away mid-request
-        except asyncio.CancelledError:
-            pass  # post-drain cleanup of idle keep-alive sockets
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_one_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return False
-        self._count("requests")
-        self.active_requests += 1
-        try:
-            return await self._process(reader, writer, request_line)
-        finally:
-            self.active_requests -= 1
-
-    async def _process(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        request_line: bytes,
-    ) -> bool:
-        keep_alive = True
-        raw_response: Optional[bytes] = None
-        extra: Dict[str, str] = {}
-        try:
-            method, path, version = parse_request_line(request_line)
-            headers = await read_headers(reader)
-            wants_close = headers.get("connection", "").lower() == "close"
-            keep_alive = version == "HTTP/1.1" and not wants_close
-            body = b""
-            if method in ("POST", "PUT"):
-                body = await read_content_length_body(
-                    reader, headers, self.max_body_bytes
-                )
-            status, payload, extra = await self._dispatch(method, path, headers, body)
-            if isinstance(payload, bytes):
-                raw_response = payload
-            else:
-                raw_response = dumps(payload)
-        except HttpError as exc:
-            status = exc.status
-            raw_response = dumps(exc.body())
-            if exc.retry_after is not None:
-                extra["Retry-After"] = str(max(1, int(exc.retry_after + 0.999)))
-            if exc.status in (400, 411, 413, 501):
-                keep_alive = False  # request framing is unrecoverable
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # never let a router bug kill the front
-            self._count("internal_errors")
-            status = 500
-            raw_response = dumps(
-                {
-                    "error": "internal",
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "protocol": PROTOCOL,
-                }
-            )
-        if self.lifecycle.draining:
-            keep_alive = False
-        self._count(f"responses_{status // 100}xx")
-        phrase = STATUS_PHRASES.get(status, "Unknown")
-        head = [
-            f"HTTP/1.1 {status} {phrase}",
-            f"Server: {PROTOCOL}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(raw_response)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in extra.items())
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + raw_response)
-        await writer.drain()
-        return keep_alive
+    def count(self, name: str) -> None:
+        self.counters[name] = self.counters.get(name, 0) + 1
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _dispatch(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def dispatch(
+        self, method: str, path: str, headers: Dict[str, str], body: bytes, peer: str
+    ) -> Response:
         if path == "/healthz":
-            if method != "GET":
-                raise HttpError(405, "method_not_allowed", f"{path} only accepts GET")
+            require_method(method, "GET", path)
             return 200, self.health_payload(), {}
         if path == "/metrics":
-            if method != "GET":
-                raise HttpError(405, "method_not_allowed", f"{path} only accepts GET")
+            require_method(method, "GET", path)
             return 200, await self.aggregate_metrics(), {}
         if path.startswith("/v1/trace/"):
-            if method != "GET":
-                raise HttpError(405, "method_not_allowed", f"{path} only accepts GET")
+            require_method(method, "GET", path)
             return 200, await self.aggregate_trace(path[len("/v1/trace/"):]), {}
         if self.lifecycle.draining:
-            self._count("rejected_draining")
+            self.count("rejected_draining")
             raise HttpError(
                 503, "draining", "cluster is draining; retry elsewhere", retry_after=1.0
             )
@@ -342,15 +253,12 @@ class Router:
 
     async def _proxy(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, bytes, Dict[str, str]]:
+    ) -> Response:
         key = affinity_key(path, headers, body)
         chain = self.ring.assign_chain(key)
         last_error = "no live workers"
         ctx = extract_trace_context(headers)
         for position, worker_id in enumerate(chain):
-            port = self.ports.get(worker_id)
-            if port is None:
-                continue
             span = None
             trace = None
             if ctx is not None:
@@ -366,28 +274,27 @@ class Router:
                 )
                 trace = (ctx[0], span.span_id)
             try:
-                status, resp_body = await self._forward(
-                    port, method, path, headers, body,
-                    worker_id=worker_id, trace=trace,
+                status, resp_body = await self.transport(
+                    worker_id, method, path, headers, body, trace
                 )
             except (OSError, asyncio.IncompleteReadError, asyncio.TimeoutError) as exc:
                 # The backend died under the request. Compute endpoints are
                 # pure functions of the body, so replaying on the next ring
                 # successor is safe — the client never sees the crash.
-                self._count("proxy_failovers")
+                self.count("proxy_failovers")
                 last_error = f"{worker_id}: {type(exc).__name__}: {exc}"
                 if span is not None:
                     span.annotate(error=type(exc).__name__).close("failover")
                 if self.on_backend_failure is not None:
                     self.on_backend_failure(worker_id)
                 continue
-            self._count("proxied")
+            self.count("proxied")
             if position > 0:
-                self._count("proxied_rerouted")
+                self.count("proxied_rerouted")
             if span is not None:
                 span.annotate(status=status).close("ok")
             return status, resp_body, {"X-Worker-Id": worker_id}
-        self._count("rejected_no_backend")
+        self.count("rejected_no_backend")
         raise HttpError(
             503,
             "no_backend",
@@ -397,15 +304,17 @@ class Router:
 
     async def _forward(
         self,
-        port: int,
+        worker_id: str,
         method: str,
         path: str,
         headers: Dict[str, str],
         body: bytes,
-        worker_id: Optional[str] = None,
         trace: Optional[Tuple[str, str]] = None,
     ) -> Tuple[int, bytes]:
-        """One fully-framed request/response exchange with a worker."""
+        """The socket transport: one fully-framed exchange with a worker."""
+        port = self.ports.get(worker_id)
+        if port is None:
+            raise ConnectionRefusedError(111, f"{worker_id} has no port")
         if self.faults is not None:
             # Each injected failure surfaces as exactly the exception class
             # the real transport would raise, so _proxy's failover handling
@@ -431,14 +340,10 @@ class Router:
                 "Content-Type: application/json",
                 f"Content-Length: {len(body)}",
             ]
-            for name in FORWARDED_HEADERS:
-                if name in headers:
-                    head.append(f"{name}: {headers[name]}")
-            if trace is not None:
-                # The trace id travels verbatim; the parent span becomes
-                # this proxy leg so the worker hangs beneath it.
-                head.append(f"{TRACE_ID_HEADER}: {trace[0]}")
-                head.append(f"{SPAN_ID_HEADER}: {trace[1]}")
+            head.extend(
+                f"{name}: {value}"
+                for name, value in forwarded_headers(headers, trace).items()
+            )
             writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
             await writer.drain()
             status_line = await asyncio.wait_for(reader.readline(), self.proxy_timeout)

@@ -15,27 +15,21 @@ things that workload needs:
    timeout, bounded retry, and per-job error capture: one malformed
    document fails its own job, never the batch.
 
-CPython's GIL serializes pure-Python compute, so the thread pool alone
-overlaps only digesting/caching with compute. For real multi-core scaling
-pass ``executor="process"``: orchestration (digests, cache) stays in
-threads, while the heavy ``tree_diff`` call is shipped to a
-``ProcessPoolExecutor`` as serialized trees. Process mode rebuilds a
-default :class:`~repro.matching.criteria.MatchConfig` in the children from
-``(f, t, flags)``, so custom comparator registries require thread mode.
+CPython's GIL serializes pure-Python compute, so the thread pool overlaps
+only digesting/caching with compute; multi-core scaling is the cluster's
+job (``repro-diff serve --workers N``, one engine per process).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.isomorphism import trees_isomorphic
-from ..core.serialization import tree_from_dict, tree_to_dict
 from ..core.tree import Tree
 from ..editscript.script import EditScript
 from ..matching.criteria import MatchConfig
@@ -47,6 +41,7 @@ from .cache import (
     canonicalize_script,
     instantiate_script,
 )
+from ..simtest.clock import SYSTEM_CLOCK, Clock
 from .digest import cached_digests, tree_fingerprint
 from .metrics import ServiceMetrics
 
@@ -120,43 +115,13 @@ def config_key(
     )
 
 
-def _process_diff(request: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool worker: rebuild the pair, diff, return a canonical payload.
-
-    Module-level so it pickles; receives plain dicts (not Tree objects) to
-    keep the wire format explicit and version-independent. The payload is
-    wrapped together with the run's per-stage timings so the parent engine
-    can report them without shipping the whole Trace across the pipe.
-    """
-    old = tree_from_dict(request["old"])
-    new = tree_from_dict(request["new"])
-    config = MatchConfig(
-        f=request["f"],
-        t=request["t"],
-        match_empty_internals=request["mei"],
-        always_match_roots=request["amr"],
-    )
-    pipeline = DiffPipeline(
-        DiffConfig(
-            algorithm=request["algorithm"],
-            match=config,
-            postprocess=request["postprocess"],
-        )
-    )
-    result = pipeline.run(old, new)
-    payload = canonicalize_script(
-        result.script, old, result.edit.wrapped, result.edit.dummy_t1_id
-    )
-    return {"payload": payload, "stage_ms": result.trace.stage_ms()}
-
-
 class DiffEngine:
     """Serving layer: fan tree pairs out, memoize, and measure.
 
     Parameters
     ----------
     workers:
-        Concurrent jobs (and process-pool width in process mode).
+        Concurrent jobs (the thread-pool width).
     config, algorithm, postprocess:
         The :class:`~repro.pipeline.DiffConfig` parameters applied to every
         job; validated eagerly (a bad algorithm raises
@@ -173,8 +138,6 @@ class DiffEngine:
     retries:
         How many times a *failed* computation is retried before the job is
         reported as ``status="error"``.
-    executor:
-        ``"thread"`` (default) or ``"process"`` for multi-core compute.
     verify_fraction:
         Fraction of successful jobs (0.0–1.0) to re-check with the
         script-level oracles from :mod:`repro.verify.oracles` (replay
@@ -183,6 +146,9 @@ class DiffEngine:
         crosses an integer — and outcomes land on
         :attr:`JobResult.verified`, the ``verify_checks`` /
         ``verify_failures`` counters, and the metrics' ``verify`` section.
+    clock:
+        The :class:`~repro.simtest.clock.Clock` job and stage timings are
+        read from (the simulation harness passes its virtual clock).
     """
 
     def __init__(
@@ -195,14 +161,12 @@ class DiffEngine:
         metrics: Optional[ServiceMetrics] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
-        executor: str = "thread",
         verify_fraction: float = 0.0,
         tracer: Optional[Tracer] = None,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if executor not in ("thread", "process"):
-            raise ValueError(f"executor must be 'thread' or 'process', got {executor!r}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if not 0.0 <= verify_fraction <= 1.0:
@@ -213,22 +177,22 @@ class DiffEngine:
         self.config = config
         self.algorithm = algorithm
         self.postprocess = postprocess
+        self.clock = clock
         # One pipeline serves every job: run() keeps all per-run state in
         # its Trace, so concurrent worker threads can share the instance.
         # Raises ConfigError up front on a bad algorithm/config.
         self._pipeline = DiffPipeline(
-            DiffConfig(algorithm=algorithm, match=config, postprocess=postprocess)
+            DiffConfig(algorithm=algorithm, match=config, postprocess=postprocess),
+            clock=clock,
         )
         if isinstance(cache, int):
             cache = ScriptCache(cache) if cache > 0 else None
         self.cache = cache
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else ServiceMetrics(clock=clock)
         self.timeout = timeout
         self.retries = retries
-        self.executor = executor
         self._config_key = config_key(config, algorithm, postprocess)
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._procs: Optional[ProcessPoolExecutor] = None
         self.verify_fraction = verify_fraction
         self._verify_lock = threading.Lock()
         self._verify_seen = 0
@@ -249,25 +213,18 @@ class DiffEngine:
         self.close()
 
     def close(self) -> None:
-        """Shut down the worker pools (idempotent)."""
+        """Shut down the worker pool (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        if self._procs is not None:
-            self._procs.shutdown(wait=True)
-            self._procs = None
 
-    def _thread_pool(self) -> ThreadPoolExecutor:
+    def pool(self) -> ThreadPoolExecutor:
+        """The engine's worker pool (created on first use)."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-diff"
             )
         return self._pool
-
-    def _process_pool(self) -> ProcessPoolExecutor:
-        if self._procs is None:
-            self._procs = ProcessPoolExecutor(max_workers=self.workers)
-        return self._procs
 
     # ------------------------------------------------------------------
     # Public API
@@ -300,7 +257,7 @@ class DiffEngine:
         only raises on timeout (when the caller passes one) or shutdown.
         ``trace`` is an optional ``(trace_id, parent_span_id)`` context.
         """
-        return self._thread_pool().submit(self._run_job, job_id, old, new, trace)
+        return self.pool().submit(self._run_job, job_id, old, new, trace)
 
     def map_pairs(
         self,
@@ -322,7 +279,7 @@ class DiffEngine:
             jobs.append((str(job_id), old, new))
         if not jobs:
             return []
-        pool = self._thread_pool()
+        pool = self.pool()
         futures = [pool.submit(self._run_job, *job) for job in jobs]
         results: List[JobResult] = []
         for (job_id, _, _), future in zip(jobs, futures):
@@ -357,7 +314,7 @@ class DiffEngine:
         new: TreeSource,
         trace: Optional[Tuple[str, Optional[str]]] = None,
     ) -> JobResult:
-        start = time.perf_counter()
+        start = self.clock.perf_counter()
         self.metrics.incr("jobs_submitted")
         result = JobResult(job_id=job_id)
         if trace is None:
@@ -385,7 +342,7 @@ class DiffEngine:
             result.source = None
             result.script = None
             result.error = f"{type(exc).__name__}: {exc}"
-        result.wall_ms = (time.perf_counter() - start) * 1000.0
+        result.wall_ms = (self.clock.perf_counter() - start) * 1000.0
         if result.status == "ok":
             self.metrics.incr("jobs_succeeded")
             self.metrics.incr("ops_emitted", result.operations)
@@ -549,20 +506,6 @@ class DiffEngine:
         what gets cached, and a cache entry must not embed one particular
         run's latencies.
         """
-        if self.executor == "process":
-            config = self.config if self.config is not None else MatchConfig()
-            request = {
-                "old": tree_to_dict(old_tree),
-                "new": tree_to_dict(new_tree),
-                "f": config.f,
-                "t": config.t,
-                "mei": config.match_empty_internals,
-                "amr": config.always_match_roots,
-                "algorithm": self.algorithm,
-                "postprocess": self.postprocess,
-            }
-            response = self._process_pool().submit(_process_diff, request).result()
-            return response["payload"], response["stage_ms"]
         diffed = self._pipeline.run(old_tree, new_tree)
         stage_ms = diffed.trace.stage_ms() if diffed.trace is not None else {}
         try:

@@ -11,10 +11,9 @@ operations emitted, and wall-time percentiles. Everything is thread-safe
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from ..simtest.clock import monotonic_callable
+from ..simtest.clock import SYSTEM_CLOCK, Clock
 from ..verify.oracles import VerifyReport
 
 #: Counter names the engine maintains; unknown names are allowed (the
@@ -45,7 +44,7 @@ class LatencyHistogram:
     def __init__(
         self,
         max_samples: int = 4096,
-        clock: Optional[Callable[[], float]] = None,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
@@ -54,7 +53,7 @@ class LatencyHistogram:
         self._next = 0  # ring cursor once the window is full
         self.count = 0
         self.total = 0.0
-        self._clock = clock if clock is not None else time.monotonic
+        self._clock = clock
         #: Monotonic stamps of the first/last observation (None until one
         #: lands) — under an injected clock these are virtual times, which
         #: is how the simulation harness asserts *when* latency was seen.
@@ -62,7 +61,7 @@ class LatencyHistogram:
         self.last_at: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        now = self._clock()
+        now = self._clock.monotonic()
         if self.first_at is None:
             self.first_at = now
         self.last_at = now
@@ -99,13 +98,12 @@ class ServiceMetrics:
     :meth:`stage_listener` to a :class:`~repro.pipeline.DiffPipeline`.
     """
 
-    def __init__(self, max_samples: int = 4096, clock: Optional[object] = None) -> None:
+    def __init__(self, max_samples: int = 4096, clock: Clock = SYSTEM_CLOCK) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {name: 0 for name in STANDARD_COUNTERS}
         self._max_samples = max_samples
-        # Accepts a Clock object or a bare () -> float monotonic callable;
-        # drives the first_at/last_at stamps on every histogram.
-        self._clock = monotonic_callable(clock)
+        # Drives the first_at/last_at stamps on every histogram.
+        self._clock = clock
         self.wall_ms = LatencyHistogram(max_samples, clock=self._clock)
         self._stages: Dict[str, LatencyHistogram] = {}
         self.verify = VerifyReport()

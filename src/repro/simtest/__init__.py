@@ -11,9 +11,9 @@ Layers (each usable on its own):
   proxy leg, supervisor health checker, and ``ScriptCache``.
 * :mod:`repro.simtest.events` — the byte-identical-per-seed event log.
 * :mod:`repro.simtest.scenario` — an in-process simulated cluster (real
-  admission/ring/retry/metrics code, no sockets) replaying scripted
-  request+fault timelines under ``SimClock`` with declarative invariants
-  and fault-plan shrinking.
+  ``DiffServer``/``Router``/client objects and the real engine, no
+  sockets) replaying scripted request+fault timelines under ``SimClock``
+  with declarative invariants and fault-plan shrinking.
 * :mod:`repro.simtest.scenarios` — the named scenario matrix behind
   ``repro-diff simtest``.
 
@@ -23,7 +23,7 @@ modules — so ``scenario``/``scenarios`` are re-exported lazily here to keep
 the package import acyclic.
 """
 
-from .clock import SYSTEM_CLOCK, Clock, SimClock, SystemClock, Timer, monotonic_callable
+from .clock import SYSTEM_CLOCK, Clock, SimClock, SystemClock, Timer
 from .events import EventLog
 from .faults import INJECTION_POINTS, Fault, FaultInjector, FaultPlan
 
@@ -33,7 +33,6 @@ __all__ = [
     "SimClock",
     "Timer",
     "SYSTEM_CLOCK",
-    "monotonic_callable",
     "EventLog",
     "INJECTION_POINTS",
     "Fault",

@@ -17,8 +17,8 @@ Two implementations of the same small surface:
   a suspend/resume or NTP step: time leaps forward and timers that became
   due during the gap all fire "late" at the new now.
 
-Legacy call sites that take a bare ``Callable[[], float]`` clock (the
-admission layer's convention) interoperate via :func:`monotonic_callable`.
+There is one convention: a component that reads time takes a ``Clock``
+(default :data:`SYSTEM_CLOCK`), never a bare callable.
 """
 
 from __future__ import annotations
@@ -199,19 +199,3 @@ class SimClock(Clock):
             self._now = target if late else max(self._now, when)
             self.fired += 1
             timer.callback(*timer.args)
-
-
-def monotonic_callable(clock: Any) -> Callable[[], float]:
-    """Adapt *clock* to the bare-callable convention of the admission layer.
-
-    Accepts a :class:`Clock`, a zero-arg callable, or ``None`` (the system
-    clock); returns a plain ``() -> float`` monotonic reader.
-    """
-    if clock is None:
-        return time.monotonic
-    monotonic = getattr(clock, "monotonic", None)
-    if callable(monotonic):
-        return monotonic
-    if callable(clock):
-        return clock
-    raise TypeError(f"not a clock: {clock!r}")

@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
+from .clock import Clock
 from .events import EventLog
 
 INJECTION_POINTS = (
@@ -140,7 +141,7 @@ class FaultInjector:
     def __init__(
         self,
         plan: Optional[FaultPlan] = None,
-        clock: Optional[Any] = None,
+        clock: Optional[Clock] = None,
         log: Optional[EventLog] = None,
     ) -> None:
         self.plan = plan
@@ -153,10 +154,7 @@ class FaultInjector:
         return self.plan is not None and any(f.hits != 0 for f in self.plan.faults)
 
     def _now(self) -> float:
-        if self.clock is None:
-            return 0.0
-        monotonic = getattr(self.clock, "monotonic", None)
-        return monotonic() if callable(monotonic) else self.clock()
+        return self.clock.monotonic() if self.clock is not None else 0.0
 
     def fire(self, point: str, target: Optional[str] = None) -> Optional[Fault]:
         if self.plan is None:

@@ -1,16 +1,23 @@
-"""The scenario runner: a simulated cluster under virtual time.
+"""The scenario runner: the real serve stack under virtual time.
 
 This is deterministic simulation testing for the serve/cluster stack. The
-topology is in-process — no sockets, no subprocesses — but deliberately
-*not* a mock of the interesting code: every simulated worker runs the real
-:class:`~repro.serve.admission.AdmissionController` (bounded queue, token
-buckets, deadlines), the real :class:`~repro.service.metrics.ServiceMetrics`
-and :class:`~repro.service.cache.ScriptCache`; the cluster routes with the
-real :class:`~repro.serve.router.HashRing` + :func:`~repro.serve.router
-.affinity_key` and mirrors the router's replay-along-the-chain failover;
-and the simulated client *is* :class:`~repro.serve.client.DiffServiceClient`
-with only its socket transport overridden — so the retry policy under test
-is the production one, byte for byte.
+topology is in-process — no sockets, no subprocesses — and the request
+handling is production's own: every simulated worker incarnation is a real
+:class:`~repro.serve.app.DiffServer` (admission, deadlines, spans,
+metrics, response shaping) running the real
+:class:`~repro.service.engine.DiffEngine` and its
+:class:`~repro.service.cache.ScriptCache` on small deterministic tree
+pairs; the cluster is a real :class:`~repro.serve.router.Router` (affinity
+key, ring walk, failover, suspect feedback); and the simulated client *is*
+:class:`~repro.serve.client.DiffServiceClient`. Only transports are
+swapped: the client and the router call straight into the next layer, and
+coroutines that never suspend are driven inline by :func:`run_inline`.
+
+What the simulator still models on its own is the *process*: crash,
+restart, incarnations, occupiers holding admission slots, and the window
+before a dead worker leaves the ring. ``Scenario.service_time`` only
+advances virtual time after the engine has answered; stage spans and
+scripts come from the real engine.
 
 A :class:`Scenario` is a scripted timeline (requests, kills, drains,
 slot-occupancy, clock jumps) plus a seeded
@@ -44,6 +51,10 @@ Invariants (select per scenario via ``Scenario.invariants``):
     jobs_timed_out + jobs_failed``; the cross-incarnation merge via the
     real :func:`~repro.service.metrics.merge_snapshots` preserves the
     sums; and workers report at least as many successes as clients saw.
+``script_replays``
+    Every 200 ``/v1/diff`` response carries a script that turns the
+    request's old tree into its new tree (replayed with
+    :meth:`~repro.service.engine.JobResult.verify`).
 ``convergence``
     Every scripted request eventually succeeded (retries absorbed all
     injected trouble).
@@ -53,40 +64,93 @@ Invariants (select per scenario via ``Scenario.invariants``):
 
 from __future__ import annotations
 
-import json
+import asyncio
+import dataclasses
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Coroutine, Dict, List, Optional, Tuple
 
+from ..core.errors import ReproError
+from ..core.serialization import tree_from_dict, tree_to_dict
+from ..core.tree import Tree
+from ..editscript.script import EditScript
 from ..obs.export import validate_trace
-from ..obs.trace import Tracer, extract_trace_context, synthesize_stage_spans
-from ..serve.admission import AdmissionController
+from ..obs.trace import Tracer
+from ..serve.app import DiffServer, ServeConfig
 from ..serve.client import DiffServiceClient, ServiceError
-from ..serve.router import HashRing, affinity_key
+from ..serve.lifecycle import Lifecycle
+from ..serve.protocol import PROTOCOL, Response, dumps
+from ..serve.router import HashRing, Router, forwarded_headers
 from ..service.cache import ScriptCache
-from ..service.metrics import ServiceMetrics, merge_snapshots
+from ..service.engine import DiffEngine, JobResult
+from ..service.metrics import merge_snapshots
+from ..workload import DocumentSpec, MutationEngine, generate_document
 from .clock import SimClock
 from .events import EventLog
 from .faults import FaultInjector, FaultPlan
 
-#: Stride mixed into per-client rng seeds (mirrors verify.fuzz).
+#: Stride mixed into per-client rng seeds (as in verify.fuzz).
 _SEED_STRIDE = 1_000_003
 
-#: How the simulated service time splits across the real pipeline's stages
-#: (same names as :class:`repro.pipeline.Trace`). Sums to 0.9 so the
-#: synthesized stage spans always fit inside the enclosing engine span.
-STAGE_WEIGHTS = (
-    ("index", 0.10),
-    ("match", 0.50),
-    ("postprocess", 0.10),
-    ("editscript", 0.20),
+#: Shape of the document each scripted request diffs (13-43 nodes).
+_DOC_SPEC = DocumentSpec(
+    sections=3, paragraphs_per_section=3, sentences_per_paragraph=2, words_per_sentence=5
 )
 
 
 def derive_rng(seed: int, name: str) -> random.Random:
     """A deterministic, platform-stable rng for one named participant."""
     return random.Random((seed * _SEED_STRIDE) ^ zlib.crc32(name.encode("utf-8")))
+
+
+def doc_pair(doc: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The wire-form ``(old, new)`` snapshot pair a request for *doc* diffs.
+
+    Same name, same trees — so a repeated document is a cache hit on the
+    worker that owns it, exactly like repeat traffic in production.
+    """
+    seed = zlib.crc32(doc.encode("utf-8"))
+    old = generate_document(seed, _DOC_SPEC)
+    new = MutationEngine(seed).mutate(old, 3).tree
+    return tree_to_dict(old), tree_to_dict(new)
+
+
+def run_inline(coro: Coroutine[Any, Any, Any]) -> Any:
+    """Drive a coroutine that never suspends to its result.
+
+    Every simulated handler is such a coroutine: its awaits reach only
+    other in-process coroutines, and waiting happens on the ``SimClock``.
+    """
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise RuntimeError("a simulated handler suspended on real I/O")
+
+
+def script_replays(old: Tree, new: Tree, script: Optional[Dict[str, Any]]) -> bool:
+    """True when a response's ``script`` turns *old* into *new*."""
+    if script is None:
+        return False
+    records = script["records"]
+    dummy_id = None
+    if script["wrapped"]:
+        # The dummy root is the one parent neither the tree nor the script made.
+        known = set(old.node_ids()) | {r["node_id"] for r in records if r["op"] == "insert"}
+        parents = {r.get("parent_id") for r in records} - known - {None}
+        dummy_id = parents.pop() if parents else "svc:d"
+    result = JobResult(
+        job_id="replay",
+        script=EditScript.from_dicts(records),
+        wrapped=script["wrapped"],
+        dummy_id=dummy_id,
+    )
+    try:
+        return result.verify(old, new)
+    except (ReproError, LookupError, ValueError, TypeError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +177,7 @@ class Scenario:
     rate: float = 0.0
     burst: float = 10.0
     default_deadline_ms: float = 30_000.0
-    service_time: float = 0.004
+    service_time: float = 0.004  #: virtual seconds a computed diff takes
     hit_factor: float = 0.25  #: cache-hit service time multiplier
     cache_capacity: int = 64
     health_interval: float = 0.5
@@ -128,6 +192,7 @@ class Scenario:
         "retry_discipline",
         "drain_integrity",
         "metrics_conservation",
+        "script_replays",
         "trace_complete",
     )
 
@@ -158,6 +223,7 @@ class RequestRecord:
     sleeps: List[float] = field(default_factory=list)
     hints: List[Dict[str, Any]] = field(default_factory=list)
     worker: Optional[str] = None  #: X-Worker-Id that served the success
+    script: Optional[Dict[str, Any]] = None  #: the success's wire script
     trace_id: Optional[str] = None  #: minted when the request was sampled
     draining_at_start: bool = False
     live_at_end: int = 0
@@ -171,14 +237,68 @@ class RequestRecord:
 # ---------------------------------------------------------------------------
 # Simulated topology
 # ---------------------------------------------------------------------------
-class SimWorker:
-    """One in-process worker shard: real admission, metrics, and cache.
+class SimServer(DiffServer):
+    """One worker incarnation: a production DiffServer that never binds.
 
-    A *crash* retires the current incarnation — its metrics snapshot
-    (in-flight work counted as ``jobs_failed``, exactly what a dead
-    process loses) is kept for the conservation invariant, and a restart
-    brings up a fresh admission controller and a **cold** cache, just like
-    a respawned subprocess.
+    It runs the real engine; only the compute leg differs. Instead of
+    awaiting the engine pool, :meth:`_offload` runs the calls inline and
+    then spends the scenario's service time on the ``SimClock``, where
+    injected slow responses and crashes land.
+    """
+
+    def __init__(self, worker: "SimWorker") -> None:
+        spec = worker.spec
+        super().__init__(
+            ServeConfig(
+                queue_capacity=spec.queue_capacity,
+                rate=spec.rate,
+                burst=spec.burst,
+                deadline_ms=spec.default_deadline_ms,
+            ),
+            engine=DiffEngine(
+                cache=ScriptCache(capacity=spec.cache_capacity, faults=worker.faults),
+                clock=worker.clock,
+            ),
+            clock=worker.clock,
+            tracer=worker.tracer,
+        )
+        self.worker = worker
+
+    async def _offload(self, calls: List[Callable[[], Any]], timeout: float) -> List[Any]:
+        worker, faults = self.worker, self.worker.faults
+        results = [call() for call in calls]
+        service = worker.spec.service_time
+        if all(getattr(r, "source", None) in ("cache", "digest") for r in results):
+            service *= worker.spec.hit_factor
+        crash = None
+        if faults is not None:
+            fault = faults.fire("slow_response", target=worker.worker_id)
+            if fault is not None:
+                service += fault.magnitude
+            crash = faults.fire("worker_crash", target=worker.worker_id)
+        if crash is not None:
+            # Die halfway through the service time, losing the request.
+            worker.clock.sleep(service * 0.5)
+            worker.crash()
+        else:
+            # Timers may fire inside this sleep (scripted kills, drains,
+            # occupier releases): the incarnation is re-checked after it.
+            worker.clock.sleep(min(service, timeout))
+        if worker.server is not self or worker.state != "up":
+            raise ConnectionResetError(104, f"{worker.worker_id} crashed mid-request")
+        if service > timeout:
+            raise asyncio.TimeoutError
+        return results
+
+
+class SimWorker:
+    """Process modelling for one shard: crash, restart, incarnations.
+
+    Each incarnation is a fresh :class:`SimServer` — new admission,
+    metrics and engine with a **cold** cache, like a respawned subprocess.
+    A *crash* retires the incarnation: its metrics snapshot is kept for
+    the conservation invariant, with the occupier jobs it was holding
+    counted as ``jobs_failed`` (what a dead process loses).
     """
 
     def __init__(self, worker_id: str, spec: Scenario, clock: SimClock,
@@ -192,32 +312,35 @@ class SimWorker:
         self.tracer = tracer
         self.state = "up"  #: up | crashed
         self.incarnation = 0
-        self.occupied = 0  #: slots held by scripted occupiers
         self.occupier_successes = 0  #: released slots, across incarnations
         self.retired: List[Dict[str, Any]] = []  #: snapshots of dead incarnations
         self._fresh_incarnation()
 
     def _fresh_incarnation(self) -> None:
-        self.metrics = ServiceMetrics(clock=self.clock)
-        self.admission = AdmissionController(
-            queue_capacity=self.spec.queue_capacity,
-            rate=self.spec.rate,
-            burst=self.spec.burst,
-            default_deadline_ms=self.spec.default_deadline_ms,
-            mean_wall_ms=lambda: self.metrics.wall_ms.mean(),
-            clock=self.clock,
-        )
-        self.cache = ScriptCache(capacity=self.spec.cache_capacity, faults=self.faults)
-        self.occupied = 0
+        self.server = SimServer(self)
+        self.occupied = 0  #: slots held by scripted occupiers
+
+    @property
+    def admission(self):
+        return self.server.admission
+
+    @property
+    def metrics(self):
+        return self.server.metrics
+
+    @property
+    def cache(self) -> ScriptCache:
+        return self.server.engine.cache
 
     # -- lifecycle -----------------------------------------------------
     def crash(self) -> None:
         if self.state == "crashed":
             return
         lost = self.admission.in_flight
-        if lost:
-            # Work that dies with the process: terminally failed.
-            self.metrics.incr("jobs_failed", lost)
+        if self.occupied:
+            # Requests finish their engine job before their service time,
+            # so occupier ballast is the only work still open.
+            self.metrics.incr("jobs_failed", self.occupied)
         self.state = "crashed"
         self.retired.append(self.snapshot())
         self.log.emit(
@@ -263,176 +386,17 @@ class SimWorker:
             self.clock.call_later(hold_s, _release)
         return taken
 
-    # -- request handling ----------------------------------------------
-    def handle(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        if self.state != "up":
-            raise ConnectionRefusedError(111, f"{self.worker_id} is down")
-        if self.faults is not None:
-            if self.faults.fire("conn_refused", target=self.worker_id):
-                raise ConnectionRefusedError(
-                    111, f"injected conn_refused at {self.worker_id}"
-                )
-        ctx = extract_trace_context(headers) if self.tracer is not None else None
-        span = None
-        if ctx is not None:
-            span = self.tracer.start_span(
-                "worker",
-                kind="worker",
-                trace_id=ctx[0],
-                parent_id=ctx[1],
-                meta={"path": path, "worker": self.worker_id},
-            )
-        try:
-            status, payload, extra = self._serve(method, path, headers, body, span)
-        except BaseException:
-            # The process died mid-request: whatever it was doing is lost.
-            if span is not None:
-                span.close("lost")
-            raise
-        if span is not None:
-            extra = dict(extra)
-            extra["X-Trace-Id"] = ctx[0]
-            span.annotate(status=status)
-            if status < 400:
-                span.close("ok")
-            elif status == 429:
-                span.close("refused")
-            else:
-                span.close("error")
-        return status, payload, extra
-
-    def _serve(
-        self,
-        method: str,
-        path: str,
-        headers: Dict[str, str],
-        body: bytes,
-        span: Optional[Any] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        try:
-            data = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError:
-            return 400, {"error": "bad_json", "message": "unparseable body"}, {}
-        client = headers.get("x-client-id", "anon")
-        doc = str(data.get("id", ""))
-
-        admission_span = (
-            span.child("admission", kind="worker") if span is not None else None
-        )
-        decision = self.admission.try_admit(client, span=admission_span)
-        if admission_span is not None:
-            admission_span.close("ok" if decision.admitted else "refused")
-        if not decision.admitted:
-            self.metrics.incr(f"rejected_{decision.reason}")
-            return (
-                429,
-                {
-                    "error": decision.reason,
-                    "retry_after_s": decision.retry_after,
-                    "message": f"{self.worker_id} refused admission",
-                },
-                {"Retry-After": str(max(1, int(decision.retry_after + 0.999)))},
-            )
-
-        incarnation = self.incarnation
-        metrics, admission, cache = self.metrics, self.admission, self.cache
-        metrics.incr("jobs_submitted")
-        deadline = admission.deadline(data.get("deadline_ms"))
-        started = self.clock.monotonic()
-        engine_span = span.child("engine", kind="engine") if span is not None else None
-        try:
-            if deadline.expired:
-                # The whole budget went to queueing (or a clock jump ate it).
-                metrics.incr("jobs_timed_out")
-                if engine_span is not None:
-                    engine_span.annotate(job_status="timeout").close("error")
-                return 504, {"error": "deadline_exceeded", "message": ""}, {}
-
-            service = self.spec.service_time
-            key = (doc or "anon", doc or "anon", "sim")
-            hit = cache.get(key) if data.get("cacheable", True) and doc else None
-            if hit is not None:
-                metrics.incr("cache_hits")
-                service *= self.spec.hit_factor
-            elif doc:
-                metrics.incr("cache_misses")
-            if self.faults is not None:
-                fault = self.faults.fire("slow_response", target=self.worker_id)
-                if fault is not None:
-                    service += fault.magnitude
-
-            crash_fault = (
-                self.faults.fire("worker_crash", target=self.worker_id)
-                if self.faults is not None
-                else None
-            )
-            if crash_fault is not None:
-                # Die halfway through the service time, losing the request.
-                self.clock.sleep(service * 0.5)
-                self.crash()
-                raise ConnectionResetError(
-                    104, f"{self.worker_id} crashed mid-request"
-                )
-
-            # Timers may fire inside this sleep (scripted kills, drains,
-            # occupier releases) — re-check our incarnation afterwards.
-            self.clock.sleep(service)
-            if self.incarnation != incarnation or self.state != "up":
-                raise ConnectionResetError(
-                    104, f"{self.worker_id} crashed mid-request"
-                )
-
-            if deadline.expired:
-                metrics.incr("jobs_timed_out")
-                if engine_span is not None:
-                    engine_span.annotate(job_status="timeout").close("error")
-                return 504, {"error": "deadline_exceeded", "message": ""}, {}
-            if hit is None and doc and data.get("cacheable", True):
-                cache.put(key, {"records": [], "doc": doc})
-            metrics.incr("jobs_succeeded")
-            metrics.observe_wall((self.clock.monotonic() - started) * 1000.0)
-            if engine_span is not None:
-                engine_span.annotate(source="cache" if hit else "computed")
-                record = engine_span.close("ok")
-                # Mirror the production engine: the sim's "service time"
-                # splits over the real pipeline's stage names.
-                synthesize_stage_spans(
-                    self.tracer,
-                    engine_span.trace_id,
-                    engine_span.span_id,
-                    {name: weight * service * 1000.0 for name, weight in STAGE_WEIGHTS},
-                    record.start,
-                    meta={"worker": self.worker_id},
-                )
-            return (
-                200,
-                {"id": doc, "worker": self.worker_id, "cache": bool(hit)},
-                {},
-            )
-        except BaseException:
-            # Crash mid-request: the engine work dies with the process.
-            if engine_span is not None:
-                engine_span.close("lost")
-            raise
-        finally:
-            if self.incarnation == incarnation and self.state == "up":
-                admission.release()
-            # else: the crash snapshot already counted this slot as failed.
-
 
 class SimCluster:
-    """The routing layer of the sim: real ring, replayed failover.
+    """The sim's topology: a production Router over in-process workers.
 
-    Mirrors :meth:`repro.serve.router.Router._proxy` — affinity key, chain
-    walk, replay on connection-type failure, suspect feedback pulling a
-    crashed worker off the ring and arming a capped-backoff restart timer
-    (the supervisor's job in production, a ``SimClock`` timer here). A
-    scripted ``kill`` crashes the process immediately but removes it from
-    the ring only when *noticed* — by a failed dispatch or by the next
-    health tick — preserving the detection window that makes failover
-    scenarios interesting.
+    The Router is the real one, its transport swapped for a direct call
+    into the owning worker's :class:`SimServer`. What stays here is the
+    supervisor's part, modelled: a scripted ``kill`` crashes a worker at
+    once but removes it from the ring only when *noticed* — by a failed
+    dispatch (the router's suspect feedback) or by the next health tick —
+    preserving the detection window that makes failover scenarios
+    interesting; a capped-backoff ``SimClock`` timer restarts it.
     """
 
     def __init__(self, spec: Scenario, clock: SimClock,
@@ -442,7 +406,6 @@ class SimCluster:
         self.clock = clock
         self.faults = faults
         self.log = log
-        self.tracer = tracer
         self.ring = HashRing(replicas=spec.replicas)
         self.workers: Dict[str, SimWorker] = {}
         for index in range(spec.workers):
@@ -451,12 +414,23 @@ class SimCluster:
                 worker_id, spec, clock, faults, log, tracer=tracer
             )
             self.ring.add(worker_id)
-        self.draining = False
-        self.counters: Dict[str, int] = {}
+        self.router = Router(
+            ring=self.ring,
+            ports={},
+            lifecycle=Lifecycle(clock=clock),
+            health_payload=self.health_payload,
+            # No sockets to fan /metrics out to: merge the incarnations here.
+            merge_metrics=lambda _fetched: merge_snapshots(self.all_snapshots()),
+            on_backend_failure=self.suspect,
+            clock=clock,
+            tracer=tracer,
+            transport=self._forward,
+        )
         self._min_live_probe: Optional[List[int]] = None
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
+    @property
+    def draining(self) -> bool:
+        return self.router.lifecycle.draining
 
     def live_count(self) -> int:
         return len(self.ring)
@@ -485,14 +459,14 @@ class SimCluster:
             self._mark_down(worker_id)
 
     def suspect(self, worker_id: str) -> None:
-        """Router feedback after a failed dispatch (production path)."""
-        worker = self.workers[worker_id]
-        if worker.state == "crashed" and worker_id in self.ring:
-            self._mark_down(worker_id)
+        """The router's feedback after a failed forwarding attempt."""
+        self.log.emit("failover", self.clock.monotonic(), worker=worker_id)
+        self._health_check(worker_id)
+        self._note_live()
 
     def _mark_down(self, worker_id: str) -> None:
         self.ring.remove(worker_id)
-        self._count("workers_down")
+        self.router.count("workers_down")
         self.log.emit(
             "worker_down", self.clock.monotonic(),
             worker=worker_id, live=self.ring.members(),
@@ -511,7 +485,7 @@ class SimCluster:
             return
         worker.restart()
         self.ring.add(worker_id)
-        self._count("restarts")
+        self.router.count("restarts")
 
     def restart_now(self, worker_id: str) -> None:
         """Scripted restart (timeline action), bypassing the backoff."""
@@ -521,81 +495,42 @@ class SimCluster:
                 self.ring.remove(worker_id)
             worker.restart()
             self.ring.add(worker_id)
-            self._count("restarts")
+            self.router.count("restarts")
 
     def drain(self) -> None:
-        self.draining = True
+        self.router.lifecycle.request_shutdown()
         self.log.emit(
             "drain_start", self.clock.monotonic(), in_flight=self.in_flight_total()
         )
 
-    # -- dispatch (the router's _proxy, in-process) ---------------------
-    def dispatch(
+    # -- transports ------------------------------------------------------
+    def request(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        self._count("requests")
+    ) -> Response:
+        """One client attempt through the router, driven inline."""
         self._note_live()
-        if path == "/healthz":
-            return 200, self.health_payload(), {}
-        if path == "/metrics":
-            return 200, self.merged_metrics(), {}
-        if self.draining:
-            self._count("rejected_draining")
-            return (
-                503,
-                {"error": "draining", "retry_after_s": 1.0,
-                 "message": "cluster is draining"},
-                {"Retry-After": "1"},
-            )
-        ctx = extract_trace_context(headers) if self.tracer is not None else None
-        key = affinity_key(path, headers, body)
-        chain = self.ring.assign_chain(key)
-        for position, worker_id in enumerate(chain):
-            worker = self.workers[worker_id]
-            proxy_span = None
-            forwarded = headers
-            if ctx is not None:
-                # Same shape as Router._proxy: one span per forwarding leg,
-                # replacing the inbound parent with the proxy span's id.
-                proxy_span = self.tracer.start_span(
-                    "router.proxy",
-                    kind="router",
-                    trace_id=ctx[0],
-                    parent_id=ctx[1],
-                    meta={"worker": worker_id, "position": position},
-                )
-                forwarded = dict(headers)
-                forwarded["x-trace-id"] = ctx[0]
-                forwarded["x-span-id"] = proxy_span.span_id
-            try:
-                status, payload, extra = worker.handle(method, path, forwarded, body)
-            except (ConnectionRefusedError, ConnectionResetError) as exc:
-                if proxy_span is not None:
-                    proxy_span.annotate(error=type(exc).__name__).close("failover")
-                self._count("proxy_failovers")
-                self.log.emit(
-                    "failover", self.clock.monotonic(),
-                    worker=worker_id, position=position, error=type(exc).__name__,
-                )
-                self.suspect(worker_id)
-                self._note_live()
-                continue
-            if proxy_span is not None:
-                proxy_span.annotate(status=status).close("ok")
-            self._count("proxied")
-            if position > 0:
-                self._count("proxied_rerouted")
-            extra = dict(extra)
-            extra["X-Worker-Id"] = worker_id
-            return status, payload, extra
-        self._count("rejected_no_backend")
-        self._note_live()
-        return (
-            503,
-            {"error": "no_backend", "retry_after_s": 0.5,
-             "message": "no worker could serve the request"},
-            {"Retry-After": "1"},
+        return run_inline(self.router.handle(method, path, headers, body))
+
+    async def _forward(
+        self,
+        worker_id: str,
+        method: str,
+        path: str,
+        headers: Dict[str, str],
+        body: bytes,
+        trace: Optional[Tuple[str, str]],
+    ) -> Tuple[int, bytes]:
+        """The router's transport: a direct call into the worker."""
+        worker = self.workers[worker_id]
+        if worker.state != "up":
+            raise ConnectionRefusedError(111, f"{worker_id} is down")
+        if self.faults is not None:
+            if self.faults.fire("conn_refused", target=worker_id):
+                raise ConnectionRefusedError(111, f"injected conn_refused at {worker_id}")
+        status, payload, _ = await worker.server.handle(
+            method, path, forwarded_headers(headers, trace), body
         )
+        return status, dumps(payload)
 
     def _note_live(self) -> None:
         if self._min_live_probe is not None:
@@ -608,47 +543,73 @@ class SimCluster:
             else ("ok" if len(up) == len(self.workers) else "degraded"),
             "workers_up": len(up),
             "live": up,
-            "protocol": "repro-serve/1",
+            "protocol": PROTOCOL,
         }
 
     def all_snapshots(self) -> Dict[str, Dict[str, Any]]:
         """Every incarnation's metrics, retired and live (``w0@0``, ``w0``…)."""
-        dumps: Dict[str, Dict[str, Any]] = {}
+        snapshots: Dict[str, Dict[str, Any]] = {}
         for worker_id, worker in sorted(self.workers.items()):
             for index, retired in enumerate(worker.retired):
-                dumps[f"{worker_id}@{index}"] = retired
+                snapshots[f"{worker_id}@{index}"] = retired
             if worker.state == "up":
-                dumps[worker_id] = worker.snapshot()
-        return dumps
+                snapshots[worker_id] = worker.snapshot()
+        return snapshots
 
-    def merged_metrics(self) -> Dict[str, Any]:
-        merged = merge_snapshots(self.all_snapshots())
-        merged["cluster"] = {
-            "router": dict(sorted(self.counters.items())),
-            "live_workers": self.ring.members(),
-            "draining": self.draining,
-        }
-        return merged
+
+class _SimConnection:
+    """The slice of ``http.client.HTTPConnection`` the client uses,
+    answered by the sim cluster's router instead of a socket."""
+
+    def __init__(self, cluster: SimCluster) -> None:
+        self._cluster = cluster
+        self._response: Optional[_SimResponse] = None
+
+    def request(self, method: str, path: str, body: Optional[bytes] = None,
+                headers: Optional[Dict[str, str]] = None) -> None:
+        lowered = {name.lower(): value for name, value in (headers or {}).items()}
+        self._response = _SimResponse(
+            self._cluster.request(method, path, lowered, body or b"")
+        )
+
+    def getresponse(self) -> "_SimResponse":
+        assert self._response is not None, "getresponse() before request()"
+        return self._response
+
+    def close(self) -> None:
+        pass
+
+
+class _SimResponse:
+    """The slice of ``http.client.HTTPResponse`` the client reads."""
+
+    def __init__(self, response: Response) -> None:
+        self.status, payload, self.headers = response
+        self._body = payload if isinstance(payload, bytes) else dumps(payload)
+
+    def read(self) -> bytes:
+        return self._body
 
 
 class SimServiceClient(DiffServiceClient):
-    """The production client with its socket transport swapped for dispatch.
+    """The production client with only its connection swapped for the sim.
 
-    Everything above ``request_once`` — backoff, jitter, Retry-After
-    floors, the separate connection-refused budget — is inherited
-    unchanged; the client-leg injection points fire here exactly where the
-    real transport checks them.
+    ``request_once`` and everything above it — client-leg injection
+    points, backoff, jitter, Retry-After floors, the separate
+    connection-refused budget — run unchanged; each attempt's outcome is
+    also noted in ``attempt_log`` for the invariants.
     """
 
     def __init__(self, cluster: SimCluster, clock: SimClock, name: str,
-                 rng: random.Random, faults: Optional[FaultInjector] = None,
-                 **kwargs: Any) -> None:
+                 rng: random.Random, **kwargs: Any) -> None:
         super().__init__(
             host="sim", port=0, client_id=name, clock=clock, rng=rng, **kwargs
         )
         self._cluster = cluster
-        self._leg_faults = faults
         self.attempt_log: List[Dict[str, Any]] = []
+
+    def _connection(self) -> Any:
+        return _SimConnection(self._cluster)
 
     def request_once(
         self,
@@ -657,34 +618,17 @@ class SimServiceClient(DiffServiceClient):
         payload: Optional[Dict[str, Any]] = None,
         trace: Optional[Tuple[str, str]] = None,
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        target = f"{self.host}:{self.port}"
-        if self._leg_faults is not None:
-            if self._leg_faults.fire("conn_refused", target=target):
-                self.attempt_log.append({"exc": "ConnectionRefusedError"})
-                raise ConnectionRefusedError(111, f"injected conn_refused to {target}")
-        headers = {"accept": "application/json"}
-        if self.client_id is not None:
-            headers["x-client-id"] = self.client_id
-        if trace is not None:
-            # The sim transport speaks pre-lowercased headers.
-            headers["x-trace-id"] = trace[0]
-            headers["x-span-id"] = trace[1]
-        body = b""
-        if payload is not None:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        status, decoded, extra = self._cluster.dispatch(method, path, headers, body)
-        if self._leg_faults is not None:
-            # After dispatch: the worker did the work, the response is lost.
-            if self._leg_faults.fire("conn_reset_mid_body", target=target):
-                self.attempt_log.append({"exc": "ConnectionResetError"})
-                raise ConnectionResetError(104, f"injected reset from {target}")
-            fault = self._leg_faults.fire("slow_response", target=target)
-            if fault is not None:
-                self._sleep(fault.magnitude)
-        self.attempt_log.append(
-            {"status": status, "hint": self._retry_after_hint(decoded, extra)}
-        )
-        return status, decoded, dict(extra)
+        try:
+            status, decoded, headers = super().request_once(method, path, payload, trace)
+        except OSError as exc:
+            self.attempt_log.append({"exc": type(exc).__name__})
+            raise
+        self.attempt_log.append({
+            "status": status,
+            "hint": self._retry_after_hint(decoded, headers),
+            "worker": headers.get("X-Worker-Id"),
+        })
+        return status, decoded, headers
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +744,7 @@ def run_scenario(spec: Scenario) -> ScenarioResult:
         run.violations.extend(checker(run))
 
     stats = {
-        "cluster": dict(sorted(cluster.counters.items())),
+        "cluster": dict(sorted(cluster.router.counters.items())),
         "live_workers": cluster.ring.members(),
         "virtual_elapsed_s": round(clock.elapsed, 9),
         "timers_fired": clock.fired,
@@ -858,11 +802,10 @@ def _run_request(run: _Run, index: int, step: Step) -> None:
     client = run.client(kwargs.get("client", "c0"))
     path = kwargs.get("path", "/v1/diff")
     doc = kwargs.get("doc")
-    payload: Dict[str, Any] = {"id": doc, "sim": True}
+    old, new = doc_pair(doc or "")
+    payload: Dict[str, Any] = {"id": doc, "old": old, "new": new}
     if kwargs.get("deadline_ms") is not None:
         payload["deadline_ms"] = kwargs["deadline_ms"]
-    if kwargs.get("cacheable") is not None:
-        payload["cacheable"] = kwargs["cacheable"]
 
     record = RequestRecord(
         index=index,
@@ -884,7 +827,8 @@ def _run_request(run: _Run, index: int, step: Step) -> None:
         record.attempts = exc.attempts
     else:
         record.status = 200
-        record.worker = decoded.get("worker")
+        record.worker = client.attempt_log[-1].get("worker")
+        record.script = decoded.get("script")
         record.attempts = len(client.attempt_log) - attempts_before
     finally:
         record.trace_id = client.last_trace_id
@@ -1021,6 +965,20 @@ def _occupier_successes(run: _Run) -> int:
     return sum(w.occupier_successes for w in run.cluster.workers.values())
 
 
+def _inv_script_replays(run: _Run) -> List[str]:
+    out = []
+    for record in run.records:
+        if record.status != 200 or record.path != "/v1/diff":
+            continue
+        old, new = (tree_from_dict(tree) for tree in doc_pair(record.doc or ""))
+        if not script_replays(old, new, record.script):
+            out.append(
+                f"request {record.index} ({record.doc}): the returned script "
+                f"does not turn the old tree into the new one"
+            )
+    return out
+
+
 def _inv_convergence(run: _Run) -> List[str]:
     return [
         f"request {record.index} ({record.doc}) failed: "
@@ -1076,6 +1034,7 @@ INVARIANTS: Dict[str, Callable[[_Run], List[str]]] = {
     "retry_discipline": _inv_retry_discipline,
     "drain_integrity": _inv_drain_integrity,
     "metrics_conservation": _inv_metrics_conservation,
+    "script_replays": _inv_script_replays,
     "trace_complete": _inv_trace_complete,
     "convergence": _inv_convergence,
     "failures_only_while_ring_empty": _inv_failures_only_while_ring_empty,
@@ -1119,6 +1078,4 @@ def shrink_plan(
 
 
 def _with_plan(spec: Scenario, plan: FaultPlan) -> Scenario:
-    import dataclasses
-
     return dataclasses.replace(spec, plan=plan.clone())

@@ -10,7 +10,7 @@ The matrix covers the failure modes the serve stack claims to absorb:
 
 ``worker_crash_keepalive``
     The affinity worker is killed *mid-request* (a ``worker_crash`` fault
-    fires inside its service time); the router-equivalent failover replays
+    fires inside its service time); the router's failover replays
     on the ring successor and the client never sees the crash. The worker
     restarts on backoff and later requests succeed.
 ``storm_429``
@@ -19,9 +19,11 @@ The matrix covers the failure modes the serve stack claims to absorb:
     clients with 429s; the production retry policy — Retry-After floors
     plus full jitter — must converge every request.
 ``deadline_drain``
-    Requests carrying a 50 ms deadline against a 200 ms service time burn
-    their budget and fail definitively with 504; the cluster then drains,
-    and post-drain requests are refused without ever succeeding.
+    Requests carrying a 40 ms deadline against a 200 ms service time burn
+    their budget and fail definitively with 504 — even the retries, which
+    hit the cache the abandoned first attempt warmed (50 ms); the cluster
+    then drains, and post-drain requests are refused without ever
+    succeeding.
 ``failover_chain``
     Every worker is killed at once. In-flight dispatches walk the whole
     ring chain, exhaust it (503 ``no_backend``), and the client's backoff
@@ -69,6 +71,7 @@ def _worker_crash_keepalive(seed: int) -> Scenario:
             "retry_discipline",
             "drain_integrity",
             "metrics_conservation",
+            "script_replays",
             "convergence",
         ),
     )
@@ -102,19 +105,21 @@ def _storm_429(seed: int) -> Scenario:
             "retry_discipline",
             "drain_integrity",
             "metrics_conservation",
+            "script_replays",
             "convergence",
         ),
     )
 
 
 def _deadline_drain(seed: int) -> Scenario:
-    # 50 ms budgets against 200 ms of work: definitive 504s (retried, then
+    # 40 ms budgets against 200 ms of work (50 ms once the first attempt's
+    # engine job has warmed the cache): definitive 504s (retried, then
     # surfaced). The drain then flips mid-timeline; the generous-deadline
     # request admitted before it completes, the ones after never succeed.
     steps = [
         Step(0.1, "request", {"client": "c0", "doc": "dl-ok"}),
         Step(0.5, "request", {"client": "c0", "doc": "dl-tight",
-                              "deadline_ms": 50.0}),
+                              "deadline_ms": 40.0}),
         Step(3.0, "request", {"client": "c1", "doc": "dl-pre-drain"}),
         Step(3.5, "drain", {}),
         Step(3.6, "request", {"client": "c0", "doc": "dl-post-drain"}),
@@ -131,6 +136,7 @@ def _deadline_drain(seed: int) -> Scenario:
             "retry_discipline",
             "drain_integrity",
             "metrics_conservation",
+            "script_replays",
         ),
     )
 
@@ -162,6 +168,7 @@ def _failover_chain(seed: int) -> Scenario:
             "retry_discipline",
             "drain_integrity",
             "metrics_conservation",
+            "script_replays",
             "convergence",
             "failures_only_while_ring_empty",
         ),
@@ -186,6 +193,7 @@ def _cache_corruption(seed: int) -> Scenario:
             "retry_discipline",
             "drain_integrity",
             "metrics_conservation",
+            "script_replays",
             "convergence",
         ),
     )
@@ -219,6 +227,7 @@ def _clock_jump(seed: int) -> Scenario:
             "retry_discipline",
             "drain_integrity",
             "metrics_conservation",
+            "script_replays",
             "convergence",
         ),
     )

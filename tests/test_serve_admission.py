@@ -1,6 +1,6 @@
 """Unit tests for the admission layer (repro.serve.admission).
 
-Everything runs against an injected fake clock — no sockets, no sleeps.
+Everything runs against an injected virtual clock — no sockets, no sleeps.
 """
 
 import threading
@@ -13,22 +13,12 @@ from repro.serve.admission import (
     RateLimiter,
     TokenBucket,
 )
-
-
-class FakeClock:
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from repro.simtest.clock import SimClock
 
 
 class TestTokenBucket:
     def test_burst_then_refusal(self):
-        clock = FakeClock()
+        clock = SimClock()
         bucket = TokenBucket(rate=1.0, burst=3.0, clock=clock)
         assert bucket.try_acquire() == 0.0
         assert bucket.try_acquire() == 0.0
@@ -37,7 +27,7 @@ class TestTokenBucket:
         assert wait == pytest.approx(1.0)  # one token accrues per second
 
     def test_refill_is_time_proportional(self):
-        clock = FakeClock()
+        clock = SimClock()
         bucket = TokenBucket(rate=2.0, burst=2.0, clock=clock)
         bucket.try_acquire()
         bucket.try_acquire()
@@ -47,7 +37,7 @@ class TestTokenBucket:
         assert bucket.try_acquire() == pytest.approx(0.5)
 
     def test_tokens_cap_at_burst(self):
-        clock = FakeClock()
+        clock = SimClock()
         bucket = TokenBucket(rate=10.0, burst=2.0, clock=clock)
         clock.advance(100.0)  # a long idle period banks at most `burst`
         assert bucket.try_acquire() == 0.0
@@ -69,7 +59,7 @@ class TestRateLimiter:
             assert limiter.check("anyone").admitted
 
     def test_per_client_isolation(self):
-        clock = FakeClock()
+        clock = SimClock()
         limiter = RateLimiter(rate=1.0, burst=1.0, clock=clock)
         assert limiter.check("a").admitted
         refused = limiter.check("a")
@@ -80,7 +70,7 @@ class TestRateLimiter:
         assert limiter.check("b").admitted
 
     def test_client_table_is_bounded(self):
-        clock = FakeClock()
+        clock = SimClock()
         limiter = RateLimiter(rate=1.0, burst=1.0, max_clients=4, clock=clock)
         for n in range(32):
             limiter.check(f"client-{n}")
@@ -91,7 +81,7 @@ class TestRateLimiter:
 
 class TestDeadline:
     def test_remaining_counts_down(self):
-        clock = FakeClock()
+        clock = SimClock()
         deadline = Deadline(2.0, clock=clock)
         assert deadline.remaining() == pytest.approx(2.0)
         assert not deadline.expired
@@ -102,7 +92,7 @@ class TestDeadline:
 
 class TestAdmissionController:
     def make(self, **kwargs):
-        kwargs.setdefault("clock", FakeClock())
+        kwargs.setdefault("clock", SimClock())
         return AdmissionController(**kwargs)
 
     def test_queue_capacity_enforced(self):
@@ -137,7 +127,7 @@ class TestAdmissionController:
         assert ctrl.try_admit("a").retry_after == 30.0
 
     def test_rate_limit_checked_before_queue(self):
-        clock = FakeClock()
+        clock = SimClock()
         ctrl = self.make(queue_capacity=10, rate=1.0, burst=1.0, clock=clock)
         assert ctrl.try_admit("a").admitted
         refused = ctrl.try_admit("a")
@@ -150,7 +140,7 @@ class TestAdmissionController:
         assert not ctrl.body_allowed(1001)
 
     def test_deadline_capped_by_server_default(self):
-        clock = FakeClock()
+        clock = SimClock()
         ctrl = self.make(default_deadline_ms=1000.0, clock=clock)
         assert ctrl.deadline().budget_s == pytest.approx(1.0)
         assert ctrl.deadline(250.0).budget_s == pytest.approx(0.25)

@@ -158,6 +158,34 @@ class TestProtocolErrors:
         assert err.value.status == 400
         assert err.value.payload["error"] == "bad_tree"
 
+    def test_deeply_nested_bodies_are_400_not_500(self, client):
+        # ~6 KB each, far under the body cap, but 3000 levels deep: deeper
+        # than the JSON decoder (bad_json) or the s-expression parser
+        # (bad_tree) can recurse.
+        depth = 3000
+        raw = b'{"old": ' + b"[" * depth + b"]" * depth + b', "new": "(D)"}'
+        conn = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10.0)
+        try:
+            conn.request("POST", "/v1/diff", body=raw)
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert (response.status, body["error"]) == (400, "bad_json")
+        deep_sexpr = "(S " * depth + ")" * depth
+        with pytest.raises(ServiceError) as err:
+            client.request("POST", "/v1/diff", {"old": deep_sexpr, "new": "(D)"})
+        assert (err.value.status, err.value.payload["error"]) == (400, "bad_tree")
+
+    def test_bad_deadline_releases_its_admission_slot(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.request(
+                "POST", "/v1/diff",
+                {"old": OLD_SEXPR, "new": NEW_SEXPR, "deadline_ms": "soon"},
+            )
+        assert (err.value.status, err.value.payload["error"]) == (400, "bad_deadline")
+        assert client.healthz()["in_flight"] == 0
+
     def test_post_without_content_length(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10.0)
         try:

@@ -123,6 +123,10 @@ class TestAffinityKey:
         key = affinity_key("/v1/diff", {}, body)
         assert key == affinity_key("/v1/diff", {}, body)  # still deterministic
 
+    def test_too_deep_json_falls_back_to_body_hash(self):
+        body = b'{"id": 1, "old": ' + b"[" * 3000 + b"]" * 3000 + b"}"
+        assert affinity_key("/v1/diff", {}, body) == affinity_key("/v1/diff", {}, body)
+
     def test_empty_body_hashes_the_path(self):
         assert affinity_key("/v1/close", {}, b"") != affinity_key("/v1/diff", {}, b"")
 

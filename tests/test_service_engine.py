@@ -230,25 +230,6 @@ class TestTimeoutsAndRetries:
         engine.close()
 
 
-class TestProcessExecutor:
-    def test_process_pool_results_verify(self):
-        engine = DiffEngine(workers=2, executor="process")
-        base = doc()
-        pairs = [(base, mutated(base, seed=s)) for s in range(3)]
-        try:
-            results = engine.map_pairs(pairs)
-            assert all(r.ok for r in results)
-            for (old, new), r in zip(pairs, results):
-                assert r.source == "computed"
-                assert r.verify(old, new)
-        finally:
-            engine.close()
-
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            DiffEngine(executor="carrier-pigeon")
-
-
 class TestValidation:
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):

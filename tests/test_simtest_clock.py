@@ -5,12 +5,11 @@ import time
 
 import pytest
 
-from repro.simtest.clock import (
-    SYSTEM_CLOCK,
-    SimClock,
-    SystemClock,
-    monotonic_callable,
-)
+from repro.pipeline import DiffPipeline
+from repro.serve.admission import AdmissionController, Deadline
+from repro.service.engine import DiffEngine
+from repro.service.metrics import ServiceMetrics
+from repro.simtest.clock import SYSTEM_CLOCK, SimClock, SystemClock
 
 
 class TestSimClockTime:
@@ -167,21 +166,29 @@ class TestSystemClock:
         assert not done.wait(timeout=0.2)
 
 
-class TestMonotonicCallable:
-    def test_none_is_the_real_clock(self):
-        assert monotonic_callable(None) is time.monotonic
+class TestClockConvention:
+    """Everything that reads time takes a Clock, defaulting to the system one."""
 
-    def test_clock_object_is_adapted(self):
+    def test_defaults_are_the_system_clock(self):
+        deadline = Deadline(60.0)
+        assert 59.0 < deadline.remaining() <= 60.0
+        metrics = ServiceMetrics()
+        metrics.observe_wall(1.0)
+        assert abs(metrics.wall_ms.first_at - time.monotonic()) < 1.0
+
+    def test_sim_clock_drives_every_component(self, figure1_trees):
         clock = SimClock(start=7.0)
-        reader = monotonic_callable(clock)
-        assert reader() == 7.0
-        clock.sleep(1.0)
-        assert reader() == 8.0
-
-    def test_bare_callable_passes_through(self):
-        reader = lambda: 42.0  # noqa: E731
-        assert monotonic_callable(reader) is reader
-
-    def test_rejects_non_clocks(self):
-        with pytest.raises(TypeError):
-            monotonic_callable(123)
+        admission = AdmissionController(default_deadline_ms=2000.0, clock=clock)
+        deadline = admission.deadline()
+        clock.sleep(1.5)
+        assert deadline.remaining() == pytest.approx(0.5)
+        metrics = ServiceMetrics(clock=clock)
+        metrics.observe_wall(1.0)
+        assert metrics.wall_ms.first_at == pytest.approx(8.5)
+        # Stage and job timings read the injected clock: no virtual time
+        # passes inside a diff, so every measured duration is zero.
+        old, new = figure1_trees
+        trace = DiffPipeline(clock=clock).run(old, new).trace
+        assert set(trace.stage_ms().values()) == {0.0}
+        result = DiffEngine(workers=1, cache=None, clock=clock).diff(old, new)
+        assert result.ok and result.wall_ms == 0.0

@@ -100,7 +100,7 @@ class TestFaultInjector:
     def test_bare_callable_clock_accepted(self):
         injector = FaultInjector(
             plan=FaultPlan(faults=[Fault(point="worker_crash", at=1.0)]),
-            clock=lambda: 5.0,
+            clock=SimClock(start=5.0),
         )
         assert injector.fire("worker_crash") is not None
 
