@@ -3,11 +3,13 @@
 Three configurations of the same synchronous diff workload, interleaved
 round-robin so machine drift hits all of them equally:
 
-* **baseline** — no :class:`~repro.obs.Tracer` attached at all;
+* **baseline** — no :class:`~repro.obs.Tracer` passed (the engine's own
+  idle one): every span is a :class:`~repro.obs.NullSpan`;
 * **off** — a tracer attached with ``fraction=0.0`` and no inbound trace
   context: the per-request cost is one sampling decision;
 * **sampled** — every job traced (``fraction=1.0``): an ``engine`` span,
-  four synthesized ``stage.*`` children, and ring-buffer appends per job.
+  four measured ``stage``-kind children the pipeline opens under it, and
+  ring-buffer appends per job.
 
 The gate is on the p50 ratios, not absolute times:
 
@@ -88,7 +90,8 @@ def measure(pairs, repeats: int) -> dict:
     p50 = {mode: statistics.median(ts) for mode, ts in samples.items()}
     stats = engines["sampled"].tracer.stats()
     jobs = repeats * len(pairs)
-    # Every sampled job must have produced its engine span + 4 stage spans.
+    # Every sampled job must have recorded its engine span and the 4 stage
+    # spans opened under it.
     spans_ok = stats["spans_recorded"] >= jobs * 5 and stats["spans_open"] == 0
     return {
         "benchmark": "bench_obs",

@@ -43,7 +43,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from . import __version__
 from .analysis import fastmatch_bound, result_distances, tree_pair_sizes
@@ -459,21 +459,20 @@ def _load_tree(path: str) -> Tree:
     return tree_from_sexpr(text)
 
 
-def _make_cli_tracer(fraction: float):
-    """A ``(tracer, trace_id)`` pair for a CLI run; ``(None, None)`` when off."""
-    if fraction <= 0.0:
-        return None, None
+def _cli_root_span(fraction: float, name: str, **meta: Any):
+    """A ``(tracer, root span)`` pair for a CLI run (sampled at *fraction*)."""
     from .obs.trace import Tracer
 
     tracer = Tracer(fraction=fraction)
-    return tracer, tracer.maybe_trace()
+    return tracer, tracer.root_span(name, kind="client", meta=meta)
 
 
 def _export_spans(tracer, path: Optional[str]) -> None:
-    if tracer is None or path is None:
+    spans = tracer.export_jsonl()
+    if path is None or not spans:
         return
     with open(path, "a", encoding="utf-8") as handle:
-        handle.write(tracer.export_jsonl())
+        handle.write(spans)
 
 
 def _cmd_script(args) -> int:
@@ -485,23 +484,13 @@ def _cmd_script(args) -> int:
     )
     old = _load_tree(args.old)
     new = _load_tree(args.new)
-    tracer, trace_id = _make_cli_tracer(args.trace_fraction)
-    root = None
-    if trace_id is not None:
-        root = tracer.start_span(
-            "cli.script", kind="client", trace_id=trace_id,
-            meta={"old": os.path.basename(args.old), "new": os.path.basename(args.new)},
-        )
-    result = pipeline.run(old, new)
-    if root is not None:
-        root.close()
-        if result.trace is not None:
-            from .obs.trace import synthesize_stage_spans
-
-            synthesize_stage_spans(
-                tracer, trace_id, root.span_id,
-                result.trace.stage_ms(), root.record.start,
-            )
+    tracer, root = _cli_root_span(
+        args.trace_fraction, "cli.script",
+        old=os.path.basename(args.old), new=os.path.basename(args.new),
+    )
+    trace_id = root.trace_id
+    with root:
+        result = pipeline.run(old, new, parent=root)
     if not result.verify(old, new):  # pragma: no cover - guard
         print("internal error: script failed verification", file=sys.stderr)
         return 1
@@ -518,7 +507,7 @@ def _cmd_script(args) -> int:
         print(f"# cost = {result.cost():.2f}", file=sys.stderr)
         if trace_id is not None:
             print(f"# trace = {trace_id}", file=sys.stderr)
-    if args.trace and result.trace is not None:
+    if args.trace:
         print(result.trace.render(), file=sys.stderr)
     return 0
 
@@ -600,17 +589,14 @@ def _cmd_batch(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    tracer, trace_id = _make_cli_tracer(args.trace_fraction)
-    root = None
-    if trace_id is not None:
-        # One trace for the whole batch: every engine job span hangs off a
-        # single cli.batch root, so the export renders as one tree.
-        engine.tracer = tracer
-        root = tracer.start_span(
-            "cli.batch", kind="client", trace_id=trace_id,
-            meta={"manifest": os.path.basename(args.manifest), "jobs": len(rows)},
-        )
-        engine.default_trace = (trace_id, root.span_id)
+    # One trace for the whole batch: every engine job span hangs off a
+    # single cli.batch root, so the export renders as one tree.
+    tracer, root = _cli_root_span(
+        args.trace_fraction, "cli.batch",
+        manifest=os.path.basename(args.manifest), jobs=len(rows),
+    )
+    engine.tracer = tracer
+    engine.default_trace = root.context
     try:
         if args.warm_cache and engine.cache is not None:
             engine.cache.warm(args.warm_cache)
@@ -622,9 +608,8 @@ def _cmd_batch(args) -> int:
             engine.cache.save(args.save_cache)
     finally:
         engine.close()
-        if root is not None:
-            root.close()
-            _export_spans(tracer, args.trace_export)
+        root.close()
+        _export_spans(tracer, args.trace_export)
 
     failed = sum(1 for r in results if not r.ok)
     if args.json:

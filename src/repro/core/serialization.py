@@ -11,8 +11,9 @@ Two interchange formats are supported:
 Both parsers build a :class:`~repro.core.arena.TreeArena` directly — no
 intermediate :class:`Node` graph — and return a lazy :class:`Tree` view
 over it. A parsed tree that is only indexed, digested, or re-serialized
-never allocates node objects at all. The dumpers likewise read a fresh
-arena snapshot when one is cached.
+never allocates node objects at all. The dumpers read the tree's arena
+(flattening it first if it was edited) and walk it by position, without
+recursion, so trees of any depth serialize.
 """
 
 from __future__ import annotations
@@ -32,21 +33,7 @@ from .tree import Tree
 # ---------------------------------------------------------------------------
 def tree_to_dict(tree: Tree) -> Optional[Dict[str, Any]]:
     """Serialize a tree to nested dicts, preserving node identifiers."""
-    arena = tree.arena_snapshot()
-    if arena is not None:
-        return arena_to_dict(arena)
-    if tree.root is None:
-        return None
-
-    def dump(node: Node) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"id": node.id, "label": node.label}
-        if node.value is not None:
-            out["value"] = node.value
-        if node.children:
-            out["children"] = [dump(child) for child in node.children]
-        return out
-
-    return dump(tree.root)
+    return arena_to_dict(tree.to_arena())
 
 
 def tree_from_dict(data: Optional[Dict[str, Any]]) -> Tree:
@@ -58,8 +45,11 @@ def arena_to_dict(arena: TreeArena) -> Optional[Dict[str, Any]]:
     """Serialize an arena to nested dicts, preserving node identifiers."""
     if arena.n == 0:
         return None
-
-    def dump(pos: int) -> Dict[str, Any]:
+    # Preorder puts every node after its parent and its left siblings, so
+    # appending to the parent's list in position order keeps child order.
+    first_child, parent = arena.first_child, arena.parent
+    dumped: List[Dict[str, Any]] = []
+    for pos in range(arena.n):
         out: Dict[str, Any] = {
             "id": arena.node_ids[pos],
             "label": arena.label_of(pos),
@@ -67,12 +57,12 @@ def arena_to_dict(arena: TreeArena) -> Optional[Dict[str, Any]]:
         value = arena.value_of(pos)
         if value is not None:
             out["value"] = value
-        children = arena.children_of(pos)
-        if children:
-            out["children"] = [dump(child) for child in children]
-        return out
-
-    return dump(0)
+        if first_child[pos] >= 0:
+            out["children"] = []
+        if pos:
+            dumped[parent[pos]]["children"].append(out)
+        dumped.append(out)
+    return dumped[0]
 
 
 def arena_from_dict(data: Optional[Dict[str, Any]]) -> TreeArena:
@@ -138,36 +128,30 @@ _TOKEN = re.compile(
 
 def tree_to_sexpr(tree: Tree) -> str:
     """Render a tree as an s-expression (identifiers are dropped)."""
-    arena = tree.arena_snapshot()
-    if arena is not None:
-        return arena_to_sexpr(arena)
-    if tree.root is None:
-        return "()"
-
-    def dump(node: Node) -> str:
-        parts = [node.label]
-        if node.value is not None:
-            parts.append(_quote(str(node.value)))
-        parts.extend(dump(child) for child in node.children)
-        return "(" + " ".join(parts) + ")"
-
-    return dump(tree.root)
+    return arena_to_sexpr(tree.to_arena())
 
 
 def arena_to_sexpr(arena: TreeArena) -> str:
     """Render an arena as an s-expression (identifiers are dropped)."""
     if arena.n == 0:
         return "()"
-
-    def dump(pos: int) -> str:
-        parts = [arena.label_of(pos)]
+    # One preorder pass; a subtree's list closes once the walk reaches
+    # the first position past it (pos + subtree size).
+    subtree_size = arena.subtree_size
+    parts: List[str] = []
+    open_ends: List[int] = []
+    for pos in range(arena.n):
+        while open_ends and open_ends[-1] <= pos:
+            open_ends.pop()
+            parts.append(")")
+        parts.append(" (" if pos else "(")
+        parts.append(arena.label_of(pos))
         value = arena.value_of(pos)
         if value is not None:
-            parts.append(_quote(str(value)))
-        parts.extend(dump(child) for child in arena.children_of(pos))
-        return "(" + " ".join(parts) + ")"
-
-    return dump(0)
+            parts.append(" " + _quote(str(value)))
+        open_ends.append(pos + subtree_size[pos])
+    parts.append(")" * len(open_ends))
+    return "".join(parts)
 
 
 def tree_from_sexpr(text: str) -> Tree:

@@ -2,10 +2,12 @@
 
 A trace is a tree of spans keyed by a ``trace_id``.  Each layer of the
 serving stack (client attempt, router proxy leg, worker admission,
-engine, pipeline stage) opens a span, annotates it, and closes it; the
+engine) opens a span, annotates it, and closes it; the pipeline opens
+one measured child span per stage under the engine's.  The
 :class:`Tracer` records closed spans in a bounded ring buffer that can
 be queried (``GET /v1/trace/<id>``), exported as sorted-keys JSONL, or
-streamed to a callback (the simtest event log).
+streamed to a callback (the simtest event log).  An unsampled request
+carries a :class:`NullSpan`: the same calls, timed but never recorded.
 
 Everything is driven by an injectable :class:`repro.simtest.clock.Clock`
 and an injectable ``random.Random`` so simulation scenarios produce
@@ -17,6 +19,8 @@ from repro.obs.trace import (
     MAX_TRACE_ID_LEN,
     SPAN_ID_HEADER,
     TRACE_ID_HEADER,
+    AnySpan,
+    NullSpan,
     Span,
     SpanRecord,
     Tracer,
@@ -24,7 +28,6 @@ from repro.obs.trace import (
     inject_trace_headers,
     is_valid_span_id,
     is_valid_trace_id,
-    synthesize_stage_spans,
 )
 from repro.obs.export import (
     build_span_tree,
@@ -40,6 +43,8 @@ __all__ = [
     "MAX_TRACE_ID_LEN",
     "SPAN_ID_HEADER",
     "TRACE_ID_HEADER",
+    "AnySpan",
+    "NullSpan",
     "Span",
     "SpanRecord",
     "Tracer",
@@ -52,6 +57,5 @@ __all__ = [
     "merge_spans",
     "render_span_tree",
     "spans_to_jsonl",
-    "synthesize_stage_spans",
     "validate_trace",
 ]

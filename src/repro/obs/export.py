@@ -128,7 +128,8 @@ def _label(span: Dict[str, Any]) -> str:
         parts.append(f"{wall:.3f}ms")
     parts.append(status)
     meta = span.get("meta") or {}
-    keys = ("attempt", "worker", "decision", "source", "position")
+    keys = ("attempt", "worker", "decision", "source", "position",
+            "pairs", "repairs", "operations")
     notes = [f"{k}={meta[k]}" for k in keys if k in meta]
     if notes:
         parts.append("[" + " ".join(notes) + "]")

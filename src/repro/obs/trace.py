@@ -13,6 +13,9 @@ Design notes
   ``verify_fraction``: request ``n`` is sampled iff
   ``floor(n * f) > floor((n - 1) * f)``, which hits exactly ``f`` of
   requests with no RNG draw on the hot path.
+* An unsampled request carries a :class:`NullSpan` instead of ``None``:
+  it answers the same calls, records nothing, and still times itself, so
+  no caller branches on whether tracing is on.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import floor
 from random import Random
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.simtest.clock import Clock, SYSTEM_CLOCK
 
@@ -127,7 +130,7 @@ class SpanRecord:
 
 
 class Span:
-    """Handle for an open span; close explicitly or use as a context manager."""
+    """Handle for an open recorded span; close explicitly or use as a context manager."""
 
     __slots__ = ("_tracer", "record")
 
@@ -142,6 +145,23 @@ class Span:
     @property
     def span_id(self) -> str:
         return self.record.span_id
+
+    @property
+    def context(self) -> Tuple[str, str]:
+        """``(trace_id, span_id)``: what a downstream hop continues."""
+        return self.record.trace_id, self.record.span_id
+
+    @property
+    def name(self) -> str:
+        return self.record.name
+
+    @property
+    def meta(self) -> Dict[str, Any]:
+        return self.record.meta
+
+    @property
+    def wall_ms(self) -> float:
+        return self.record.wall_ms
 
     def annotate(self, **fields: Any) -> "Span":
         self.record.meta.update(fields)
@@ -163,6 +183,57 @@ class Span:
         if self.record.closed:
             return
         self.close("error" if exc_type is not None else "ok")
+
+
+class NullSpan:
+    """The span of an unsampled request: timed, never recorded.
+
+    It has no ids and no :attr:`context`, and its children are NullSpans on
+    the same clock. Nothing it does reaches a tracer — no id is minted, no
+    RNG draw made, no lock taken — yet each one still measures its own
+    interval and keeps its annotations, because a pipeline stage under an
+    unsampled request must still report its duration and counts.
+    """
+
+    __slots__ = ("name", "meta", "_clock", "_start", "_end")
+
+    trace_id = None
+    span_id = None
+    context = None
+
+    def __init__(self, name: str = "", clock: Clock = SYSTEM_CLOCK):
+        self.name = name
+        self.meta: Dict[str, Any] = {}
+        self._clock = clock
+        self._start = clock.monotonic()
+        self._end: Optional[float] = None
+
+    @property
+    def wall_ms(self) -> float:
+        if self._end is None:
+            return 0.0
+        return (self._end - self._start) * 1000.0
+
+    def annotate(self, **fields: Any) -> "NullSpan":
+        self.meta.update(fields)
+        return self
+
+    def child(self, name: str, kind: str = "internal") -> "NullSpan":
+        return NullSpan(name, self._clock)
+
+    def close(self, status: str = "ok") -> None:
+        if self._end is None:
+            self._end = self._clock.monotonic()
+
+    def __enter__(self) -> "NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+#: Either kind of span; callers never need to tell them apart.
+AnySpan = Union[Span, NullSpan]
 
 
 class Tracer:
@@ -191,14 +262,6 @@ class Tracer:
         self._dropped = 0
 
     # -- ids and sampling ---------------------------------------------------
-    def new_trace_id(self) -> str:
-        with self._lock:
-            return f"{self.rng.getrandbits(64):016x}"
-
-    def new_span_id(self) -> str:
-        with self._lock:
-            return f"{self.rng.getrandbits(32):08x}"
-
     def maybe_trace(self) -> Optional[str]:
         """Sampling decision: a fresh trace id for sampled calls, else None."""
         with self._lock:
@@ -236,35 +299,33 @@ class Tracer:
             self._open[record.span_id] = record
         return Span(self, record)
 
-    def record_closed(
+    def span(
         self,
         name: str,
-        kind: str,
-        trace_id: str,
-        parent_id: Optional[str],
-        start: float,
-        end: float,
-        status: str = "ok",
+        kind: str = "internal",
+        ctx: Optional[Tuple[str, Optional[str]]] = None,
         meta: Optional[Dict[str, Any]] = None,
-    ) -> SpanRecord:
-        """Record an already-timed span (used for synthesized stage spans)."""
-        with self._lock:
-            self._seq += 1
-            record = SpanRecord(
-                trace_id=trace_id,
-                span_id=f"{self.rng.getrandbits(32):08x}",
-                parent_id=parent_id,
-                name=name,
-                kind=kind,
-                start=start,
-                seq=self._seq,
-                end=end,
-                status=status,
-                meta=dict(meta) if meta else {},
-            )
-            self._append(record)
-        self._notify(record)
-        return record
+    ) -> AnySpan:
+        """A span continuing *ctx* ``(trace_id, parent_id)``; a
+        :class:`NullSpan` on this tracer's clock when there is no context."""
+        if ctx is None:
+            return NullSpan(name, self.clock)
+        return self.start_span(name, kind, trace_id=ctx[0], parent_id=ctx[1], meta=meta)
+
+    def root_span(
+        self,
+        name: str,
+        kind: str = "internal",
+        ctx: Optional[Tuple[str, Optional[str]]] = None,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> AnySpan:
+        """A request's outermost span: continues the caller's *ctx* when
+        one arrived, otherwise samples a fresh trace (:meth:`maybe_trace`)."""
+        if ctx is None:
+            trace_id = self.maybe_trace()
+            if trace_id is not None:
+                ctx = (trace_id, None)
+        return self.span(name, kind, ctx, meta)
 
     def _close(self, record: SpanRecord, status: str) -> None:
         with self._lock:
@@ -330,35 +391,3 @@ class Tracer:
             for r in records
         )
 
-
-def synthesize_stage_spans(
-    tracer: Tracer,
-    trace_id: str,
-    parent_id: Optional[str],
-    stage_ms: Mapping[str, float],
-    start: float,
-    meta: Optional[Dict[str, Any]] = None,
-) -> List[SpanRecord]:
-    """Lay the pipeline's per-stage timings out as child spans of *parent_id*.
-
-    The pipeline's :class:`repro.pipeline.Trace` only knows durations, so
-    stages are placed back to back from *start* in execution order; the
-    sum of the children can never exceed the enclosing span.
-    """
-    records = []
-    cursor = start
-    for stage, ms in stage_ms.items():
-        duration = max(0.0, float(ms)) / 1000.0
-        records.append(
-            tracer.record_closed(
-                f"stage.{stage}",
-                "stage",
-                trace_id,
-                parent_id,
-                cursor,
-                cursor + duration,
-                meta=meta,
-            )
-        )
-        cursor += duration
-    return records

@@ -9,11 +9,14 @@ named stages:
     ``index → match → postprocess → editscript → deltatree``
 
 configured by one :class:`DiffConfig` and instrumented by one
-:class:`Trace` per run: per-stage wall time, the §8 comparison counters
-(``r1``/``r2``), node counts, and index-cache hits, recorded through a
-lightweight span API that external sinks (e.g.
-:meth:`repro.service.metrics.ServiceMetrics.stage_listener`) can subscribe
-to.
+:class:`Trace` per run. Each stage is a :mod:`repro.obs` span opened under
+the parent span the caller passes to :meth:`DiffPipeline.run` (the
+engine's, in the serving layer), so stages carry measured start and end
+times on the parent's clock and nest inside it by construction. Their
+annotations (``pairs``, ``repairs``, ``operations``, node counts) are the
+span metadata; the trace adds the §8 comparison counters (``r1``/``r2``)
+and index-cache hits. Without a traced parent the stages are
+:class:`~repro.obs.trace.NullSpan` children: timed, never recorded.
 
 Every entry point in the repository — :func:`repro.diff.tree_diff`, the
 CLI, :class:`repro.service.DiffEngine`, :class:`repro.store.VersionStore`,
@@ -38,7 +41,6 @@ from typing import (
     Tuple,
 )
 
-from ._compat import DATACLASS_SLOTS
 from .core.errors import ConfigError
 from .core.index import TreeIndex, cached_index
 from .core.tree import Tree
@@ -51,6 +53,7 @@ from .matching.matching import Matching
 from .matching.postprocess import postprocess_matching
 from .matching.schema import LabelSchema
 from .matching.simple import match as simple_match
+from .obs.trace import AnySpan, NullSpan, Span  # noqa: F401 - Span is re-exported
 from .simtest.clock import SYSTEM_CLOCK, Clock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,21 +136,8 @@ class DiffConfig:
 # ---------------------------------------------------------------------------
 # Tracing
 # ---------------------------------------------------------------------------
-@dataclass(**DATACLASS_SLOTS)
-class Span:
-    """One completed pipeline stage: name, wall time, and annotations."""
-
-    name: str
-    wall_ms: float = 0.0
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-
-#: A span listener: called with each span as it closes.
-SpanListener = Callable[[Span], None]
-
-
 class Trace:
-    """Per-run instrumentation: spans per stage plus scalar counters.
+    """Per-run instrumentation: one span per stage plus scalar counters.
 
     Counters always present after a run: ``nodes_t1`` / ``nodes_t2``,
     ``leaf_compares`` (the paper's ``r1``), ``partner_checks`` (``r2``),
@@ -155,25 +145,24 @@ class Trace:
     ``index_cache_hits``.
     """
 
-    __slots__ = ("spans", "counters", "_listeners", "_clock")
+    __slots__ = ("spans", "counters", "_parent", "_listeners")
 
     def __init__(
-        self, listeners: Tuple[SpanListener, ...] = (), clock: Clock = SYSTEM_CLOCK
+        self, parent: AnySpan, listeners: Tuple[Callable[[AnySpan], None], ...] = ()
     ) -> None:
-        self.spans: List[Span] = []
+        self.spans: List[AnySpan] = []
         self.counters: Dict[str, int] = {}
+        self._parent = parent
         self._listeners = tuple(listeners)
-        self._clock = clock
 
     @contextmanager
-    def span(self, name: str) -> Iterator[Span]:
-        """Record one named stage; notifies subscribers when it closes."""
-        span = Span(name)
-        start = self._clock.perf_counter()
+    def span(self, name: str) -> Iterator[AnySpan]:
+        """Run one named stage as a child span; listeners see it closed."""
+        span = self._parent.child(name, kind="stage")
         try:
-            yield span
+            with span:
+                yield span
         finally:
-            span.wall_ms = (self._clock.perf_counter() - start) * 1000.0
             self.spans.append(span)
             for listener in self._listeners:
                 listener(span)
@@ -271,26 +260,23 @@ class DiffPipeline:
     config:
         The :class:`DiffConfig`; defaults throughout when omitted.
     listeners:
-        Span subscribers notified as each stage closes (e.g.
-        ``ServiceMetrics.stage_listener()``).
+        Callables handed each stage span as it closes (it has ``name``,
+        ``wall_ms`` and ``meta``).
     clock:
-        The :class:`~repro.simtest.clock.Clock` stage timings are read
-        from; the simulation harness passes its virtual clock.
+        The :class:`~repro.simtest.clock.Clock` stages are timed on when
+        :meth:`run` gets no parent span; the simulation harness passes its
+        virtual clock.
     """
 
     def __init__(
         self,
         config: Optional[DiffConfig] = None,
-        listeners: Tuple[SpanListener, ...] = (),
+        listeners: Tuple[Callable[[AnySpan], None], ...] = (),
         clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         self.config = config if config is not None else DiffConfig()
-        self._listeners: Tuple[SpanListener, ...] = tuple(listeners)
+        self._listeners = tuple(listeners)
         self._clock = clock
-
-    def subscribe(self, listener: SpanListener) -> None:
-        """Add a span listener for all subsequent runs."""
-        self._listeners = self._listeners + (listener,)
 
     # ------------------------------------------------------------------
     def run(
@@ -298,23 +284,27 @@ class DiffPipeline:
         t1: Tree,
         t2: Tree,
         matching: Optional[Matching] = None,
+        parent: Optional[AnySpan] = None,
     ) -> DiffResult:
         """Diff *t1* against *t2*; neither tree is mutated.
 
         A precomputed *matching* (e.g. from keys) skips the ``match`` and
         ``postprocess`` stages entirely, exactly as the legacy
-        ``tree_diff(matching=...)`` did.
+        ``tree_diff(matching=...)`` did. Stages open as children of
+        *parent* (an untraced :class:`~repro.obs.trace.NullSpan` on the
+        pipeline's clock when omitted).
         """
         config = self.config
-        trace = Trace(self._listeners, self._clock)
+        if parent is None:
+            parent = NullSpan("pipeline", self._clock)
+        trace = Trace(parent, self._listeners)
         stats = MatchingStats()
         repairs = 0
 
         with trace.span("index") as span:
             index1 = self._index_for(t1, trace)
             index2 = self._index_for(t2, trace)
-            span.meta["nodes_t1"] = len(t1)
-            span.meta["nodes_t2"] = len(t2)
+            span.annotate(nodes_t1=len(t1), nodes_t2=len(t2))
         trace.counters.setdefault("index_cache_hits", 0)
         trace.counters["nodes_t1"] = len(t1)
         trace.counters["nodes_t2"] = len(t2)
@@ -332,17 +322,17 @@ class DiffPipeline:
                     matching = simple_match(
                         t1, t2, config.match, stats, context=context
                     )
-                span.meta["pairs"] = len(matching)
+                span.annotate(pairs=len(matching))
             if config.postprocess:
                 with trace.span("postprocess") as span:
                     repairs = postprocess_matching(
                         t1, t2, matching, config.match, stats, context=context
                     )
-                    span.meta["repairs"] = repairs
+                    span.annotate(repairs=repairs)
 
         with trace.span("editscript") as span:
             edit = generate_edit_script(t1, t2, matching, index2=index2)
-            span.meta["operations"] = len(edit.script)
+            span.annotate(operations=len(edit.script))
 
         result = DiffResult(
             matching=matching,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..simtest.clock import SYSTEM_CLOCK, Clock
 
@@ -174,13 +174,8 @@ class AdmissionController:
     def body_allowed(self, content_length: int) -> bool:
         return content_length <= self.max_body_bytes
 
-    def try_admit(self, client: str, span: Optional[Any] = None) -> Decision:
-        """Rate-limit then queue check; on success one slot is held.
-
-        ``span`` is an optional open :class:`repro.obs.Span`: the decision
-        (and the queue depth it was made against) is annotated onto it so
-        a trace shows *why* a request was admitted or refused.
-        """
+    def try_admit(self, client: str) -> Decision:
+        """Rate-limit then queue check; on success one slot is held."""
         decision = self.limiter.check(client)
         if decision.admitted:
             with self._lock:
@@ -193,12 +188,6 @@ class AdmissionController:
                 else:
                     self._in_flight += 1
                     decision = Decision(admitted=True)
-        if span is not None:
-            span.annotate(
-                decision=decision.reason,
-                admitted=decision.admitted,
-                in_flight=self.in_flight,
-            )
         return decision
 
     def release(self) -> None:

@@ -228,33 +228,24 @@ class DiffServer(HttpFront):
             raise HttpError(
                 503, "draining", "server is draining; retry elsewhere", retry_after=1.0
             )
-        ctx = extract_trace_context(headers)
-        if ctx is not None:
-            trace_id, parent_id = ctx
-        else:
-            trace_id, parent_id = self.tracer.maybe_trace(), None
-        worker_span = None
-        extra: Dict[str, str] = {}
-        if trace_id is not None:
-            worker_span = self.tracer.start_span(
-                "worker",
-                kind="worker",
-                trace_id=trace_id,
-                parent_id=parent_id,
-                meta={"path": path, "client": client},
-            )
-            extra["X-Trace-Id"] = trace_id
-        admission_span = (
-            worker_span.child("admission", kind="worker")
-            if worker_span is not None
-            else None
+        worker = self.tracer.root_span(
+            "worker",
+            kind="worker",
+            ctx=extract_trace_context(headers),
+            meta={"path": path, "client": client},
         )
-        decision = self.admission.try_admit(client, span=admission_span)
-        if admission_span is not None:
-            admission_span.close("ok" if decision.admitted else "refused")
+        extra = {"X-Trace-Id": worker.trace_id} if worker.trace_id is not None else {}
+        # The decision and the queue depth it was made against: a trace
+        # shows *why* a request was admitted or refused.
+        admission = worker.child("admission", kind="worker")
+        decision = self.admission.try_admit(client)
+        admission.annotate(
+            decision=decision.reason,
+            admitted=decision.admitted,
+            in_flight=self.admission.in_flight,
+        ).close("ok" if decision.admitted else "refused")
         if not decision.admitted:
-            if worker_span is not None:
-                worker_span.close("refused")
+            worker.close("refused")
             self.metrics.incr(f"rejected_{decision.reason}")
             raise HttpError(
                 429,
@@ -262,22 +253,15 @@ class DiffServer(HttpFront):
                 f"admission refused ({decision.reason}); retry later",
                 retry_after=decision.retry_after,
             )
-        trace = (trace_id, worker_span.span_id) if worker_span is not None else None
         try:
-            deadline = self.admission.deadline(self._requested_deadline(data, headers))
-            if path == "/v1/diff":
-                payload = await self._handle_diff(data, deadline, trace)
-            elif path == "/v1/batch":
-                payload = await self._handle_batch(data, deadline, trace)
-            else:
-                payload = await self._handle_verify(data, deadline)
-        except BaseException:
-            if worker_span is not None:
-                worker_span.close("error")
-            raise
-        else:
-            if worker_span is not None:
-                worker_span.close("ok")
+            with worker:
+                deadline = self.admission.deadline(self._requested_deadline(data, headers))
+                if path == "/v1/diff":
+                    payload = await self._handle_diff(data, deadline, worker.context)
+                elif path == "/v1/batch":
+                    payload = await self._handle_batch(data, deadline, worker.context)
+                else:
+                    payload = await self._handle_verify(data, deadline)
             return 200, payload, extra
         finally:
             self.admission.release()

@@ -140,7 +140,7 @@ class DiffServiceClient:
         self._rng = rng if rng is not None else random.Random()
         self._faults = faults
         if tracer is not None:
-            self.tracer: Optional[Tracer] = tracer
+            self.tracer = tracer
         elif trace_fraction > 0.0:
             # A derived rng keeps id minting from perturbing jitter draws.
             self.tracer = Tracer(
@@ -149,7 +149,7 @@ class DiffServiceClient:
                 rng=random.Random(self._rng.getrandbits(64)),
             )
         else:
-            self.tracer = None
+            self.tracer = Tracer(clock=self._clock)  # never samples
         #: Trace id of the most recent sampled request() call, if any.
         self.last_trace_id: Optional[str] = None
         self._conn: Optional[http.client.HTTPConnection] = None
@@ -267,28 +267,18 @@ class DiffServiceClient:
         attempt = 0
         refused_left = self.connect_retries
         tries = 0
-        trace_id = self.tracer.maybe_trace() if self.tracer is not None else None
-        root = None
-        if trace_id is not None:
-            root = self.tracer.start_span(
-                "client.request",
-                kind="client",
-                trace_id=trace_id,
-                meta={"method": method, "path": path},
-            )
-        self.last_trace_id = trace_id
+        root = self.tracer.root_span(
+            "client.request", kind="client", meta={"method": method, "path": path}
+        )
+        self.last_trace_id = root.trace_id
         while True:
             retry_after = 0.0
             refused = False
             tries += 1
-            attempt_span = None
-            trace_ctx = None
-            if root is not None:
-                attempt_span = root.child("client.attempt", kind="client")
-                attempt_span.annotate(attempt=tries)
-                trace_ctx = (trace_id, attempt_span.span_id)
+            try_span = root.child("client.attempt", kind="client").annotate(attempt=tries)
+            trace_ctx = try_span.context
             try:
-                # Only pass trace= when a span is actually open: subclasses
+                # Only pass trace= when the request is traced: subclasses
                 # and test doubles that override request_once with the plain
                 # signature keep working as long as they don't enable tracing.
                 if trace_ctx is not None:
@@ -304,28 +294,22 @@ class DiffServiceClient:
                     "error": "connection",
                     "message": f"{type(exc).__name__}: {exc}",
                 }
-                if attempt_span is not None:
-                    attempt_span.annotate(error="conn_refused").close("error")
+                try_span.annotate(error="conn_refused").close("error")
             except (OSError, socket.timeout, http.client.HTTPException) as exc:
                 last_status = 0
                 last_payload = {
                     "error": "connection",
                     "message": f"{type(exc).__name__}: {exc}",
                 }
-                if attempt_span is not None:
-                    attempt_span.annotate(error=type(exc).__name__).close("error")
+                try_span.annotate(error=type(exc).__name__).close("error")
             else:
-                if attempt_span is not None:
-                    attempt_span.annotate(status=status)
-                    attempt_span.close("ok" if status < 400 else "error")
+                try_span.annotate(status=status).close("ok" if status < 400 else "error")
                 if status < 400:
-                    if root is not None:
-                        root.annotate(status=status, tries=tries).close("ok")
+                    root.annotate(status=status, tries=tries).close("ok")
                     return decoded
                 last_status, last_payload = status, decoded
                 if status not in RETRYABLE_STATUSES:
-                    if root is not None:
-                        root.annotate(status=status, tries=tries).close("error")
+                    root.annotate(status=status, tries=tries).close("error")
                     raise ServiceError(status, decoded, tries)
                 retry_after = self._retry_after_hint(decoded, headers)
             if refused and refused_left > 0:
@@ -341,8 +325,7 @@ class DiffServiceClient:
                 self._sleep(delay)
                 attempt += 1
                 continue
-            if root is not None:
-                root.annotate(status=last_status, tries=tries).close("error")
+            root.annotate(status=last_status, tries=tries).close("error")
             raise ServiceError(last_status, last_payload, tries)
 
     # ------------------------------------------------------------------

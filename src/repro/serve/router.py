@@ -259,23 +259,18 @@ class Router(HttpFront):
         last_error = "no live workers"
         ctx = extract_trace_context(headers)
         for position, worker_id in enumerate(chain):
-            span = None
-            trace = None
-            if ctx is not None:
-                # One span per forwarding attempt: a replayed request shows
-                # its whole failover chain. The worker's parent becomes this
-                # proxy span, while the trace id passes through verbatim.
-                span = self.tracer.start_span(
-                    "router.proxy",
-                    kind="router",
-                    trace_id=ctx[0],
-                    parent_id=ctx[1],
-                    meta={"worker": worker_id, "position": position},
-                )
-                trace = (ctx[0], span.span_id)
+            # One span per forwarding attempt: a replayed request shows its
+            # whole failover chain. The worker's parent becomes this proxy
+            # span, while the trace id passes through verbatim.
+            span = self.tracer.span(
+                "router.proxy",
+                kind="router",
+                ctx=ctx,
+                meta={"worker": worker_id, "position": position},
+            )
             try:
                 status, resp_body = await self.transport(
-                    worker_id, method, path, headers, body, trace
+                    worker_id, method, path, headers, body, span.context
                 )
             except (OSError, asyncio.IncompleteReadError, asyncio.TimeoutError) as exc:
                 # The backend died under the request. Compute endpoints are
@@ -283,16 +278,14 @@ class Router(HttpFront):
                 # successor is safe — the client never sees the crash.
                 self.count("proxy_failovers")
                 last_error = f"{worker_id}: {type(exc).__name__}: {exc}"
-                if span is not None:
-                    span.annotate(error=type(exc).__name__).close("failover")
+                span.annotate(error=type(exc).__name__).close("failover")
                 if self.on_backend_failure is not None:
                     self.on_backend_failure(worker_id)
                 continue
             self.count("proxied")
             if position > 0:
                 self.count("proxied_rerouted")
-            if span is not None:
-                span.annotate(status=status).close("ok")
+            span.annotate(status=status).close("ok")
             return status, resp_body, {"X-Worker-Id": worker_id}
         self.count("rejected_no_backend")
         raise HttpError(

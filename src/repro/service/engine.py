@@ -33,8 +33,8 @@ from ..core.isomorphism import trees_isomorphic
 from ..core.tree import Tree
 from ..editscript.script import EditScript
 from ..matching.criteria import MatchConfig
-from ..obs.trace import Tracer, synthesize_stage_spans
-from ..pipeline import DiffConfig, DiffPipeline
+from ..obs.trace import AnySpan, Tracer
+from ..pipeline import DiffConfig, DiffPipeline, Trace
 from .cache import (
     ScriptCache,
     UncacheableScriptError,
@@ -43,7 +43,7 @@ from .cache import (
 )
 from ..simtest.clock import SYSTEM_CLOCK, Clock
 from .digest import cached_digests, tree_fingerprint
-from .metrics import ServiceMetrics
+from .metrics import SECTION8_COUNTERS, ServiceMetrics
 
 #: A job input: a materialized tree, or a zero-argument loader called inside
 #: the job so that parse failures are captured per-job.
@@ -196,9 +196,10 @@ class DiffEngine:
         self.verify_fraction = verify_fraction
         self._verify_lock = threading.Lock()
         self._verify_seen = 0
-        #: Optional :class:`repro.obs.Tracer`; jobs that carry a trace
-        #: context open an ``engine`` span with stage children under it.
-        self.tracer = tracer
+        #: The :class:`repro.obs.Tracer`; jobs that carry a trace context
+        #: open an ``engine`` span with the pipeline's stage spans under it
+        #: (an idle one on the engine's clock when none is passed).
+        self.tracer = tracer if tracer is not None else Tracer(clock=clock)
         #: Fallback trace context applied when a job carries none (the CLI
         #: uses this to hang a whole batch under one root span).
         self.default_trace: Optional[Tuple[str, Optional[str]]] = None
@@ -317,24 +318,19 @@ class DiffEngine:
         start = self.clock.perf_counter()
         self.metrics.incr("jobs_submitted")
         result = JobResult(job_id=job_id)
-        if trace is None:
-            trace = self.default_trace
-        span = None
-        if self.tracer is not None and trace is not None:
-            span = self.tracer.start_span(
-                "engine",
-                kind="engine",
-                trace_id=trace[0],
-                parent_id=trace[1],
-                meta={"job": job_id},
-            )
-            result.trace_id = trace[0]
+        span = self.tracer.span(
+            "engine",
+            kind="engine",
+            ctx=trace or self.default_trace,
+            meta={"job": job_id},
+        )
+        result.trace_id = span.trace_id
         try:
             old_tree = old() if callable(old) else old
             new_tree = new() if callable(new) else new
             if not isinstance(old_tree, Tree) or not isinstance(new_tree, Tree):
                 raise TypeError("job inputs must be Tree objects or loaders returning them")
-            self._diff_into(result, old_tree, new_tree)
+            self._diff_into(result, old_tree, new_tree, span)
             if self._should_verify():
                 result.verified = self._spot_check(result, old_tree, new_tree)
         except Exception as exc:
@@ -349,20 +345,8 @@ class DiffEngine:
         else:
             self.metrics.incr("jobs_failed")
         self.metrics.observe_wall(result.wall_ms)
-        if span is not None:
-            span.annotate(source=result.source, job_status=result.status)
-            span.close("ok" if result.status == "ok" else "error")
-            if result.stage_ms:
-                # The pipeline Trace only knows durations; lay them out
-                # back to back inside the engine span's interval.
-                synthesize_stage_spans(
-                    self.tracer,
-                    span.trace_id,
-                    span.span_id,
-                    result.stage_ms,
-                    span.record.start,
-                    meta={"job": job_id},
-                )
+        span.annotate(source=result.source, job_status=result.status)
+        span.close("ok" if result.status == "ok" else "error")
         return result
 
     def _should_verify(self) -> bool:
@@ -437,7 +421,9 @@ class DiffEngine:
             self.metrics.incr("verify_failures")
         return report.ok
 
-    def _diff_into(self, result: JobResult, old_tree: Tree, new_tree: Tree) -> None:
+    def _diff_into(
+        self, result: JobResult, old_tree: Tree, new_tree: Tree, span: AnySpan
+    ) -> None:
         old_index = cached_digests(old_tree)
         new_index = cached_digests(new_tree)
         result.old_digest = old_index.root_hex
@@ -476,16 +462,18 @@ class DiffEngine:
             if attempt:
                 self.metrics.incr("jobs_retried")
             try:
-                payload, stage_ms = self._compute(old_tree, new_tree)
+                payload, trace = self._compute(old_tree, new_tree, span)
                 break
             except Exception as exc:
                 last_error = exc
         else:
             raise last_error  # type: ignore[misc]
 
-        result.stage_ms = stage_ms
-        for stage, milliseconds in stage_ms.items():
+        result.stage_ms = trace.stage_ms()
+        for stage, milliseconds in result.stage_ms.items():
             self.metrics.observe_stage(stage, milliseconds)
+        for counter in SECTION8_COUNTERS:
+            self.metrics.incr(counter, trace.counters[counter])
         script, wrapped, dummy_id = self._bind(payload, old_tree)
         result.source = "computed"
         result.script = script
@@ -498,16 +486,15 @@ class DiffEngine:
             self.cache.put(key, payload)
 
     def _compute(
-        self, old_tree: Tree, new_tree: Tree
-    ) -> Tuple[Dict[str, Any], Dict[str, float]]:
-        """Produce ``(canonical payload, per-stage wall ms)`` for one pair.
+        self, old_tree: Tree, new_tree: Tree, span: AnySpan
+    ) -> Tuple[Dict[str, Any], Trace]:
+        """Produce ``(canonical payload, pipeline trace)`` for one pair.
 
-        Timings travel beside the payload, never inside it: the payload is
-        what gets cached, and a cache entry must not embed one particular
-        run's latencies.
+        The trace travels beside the payload, never inside it: the payload
+        is what gets cached, and a cache entry must not embed one
+        particular run's latencies.
         """
-        diffed = self._pipeline.run(old_tree, new_tree)
-        stage_ms = diffed.trace.stage_ms() if diffed.trace is not None else {}
+        diffed = self._pipeline.run(old_tree, new_tree, parent=span)
         try:
             payload = canonicalize_script(
                 diffed.script,
@@ -526,7 +513,7 @@ class DiffEngine:
                 "summary": diffed.script.summary(),
                 "_unportable": True,
             }
-        return payload, stage_ms
+        return payload, diffed.trace
 
     def _bind(self, payload: Dict[str, Any], old_tree: Tree) -> Tuple[EditScript, bool, Any]:
         if payload.get("_unportable"):

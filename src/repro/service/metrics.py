@@ -16,6 +16,11 @@ from typing import Dict, List, Optional
 from ..simtest.clock import SYSTEM_CLOCK, Clock
 from ..verify.oracles import VerifyReport
 
+#: The paper's §8 work counters, summed over computed jobs: leaf compares
+#: (``r1``), partner checks (``r2``) and LCS calls. Cache and digest hits
+#: do no matching and add nothing.
+SECTION8_COUNTERS = ("leaf_compares", "partner_checks", "lcs_calls")
+
 #: Counter names the engine maintains; unknown names are allowed (the
 #: metrics object is schemaless) but these are always present in snapshots.
 STANDARD_COUNTERS = (
@@ -30,7 +35,7 @@ STANDARD_COUNTERS = (
     "ops_emitted",
     "verify_checks",
     "verify_failures",
-)
+) + SECTION8_COUNTERS
 
 
 class LatencyHistogram:
@@ -93,9 +98,8 @@ class ServiceMetrics:
 
     Besides the whole-job ``wall_ms`` histogram, the metrics keep one
     histogram per pipeline stage (``index``, ``match``, ``postprocess``,
-    ``editscript``, ``deltatree``), fed either directly by the engine from
-    each job's :class:`~repro.pipeline.Trace` or by subscribing
-    :meth:`stage_listener` to a :class:`~repro.pipeline.DiffPipeline`.
+    ``editscript``, ``deltatree``), fed by the engine from the stage spans
+    of each job's :class:`~repro.pipeline.Trace`.
     """
 
     def __init__(self, max_samples: int = 4096, clock: Clock = SYSTEM_CLOCK) -> None:
@@ -129,19 +133,6 @@ class ServiceMetrics:
                     self._max_samples, clock=self._clock
                 )
             histogram.observe(milliseconds)
-
-    def stage_listener(self):
-        """A span listener wiring a pipeline's trace into these metrics.
-
-        Pass the result to :class:`~repro.pipeline.DiffPipeline` (the
-        ``listeners`` argument or ``subscribe``): every stage span is then
-        recorded here as it closes.
-        """
-
-        def on_span(span) -> None:
-            self.observe_stage(span.name, span.wall_ms)
-
-        return on_span
 
     def absorb_verify_report(self, report: VerifyReport) -> None:
         """Fold a :class:`~repro.verify.oracles.VerifyReport` into the

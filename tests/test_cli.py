@@ -337,7 +337,7 @@ class TestTraceCli:
         captured = capsys.readouterr()
         assert f"trace {tid}" in captured.out
         assert "cli.script" in captured.out
-        assert "stage.match" in captured.out
+        assert "`- editscript " in captured.out  # stage spans nest under cli.script
         assert "span(s)" in captured.err
 
     def test_trace_file_json_lists_spans(self, sexpr_files, tmp_path, capsys):

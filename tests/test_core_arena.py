@@ -431,7 +431,6 @@ def test_core_types_have_no_dict():
 def test_dataclass_records_have_no_dict():
     from repro.editscript.generator import GenerationStats
     from repro.matching.criteria import MatchingStats
-    from repro.pipeline import Span
 
     samples = [
         Insert(1, "S", "v", 0, 1),
@@ -440,7 +439,6 @@ def test_dataclass_records_have_no_dict():
         Move(1, 2, 1),
         MatchingStats(),
         GenerationStats(),
-        Span("index"),
     ]
     for obj in samples:
         assert not hasattr(obj, "__dict__"), type(obj).__name__

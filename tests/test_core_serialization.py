@@ -84,3 +84,31 @@ class TestSexprFormat:
         tree = tree_from_sexpr('(S "only value")')
         assert tree.root.label == "S"
         assert tree.root.value == "only value"
+
+
+DEEP = 5000
+
+
+def deep_chain(depth=DEEP):
+    """A P-chain ending in one sentence, built on the object path."""
+    tree = Tree()
+    node = tree.create_node("P")
+    for _ in range(depth - 2):
+        node = tree.create_node("P", parent=node)
+    tree.create_node("S", "bottom", parent=node)
+    return tree
+
+
+class TestDeepTrees:
+    def test_dict_round_trip_of_a_5000_deep_chain(self):
+        tree = deep_chain()
+        rebuilt = tree_from_dict(tree_to_dict(tree))
+        original, copy = tree.to_arena(), rebuilt.to_arena()
+        assert copy.n == DEEP
+        assert copy.node_ids == original.node_ids
+        assert copy.parent == original.parent
+        assert copy.value_of(DEEP - 1) == "bottom"
+
+    def test_sexpr_of_a_5000_deep_chain(self):
+        text = tree_to_sexpr(deep_chain())
+        assert text == "(P " * (DEEP - 1) + '(S "bottom")' + ")" * (DEEP - 1)

@@ -25,7 +25,7 @@ from repro.workload import MutationEngine, random_tree
 OLD_SEXPR = '(D (P (S "alpha one") (S "beta two")))'
 NEW_SEXPR = '(D (P (S "beta two") (S "alpha one") (S "gamma three")))'
 
-STAGE_NAMES = {"stage.index", "stage.match", "stage.postprocess", "stage.editscript"}
+STAGE_NAMES = {"index", "match", "postprocess", "editscript"}
 
 
 def fetch_json(port, path):
@@ -116,6 +116,24 @@ class TestServerTracing:
         assert trace_stats["spans_recorded"] >= 3
         assert trace_stats["spans_open"] == 0
         assert trace_stats["traces_started"] >= 1
+
+
+def test_unsampled_request_records_nothing_but_is_still_measured():
+    config = ServeConfig(port=0, workers=1, queue_capacity=4, trace_fraction=0.0)
+    with ServerThread(config) as handle:
+        with DiffServiceClient(port=handle.port, retries=0,
+                               timeout=10.0) as client:
+            out = client.diff(OLD_SEXPR, NEW_SEXPR)
+            snap = client.metrics()
+        stats = handle.server.tracer.stats()
+    assert "trace_id" not in out
+    assert stats["spans_recorded"] == 0 and stats["traces_started"] == 0
+    # The untraced stage spans still time every stage and feed the metrics.
+    assert set(out["stage_ms"]) == STAGE_NAMES
+    assert {name: snap["stages"][name]["count"] for name in STAGE_NAMES} == dict.fromkeys(
+        STAGE_NAMES, 1
+    )
+    assert snap["counters"]["leaf_compares"] > 0
 
 
 def test_trace_export_flushes_on_drain(tmp_path):

@@ -3,8 +3,8 @@
 The property tests drive the real simulation harness (repro.simtest) under
 virtual time and check the structural guarantees the tracing design makes:
 every sampled trace is a single-rooted tree, child intervals nest inside
-their parents, and synthesized pipeline-stage spans never sum past the
-enclosing engine span.
+their parents, and pipeline-stage spans never sum past the enclosing
+engine span.
 """
 
 import json
@@ -22,14 +22,16 @@ from repro.obs.export import (
     validate_trace,
 )
 from repro.obs.trace import (
+    NullSpan,
     Tracer,
     extract_trace_context,
     inject_trace_headers,
     is_valid_span_id,
     is_valid_trace_id,
-    synthesize_stage_spans,
 )
-from repro.simtest.clock import SimClock
+from repro.service.engine import DiffEngine
+from repro.simtest.clock import Clock, SimClock
+from repro.workload import MutationEngine, random_tree
 from repro.simtest.scenario import Scenario, Step, run_scenario
 
 _EPS = 1e-6
@@ -131,9 +133,12 @@ class TestSpanLifecycle:
         tracer = Tracer(
             fraction=1.0, clock=SimClock(), on_close=seen.append
         )
-        tracer.start_span("a").close()
-        tracer.record_closed("b", "stage", "ab" * 8, None, 0.0, 0.5)
-        assert [s["name"] for s in seen] == ["a", "b"]
+        root = tracer.start_span("a")
+        root.child("b", kind="stage").close()
+        root.close()
+        tracer.start_span("c")
+        tracer.abort_open()
+        assert [s["name"] for s in seen] == ["b", "a", "c"]
 
 
 class TestHeaders:
@@ -161,17 +166,82 @@ class TestHeaders:
         assert not is_valid_span_id("a" * 33)
 
 
-class TestStageSynthesis:
-    def test_stages_fill_back_to_back_from_start(self):
-        tracer = seeded_tracer()
-        records = synthesize_stage_spans(
-            tracer, "ab" * 8, "cd" * 4, {"match": 30.0, "editscript": 20.0}, 5.0
-        )
-        assert [r.name for r in records] == ["stage.match", "stage.editscript"]
-        assert records[0].start == pytest.approx(5.0)
-        assert records[0].end == pytest.approx(5.03)
-        assert records[1].start == pytest.approx(5.03)
-        assert all(r.kind == "stage" for r in records)
+class _NoRandom:
+    """An rng stand-in that fails the test on any draw."""
+
+    def getrandbits(self, _bits):
+        raise AssertionError("an unsampled span drew from the tracer's rng")
+
+
+class _StepClock(Clock):
+    """Advances 1 ms on every read, so each span boundary is distinct."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 0.001
+        return self.now
+
+    perf_counter = monotonic
+
+
+class TestNullSpan:
+    def test_untraced_spans_record_nothing_and_draw_nothing(self):
+        tracer = Tracer(fraction=0.0, clock=SimClock(), rng=_NoRandom())
+        root = tracer.root_span("request", meta={"k": "v"})
+        assert isinstance(root, NullSpan)
+        assert root.trace_id is None and root.context is None
+        with root.child("stage", kind="stage") as kid:
+            kid.annotate(pairs=3)
+        root.annotate(status=200).close("error")
+        assert kid.meta == {"pairs": 3}
+        assert tracer.stats() == {
+            "spans_recorded": 0, "spans_dropped": 0,
+            "spans_open": 0, "traces_started": 0,
+        }
+
+    def test_null_spans_still_time_themselves(self):
+        clock = SimClock()
+        span = NullSpan("match", clock).child("match")
+        clock.sleep(0.25)
+        span.close()
+        clock.sleep(1.0)
+        span.close()  # idempotent: the first close wins
+        assert span.wall_ms == pytest.approx(250.0)
+
+    def test_root_span_continues_an_inbound_context(self):
+        tracer = seeded_tracer(fraction=0.0)
+        span = tracer.root_span("worker", ctx=("ab" * 8, "cd" * 4))
+        assert span.context == ("ab" * 8, span.span_id)
+        assert span.record.parent_id == "cd" * 4
+        assert tracer.stats()["traces_started"] == 0
+
+
+class TestStageSpans:
+    def test_engine_stages_are_measured_children_of_the_engine_span(self):
+        clock = _StepClock()
+        tracer = Tracer(fraction=1.0, clock=clock)
+        old = random_tree(31)
+        new = MutationEngine(32).mutate(old, 6).tree
+        with DiffEngine(workers=1, cache=None, tracer=tracer, clock=clock) as engine:
+            result = engine.diff(old, new, trace=(tracer.maybe_trace(), None))
+        assert result.status == "ok"
+        spans = tracer.trace(result.trace_id)
+        (engine_span,) = [s for s in spans if s["name"] == "engine"]
+        stages = [s for s in spans if s["kind"] == "stage"]
+        assert [s["name"] for s in stages] == list(result.stage_ms)
+        assert [s["name"] for s in stages] == ["index", "match", "postprocess", "editscript"]
+        assert all(s["parent"] == engine_span["span"] for s in stages)
+        assert stages[0]["start"] > engine_span["start"]
+        assert stages[-1]["end"] <= engine_span["end"]
+        for first, second in zip(stages, stages[1:]):
+            assert first["end"] <= second["start"]
+        by_name = {s["name"]: s for s in stages}
+        assert by_name["match"]["meta"]["pairs"] > 0
+        assert by_name["editscript"]["meta"]["operations"] == result.operations
+        for stage in stages:
+            assert result.stage_ms[stage["name"]] == pytest.approx(stage["wall_ms"])
 
 
 class TestAssembly:

@@ -11,6 +11,7 @@ from repro.matching.criteria import MatchConfig, MatchingStats
 from repro.matching.fastmatch import fast_match
 from repro.matching.postprocess import postprocess_matching
 from repro.matching.simple import match as simple_match
+from repro.obs.trace import NullSpan
 from repro.pipeline import STAGES, DiffConfig, DiffPipeline, Trace
 from repro.workload import MutationEngine, generate_document
 from repro.workload.documents import DocumentSpec
@@ -147,10 +148,10 @@ class TestTrace:
     def test_listeners_see_every_span(self):
         old, new = random_pair(17, 5)
         seen = []
-        pipeline = DiffPipeline(DiffConfig())
-        pipeline.subscribe(lambda span: seen.append(span.name))
+        pipeline = DiffPipeline(DiffConfig(), listeners=(seen.append,))
         result = pipeline.run(old, new)
-        assert seen == list(result.trace.stage_ms())
+        assert [span.name for span in seen] == list(result.trace.stage_ms())
+        assert [span.wall_ms for span in seen] == list(result.trace.stage_ms().values())
 
     def test_to_dict_and_render(self):
         old, new = random_pair(19, 5)
@@ -174,9 +175,9 @@ class TestTrace:
 
 class TestTraceStandalone:
     def test_span_and_incr(self):
-        trace = Trace()
+        trace = Trace(NullSpan())
         with trace.span("index") as span:
-            span.meta["nodes"] = 3
+            span.annotate(nodes=3)
         trace.incr("index_cache_hits")
         trace.incr("index_cache_hits")
         assert trace.counters["index_cache_hits"] == 2

@@ -6,7 +6,9 @@ import pytest
 
 from repro import Tree
 from repro.core.errors import ParseError
+from repro.pipeline import DiffConfig, DiffPipeline
 from repro.service import DiffEngine, ScriptCache, ServiceMetrics
+from repro.service.metrics import SECTION8_COUNTERS
 from repro.workload import DocumentSpec, MutationEngine, generate_document
 
 
@@ -57,6 +59,27 @@ class TestSingleJobs:
         assert result.old_digest and result.new_digest
         assert result.old_digest != result.new_digest
         assert result.summary["total"] == result.operations
+
+
+class TestSection8Counters:
+    def test_metrics_sum_the_pipeline_counters_of_computed_jobs(self):
+        base = doc()
+        pairs = [(base, mutated(base, seed)) for seed in range(3)]
+        expected = dict.fromkeys(SECTION8_COUNTERS, 0)
+        pipeline = DiffPipeline(DiffConfig())
+        for old, new in pairs:
+            counters = pipeline.run(old, new).trace.counters
+            for name in expected:
+                expected[name] += counters[name]
+        with DiffEngine(workers=1) as engine:
+            for old, new in pairs + pairs + [(base, base)]:
+                assert engine.diff(old, new).ok
+            counters = engine.metrics.snapshot()["counters"]
+        # The repeats are cache hits and the twin a digest hit: both add 0.
+        assert counters["cache_hits"] == 3
+        assert counters["digest_short_circuits"] == 1
+        assert {name: counters[name] for name in expected} == expected
+        assert expected["leaf_compares"] > 0
 
 
 class TestCaching:
@@ -200,11 +223,11 @@ class TestTimeoutsAndRetries:
         calls = {"n": 0}
         original = engine._compute
 
-        def flaky(old_tree, new_tree):
+        def flaky(old_tree, new_tree, span):
             calls["n"] += 1
             if calls["n"] <= 2:
                 raise RuntimeError("transient backend hiccup")
-            return original(old_tree, new_tree)
+            return original(old_tree, new_tree, span)
 
         engine._compute = flaky
         result = engine.diff(base, new)
@@ -219,7 +242,7 @@ class TestTimeoutsAndRetries:
         base = doc()
         new = mutated(base)
 
-        def always_broken(old_tree, new_tree):
+        def always_broken(old_tree, new_tree, span):
             raise RuntimeError("backend down")
 
         engine._compute = always_broken
