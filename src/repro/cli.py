@@ -153,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=None, help="per-job timeout in seconds"
     )
     p_batch.add_argument(
-        "--retries", type=int, default=0, help="retries per failed job (default 0)"
-    )
-    p_batch.add_argument(
         "--warm-cache", default=None, metavar="PATH",
         help="load a cache spill file before diffing",
     )
@@ -271,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--drain-timeout", type=float, default=30.0,
         help="seconds to flush in-flight work on SIGTERM (default 30)",
-    )
-    p_serve.add_argument(
-        "--retries", type=int, default=0, help="retries per failed job (default 0)"
     )
     p_serve.add_argument(
         "--verify-fraction", type=float, default=0.0,
@@ -584,7 +578,6 @@ def _cmd_batch(args) -> int:
             config=config,
             cache=args.cache_size,
             timeout=args.timeout,
-            retries=args.retries,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -669,7 +662,6 @@ def _cmd_serve(args) -> int:
             cache_size=args.cache_size,
             algorithm=args.algorithm,
             match=default_match_config(t=args.t, f=args.f),
-            retries=args.retries,
             verify_fraction=args.verify_fraction,
             queue_capacity=args.queue_depth,
             rate=args.rate,

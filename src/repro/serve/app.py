@@ -74,7 +74,6 @@ class ServeConfig:
     algorithm: str = "fast"
     match: Optional[MatchConfig] = None
     postprocess: bool = True
-    retries: int = 0
     verify_fraction: float = 0.0
     queue_capacity: int = 16
     rate: float = 0.0  #: per-client tokens/second; 0 disables rate limiting
@@ -125,7 +124,6 @@ class DiffServer(HttpFront):
                 postprocess=self.config.postprocess,
                 cache=self.config.cache_size,
                 metrics=self.metrics,
-                retries=self.config.retries,
                 verify_fraction=self.config.verify_fraction,
                 tracer=self.tracer,
                 clock=self.clock,

@@ -2,11 +2,12 @@
 
 ``repro-diff serve --workers N`` (N ≥ 2) runs this topology::
 
-                        ┌────────────────────────────┐
-        clients ──────► │ ClusterServer (one process) │
-                        │  Router ── HashRing          │
-                        │  Supervisor ── health/restart│
-                        └──────┬───────┬───────┬──────┘
+                        ┌──────────────────────────────┐
+        clients ──────► │ ClusterServer (one process)   │
+                        │  Router ── reads the ring      │
+                        │  Supervisor ── ring, health,   │
+                        │                restart, roll   │
+                        └──────┬───────┬───────┬────────┘
                                ▼       ▼       ▼
                              w0:p0   w1:p1   w2:p2     (repro-diff serve
                              DiffServer subprocesses    --workers 1, own
@@ -18,21 +19,27 @@ Each worker is a full single-process :class:`~repro.serve.app.DiffServer`
 its own :class:`~repro.service.engine.DiffEngine`, and its own shard of
 the cache keyspace, kept coherent by the router's consistent hashing.
 
-The front process answers ``/healthz`` (topology view) and ``/metrics``
-(per-worker snapshots merged by :func:`repro.service.metrics.merge_snapshots`
-and tagged with worker ids) itself; compute traffic is proxied with
+This module only wires the parts together. Worker membership — the ring
+and port map the router reads, health ticks, suspect feedback, restart
+backoff, the ``/healthz`` topology view — is decided by
+:class:`~repro.serve.supervisor.Supervisor` over a fleet of
+:class:`~repro.serve.supervisor.WorkerProcess` members, the same policy
+code the simulator drives over its in-process workers.
+
+The front process answers ``/healthz`` and ``/metrics`` (per-worker
+snapshots merged by :func:`repro.service.metrics.merge_snapshots` and
+tagged with worker ids) itself; compute traffic is proxied with
 replay-on-failure so a worker crash degrades capacity without failing a
 single client request.
 
 Signals: SIGTERM/SIGINT drain the front and SIGTERM the fleet (each worker
-then runs its own PR 6 drain sequence); SIGHUP triggers a one-at-a-time
+then runs its own drain sequence); SIGHUP triggers a one-at-a-time
 rolling restart.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import signal
 import sys
 import threading
@@ -40,12 +47,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..service.metrics import merge_snapshots
-from ..simtest.clock import SYSTEM_CLOCK
 from .app import ServeConfig
 from .lifecycle import Lifecycle, dump_final_metrics
 from .protocol import PROTOCOL
-from .router import HashRing, Router
-from .supervisor import Supervisor, WorkerHandle
+from .router import Router
+from .supervisor import Supervisor, WorkerProcess
 
 
 @dataclass
@@ -91,7 +97,6 @@ def worker_argv(serve: ServeConfig, python: Optional[str] = None) -> List[str]:
         "--max-body-kb", str(max(1, serve.max_body_bytes // 1024)),
         "--deadline-ms", str(serve.deadline_ms),
         "--drain-timeout", str(serve.drain_timeout),
-        "--retries", str(serve.retries),
         "--verify-fraction", str(serve.verify_fraction),
         "--trace-fraction", str(serve.trace_fraction),
         "--algorithm", serve.algorithm,
@@ -101,97 +106,43 @@ def worker_argv(serve: ServeConfig, python: Optional[str] = None) -> List[str]:
     return argv
 
 
-def worker_env() -> Dict[str, str]:
-    """Subprocess env that can import ``repro`` however the parent did."""
-    env = dict(os.environ)
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    existing = env.get("PYTHONPATH", "")
-    if src_dir not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
-    return env
-
-
 class ClusterServer:
     """One router, one supervisor, N worker subprocesses."""
 
-    def __init__(
-        self,
-        config: ClusterConfig,
-        clock: Optional[Any] = None,
-        faults: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        self.clock = clock if clock is not None else SYSTEM_CLOCK
-        self.lifecycle = Lifecycle(drain_timeout=config.drain_timeout, clock=clock)
-        self.ring = HashRing(replicas=config.replicas)
-        self.ports: Dict[str, int] = {}
+        self.lifecycle = Lifecycle(drain_timeout=config.drain_timeout)
+        argv = worker_argv(config.serve)
         self.supervisor = Supervisor(
             count=config.workers,
-            argv_factory=lambda worker_id: worker_argv(config.serve),
-            env=worker_env(),
-            backend_host=config.host,
+            worker_factory=lambda worker_id: WorkerProcess(
+                worker_id,
+                argv,
+                host=config.host,
+                startup_timeout=config.startup_timeout,
+                stop_timeout=config.drain_timeout,
+            ),
+            replicas=config.replicas,
             health_interval=config.health_interval,
             backoff_base=config.backoff_base,
             backoff_cap=config.backoff_cap,
-            startup_timeout=config.startup_timeout,
-            stop_timeout=config.drain_timeout,
-            on_up=self._worker_up,
-            on_down=self._worker_down,
-            clock=clock,
-            faults=faults,
         )
         self.router = Router(
-            ring=self.ring,
-            ports=self.ports,
+            ring=self.supervisor.ring,
+            ports=self.supervisor.ports,
             lifecycle=self.lifecycle,
-            health_payload=self.health_payload,
+            health_payload=lambda: self.supervisor.health_payload(
+                self.lifecycle.draining
+            ),
             merge_metrics=merge_snapshots,
             on_backend_failure=self.supervisor.suspect,
             backend_host=config.host,
             max_body_bytes=config.serve.max_body_bytes,
             connect_timeout=config.connect_timeout,
             proxy_timeout=config.proxy_timeout,
-            clock=clock,
-            faults=faults,
         )
         self.port: Optional[int] = None
-        self._started = self.clock.monotonic()
         self._hup_event: Optional[asyncio.Event] = None
-
-    # ------------------------------------------------------------------
-    # Supervisor → router wiring
-    # ------------------------------------------------------------------
-    def _worker_up(self, handle: WorkerHandle) -> None:
-        assert handle.port is not None
-        self.ports[handle.worker_id] = handle.port
-        self.ring.add(handle.worker_id)
-
-    def _worker_down(self, handle: WorkerHandle) -> None:
-        self.ring.remove(handle.worker_id)
-        self.ports.pop(handle.worker_id, None)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def health_payload(self) -> Dict[str, Any]:
-        workers = self.supervisor.info()
-        up = sum(1 for info in workers.values() if info["state"] == "up")
-        if self.lifecycle.draining:
-            status = "draining"
-        elif up == len(workers):
-            status = "ok"
-        elif up > 0:
-            status = "degraded"
-        else:
-            status = "down"
-        return {
-            "status": status,
-            "role": "cluster",
-            "workers": workers,
-            "workers_up": up,
-            "uptime_s": round(self.clock.monotonic() - self._started, 3),
-            "protocol": PROTOCOL,
-        }
 
     # ------------------------------------------------------------------
     # Serve loop
@@ -248,11 +199,7 @@ class ClusterServer:
         while True:
             await self._hup_event.wait()
             self._hup_event.clear()
-            await self.rolling_restart()
-
-    async def rolling_restart(self) -> int:
-        """SIGHUP path: drain and replace one worker at a time."""
-        return await self.supervisor.rolling_restart()
+            await self.supervisor.rolling_restart()
 
     def final_snapshot(self) -> Dict[str, Any]:
         """Merge the workers' final METRICS dumps + the router's counters."""

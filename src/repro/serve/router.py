@@ -198,7 +198,6 @@ class Router(HttpFront):
         connect_timeout: float = 5.0,
         proxy_timeout: float = 120.0,
         clock: Optional[Clock] = None,
-        faults: Optional[Any] = None,
         tracer: Optional[Tracer] = None,
         transport: Optional[Transport] = None,
     ) -> None:
@@ -213,8 +212,6 @@ class Router(HttpFront):
         self.connect_timeout = connect_timeout
         self.proxy_timeout = proxy_timeout
         self.clock = clock if clock is not None else SYSTEM_CLOCK
-        #: Optional armed FaultInjector for the proxy leg (None = no-op).
-        self.faults = faults
         # Propagate-only by default: the router never originates traces,
         # it records one ``router.proxy`` span per forwarding attempt for
         # requests that arrive with a valid X-Trace-Id.
@@ -308,24 +305,10 @@ class Router(HttpFront):
         port = self.ports.get(worker_id)
         if port is None:
             raise ConnectionRefusedError(111, f"{worker_id} has no port")
-        if self.faults is not None:
-            # Each injected failure surfaces as exactly the exception class
-            # the real transport would raise, so _proxy's failover handling
-            # is the code under test, not a shortcut around it.
-            if self.faults.fire("conn_refused", target=worker_id):
-                raise ConnectionRefusedError(
-                    111, f"injected conn_refused to {worker_id}"
-                )
-            fault = self.faults.fire("slow_response", target=worker_id)
-            if fault is not None:
-                await asyncio.sleep(min(fault.magnitude, self.proxy_timeout))
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(self.backend_host, port), self.connect_timeout
         )
         try:
-            if self.faults is not None:
-                if self.faults.fire("conn_reset_mid_body", target=worker_id):
-                    raise asyncio.IncompleteReadError(b"", None)
             head = [
                 f"{method} {path} HTTP/1.1",
                 f"Host: {self.backend_host}:{port}",

@@ -1,154 +1,179 @@
-"""Worker process supervision: spawn, health-check, restart, roll.
+"""Worker supervision: the one place that decides worker membership.
 
-The supervisor owns N ``repro-diff serve`` subprocesses (the single-process
-asyncio app from PR 6, each on its own ephemeral port) and keeps the
-routing layer's view of them honest:
+The :class:`Supervisor` owns the consistent-hash ring and port map the
+router reads, the ``/healthz`` topology view, and the policy:
 
-* **startup** — spawn, parse the ``listening on http://host:port`` banner,
-  gate on ``/healthz``, then announce the worker *up* (ring add);
-* **crash recovery** — a worker that exits (or flunks health checks) is
-  announced *down* immediately (ring remove: its hash arc re-routes to
-  live workers — degraded, not down) and respawned after a capped
-  exponential backoff, so a crash-looping worker cannot hot-spin the
-  supervisor;
+* **startup** — spawn every worker, then announce it *up* (ring add);
+* **health ticks** — every ``health_interval`` each live worker is
+  checked. One that has exited, misses :data:`MAX_HEALTH_MISSES` checks in
+  a row, or fails its check while *suspect* goes *down* (ring remove: its
+  arc re-routes to live workers) and is respawned after a backoff that
+  doubles per consecutive failure, is capped, and resets once it is up;
+* **suspect** — router feedback after a failed proxy attempt pulls the
+  worker from the ring at once; the next tick re-checks it, and a healthy
+  worker (a transient blip) rejoins;
 * **rolling restart** (SIGHUP) — one worker at a time: announce down,
-  SIGTERM (the worker's own :class:`~repro.serve.lifecycle.Lifecycle`
-  drains in-flight requests and exits 0), respawn, wait healthy, move on —
-  the cluster never loses more than one shard of capacity;
-* **final metrics** — each worker's last ``METRICS {json}`` stdout line is
-  captured so the cluster can emit one merged dump at shutdown.
+  terminate gracefully (the worker drains its in-flight requests),
+  respawn; a respawn that fails takes the backoff path;
+* **final metrics** — each incarnation's last metrics dump, retired ones
+  tagged ``w0@0``, ``w0@1``, … for the cluster's merged dump.
 
-Everything runs on the cluster's event loop; subprocess I/O is consumed by
-per-worker reader tasks so pipes never fill up and block a worker.
+Process I/O sits behind the per-worker :class:`FleetWorker` interface.
+:class:`WorkerProcess` is the production member, a ``repro-diff serve``
+subprocess on its own ephemeral port; the simulator's
+:class:`~repro.simtest.scenario.SimWorker` is the other, and it calls
+:meth:`Supervisor.tick` from virtual-time timers instead of running
+:meth:`Supervisor.supervise`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Protocol
 
-from .protocol import fetch_json
+from ..simtest.clock import SYSTEM_CLOCK, Clock
+from .protocol import PROTOCOL, fetch_json
+from .router import HashRing
 
 #: Health checks a worker may miss consecutively before it is declared down.
 MAX_HEALTH_MISSES = 3
+
+#: Seconds one ``/healthz`` probe of a worker process may take.
+HEALTH_TIMEOUT = 2.0
 
 
 class WorkerStartupError(RuntimeError):
     """A worker failed to bind or to pass its first health check."""
 
 
-class WorkerHandle:
-    """Everything the supervisor knows about one worker process."""
+def worker_env() -> Dict[str, str]:
+    """Subprocess env that can import ``repro`` however the parent did."""
+    env = dict(os.environ)
+    src_dir = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
+    existing = env.get("PYTHONPATH", "")
+    if src_dir not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
+    return env
 
-    def __init__(self, worker_id: str) -> None:
-        self.worker_id = worker_id
-        self.proc: Optional[asyncio.subprocess.Process] = None
-        self.port: Optional[int] = None
-        self.pid: Optional[int] = None
+
+class FleetWorker(Protocol):
+    """The process I/O of one supervised worker.
+
+    ``spawn`` starts a fresh incarnation and waits until it is healthy
+    (else raises :class:`WorkerStartupError`); ``terminate`` drains it
+    (``graceful``) or kills it. ``final_metrics`` is the incarnation's
+    last metrics dump, None before it has one.
+    """
+
+    worker_id: str
+    port: Optional[int]
+    pid: Optional[int]
+    last_exit: Optional[int]
+    final_metrics: Optional[Dict[str, Any]]
+
+    async def spawn(self) -> None: ...
+    def alive(self) -> bool: ...
+    async def check_health(self) -> bool: ...
+    async def terminate(self, graceful: bool = True) -> None: ...
+
+
+class WorkerHandle:
+    """The supervisor's membership record for one worker."""
+
+    def __init__(self, worker: FleetWorker) -> None:
+        self.worker = worker
+        self.worker_id = worker.worker_id
         #: ``starting`` → ``up`` → (``suspect`` | ``down``) → ``up`` …
         self.state = "stopped"
         self.restarts = 0
         self.health_misses = 0
         self.consecutive_failures = 0  # drives the restart backoff
-        self.retry_at = 0.0  # loop time before which no respawn happens
-        self.last_exit: Optional[int] = None
-        self.final_metrics: Optional[Dict[str, Any]] = None
-        #: Final METRICS dumps of previous incarnations (rolling restarts).
+        self.retry_at = 0.0  # clock time before which no respawn happens
+        #: Final metrics dumps of previous incarnations.
         self.retired_metrics: List[Dict[str, Any]] = []
-        self.stderr_tail: deque = deque(maxlen=40)
-        self._reader_tasks: List[asyncio.Task] = []
-
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.returncode is None
 
     def info(self) -> Dict[str, Any]:
         """JSON-friendly view used by the cluster ``/healthz`` payload."""
         return {
             "state": self.state,
-            "port": self.port,
-            "pid": self.pid,
+            "port": self.worker.port,
+            "pid": self.worker.pid,
             "restarts": self.restarts,
-            "last_exit": self.last_exit,
+            "last_exit": self.worker.last_exit,
         }
 
 
 class Supervisor:
-    """Spawn and babysit the worker fleet on the current event loop."""
+    """Decide worker membership for one fleet; see the module docstring."""
 
     def __init__(
         self,
         count: int,
-        argv_factory: Callable[[str], List[str]],
-        env: Optional[Dict[str, str]] = None,
-        backend_host: str = "127.0.0.1",
+        worker_factory: Callable[[str], FleetWorker],
+        replicas: int = 64,
         health_interval: float = 0.5,
-        health_timeout: float = 2.0,
         backoff_base: float = 0.25,
         backoff_cap: float = 5.0,
-        startup_timeout: float = 60.0,
-        stop_timeout: float = 30.0,
         on_up: Optional[Callable[[WorkerHandle], None]] = None,
         on_down: Optional[Callable[[WorkerHandle], None]] = None,
-        clock: Optional[Any] = None,
-        faults: Optional[Any] = None,
+        clock: Optional[Clock] = None,
     ) -> None:
         if count < 1:
             raise ValueError(f"worker count must be >= 1, got {count}")
-        self.argv_factory = argv_factory
-        self.env = env
-        self.backend_host = backend_host
         self.health_interval = health_interval
-        self.health_timeout = health_timeout
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.startup_timeout = startup_timeout
-        self.stop_timeout = stop_timeout
         self.on_up = on_up
         self.on_down = on_down
-        #: Optional injected Clock (simulation/tests); None = the loop clock.
+        #: Optional injected Clock (simulation/tests); None = the real clock.
         self.clock = clock
-        #: Optional armed FaultInjector; ``worker_crash`` faults targeting a
-        #: worker id make the health checker kill that worker (a seeded,
-        #: deterministic stand-in for a real crash).
-        self.faults = faults
         self.workers: Dict[str, WorkerHandle] = {
-            f"w{index}": WorkerHandle(f"w{index}") for index in range(count)
+            f"w{index}": WorkerHandle(worker_factory(f"w{index}"))
+            for index in range(count)
         }
+        #: The routing view: exactly the workers that are up.
+        self.ring = HashRing(replicas=replicas)
+        self.ports: Dict[str, int] = {}
+        self._started = self._now()
         self._stopping = False
         self._rolling = False
-        #: Health ticks actually run (observability for drift tests).
-        self.ticks = 0
 
-    def _now(self, loop: asyncio.AbstractEventLoop) -> float:
-        return self.clock.monotonic() if self.clock is not None else loop.time()
+    def _now(self) -> float:
+        return (self.clock or SYSTEM_CLOCK).monotonic()
 
-    async def _sleep_until(self, deadline: float, loop: asyncio.AbstractEventLoop) -> None:
-        remaining = deadline - self._now(loop)
+    async def _sleep_until(self, deadline: float) -> None:
+        remaining = max(0.0, deadline - self._now())
         if self.clock is None:
-            if remaining > 0:
-                await asyncio.sleep(remaining)
+            await asyncio.sleep(remaining)
         else:
             # Virtual wait: advance the injected clock, then yield once so
             # the rest of the loop observes the new time.
-            if remaining > 0:
-                self.clock.sleep(remaining)
+            self.clock.sleep(remaining)
             await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
-    # Notifications
+    # Membership
     # ------------------------------------------------------------------
     def _notify_up(self, handle: WorkerHandle) -> None:
         handle.state = "up"
         handle.health_misses = 0
         handle.consecutive_failures = 0
+        if handle.worker.port is not None:
+            self.ports[handle.worker_id] = handle.worker.port
+        self.ring.add(handle.worker_id)
         if self.on_up is not None:
             self.on_up(handle)
 
     def _notify_down(self, handle: WorkerHandle, state: str = "down") -> None:
         handle.state = state
+        self.ring.remove(handle.worker_id)
+        self.ports.pop(handle.worker_id, None)
         if self.on_down is not None:
             self.on_down(handle)
 
@@ -156,147 +181,53 @@ class Supervisor:
         """Router feedback: a proxied request to this worker just failed.
 
         The worker is pulled from the ring *now* (no more traffic) and the
-        supervise loop re-verifies it on its next tick — a healthy worker
-        (transient blip) rejoins, a dead one enters the restart path.
+        next health tick re-verifies it — a healthy worker (transient
+        blip) rejoins, a dead one enters the restart path.
         """
         handle = self.workers.get(worker_id)
         if handle is not None and handle.state == "up":
             self._notify_down(handle, state="suspect")
+
+    def _schedule_restart(self, handle: WorkerHandle) -> None:
+        """Announce down and arm the capped, doubling respawn backoff."""
+        backoff = min(
+            self.backoff_cap, self.backoff_base * (2.0 ** handle.consecutive_failures)
+        )
+        handle.consecutive_failures += 1
+        handle.retry_at = self._now() + backoff
+        self._notify_down(handle)
 
     # ------------------------------------------------------------------
     # Spawning
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Spawn every worker and wait until all are up (or raise)."""
-        await asyncio.gather(*(self._spawn(h) for h in self.workers.values()))
+        await asyncio.gather(*(self.spawn(worker_id) for worker_id in self.workers))
 
-    async def _spawn(self, handle: WorkerHandle) -> None:
+    async def spawn(self, worker_id: str) -> None:
+        """Start a fresh incarnation of one worker and announce it up."""
+        handle = self.workers[worker_id]
         handle.state = "starting"
-        handle.port = None
-        if handle.final_metrics is not None:
-            handle.retired_metrics.append(handle.final_metrics)
-            handle.final_metrics = None
-        if handle._reader_tasks:  # pumps of a previous incarnation
-            for task in handle._reader_tasks:
-                task.cancel()
-            await asyncio.gather(*handle._reader_tasks, return_exceptions=True)
-            handle._reader_tasks = []
-        argv = self.argv_factory(handle.worker_id)
-        handle.proc = await asyncio.create_subprocess_exec(
-            *argv,
-            stdout=asyncio.subprocess.PIPE,
-            stderr=asyncio.subprocess.PIPE,
-            env=self.env,
-        )
-        handle.pid = handle.proc.pid
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.startup_timeout
-        try:
-            while True:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    raise WorkerStartupError(
-                        f"{handle.worker_id}: no startup banner within "
-                        f"{self.startup_timeout}s"
-                    )
-                line = await asyncio.wait_for(
-                    handle.proc.stdout.readline(), remaining
-                )
-                if not line:
-                    raise WorkerStartupError(
-                        f"{handle.worker_id}: exited before binding "
-                        f"(stderr: {await self._drain_stderr_once(handle)})"
-                    )
-                if b"listening on" in line:
-                    handle.port = int(line.decode().strip().rsplit(":", 1)[1])
-                    break
-        except (WorkerStartupError, asyncio.TimeoutError, ValueError) as exc:
-            self._kill_quietly(handle)
-            raise WorkerStartupError(str(exc)) from exc
-        handle._reader_tasks = [
-            asyncio.ensure_future(self._pump_stdout(handle)),
-            asyncio.ensure_future(self._pump_stderr(handle)),
-        ]
-        if not await self._await_healthy(handle, deadline):
-            self._kill_quietly(handle)
-            raise WorkerStartupError(
-                f"{handle.worker_id}: bound port {handle.port} but never "
-                f"answered /healthz"
-            )
+        if handle.worker.final_metrics is not None:
+            handle.retired_metrics.append(handle.worker.final_metrics)
+        await handle.worker.spawn()
         self._notify_up(handle)
 
-    async def _await_healthy(self, handle: WorkerHandle, deadline: float) -> bool:
-        loop = asyncio.get_running_loop()
-        while loop.time() < deadline:
-            if await self._check_health(handle):
-                return True
-            await asyncio.sleep(0.05)
-        return False
-
-    async def _check_health(self, handle: WorkerHandle) -> bool:
-        if self.faults is not None:
-            if self.faults.fire("worker_crash", target=handle.worker_id):
-                # Injected crash: make it real so every downstream path
-                # (exit-code capture, ring removal, backoff) is the one
-                # production takes.
-                self._kill_quietly(handle)
-                if handle.proc is not None:
-                    await handle.proc.wait()
-                return False
-        if handle.port is None or not handle.alive():
-            return False
+    async def _respawn(self, handle: WorkerHandle) -> bool:
+        """Replace a stopped incarnation; a failure re-arms the backoff."""
         try:
-            status, payload = await fetch_json(
-                self.backend_host, handle.port, "/healthz", self.health_timeout
-            )
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
+            await self.spawn(handle.worker_id)
+        except WorkerStartupError:
+            self._schedule_restart(handle)
             return False
-        return status == 200 and payload.get("status") == "ok"
+        handle.restarts += 1
+        return True
 
     # ------------------------------------------------------------------
-    # Subprocess I/O pumps
-    # ------------------------------------------------------------------
-    async def _pump_stdout(self, handle: WorkerHandle) -> None:
-        proc = handle.proc
-        assert proc is not None and proc.stdout is not None
-        while True:
-            line = await proc.stdout.readline()
-            if not line:
-                return
-            if line.startswith(b"METRICS "):
-                try:
-                    handle.final_metrics = json.loads(line[len(b"METRICS "):])
-                except ValueError:
-                    pass
-
-    async def _pump_stderr(self, handle: WorkerHandle) -> None:
-        proc = handle.proc
-        assert proc is not None and proc.stderr is not None
-        while True:
-            line = await proc.stderr.readline()
-            if not line:
-                return
-            handle.stderr_tail.append(line.decode("utf-8", "replace").rstrip())
-
-    async def _drain_stderr_once(self, handle: WorkerHandle) -> str:
-        try:
-            raw = await asyncio.wait_for(handle.proc.stderr.read(4096), 1.0)
-        except (asyncio.TimeoutError, AttributeError):
-            return ""
-        return raw.decode("utf-8", "replace")[-500:]
-
-    def _kill_quietly(self, handle: WorkerHandle) -> None:
-        if handle.alive():
-            try:
-                handle.proc.kill()
-            except ProcessLookupError:
-                pass
-
-    # ------------------------------------------------------------------
-    # The supervision loop
+    # Health ticks
     # ------------------------------------------------------------------
     async def supervise(self) -> None:
-        """Health-check loop; runs until cancelled or :meth:`stop`.
+        """Run :meth:`tick` every ``health_interval`` until :meth:`stop`.
 
         Ticks are scheduled at *absolute* deadlines (``next_tick +=
         interval``) computed from the clock, not by sleeping a fixed
@@ -306,69 +237,46 @@ class Supervisor:
         A stall longer than one interval (a slow restart, a clock jump)
         skips the missed ticks instead of bursting to catch up.
         """
-        loop = asyncio.get_running_loop()
-        next_tick = self._now(loop) + self.health_interval
+        next_tick = self._now() + self.health_interval
         while not self._stopping:
-            await self._sleep_until(next_tick, loop)
+            await self._sleep_until(next_tick)
             next_tick += self.health_interval
-            now = self._now(loop)
+            now = self._now()
             if next_tick <= now:  # stalled past a tick: realign, don't burst
                 next_tick = now + self.health_interval
             if self._stopping:
                 break
-            self.ticks += 1
-            if self._rolling:
-                continue  # rolling_restart owns worker state transitions
-            for handle in self.workers.values():
-                if self._stopping:
-                    break
-                if handle.state in ("up", "suspect"):
-                    await self._tick_live(handle)
-                elif handle.state == "down" and self._now(loop) >= handle.retry_at:
-                    await self._try_restart(handle, loop)
+            await self.tick()
 
-    async def _tick_live(self, handle: WorkerHandle) -> None:
-        if not handle.alive():
-            handle.last_exit = handle.proc.returncode if handle.proc else None
+    async def tick(self) -> None:
+        """One health pass: check live workers, respawn the due ones."""
+        if self._rolling:
+            return  # rolling_restart owns worker state transitions
+        for handle in self.workers.values():
+            if self._stopping:
+                break
+            if handle.state in ("up", "suspect"):
+                await self._check(handle)
+            elif handle.state == "down" and self._now() >= handle.retry_at:
+                await self._respawn(handle)
+
+    async def _check(self, handle: WorkerHandle) -> None:
+        worker = handle.worker
+        if not worker.alive():
             self._schedule_restart(handle)
             return
-        if await self._check_health(handle):
+        if await worker.check_health():
             if handle.state == "suspect":
                 self._notify_up(handle)  # transient blip: rejoin the ring
             handle.health_misses = 0
             return
         handle.health_misses += 1
         if handle.health_misses >= MAX_HEALTH_MISSES or handle.state == "suspect":
-            self._schedule_restart(handle, terminate=True)
-
-    def _schedule_restart(self, handle: WorkerHandle, terminate: bool = False) -> None:
-        """Announce down and arm the capped-backoff respawn timer."""
-        loop = asyncio.get_running_loop()
-        if terminate:
-            self._kill_quietly(handle)
-        backoff = min(
-            self.backoff_cap, self.backoff_base * (2.0 ** handle.consecutive_failures)
-        )
-        handle.consecutive_failures += 1
-        handle.retry_at = self._now(loop) + backoff
-        self._notify_down(handle)
-
-    async def _try_restart(self, handle: WorkerHandle, loop) -> None:
-        try:
-            await self._spawn(handle)
-        except WorkerStartupError:
-            backoff = min(
-                self.backoff_cap,
-                self.backoff_base * (2.0 ** handle.consecutive_failures),
-            )
-            handle.consecutive_failures += 1
-            handle.state = "down"
-            handle.retry_at = self._now(loop) + backoff
-        else:
-            handle.restarts += 1
+            await worker.terminate(graceful=False)
+            self._schedule_restart(handle)
 
     # ------------------------------------------------------------------
-    # Rolling restart (SIGHUP)
+    # Rolling restart (SIGHUP) and shutdown
     # ------------------------------------------------------------------
     async def rolling_restart(self) -> int:
         """Drain and replace workers one at a time; returns workers rolled."""
@@ -382,72 +290,39 @@ class Supervisor:
                     break
                 handle = self.workers[worker_id]
                 if handle.state != "up":
-                    continue  # crashed workers are the supervise loop's job
+                    continue  # crashed workers are the health ticks' job
                 self._notify_down(handle, state="draining")
-                await self._terminate(handle)
-                await self._spawn(handle)
-                handle.restarts += 1
-                rolled += 1
+                await handle.worker.terminate()
+                if await self._respawn(handle):
+                    rolled += 1
         finally:
             self._rolling = False
         return rolled
 
-    async def _terminate(self, handle: WorkerHandle) -> None:
-        """SIGTERM one worker and wait for its graceful drain."""
-        if not handle.alive():
-            return
-        try:
-            handle.proc.send_signal(signal.SIGTERM)
-        except ProcessLookupError:
-            return
-        try:
-            await asyncio.wait_for(handle.proc.wait(), self.stop_timeout)
-        except asyncio.TimeoutError:
-            self._kill_quietly(handle)
-            await handle.proc.wait()
-        handle.last_exit = handle.proc.returncode
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
     async def stop(self) -> None:
-        """SIGTERM the whole fleet and collect the stragglers."""
+        """Terminate the whole fleet, collecting every final dump."""
         self._stopping = True
-        live = [h for h in self.workers.values() if h.alive()]
-        for handle in live:
-            try:
-                handle.proc.send_signal(signal.SIGTERM)
-            except ProcessLookupError:
-                pass
-        await asyncio.gather(*(self._reap(h) for h in live))
+        await asyncio.gather(
+            *(handle.worker.terminate() for handle in self.workers.values())
+        )
         for handle in self.workers.values():
             self._notify_down(handle, state="stopped")
 
-    async def _reap(self, handle: WorkerHandle) -> None:
-        try:
-            await asyncio.wait_for(handle.proc.wait(), self.stop_timeout)
-        except asyncio.TimeoutError:
-            self._kill_quietly(handle)
-            await handle.proc.wait()
-        handle.last_exit = handle.proc.returncode
-        # Let the pumps hit EOF so final METRICS lines are captured.
-        if handle._reader_tasks:
-            await asyncio.gather(*handle._reader_tasks, return_exceptions=True)
-            handle._reader_tasks = []
-
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
     def final_metrics(self) -> Dict[str, Dict[str, Any]]:
-        """Per-incarnation final METRICS dumps captured from worker stdout.
+        """Every incarnation's metrics dump, retired ones as ``w0@0``, …
 
-        Rolled or crash-replaced incarnations appear as ``w0@0``, ``w0@1``,
-        … so a rolling restart does not drop the pre-roll traffic from the
-        cluster's merged final dump.
+        A rolling or crash restart therefore does not drop the earlier
+        incarnation's traffic from the cluster's merged dump.
         """
         dumps: Dict[str, Dict[str, Any]] = {}
         for worker_id, handle in sorted(self.workers.items()):
             for index, retired in enumerate(handle.retired_metrics):
                 dumps[f"{worker_id}@{index}"] = retired
-            if handle.final_metrics is not None:
-                dumps[worker_id] = handle.final_metrics
+            if handle.worker.final_metrics is not None:
+                dumps[worker_id] = handle.worker.final_metrics
         return dumps
 
     def info(self) -> Dict[str, Dict[str, Any]]:
@@ -455,3 +330,183 @@ class Supervisor:
             worker_id: handle.info()
             for worker_id, handle in sorted(self.workers.items())
         }
+
+    def health_payload(self, draining: bool = False) -> Dict[str, Any]:
+        """The cluster ``/healthz`` body: topology plus an overall status."""
+        workers = self.info()
+        up = sum(1 for info in workers.values() if info["state"] == "up")
+        if draining:
+            status = "draining"
+        elif up == len(workers):
+            status = "ok"
+        elif up > 0:
+            status = "degraded"
+        else:
+            status = "down"
+        return {
+            "status": status,
+            "role": "cluster",
+            "workers": workers,
+            "workers_up": up,
+            "uptime_s": round(self._now() - self._started, 3),
+            "protocol": PROTOCOL,
+        }
+
+
+class WorkerProcess:
+    """The production fleet member: one ``repro-diff serve`` subprocess.
+
+    Spawning parses the ``listening on http://host:port`` banner and gates
+    on ``/healthz``. Per-incarnation reader tasks drain stdout and stderr
+    so the pipes never fill up and block the worker; the stdout reader
+    keeps the last ``METRICS {json}`` line as the final dump.
+    """
+
+    def __init__(
+        self,
+        worker_id: str,
+        argv: List[str],
+        host: str = "127.0.0.1",
+        startup_timeout: float = 60.0,
+        stop_timeout: float = 30.0,
+    ) -> None:
+        self.worker_id = worker_id
+        self.argv = argv
+        self.host = host
+        self.startup_timeout = startup_timeout
+        self.stop_timeout = stop_timeout
+        self.proc: Optional[asyncio.subprocess.Process] = None
+        self.port: Optional[int] = None
+        self.pid: Optional[int] = None
+        self.final_metrics: Optional[Dict[str, Any]] = None
+        self.stderr_tail: deque = deque(maxlen=40)
+        self._previous_exit: Optional[int] = None
+        self._reader_tasks: List[asyncio.Task] = []
+
+    @property
+    def last_exit(self) -> Optional[int]:
+        """Exit code of the latest incarnation that has exited."""
+        if self.proc is not None and self.proc.returncode is not None:
+            return self.proc.returncode
+        return self._previous_exit
+
+    def alive(self) -> bool:
+        return self.proc is not None and self.proc.returncode is None
+
+    async def spawn(self) -> None:
+        if self.proc is not None:
+            self._previous_exit = self.proc.returncode
+        self.port = None
+        self.final_metrics = None
+        if self._reader_tasks:  # readers of a previous incarnation
+            for task in self._reader_tasks:
+                task.cancel()
+            await asyncio.gather(*self._reader_tasks, return_exceptions=True)
+            self._reader_tasks = []
+        self.proc = await asyncio.create_subprocess_exec(
+            *self.argv,
+            stdout=asyncio.subprocess.PIPE,
+            stderr=asyncio.subprocess.PIPE,
+            env=worker_env(),
+        )
+        self.pid = self.proc.pid
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.startup_timeout
+        try:
+            while True:
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    raise WorkerStartupError(
+                        f"{self.worker_id}: no startup banner within "
+                        f"{self.startup_timeout}s"
+                    )
+                line = await asyncio.wait_for(self.proc.stdout.readline(), remaining)
+                if not line:
+                    raise WorkerStartupError(
+                        f"{self.worker_id}: exited before binding "
+                        f"(stderr: {await self._drain_stderr_once()})"
+                    )
+                if b"listening on" in line:
+                    self.port = int(line.decode().strip().rsplit(":", 1)[1])
+                    break
+        except (WorkerStartupError, asyncio.TimeoutError, ValueError) as exc:
+            self._kill_quietly()
+            raise WorkerStartupError(str(exc)) from exc
+        self._reader_tasks = [
+            asyncio.ensure_future(self._pump_stdout(self.proc)),
+            asyncio.ensure_future(self._pump_stderr(self.proc)),
+        ]
+        while loop.time() < deadline:
+            if await self.check_health():
+                return
+            await asyncio.sleep(0.05)
+        self._kill_quietly()
+        raise WorkerStartupError(
+            f"{self.worker_id}: bound port {self.port} but never answered /healthz"
+        )
+
+    async def check_health(self) -> bool:
+        if self.port is None or not self.alive():
+            return False
+        try:
+            status, payload = await fetch_json(
+                self.host, self.port, "/healthz", HEALTH_TIMEOUT
+            )
+        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
+            return False
+        return status == 200 and payload.get("status") == "ok"
+
+    async def terminate(self, graceful: bool = True) -> None:
+        """SIGTERM and wait out the drain (SIGKILL after ``stop_timeout``),
+        or SIGKILL at once; then let the readers capture the last lines."""
+        if self.alive():
+            try:
+                if graceful:
+                    self.proc.send_signal(signal.SIGTERM)
+                else:
+                    self.proc.kill()
+            except ProcessLookupError:
+                pass
+            try:
+                await asyncio.wait_for(self.proc.wait(), self.stop_timeout)
+            except asyncio.TimeoutError:
+                self._kill_quietly()
+                await self.proc.wait()
+        if self._reader_tasks:
+            await asyncio.gather(*self._reader_tasks, return_exceptions=True)
+            self._reader_tasks = []
+
+    # ------------------------------------------------------------------
+    # Subprocess I/O
+    # ------------------------------------------------------------------
+    async def _pump_stdout(self, proc: asyncio.subprocess.Process) -> None:
+        while True:
+            line = await proc.stdout.readline()
+            if not line:
+                return
+            if line.startswith(b"METRICS "):
+                try:
+                    self.final_metrics = json.loads(line[len(b"METRICS "):])
+                except ValueError:
+                    pass
+
+    async def _pump_stderr(self, proc: asyncio.subprocess.Process) -> None:
+        while True:
+            line = await proc.stderr.readline()
+            if not line:
+                return
+            self.stderr_tail.append(line.decode("utf-8", "replace").rstrip())
+
+    async def _drain_stderr_once(self) -> str:
+        try:
+            raw = await asyncio.wait_for(self.proc.stderr.read(4096), 1.0)
+        except (asyncio.TimeoutError, AttributeError):
+            return ""
+        return raw.decode("utf-8", "replace")[-500:]
+
+    def _kill_quietly(self) -> None:
+        if self.alive():
+            try:
+                self.proc.kill()
+            except ProcessLookupError:
+                pass

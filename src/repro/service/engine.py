@@ -135,9 +135,6 @@ class DiffEngine:
         Per-job seconds allowed when collecting batch results; a job that
         exceeds it is reported as ``status="timeout"`` (collection-side —
         the worker is not forcibly killed, it just no longer counts).
-    retries:
-        How many times a *failed* computation is retried before the job is
-        reported as ``status="error"``.
     verify_fraction:
         Fraction of successful jobs (0.0–1.0) to re-check with the
         script-level oracles from :mod:`repro.verify.oracles` (replay
@@ -160,15 +157,12 @@ class DiffEngine:
         cache: Union[ScriptCache, int, None] = 256,
         metrics: Optional[ServiceMetrics] = None,
         timeout: Optional[float] = None,
-        retries: int = 0,
         verify_fraction: float = 0.0,
         tracer: Optional[Tracer] = None,
         clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         if not 0.0 <= verify_fraction <= 1.0:
             raise ValueError(
                 f"verify_fraction must be in [0.0, 1.0], got {verify_fraction}"
@@ -190,7 +184,6 @@ class DiffEngine:
         self.cache = cache
         self.metrics = metrics if metrics is not None else ServiceMetrics(clock=clock)
         self.timeout = timeout
-        self.retries = retries
         self._config_key = config_key(config, algorithm, postprocess)
         self._pool: Optional[ThreadPoolExecutor] = None
         self.verify_fraction = verify_fraction
@@ -455,19 +448,10 @@ class DiffEngine:
                 return
             self.metrics.incr("cache_misses")
 
-        # 3. Compute (with bounded retry), then populate the cache.
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            result.attempts = attempt + 1
-            if attempt:
-                self.metrics.incr("jobs_retried")
-            try:
-                payload, trace = self._compute(old_tree, new_tree, span)
-                break
-            except Exception as exc:
-                last_error = exc
-        else:
-            raise last_error  # type: ignore[misc]
+        # 3. Compute once (a diff is deterministic: the same input would
+        # fail the same way again), then populate the cache.
+        result.attempts = 1
+        payload, trace = self._compute(old_tree, new_tree, span)
 
         result.stage_ms = trace.stage_ms()
         for stage, milliseconds in result.stage_ms.items():

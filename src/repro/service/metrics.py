@@ -28,7 +28,6 @@ STANDARD_COUNTERS = (
     "jobs_succeeded",
     "jobs_failed",
     "jobs_timed_out",
-    "jobs_retried",
     "cache_hits",
     "cache_misses",
     "digest_short_circuits",

@@ -7,12 +7,12 @@ Layers (each usable on its own):
   :mod:`repro.serve`, :mod:`repro.service.metrics`, and
   :mod:`repro.verify.fuzz`.
 * :mod:`repro.simtest.faults` — seeded ``FaultPlan``/``FaultInjector``
-  with named injection points wired into the client transport, router
-  proxy leg, supervisor health checker, and ``ScriptCache``.
+  with named injection points wired into the client transport,
+  ``ScriptCache``, and the simulator's own worker and router transport.
 * :mod:`repro.simtest.events` — the byte-identical-per-seed event log.
 * :mod:`repro.simtest.scenario` — an in-process simulated cluster (real
-  ``DiffServer``/``Router``/client objects and the real engine, no
-  sockets) replaying scripted request+fault timelines under ``SimClock``
+  ``DiffServer``/``Router``/``Supervisor``/client objects and the real
+  engine, no sockets) replaying scripted request+fault timelines under ``SimClock``
   with declarative invariants and fault-plan shrinking.
 * :mod:`repro.simtest.scenarios` — the named scenario matrix behind
   ``repro-diff simtest``.

@@ -12,12 +12,14 @@ Injection points (the full registry is :data:`INJECTION_POINTS`):
 
 ====================  ======================================================
 ``conn_refused``      transport raises ``ConnectionRefusedError`` before the
-                      request is written (client transport, router proxy leg)
-``conn_reset_mid_body``  peer drops the connection after admission, mid-
-                      response (``ConnectionResetError``)
+                      request is written (client ``request_once``; the sim
+                      router transport ``SimCluster._forward``)
+``conn_reset_mid_body``  peer drops the connection after the request went
+                      out, mid-response (client ``request_once``)
 ``slow_response``     service time inflated by ``magnitude`` seconds
-``worker_crash``      worker process dies (supervisor health checker / sim
-                      worker mid-request)
+                      (client ``request_once``; ``SimServer._offload``)
+``worker_crash``      the sim worker dies halfway through its service time
+                      (``SimServer._offload``)
 ``corrupt_cache_entry``  a ScriptCache hit is detected as corrupt, dropped,
                       and recomputed (self-healing miss)
 ``clock_jump``        the clock steps forward ``magnitude`` seconds (fired

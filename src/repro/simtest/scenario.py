@@ -8,14 +8,18 @@ metrics, response shaping) running the real
 :class:`~repro.service.engine.DiffEngine` and its
 :class:`~repro.service.cache.ScriptCache` on small deterministic tree
 pairs; the cluster is a real :class:`~repro.serve.router.Router` (affinity
-key, ring walk, failover, suspect feedback); and the simulated client *is*
-:class:`~repro.serve.client.DiffServiceClient`. Only transports are
-swapped: the client and the router call straight into the next layer, and
+key, ring walk, failover) over a real
+:class:`~repro.serve.supervisor.Supervisor` (ring membership, health
+ticks, suspect feedback, restart backoff, ``/healthz``, per-incarnation
+metrics); and the simulated client *is*
+:class:`~repro.serve.client.DiffServiceClient`. Only process I/O and
+transports are swapped: :class:`SimWorker` is the supervisor's fleet
+member, the client and the router call straight into the next layer, and
 coroutines that never suspend are driven inline by :func:`run_inline`.
 
-What the simulator still models on its own is the *process*: crash,
-restart, incarnations, occupiers holding admission slots, and the window
-before a dead worker leaves the ring. ``Scenario.service_time`` only
+What the simulator still models on its own is the *process* itself: a
+crash ends an incarnation, a spawn starts a fresh one with a cold cache,
+and occupiers hold admission slots. ``Scenario.service_time`` only
 advances virtual time after the engine has answered; stage spans and
 scripts come from the real engine.
 
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -79,14 +84,16 @@ from ..obs.export import validate_trace
 from ..obs.trace import Tracer
 from ..serve.app import DiffServer, ServeConfig
 from ..serve.client import DiffServiceClient, ServiceError
+from ..serve.cluster import ClusterConfig
 from ..serve.lifecycle import Lifecycle
-from ..serve.protocol import PROTOCOL, Response, dumps
-from ..serve.router import HashRing, Router, forwarded_headers
+from ..serve.protocol import Response, dumps
+from ..serve.router import Router, forwarded_headers
+from ..serve.supervisor import Supervisor, WorkerHandle
 from ..service.cache import ScriptCache
 from ..service.engine import DiffEngine, JobResult
 from ..service.metrics import merge_snapshots
 from ..workload import DocumentSpec, MutationEngine, generate_document
-from .clock import SimClock
+from .clock import SimClock, Timer
 from .events import EventLog
 from .faults import FaultInjector, FaultPlan
 
@@ -161,7 +168,7 @@ class Step:
     """One timeline entry, executed when virtual time reaches ``at``."""
 
     at: float
-    action: str  #: request | kill | restart | drain | occupy | jump
+    action: str  #: request | kill | drain | occupy | jump
     kwargs: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -180,10 +187,6 @@ class Scenario:
     service_time: float = 0.004  #: virtual seconds a computed diff takes
     hit_factor: float = 0.25  #: cache-hit service time multiplier
     cache_capacity: int = 64
-    health_interval: float = 0.5
-    backoff_base: float = 0.25
-    backoff_cap: float = 2.0
-    auto_restart: bool = True
     trace_fraction: float = 1.0  #: share of client requests traced
     client: Dict[str, Any] = field(default_factory=dict)  #: client kwargs
     steps: List[Step] = field(default_factory=list)
@@ -282,9 +285,10 @@ class SimServer(DiffServer):
             worker.crash()
         else:
             # Timers may fire inside this sleep (scripted kills, drains,
-            # occupier releases): the incarnation is re-checked after it.
+            # health ticks, occupier releases): the incarnation is
+            # re-checked after it.
             worker.clock.sleep(min(service, timeout))
-        if worker.server is not self or worker.state != "up":
+        if worker.server is not self or not worker.alive():
             raise ConnectionResetError(104, f"{worker.worker_id} crashed mid-request")
         if service > timeout:
             raise asyncio.TimeoutError
@@ -292,14 +296,20 @@ class SimServer(DiffServer):
 
 
 class SimWorker:
-    """Process modelling for one shard: crash, restart, incarnations.
+    """The sim's fleet member: one shard's process, as incarnations.
 
-    Each incarnation is a fresh :class:`SimServer` — new admission,
-    metrics and engine with a **cold** cache, like a respawned subprocess.
-    A *crash* retires the incarnation: its metrics snapshot is kept for
-    the conservation invariant, with the occupier jobs it was holding
-    counted as ``jobs_failed`` (what a dead process loses).
+    It implements the supervisor's per-worker interface. ``spawn`` starts
+    a fresh :class:`SimServer` — new admission, metrics and engine with a
+    **cold** cache, like a respawned subprocess — and ``check_health`` is
+    that server's real ``/healthz``. A *crash* ends the incarnation: its
+    metrics snapshot becomes the final dump, with the occupier jobs it was
+    holding counted as ``jobs_failed`` (what a dead process loses).
     """
+
+    #: No socket and no pid: the router's sim transport calls straight in.
+    port: Optional[int] = None
+    pid: Optional[int] = None
+    last_exit: Optional[int] = None
 
     def __init__(self, worker_id: str, spec: Scenario, clock: SimClock,
                  faults: Optional[FaultInjector], log: EventLog,
@@ -310,56 +320,57 @@ class SimWorker:
         self.faults = faults
         self.log = log
         self.tracer = tracer
-        self.state = "up"  #: up | crashed
-        self.incarnation = 0
-        self.occupier_successes = 0  #: released slots, across incarnations
-        self.retired: List[Dict[str, Any]] = []  #: snapshots of dead incarnations
-        self._fresh_incarnation()
-
-    def _fresh_incarnation(self) -> None:
-        self.server = SimServer(self)
+        self.server: Optional[SimServer] = None
+        self.crashed = False
+        self.incarnation = -1
         self.occupied = 0  #: slots held by scripted occupiers
+        self.occupier_successes = 0  #: released slots, across incarnations
+        self._crash_snapshot: Optional[Dict[str, Any]] = None
+
+    # -- the fleet interface -------------------------------------------
+    async def spawn(self) -> None:
+        self.incarnation += 1
+        self.server = SimServer(self)
+        self.occupied = 0
+        self.crashed = False
+        self._crash_snapshot = None
+
+    def alive(self) -> bool:
+        return self.server is not None and not self.crashed
+
+    async def check_health(self) -> bool:
+        status, payload, _ = await self.server.handle("GET", "/healthz", {}, b"")
+        return status == 200 and payload.get("status") == "ok"
+
+    async def terminate(self, graceful: bool = True) -> None:
+        self.crash()
 
     @property
-    def admission(self):
-        return self.server.admission
-
-    @property
-    def metrics(self):
-        return self.server.metrics
-
-    @property
-    def cache(self) -> ScriptCache:
-        return self.server.engine.cache
+    def final_metrics(self) -> Optional[Dict[str, Any]]:
+        """The incarnation's dump: frozen at its crash, current while it lives."""
+        if self.server is None:
+            return None
+        return self._crash_snapshot if self.crashed else self.snapshot()
 
     # -- lifecycle -----------------------------------------------------
     def crash(self) -> None:
-        if self.state == "crashed":
+        if not self.alive():
             return
-        lost = self.admission.in_flight
+        lost = self.server.admission.in_flight
         if self.occupied:
             # Requests finish their engine job before their service time,
             # so occupier ballast is the only work still open.
-            self.metrics.incr("jobs_failed", self.occupied)
-        self.state = "crashed"
-        self.retired.append(self.snapshot())
+            self.server.metrics.incr("jobs_failed", self.occupied)
+        self.crashed = True
+        self._crash_snapshot = self.snapshot()
         self.log.emit(
             "worker_crash", self.clock.monotonic(),
             worker=self.worker_id, incarnation=self.incarnation, lost_in_flight=lost,
         )
 
-    def restart(self) -> None:
-        self.incarnation += 1
-        self._fresh_incarnation()
-        self.state = "up"
-        self.log.emit(
-            "worker_up", self.clock.monotonic(),
-            worker=self.worker_id, incarnation=self.incarnation,
-        )
-
     def snapshot(self) -> Dict[str, Any]:
-        snap = self.metrics.snapshot()
-        snap["cache"] = self.cache.stats()
+        snap = self.server.metrics.snapshot()
+        snap["cache"] = self.server.engine.cache.stats()
         return snap
 
     # -- scripted occupancy (stands in for concurrent long jobs) -------
@@ -368,140 +379,145 @@ class SimWorker:
         taken = 0
         incarnation = self.incarnation
         for index in range(slots):
-            decision = self.admission.try_admit(f"occupier-{self.worker_id}-{index}")
+            decision = self.server.admission.try_admit(f"occupier-{self.worker_id}-{index}")
             if not decision.admitted:
                 break
             taken += 1
             self.occupied += 1
-            self.metrics.incr("jobs_submitted")
+            self.server.metrics.incr("jobs_submitted")
 
             def _release() -> None:
-                if self.incarnation != incarnation or self.state == "crashed":
+                if self.incarnation != incarnation or self.crashed:
                     return  # the crash already accounted for this slot
                 self.occupied -= 1
                 self.occupier_successes += 1
-                self.metrics.incr("jobs_succeeded")
-                self.admission.release()
+                self.server.metrics.incr("jobs_succeeded")
+                self.server.admission.release()
 
             self.clock.call_later(hold_s, _release)
         return taken
 
 
 class SimCluster:
-    """The sim's topology: a production Router over in-process workers.
+    """The sim's topology: the production Router and Supervisor, in-process.
 
     The Router is the real one, its transport swapped for a direct call
-    into the owning worker's :class:`SimServer`. What stays here is the
-    supervisor's part, modelled: a scripted ``kill`` crashes a worker at
-    once but removes it from the ring only when *noticed* — by a failed
-    dispatch (the router's suspect feedback) or by the next health tick —
-    preserving the detection window that makes failover scenarios
-    interesting; a capped-backoff ``SimClock`` timer restarts it.
+    into the owning worker's :class:`SimServer`. Membership is the real
+    :class:`~repro.serve.supervisor.Supervisor` over a fleet of
+    :class:`SimWorker` members, with ``ClusterConfig``'s health interval
+    and backoff. A scripted ``kill`` crashes a worker at once; it leaves
+    the ring only when *noticed* — by a failed dispatch (the router's
+    suspect feedback) or by the next health tick — which preserves the
+    detection window that makes failover scenarios interesting.
+
+    Health ticks run :meth:`Supervisor.tick` inline from a ``SimClock``
+    timer on production's cadence (multiples of the interval). The timer
+    is re-armed only while some worker is not up and alive, so
+    ``clock.run_until_idle()`` still ends.
     """
 
     def __init__(self, spec: Scenario, clock: SimClock,
                  faults: Optional[FaultInjector], log: EventLog,
                  tracer: Optional[Tracer] = None) -> None:
-        self.spec = spec
         self.clock = clock
         self.faults = faults
         self.log = log
-        self.ring = HashRing(replicas=spec.replicas)
-        self.workers: Dict[str, SimWorker] = {}
-        for index in range(spec.workers):
-            worker_id = f"w{index}"
-            self.workers[worker_id] = SimWorker(
+        self._min_live_probe: Optional[List[int]] = None
+        self._tick_timer: Optional[Timer] = None
+        self.supervisor = Supervisor(
+            count=spec.workers,
+            worker_factory=lambda worker_id: SimWorker(
                 worker_id, spec, clock, faults, log, tracer=tracer
-            )
-            self.ring.add(worker_id)
+            ),
+            replicas=spec.replicas,
+            health_interval=ClusterConfig.health_interval,
+            backoff_base=ClusterConfig.backoff_base,
+            backoff_cap=ClusterConfig.backoff_cap,
+            on_up=self._worker_up,
+            on_down=self._worker_down,
+            clock=clock,
+        )
+        self.workers: Dict[str, SimWorker] = {
+            worker_id: handle.worker
+            for worker_id, handle in self.supervisor.workers.items()
+        }
         self.router = Router(
-            ring=self.ring,
-            ports={},
+            ring=self.supervisor.ring,
+            ports=self.supervisor.ports,
             lifecycle=Lifecycle(clock=clock),
-            health_payload=self.health_payload,
+            health_payload=lambda: self.supervisor.health_payload(self.draining),
             # No sockets to fan /metrics out to: merge the incarnations here.
-            merge_metrics=lambda _fetched: merge_snapshots(self.all_snapshots()),
-            on_backend_failure=self.suspect,
+            merge_metrics=lambda _fetched: merge_snapshots(
+                self.supervisor.final_metrics()
+            ),
+            on_backend_failure=self._failover,
             clock=clock,
             tracer=tracer,
             transport=self._forward,
         )
-        self._min_live_probe: Optional[List[int]] = None
+        for worker_id in self.workers:
+            run_inline(self.supervisor.spawn(worker_id))
 
     @property
     def draining(self) -> bool:
         return self.router.lifecycle.draining
 
     def live_count(self) -> int:
-        return len(self.ring)
+        return len(self.supervisor.ring)
 
     def in_flight_total(self) -> int:
         return sum(
-            w.admission.in_flight for w in self.workers.values() if w.state == "up"
+            w.server.admission.in_flight for w in self.workers.values() if w.alive()
         )
 
     def occupied_total(self) -> int:
-        return sum(w.occupied for w in self.workers.values() if w.state == "up")
+        return sum(w.occupied for w in self.workers.values() if w.alive())
 
     # -- worker lifecycle ----------------------------------------------
     def kill(self, worker_id: str) -> None:
-        worker = self.workers[worker_id]
-        worker.crash()
-        # Detection: the next health tick notices the corpse even if no
-        # request trips over it first.
-        self.clock.call_later(
-            self.spec.health_interval, self._health_check, worker_id
-        )
-
-    def _health_check(self, worker_id: str) -> None:
-        worker = self.workers[worker_id]
-        if worker.state == "crashed" and worker_id in self.ring:
-            self._mark_down(worker_id)
-
-    def suspect(self, worker_id: str) -> None:
-        """The router's feedback after a failed forwarding attempt."""
-        self.log.emit("failover", self.clock.monotonic(), worker=worker_id)
-        self._health_check(worker_id)
-        self._note_live()
-
-    def _mark_down(self, worker_id: str) -> None:
-        self.ring.remove(worker_id)
-        self.router.count("workers_down")
-        self.log.emit(
-            "worker_down", self.clock.monotonic(),
-            worker=worker_id, live=self.ring.members(),
-        )
-        if self.spec.auto_restart:
-            worker = self.workers[worker_id]
-            backoff = min(
-                self.spec.backoff_cap,
-                self.spec.backoff_base * (2.0 ** min(worker.incarnation, 16)),
-            )
-            self.clock.call_later(backoff, self._restart, worker_id)
-
-    def _restart(self, worker_id: str) -> None:
-        worker = self.workers[worker_id]
-        if self.draining or worker.state != "crashed":
-            return
-        worker.restart()
-        self.ring.add(worker_id)
-        self.router.count("restarts")
-
-    def restart_now(self, worker_id: str) -> None:
-        """Scripted restart (timeline action), bypassing the backoff."""
-        worker = self.workers[worker_id]
-        if worker.state == "crashed":
-            if worker_id in self.ring:
-                self.ring.remove(worker_id)
-            worker.restart()
-            self.ring.add(worker_id)
-            self.router.count("restarts")
+        self.workers[worker_id].crash()
+        self._arm_tick()
 
     def drain(self) -> None:
         self.router.lifecycle.request_shutdown()
         self.log.emit(
             "drain_start", self.clock.monotonic(), in_flight=self.in_flight_total()
         )
+
+    def _failover(self, worker_id: str) -> None:
+        """The router's feedback after a failed forwarding attempt."""
+        self.log.emit("failover", self.clock.monotonic(), worker=worker_id)
+        self.supervisor.suspect(worker_id)
+
+    def _worker_up(self, handle: WorkerHandle) -> None:
+        self.log.emit(
+            "worker_up", self.clock.monotonic(),
+            worker=handle.worker_id, incarnation=handle.worker.incarnation,
+        )
+
+    def _worker_down(self, handle: WorkerHandle) -> None:
+        self.log.emit(
+            "worker_down", self.clock.monotonic(), worker=handle.worker_id,
+            state=handle.state, live=self.supervisor.ring.members(),
+        )
+        self._note_live()
+        self._arm_tick()
+
+    # -- health ticks --------------------------------------------------
+    def _arm_tick(self) -> None:
+        if self._tick_timer is None:
+            interval = self.supervisor.health_interval
+            due = (math.floor(self.clock.monotonic() / interval) + 1) * interval
+            self._tick_timer = self.clock.call_at(due, self._tick)
+
+    def _tick(self) -> None:
+        self._tick_timer = None
+        run_inline(self.supervisor.tick())
+        if any(
+            handle.state != "up" or not handle.worker.alive()
+            for handle in self.supervisor.workers.values()
+        ):
+            self._arm_tick()
 
     # -- transports ------------------------------------------------------
     def request(
@@ -522,7 +538,7 @@ class SimCluster:
     ) -> Tuple[int, bytes]:
         """The router's transport: a direct call into the worker."""
         worker = self.workers[worker_id]
-        if worker.state != "up":
+        if not worker.alive():
             raise ConnectionRefusedError(111, f"{worker_id} is down")
         if self.faults is not None:
             if self.faults.fire("conn_refused", target=worker_id):
@@ -534,27 +550,7 @@ class SimCluster:
 
     def _note_live(self) -> None:
         if self._min_live_probe is not None:
-            self._min_live_probe[0] = min(self._min_live_probe[0], len(self.ring))
-
-    def health_payload(self) -> Dict[str, Any]:
-        up = self.ring.members()
-        return {
-            "status": "draining" if self.draining
-            else ("ok" if len(up) == len(self.workers) else "degraded"),
-            "workers_up": len(up),
-            "live": up,
-            "protocol": PROTOCOL,
-        }
-
-    def all_snapshots(self) -> Dict[str, Dict[str, Any]]:
-        """Every incarnation's metrics, retired and live (``w0@0``, ``w0``…)."""
-        snapshots: Dict[str, Dict[str, Any]] = {}
-        for worker_id, worker in sorted(self.workers.items()):
-            for index, retired in enumerate(worker.retired):
-                snapshots[f"{worker_id}@{index}"] = retired
-            if worker.state == "up":
-                snapshots[worker_id] = worker.snapshot()
-        return snapshots
+            self._min_live_probe[0] = min(self._min_live_probe[0], self.live_count())
 
 
 class _SimConnection:
@@ -670,6 +666,7 @@ class _Run:
         self.spec = spec
         self.clock = SimClock()
         self.log = EventLog()
+        self.log.emit("scenario_start", 0.0, **spec.describe())
         self.injector = (
             FaultInjector(
                 plan=spec.plan.clone(), clock=self.clock, log=self.log
@@ -719,7 +716,6 @@ def run_scenario(spec: Scenario) -> ScenarioResult:
     """Replay *spec* under virtual time; deterministic per (scenario, seed)."""
     run = _Run(spec)
     clock, cluster, log = run.clock, run.cluster, run.log
-    log.emit("scenario_start", 0.0, **spec.describe())
 
     for index, step in enumerate(sorted(spec.steps, key=lambda s: s.at)):
         if run.injector is not None:
@@ -734,7 +730,7 @@ def run_scenario(spec: Scenario) -> ScenarioResult:
         _execute_step(run, index, step)
         _check_step_invariants(run, index, step)
 
-    # Let restart backoffs and occupier releases play out.
+    # Let health ticks, restart backoffs and occupier releases play out.
     clock.run_until_idle()
     for name in spec.invariants:
         checker = INVARIANTS.get(name)
@@ -745,16 +741,19 @@ def run_scenario(spec: Scenario) -> ScenarioResult:
 
     stats = {
         "cluster": dict(sorted(cluster.router.counters.items())),
-        "live_workers": cluster.ring.members(),
+        "live_workers": cluster.supervisor.ring.members(),
+        "workers": cluster.supervisor.info(),
         "virtual_elapsed_s": round(clock.elapsed, 9),
         "timers_fired": clock.fired,
         "faults_fired": len(run.injector.fired) if run.injector else 0,
         "trace": run.tracer.stats() if run.tracer is not None else None,
         "cache": {
-            worker_id: worker.cache.stats()
+            worker_id: worker.server.engine.cache.stats()
             for worker_id, worker in sorted(cluster.workers.items())
         },
-        "merged_counters": merge_snapshots(cluster.all_snapshots())["counters"],
+        "merged_counters": merge_snapshots(
+            cluster.supervisor.final_metrics()
+        )["counters"],
     }
     log.emit(
         "scenario_end", clock.monotonic(),
@@ -777,8 +776,6 @@ def _execute_step(run: _Run, index: int, step: Step) -> None:
         _run_request(run, index, step)
     elif step.action == "kill":
         cluster.kill(kwargs["worker"])
-    elif step.action == "restart":
-        cluster.restart_now(kwargs["worker"])
     elif step.action == "drain":
         cluster.drain()
         run.drained_at = clock.monotonic()
@@ -922,7 +919,7 @@ def _inv_drain_integrity(run: _Run) -> List[str]:
 
 def _inv_metrics_conservation(run: _Run) -> List[str]:
     out = []
-    snapshots = run.cluster.all_snapshots()
+    snapshots = run.cluster.supervisor.final_metrics()
     totals = {"jobs_submitted": 0, "jobs_succeeded": 0,
               "jobs_timed_out": 0, "jobs_failed": 0}
     for tag, snap in snapshots.items():

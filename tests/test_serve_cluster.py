@@ -10,6 +10,7 @@ without processes.
 import asyncio
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -18,7 +19,7 @@ import pytest
 from repro.serve.app import ServeConfig
 from repro.serve.client import DiffServiceClient
 from repro.serve.cluster import ClusterConfig, ClusterThread, worker_argv
-from repro.serve.supervisor import Supervisor
+from repro.serve.supervisor import Supervisor, WorkerProcess
 from repro.simtest.clock import SimClock
 from repro.workload import MutationEngine, random_tree
 
@@ -145,7 +146,7 @@ class TestSupervisorBackoff:
     def _supervisor(**overrides):
         options = dict(
             count=1,
-            argv_factory=lambda wid: ["true"],
+            worker_factory=lambda wid: WorkerProcess(wid, ["true"]),
             backoff_base=0.25,
             backoff_cap=1.0,
         )
@@ -217,13 +218,12 @@ class TestSupervisorBackoff:
         async def body():
             clock = SimClock()
             sup = self._supervisor(clock=clock)
-            loop = asyncio.get_running_loop()
             started = time.monotonic()
             # Absolute deadlines, as the drift-free supervise loop ticks.
             deadline = clock.monotonic()
             for _ in range(3):
                 deadline += 0.5
-                await sup._sleep_until(deadline, loop)
+                await sup._sleep_until(deadline)
             return clock.monotonic(), time.monotonic() - started
 
         virtual, real = asyncio.run(body())
@@ -234,10 +234,45 @@ class TestSupervisorBackoff:
         async def body():
             clock = SimClock(start=10.0)
             sup = self._supervisor(clock=clock)
-            await sup._sleep_until(5.0, asyncio.get_running_loop())
+            await sup._sleep_until(5.0)
             return clock.monotonic()
 
         assert asyncio.run(body()) == 10.0
+
+
+class _StartsOnceWorker(WorkerProcess):
+    """Comes up once without a process; every respawn runs the real
+    subprocess path with an argv that exits at once."""
+
+    def __init__(self, worker_id):
+        super().__init__(worker_id, [sys.executable, "-c", ""])
+        self.started = False
+
+    async def spawn(self):
+        if not self.started:
+            self.started = True
+            return
+        await super().spawn()
+
+
+def test_failed_respawn_in_rolling_restart_takes_the_backoff_path():
+    async def body():
+        clock = SimClock()
+        sup = Supervisor(count=1, worker_factory=_StartsOnceWorker, clock=clock)
+        await sup.start()
+        handle = sup.workers["w0"]
+        rolled = await sup.rolling_restart()  # must not raise
+        first = (rolled, handle.state, handle.retry_at, sup.ring.members())
+        clock.sleep(handle.retry_at - clock.monotonic())
+        await sup.tick()  # the due respawn is attempted again, and fails
+        return first, handle
+
+    (rolled, state, retry_at, ring), handle = asyncio.run(body())
+    assert (rolled, state, ring) == (0, "down", [])
+    assert retry_at == 0.25  # backoff_base after the first failure
+    assert handle.state == "down" and handle.consecutive_failures == 2
+    assert handle.retry_at == 0.25 + 0.5  # doubled on the retry's failure
+    assert handle.restarts == 0
 
 
 def test_worker_argv_round_trips_the_serve_config():

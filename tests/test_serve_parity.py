@@ -1,9 +1,13 @@
-"""The simulator and production answer the same request bytes alike.
+"""The simulator and production answer and supervise alike.
 
-Each case sends identical raw request bytes to a live ``ServerThread``
-over a socket and to a simulated worker (framed by the same protocol
-helpers, handled inline). Status, ``error`` code and ``Retry-After`` must
-agree: the simulator drives the production worker core, not a copy.
+Each request case sends identical raw request bytes to a live
+``ServerThread`` over a socket and to a simulated worker (framed by the
+same protocol helpers, handled inline). Status, ``error`` code and
+``Retry-After`` must agree: the simulator drives the production worker
+core, not a copy.
+
+The membership cases hold the simulated cluster to production's
+supervision policy: suspect feedback, restart backoff and ``/healthz``.
 """
 
 import asyncio
@@ -13,11 +17,19 @@ import socket
 
 import pytest
 
-from repro.serve import ServeConfig, ServerThread
+from repro.serve import ClusterConfig, ClusterServer, HashRing, ServeConfig, ServerThread
 from repro.serve.protocol import parse_request_line, read_content_length_body, read_headers
 from repro.simtest.clock import SimClock
 from repro.simtest.events import EventLog
-from repro.simtest.scenario import Scenario, SimWorker, run_inline
+from repro.simtest.faults import Fault, FaultPlan
+from repro.simtest.scenario import (
+    Scenario,
+    SimCluster,
+    SimWorker,
+    Step,
+    run_inline,
+    run_scenario,
+)
 
 PAIR = {"old": '(D (P (S "alpha")))', "new": '(D (P (S "alpha") (S "beta")))'}
 
@@ -84,6 +96,7 @@ def frame(raw: bytes):
 def sim_answer(raw: bytes, condition):
     spec = Scenario(name="parity", queue_capacity=1, service_time=0.5)
     worker = SimWorker("w0", spec, SimClock(), None, EventLog())
+    run_inline(worker.spawn())
     apply_condition(worker.server, condition)
     status, payload, headers = run_inline(worker.server.handle(*frame(raw)))
     return status, payload.get("error"), headers.get("Retry-After")
@@ -95,3 +108,82 @@ def test_sim_worker_answers_like_production(case):
     live = live_answer(raw, condition)
     assert live == sim_answer(raw, condition)
     assert live[0] >= 400  # every case is a refusal of some kind
+
+
+# ---------------------------------------------------------------------------
+# Membership: the sim follows production's supervision policy
+# ---------------------------------------------------------------------------
+TICK = ClusterConfig.health_interval
+
+
+def doc_owned_by(worker_id: str, workers: int = 3, replicas: int = 16) -> str:
+    """A document name whose affinity key the ring assigns to *worker_id*."""
+    ring = HashRing(replicas=replicas)
+    for index in range(workers):
+        ring.add(f"w{index}")
+    return next(
+        doc for doc in (f"doc-{i}" for i in range(1000)) if ring.assign(doc) == worker_id
+    )
+
+
+def test_failover_from_live_worker_pulls_it_until_the_next_tick(forbid_real_sleep):
+    # One refused connection to a healthy w0: the router fails over and
+    # suspects w0, which leaves the ring at once and rejoins once the next
+    # health tick (t=0.5) finds it healthy.
+    doc = doc_owned_by("w0")
+    spec = Scenario(
+        name="suspect",
+        workers=3,
+        replicas=16,
+        steps=[Step(at, "request", {"doc": doc}) for at in (0.1, 0.2, 0.6)],
+        plan=FaultPlan(faults=[Fault(point="conn_refused", at=0.1, target="w0")]),
+        invariants=("convergence",),
+    )
+    result = run_scenario(spec)
+    assert result.ok, result.violations
+    served_by = [record.worker for record in result.records]
+    assert served_by[0] != "w0" and served_by[1] != "w0"
+    assert served_by[2] == "w0"
+    downs = result.log.of_kind("worker_down")
+    assert [(e["worker"], e["state"]) for e in downs] == [("w0", "suspect")]
+
+
+def test_restart_backoff_resets_after_a_successful_restart(forbid_real_sleep):
+    # Three crashes of w0, each after the previous restart came up. With a
+    # reset backoff every restart lands on the tick after the detection;
+    # without it the third backoff (4x base) would skip a tick.
+    spec = Scenario(
+        name="backoff",
+        workers=2,
+        steps=[Step(at, "kill", {"worker": "w0"}) for at in (0.1, 2.1, 4.1)],
+        invariants=(),
+    )
+    result = run_scenario(spec)
+    assert result.ok, result.violations
+    downs = [e["t"] for e in result.log.of_kind("worker_down") if e["worker"] == "w0"]
+    ups = [
+        e["t"] for e in result.log.of_kind("worker_up")
+        if e["worker"] == "w0" and e["incarnation"] > 0
+    ]
+    assert len(downs) == len(ups) == 3
+    assert [up - down for down, up in zip(downs, ups)] == [TICK] * 3
+    assert ClusterConfig.backoff_base <= TICK
+
+
+def test_healthz_reports_down_with_zero_live_workers(forbid_real_sleep):
+    live = ClusterServer(ClusterConfig(port=0, workers=2))  # nothing spawned
+    live_status, live_payload, _ = asyncio.run(
+        live.router.handle("GET", "/healthz", {}, b"")
+    )
+
+    clock = SimClock()
+    sim = SimCluster(Scenario(name="healthz", workers=2), clock, None, EventLog())
+    sim.kill("w0")
+    sim.kill("w1")
+    clock.sleep(TICK)  # the health tick notices both
+    sim_status, sim_payload, _ = sim.request("GET", "/healthz", {}, b"")
+
+    assert live_status == sim_status == 200
+    assert live_payload["status"] == sim_payload["status"] == "down"
+    assert live_payload["workers_up"] == sim_payload["workers_up"] == 0
+    assert set(live_payload) == set(sim_payload)

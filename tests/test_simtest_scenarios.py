@@ -30,6 +30,11 @@ def _no_real_sleep(forbid_real_sleep):
     """The simulated stack must never block on the wall clock."""
 
 
+def restarts(result):
+    """Respawns the supervisor made across the whole run."""
+    return sum(info["restarts"] for info in result.stats["workers"].values())
+
+
 # ---------------------------------------------------------------------------
 # The full matrix, across seeds: every invariant must hold for every seed.
 # ---------------------------------------------------------------------------
@@ -68,7 +73,7 @@ def test_worker_crash_keepalive_fails_over_and_restarts():
     # The crash really happened and the ring absorbed it.
     assert len(result.log.of_kind("worker_crash")) == 1
     assert len(result.log.of_kind("failover")) >= 1
-    assert result.stats["cluster"].get("restarts", 0) >= 1
+    assert restarts(result) >= 1
     # Affinity: every successful request for the one doc hit one worker id
     # per incarnation epoch (the replacement may differ from the original).
     assert all(r.worker is not None for r in result.records)
@@ -114,7 +119,7 @@ def test_failover_chain_recovers_from_total_loss():
     assert all(r.status == 200 for r in result.records)
     # Phase 2 exhausted the whole chain at least once.
     assert result.stats["cluster"].get("rejected_no_backend", 0) >= 1
-    assert result.stats["cluster"].get("restarts", 0) >= 3
+    assert restarts(result) >= 3
     assert result.stats["live_workers"] == ["w0", "w1", "w2"]
 
 
@@ -141,10 +146,11 @@ def test_clock_jump_recovers_late_timers():
 # The harness itself
 # ---------------------------------------------------------------------------
 def _failing_spec(seed=3):
+    # One worker and a two-attempt budget: the client gives up before the
+    # next health tick has restarted the crashed worker.
     spec = build_scenario("worker_crash_keepalive", seed=seed)
     return dataclasses.replace(
         spec,
-        auto_restart=False,
         workers=1,
         client={"retries": 1, "connect_retries": 1},
         plan=FaultPlan(faults=[
