@@ -1,23 +1,14 @@
-"""Arena core payoff: parse + index build, struct-of-arrays vs node objects.
+"""Ingest cost of the arena core: parse + index build on a 10k-node corpus.
 
-The arena refactor's claim is that the hot ingest path — parse a serialized
-tree, build its :class:`~repro.core.index.TreeIndex` — should not pay one
-Python object and one children list per node. This benchmark measures the
-whole ingest pipeline on a ~10k-node document corpus through both cores:
-
-* **object**: the pre-refactor path, kept verbatim as
-  ``serialization._tree_from_dict_objects`` + ``index.LegacyTreeIndex``
-  (node-graph parse, dict-table index build);
-* **arena**: ``tree_from_dict`` (parses straight into a
-  :class:`~repro.core.arena.TreeArena`; no ``Node`` is ever built) +
-  ``TreeIndex`` (reads the arrays directly).
-
-Two gates, both enforced here and by ``check_regression.py`` against the
-committed baseline:
-
-* wall-clock speedup ``>= 1.5x`` (``parse_index_speedup``);
-* peak ``tracemalloc`` memory ratio arena/object ``<= 0.6``
-  (``mem_ratio``).
+The hot ingest path — parse a serialized tree, build its
+:class:`~repro.core.index.TreeIndex` — runs through the struct-of-arrays
+core: ``tree_from_dict`` parses straight into a
+:class:`~repro.core.arena.TreeArena` (no ``Node`` is ever built) and
+``TreeIndex`` reads the arrays directly. This benchmark reports the wall
+time and the peak ``tracemalloc`` memory of that path on a ~10k-node
+document corpus. ``check_regression.py`` gates the peak memory
+(``arena_peak_kb``, lower is better) against the committed baseline;
+allocation shape is deterministic, so the gate is machine-independent.
 
 Run directly for the table, ``--smoke`` for the fast CI configuration,
 ``--json-out PATH`` to also write the ``BENCH`` payload to a file.
@@ -31,14 +22,10 @@ import sys
 import time
 import tracemalloc
 
-from repro.core.index import LegacyTreeIndex, TreeIndex
-from repro.core.isomorphism import trees_isomorphic
-from repro.core.serialization import _tree_from_dict_objects, tree_from_dict
+from repro.core.index import TreeIndex
+from repro.core.serialization import tree_from_dict
 
 from conftest import print_table
-
-MIN_SPEEDUP = 1.5
-MAX_MEM_RATIO = 0.6
 
 #: words recycled across sentence values so value interning sees realistic
 #: repetition (documents reuse vocabulary; so do database dumps)
@@ -73,11 +60,6 @@ def build_corpus(sections: int, paragraphs: int, sentences: int) -> dict:
     return {"label": "D", "value": None, "children": section_nodes}
 
 
-def parse_index_object(data: dict):
-    tree = _tree_from_dict_objects(data)
-    return tree, LegacyTreeIndex(tree)
-
-
 def parse_index_arena(data: dict):
     tree = tree_from_dict(data)  # lazy arena view: no Node objects
     return tree, TreeIndex(tree)
@@ -105,28 +87,19 @@ def measure(sections: int = 24, paragraphs: int = 20, sentences: int = 20,
             rounds: int = 3) -> dict:
     data = build_corpus(sections, paragraphs, sentences)
 
-    # Both cores must agree before the timings mean anything.
-    object_tree, object_index = parse_index_object(data)
-    arena_tree, arena_index = parse_index_arena(data)
-    assert trees_isomorphic(object_tree, arena_tree)
-    assert len(object_index) == len(arena_index)
-    root_id = next(iter(arena_tree.node_ids()))
-    assert arena_index.subtree_size(root_id) == object_index.subtree_size(root_id)
-    assert arena_index.leaf_count(root_id) == object_index.leaf_count(root_id)
-    nodes = len(arena_tree)
+    # The index must describe the corpus before the timings mean anything.
+    tree, index = parse_index_arena(data)
+    root_id = next(iter(tree.node_ids()))
+    nodes = len(tree)
+    assert len(index) == index.subtree_size(root_id) == nodes
+    assert index.leaf_count(root_id) == sections * paragraphs * sentences
 
-    object_s = _time(lambda: parse_index_object(data), rounds)
     arena_s = _time(lambda: parse_index_arena(data), rounds)
-    object_peak = _peak_bytes(lambda: parse_index_object(data))
     arena_peak = _peak_bytes(lambda: parse_index_arena(data))
     return {
         "nodes": nodes,
-        "object_s": object_s,
         "arena_s": arena_s,
-        "parse_index_speedup": object_s / arena_s,
-        "object_peak_kb": object_peak / 1024.0,
         "arena_peak_kb": arena_peak / 1024.0,
-        "mem_ratio": arena_peak / object_peak,
     }
 
 
@@ -135,54 +108,29 @@ def report(stats: dict) -> dict:
         f"parse + index build on a {stats['nodes']}-node document corpus",
         ["core", "wall ms", "peak KiB"],
         [
-            ("object (Node graph)", f"{stats['object_s'] * 1e3:.2f}",
-             f"{stats['object_peak_kb']:.0f}"),
             ("arena (struct-of-arrays)", f"{stats['arena_s'] * 1e3:.2f}",
              f"{stats['arena_peak_kb']:.0f}"),
         ],
     )
-    print(f"speedup   = {stats['parse_index_speedup']:.2f}x "
-          f"(required >= {MIN_SPEEDUP}x)")
-    print(f"mem ratio = {stats['mem_ratio']:.2f} "
-          f"(required <= {MAX_MEM_RATIO})")
     payload = {
         "benchmark": "bench_arena",
         "nodes": stats["nodes"],
-        "parse_index_speedup": round(stats["parse_index_speedup"], 3),
-        "mem_ratio": round(stats["mem_ratio"], 3),
-        "object_ms": round(stats["object_s"] * 1e3, 3),
         "arena_ms": round(stats["arena_s"] * 1e3, 3),
-        "object_peak_kb": round(stats["object_peak_kb"], 1),
         "arena_peak_kb": round(stats["arena_peak_kb"], 1),
     }
     print("BENCH " + json.dumps(payload))
     return payload
 
 
-def _check(stats: dict) -> int:
-    status = 0
-    if stats["parse_index_speedup"] < MIN_SPEEDUP:
-        print(f"FAIL: speedup below {MIN_SPEEDUP}x", file=sys.stderr)
-        status = 1
-    if stats["mem_ratio"] > MAX_MEM_RATIO:
-        print(f"FAIL: memory ratio above {MAX_MEM_RATIO}", file=sys.stderr)
-        status = 1
-    return status
-
-
 # ---------------------------------------------------------------------------
 # pytest-benchmark entry point
 # ---------------------------------------------------------------------------
-def test_arena_parse_index_speedup(benchmark):
+def test_arena_parse_index(benchmark):
     stats = benchmark.pedantic(
         lambda: measure(rounds=2), rounds=1, iterations=1,
     )
-    benchmark.extra_info["parse_index_speedup"] = round(
-        stats["parse_index_speedup"], 2
-    )
-    benchmark.extra_info["mem_ratio"] = round(stats["mem_ratio"], 2)
-    assert stats["parse_index_speedup"] >= MIN_SPEEDUP
-    assert stats["mem_ratio"] <= MAX_MEM_RATIO
+    benchmark.extra_info["arena_ms"] = round(stats["arena_s"] * 1e3, 2)
+    benchmark.extra_info["arena_peak_kb"] = round(stats["arena_peak_kb"], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +141,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="fewer timing rounds (used by CI; the corpus itself is cheap "
-             "enough to keep at full size, and the gates are calibrated "
-             "on it)",
+             "enough to keep at full size, and the memory gate is "
+             "calibrated on it)",
     )
     parser.add_argument(
         "--json-out", default=None, metavar="PATH",
@@ -207,10 +155,9 @@ def main(argv=None) -> int:
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote {args.json_out}")
-    status = _check(stats)
-    if status == 0 and args.smoke:
+    if args.smoke:
         print("arena benchmark smoke: OK")
-    return status
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from repro.analysis import fastmatch_bound, result_distances, tree_pair_sizes
 from repro.editscript import generate_edit_script
 from repro.ladiff.pipeline import default_match_config
 from repro.matching import MatchingStats, fast_match
+from repro.workload import make_document_set
 
 from conftest import print_table
 

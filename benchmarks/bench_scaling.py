@@ -30,14 +30,19 @@ def shuffled_pair(leaves, misaligned, seed):
     base = random_flat_tree(seed, leaves=leaves)
     shuffled = base.copy()
     rng = random.Random(seed + 1)
-    children = shuffled.root.children
-    indices = list(range(len(children)))
+    root = shuffled.root
+    order = list(root.children)
+    indices = list(range(len(order)))
     chosen = rng.sample(indices, min(misaligned, len(indices)))
     # rotate the chosen positions among themselves
-    values = [children[i] for i in chosen]
+    values = [order[i] for i in chosen]
     rotated = values[1:] + values[:1]
     for index, node in zip(chosen, rotated):
-        children[index] = node
+        order[index] = node
+    # realize the new order through the mutation API, left to right
+    for position, node in enumerate(order, start=1):
+        if root.children[position - 1] is not node:
+            shuffled.move(node.id, root.id, position)
     matching = Matching(
         [(base.root.id, shuffled.root.id)]
         + [

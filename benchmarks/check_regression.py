@@ -12,12 +12,13 @@ Each payload is matched to the committed baseline entry by its
 direction-aware tolerance (default ±30%):
 
 * ``higher`` metrics (speedups) may not drop below ``baseline * (1 - tol)``;
-* ``lower`` metrics (latencies) may not rise above ``baseline * (1 + tol)``;
+* ``lower`` metrics (latencies, memory) may not rise above ``baseline * (1 + tol)``;
 * ``equals`` metrics (invariants: clean drain, zero failed requests) must
   match the baseline exactly — no tolerance.
 
-Only dimensionless ratios and invariants are gated by default; raw
-req/s and wall-seconds are machine-bound and recorded for context only.
+Only dimensionless ratios, invariants and deterministic allocation peaks
+are gated by default; raw req/s and wall-seconds are machine-bound and
+recorded for context only.
 Re-baseline intentionally with ``--update`` after a justified change.
 """
 
@@ -45,11 +46,9 @@ POLICIES = {
         "drained_clean": ("equals", None),
     },
     "bench_arena": {
-        # wall-clock ratio between the two in-process cores; far less noisy
-        # than absolute times but still machine-sensitive on shared runners
-        "parse_index_speedup": ("higher", 0.5),
-        # allocation shape is deterministic, so the default band suffices
-        "mem_ratio": ("lower", None),
+        # peak parse + index memory; allocation shape is deterministic, so
+        # the default band suffices
+        "arena_peak_kb": ("lower", None),
     },
     "bench_cluster": {
         "cluster_speedup": ("higher", None),

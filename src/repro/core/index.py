@@ -28,10 +28,10 @@ freshly parsed (arena-only) tree allocates no nodes; purely positional
 consumers never force them.
 
 An index is a snapshot: it describes the tree *as it was at construction*.
-Mutating the tree afterwards silently invalidates it, so mutation-path code
-must rebuild (cheap, one pass) or fall back to the naive walks. Consumers
-can test membership with :meth:`TreeIndex.owns`, which also detects nodes
-created after the snapshot.
+It is the only way the matching and edit-script layers learn tree
+structure, so code that mutates a tree rebuilds the index (cheap, one
+pass); :meth:`TreeIndex.describes` tells whether a tree has been mutated
+since its index was built.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class TreeIndex:
         "_leaf_label_list",
         "_internal_label_list",
         "_order",
-        "_node_map",
         "_node_chains",
         "_digests",
     )
@@ -107,7 +106,6 @@ class TreeIndex:
         self._leaf_label_list = list(seen_leaf_labels)
         self._internal_label_list = list(seen_internal_labels)
         self._order: Optional[List[Node]] = None
-        self._node_map: Optional[Dict[Any, Node]] = None
         self._node_chains: Optional[Dict[str, List[Node]]] = None
         self._digests: Optional["DigestIndex"] = None
 
@@ -131,17 +129,13 @@ class TreeIndex:
     def __contains__(self, node_id: Any) -> bool:
         return node_id in self.arena.pos_of
 
-    def owns(self, node: Node) -> bool:
-        """True when *node* is the very object this index was built over.
+    def describes(self, tree: Tree) -> bool:
+        """True when this index was built over *tree* and it is unmutated.
 
-        Identifier spaces of two trees commonly overlap (both number nodes
-        1..n), and nodes created after the snapshot may reuse ids, so the
-        check is by object identity, not by id.
+        Every :class:`Tree` mutation drops the cached arena snapshot, so an
+        index still describes its tree exactly while the two share it.
         """
-        pos = self.arena.pos_of.get(node.id)
-        if pos is None:
-            return False
-        return self._nodes_in_order()[pos] is node
+        return self.tree is tree and tree.arena_snapshot() is self.arena
 
     # ------------------------------------------------------------------
     # Structural facts (pure array arithmetic)
@@ -202,10 +196,6 @@ class TreeIndex:
     # ------------------------------------------------------------------
     # Label chains (FastMatch step 1)
     # ------------------------------------------------------------------
-    def chain(self, label: str) -> Sequence[Node]:
-        """``chain_T(l)``: nodes with the label, left-to-right."""
-        return self.chains().get(label, ())
-
     def chains(self) -> Dict[str, List[Node]]:
         """All label chains (shared structure; treat as read-only)."""
         node_chains = self._node_chains
@@ -235,27 +225,6 @@ class TreeIndex:
         first_child = self.arena.first_child
         order = self._nodes_in_order()
         return [order[pos] for pos in positions if first_child[pos] >= 0]
-
-    def node_table(self) -> Dict[Any, Node]:
-        """The id → node mapping (shared structure; treat as read-only).
-
-        Hot loops bind ``node_table().get`` once and combine the lookup
-        with an identity check instead of calling :meth:`owns` per node.
-        """
-        node_map = self._node_map
-        if node_map is None:
-            node_map = dict(zip(self.arena.node_ids, self._nodes_in_order()))
-            self._node_map = node_map
-        return node_map
-
-    def child_rank_table(self) -> Dict[Any, int]:
-        """The id → 1-based sibling rank mapping (root omitted)."""
-        child_ranks = self._child_ranks
-        return {
-            node_id: child_ranks[pos]
-            for pos, node_id in enumerate(self.arena.node_ids)
-            if child_ranks[pos]
-        }
 
     def leaf_labels(self) -> List[str]:
         """Labels on at least one leaf, in first-seen document order."""
@@ -294,147 +263,6 @@ class TreeIndex:
         )
 
 
-class LegacyTreeIndex:
-    """The pre-arena object-walking index, kept as a parity oracle.
-
-    Builds every table by traversing :class:`Node` objects, exactly as
-    before the arena refactor. The fuzz harness cross-checks
-    :class:`TreeIndex` against it each iteration, and the arena benchmark
-    uses it as the object-core baseline.
-    """
-
-    __slots__ = (
-        "tree",
-        "_nodes",
-        "_pre_rank",
-        "_size",
-        "_leaf_count",
-        "_leaf_span",
-        "_leaves",
-        "_chains",
-        "_child_rank",
-        "_leaf_labels",
-        "_internal_labels",
-        "_digests",
-    )
-
-    def __init__(self, tree: Tree) -> None:
-        self.tree = tree
-        self._nodes: Dict[Any, Node] = {}
-        self._pre_rank: Dict[Any, int] = {}
-        self._size: Dict[Any, int] = {}
-        self._leaf_count: Dict[Any, int] = {}
-        self._leaf_span: Dict[Any, Tuple[int, int]] = {}
-        self._leaves: List[Node] = []
-        self._chains: Dict[str, List[Node]] = {}
-        self._child_rank: Dict[Any, int] = {}
-        self._leaf_labels: List[str] = []
-        self._internal_labels: List[str] = []
-        self._digests: Optional["DigestIndex"] = None
-        self._build(tree)
-
-    def _build(self, tree: Tree) -> None:
-        # Pass 1 (postorder): subtree sizes and leaf counts by accumulation.
-        for node in tree.postorder():
-            if node.is_leaf:
-                self._size[node.id] = 1
-                self._leaf_count[node.id] = 1
-            else:
-                self._size[node.id] = 1 + sum(
-                    self._size[c.id] for c in node.children
-                )
-                self._leaf_count[node.id] = sum(
-                    self._leaf_count[c.id] for c in node.children
-                )
-        # Pass 2 (preorder): ranks, chains, leaf spans, child ranks. In
-        # preorder every leaf under a node is emitted before any node
-        # outside its subtree, so the span is [emitted-so-far, +leaf_count).
-        seen_leaf_labels: Dict[str, None] = {}
-        seen_internal_labels: Dict[str, None] = {}
-        for rank, node in enumerate(tree.preorder()):
-            self._nodes[node.id] = node
-            self._pre_rank[node.id] = rank
-            self._chains.setdefault(node.label, []).append(node)
-            start = len(self._leaves)
-            self._leaf_span[node.id] = (start, start + self._leaf_count[node.id])
-            if node.is_leaf:
-                self._leaves.append(node)
-                seen_leaf_labels.setdefault(node.label, None)
-            else:
-                seen_internal_labels.setdefault(node.label, None)
-            for position, child in enumerate(node.children, start=1):
-                self._child_rank[child.id] = position
-        self._leaf_labels = list(seen_leaf_labels)
-        self._internal_labels = list(seen_internal_labels)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node_id: Any) -> bool:
-        return node_id in self._nodes
-
-    def owns(self, node: Node) -> bool:
-        return self._nodes.get(node.id) is node
-
-    def rank(self, node_id: Any) -> int:
-        return self._pre_rank[node_id]
-
-    def subtree_size(self, node_id: Any) -> int:
-        return self._size[node_id]
-
-    def leaf_count(self, node_id: Any) -> int:
-        return self._leaf_count[node_id]
-
-    def is_under(self, node_id: Any, ancestor_id: Any) -> bool:
-        a = self._pre_rank[ancestor_id]
-        n = self._pre_rank[node_id]
-        return a < n < a + self._size[ancestor_id]
-
-    def leaves_of(self, node_id: Any) -> Sequence[Node]:
-        start, stop = self._leaf_span[node_id]
-        return self._leaves[start:stop]
-
-    def child_rank(self, node_id: Any) -> int:
-        return self._child_rank[node_id]
-
-    def chain(self, label: str) -> Sequence[Node]:
-        return self._chains.get(label, ())
-
-    def chains(self) -> Dict[str, List[Node]]:
-        return self._chains
-
-    def node_table(self) -> Dict[Any, Node]:
-        return self._nodes
-
-    def child_rank_table(self) -> Dict[Any, int]:
-        return self._child_rank
-
-    def leaf_labels(self) -> List[str]:
-        return list(self._leaf_labels)
-
-    def internal_labels(self) -> List[str]:
-        return list(self._internal_labels)
-
-    @property
-    def digests(self) -> "DigestIndex":
-        if self._digests is None:
-            from ..service.digest import cached_digests
-
-            self._digests = cached_digests(self.tree)
-        return self._digests
-
-    def subtrees_equal(
-        self, node_id: Any, other: "LegacyTreeIndex", other_id: Any
-    ) -> bool:
-        return self.digests.get(node_id) == other.digests.get(other_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LegacyTreeIndex(nodes={len(self._nodes)}, "
-            f"leaves={len(self._leaves)})"
-        )
-
-
 def build_index(tree: Tree) -> TreeIndex:
     """Construct a fresh :class:`TreeIndex` over *tree*."""
     return TreeIndex(tree)
@@ -444,8 +272,8 @@ def attach_index(tree: Tree) -> TreeIndex:
     """Build an index and attach it as ``tree.index`` for later reuse.
 
     Like :func:`repro.service.digest.attach_digests`, the attachment is a
-    plain attribute: later mutation silently invalidates it, so only code
-    treating snapshots as immutable should attach.
+    plain attribute. A later mutation makes it stale; :func:`cached_index`
+    then ignores it and builds a fresh index.
     """
     index = TreeIndex(tree)
     tree.index = index  # type: ignore[attr-defined]
@@ -455,12 +283,10 @@ def attach_index(tree: Tree) -> TreeIndex:
 def cached_index(tree: Tree) -> Tuple[TreeIndex, bool]:
     """Return ``(index, reused)`` — a still-valid attached index, or fresh.
 
-    A stale attachment (tree mutated or attribute copied across trees) is
-    detected by re-checking that the index was built over this very tree
-    object and still agrees on the node population; staleness inside an
-    unchanged node set is the caller's contract, as with digests.
+    A stale attachment (tree mutated since, or attribute copied across
+    trees) is never reused: see :meth:`TreeIndex.describes`.
     """
     index = getattr(tree, "index", None)
-    if isinstance(index, TreeIndex) and index.tree is tree and len(index) == len(tree):
+    if isinstance(index, TreeIndex) and index.describes(tree):
         return index, True
     return TreeIndex(tree), False

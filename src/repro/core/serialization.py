@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional
 
 from .arena import ArenaBuilder, TreeArena
 from .errors import ParseError
-from .node import Node
 from .tree import Tree
 
 
@@ -88,26 +87,6 @@ def arena_from_dict(data: Optional[Dict[str, Any]]) -> TreeArena:
         for child in reversed(spec.get("children", ())):
             stack.append((child, pos))
     return builder.finish()
-
-
-def _tree_from_dict_objects(data: Optional[Dict[str, Any]]) -> Tree:
-    """The pre-arena object-path parser, kept as a benchmark baseline."""
-    tree = Tree()
-    if data is None:
-        return tree
-
-    def build(spec: Dict[str, Any], parent: Optional[Node]) -> None:
-        node = tree.create_node(
-            spec["label"],
-            spec.get("value"),
-            parent=parent,
-            node_id=spec.get("id"),
-        )
-        for child in spec.get("children", ()):
-            build(child, node)
-
-    build(data, None)
-    return tree
 
 
 # ---------------------------------------------------------------------------

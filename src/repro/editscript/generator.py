@@ -140,11 +140,10 @@ def generate_edit_script(
     :class:`~repro.matching.Matching`); the script never inserts or deletes
     a matched node, so it *conforms* to the matching by construction.
 
-    *index2* is an optional prebuilt :class:`~repro.core.index.TreeIndex`
-    over ``t2`` (the pipeline passes the one built by its index stage):
-    FindPos then locates a node among its siblings via the index's child
-    ranks and scans backwards for the in-order anchor instead of re-walking
-    every left sibling from the start.
+    *index2* is a prebuilt :class:`~repro.core.index.TreeIndex` over
+    ``t2`` (the pipeline passes the one built by its index stage); one is
+    built here when omitted. FindPos locates a node among its siblings via
+    the index's child ranks and scans backwards for the in-order anchor.
     """
     if t1.root is None or t2.root is None:
         raise ValueError("generate_edit_script requires non-empty trees")
@@ -190,8 +189,7 @@ class _Generator:
         self.t2_original = t2
         self.work = t1.copy()  # T1 working copy; ops are applied here
         self.t2 = t2  # replaced by a wrapped copy if roots are unmatched
-        self.index2 = index2  # dropped if t2 is replaced by a wrapped copy
-        self._bind_index_tables()
+        self.index2 = index2 if index2 is not None else TreeIndex(t2)
         self.mprime = matching.copy()
         self.script = EditScript()
         self.stats = GenerationStats()
@@ -207,15 +205,6 @@ class _Generator:
         existing = [n for n in itertools.chain(t1.node_ids(), t2.node_ids())
                     if isinstance(n, int)]
         self._fresh = itertools.count(max(existing, default=0) + 1)
-
-    def _bind_index_tables(self) -> None:
-        """Bind the index's lookup accessors once; FindPos runs per node."""
-        if self.index2 is not None:
-            self._owned2_get = self.index2.node_table().get
-            self._child_rank2 = self.index2.child_rank
-        else:
-            self._owned2_get = None
-            self._child_rank2 = None
 
     # ------------------------------------------------------------------
     def run(self) -> EditScriptResult:
@@ -248,10 +237,8 @@ class _Generator:
         self.dummy_t2_id = next(self._fresh)
         self.work = _wrap_with_dummy_root(self.work, self.dummy_t1_id)
         self.t2 = _wrap_with_dummy_root(self.t2.copy(), self.dummy_t2_id)
-        # The BFS now walks a wrapped *copy* of T2; the prebuilt index does
-        # not own those nodes, so FindPos must fall back to sibling scans.
-        self.index2 = None
-        self._bind_index_tables()
+        # The BFS now walks a wrapped *copy* of T2; FindPos reads its ranks.
+        self.index2 = TreeIndex(self.t2)
         self.mprime.add(self.dummy_t1_id, self.dummy_t2_id)
         self.wrapped = True
 
@@ -380,30 +367,20 @@ class _Generator:
         of the anchor under the same parent, the returned index compensates
         for the slot it vacates.
         """
-        y = x.parent
         # 2. If x is the leftmost child of y marked "in order", return 1.
-        # (Equivalently: no in-order sibling lies to x's left.)
+        # (Equivalently: no in-order sibling lies to x's left.) Locate x
+        # among its siblings in O(1) via the index and scan backwards,
+        # stopping at the first (i.e. rightmost) in-order left sibling.
         anchor: Optional[Node] = None
-        owned_get = self._owned2_get
-        if owned_get is not None and owned_get(x.id) is x:
-            # Indexed path: locate x among its siblings in O(1) and scan
-            # backwards, stopping at the first (i.e. rightmost) in-order
-            # left sibling instead of walking every slot from the left.
-            siblings = y.children
-            in_order = self.in_order2
-            position = self._child_rank2(x.id) - 2
-            while position >= 0:
-                sibling = siblings[position]
-                if sibling.id in in_order:
-                    anchor = sibling
-                    break
-                position -= 1
-        else:
-            for sibling in y.children:
-                if sibling is x:
-                    break
-                if sibling.id in self.in_order2:
-                    anchor = sibling
+        siblings = x.parent.children
+        in_order = self.in_order2
+        position = self.index2.child_rank(x.id) - 2
+        while position >= 0:
+            sibling = siblings[position]
+            if sibling.id in in_order:
+                anchor = sibling
+                break
+            position -= 1
         if anchor is None:
             return 1
         # 3-5. Place right after the partner u of the rightmost in-order

@@ -1,25 +1,14 @@
-"""Label-chain helpers shared by FastMatch and A(k).
+"""Label-list helper shared by FastMatch and A(k).
 
 ``chain_T(l)`` (paper §5.3): "all nodes with a given label l in tree T are
-chained together from left to right". Both matchers walk these chains; the
-helpers here build them in one preorder pass and merge label lists while
-preserving first-seen order.
+chained together from left to right". Both matchers read those chains, and
+each tree's label lists, from its :class:`~repro.core.index.TreeIndex`;
+the helper here merges two label lists while preserving first-seen order.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
-
-from ..core.node import Node
-from ..core.tree import Tree
-
-
-def label_chains(tree: Tree) -> Dict[str, List[Node]]:
-    """All label chains of a tree: label -> nodes in left-to-right order."""
-    chains: Dict[str, List[Node]] = {}
-    for node in tree.preorder():
-        chains.setdefault(node.label, []).append(node)
-    return chains
 
 
 def ordered_label_union(first: List[str], second: List[str]) -> List[str]:

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .._compat import DATACLASS_SLOTS
 from ..compare.generic import CompareRegistry
@@ -92,18 +92,18 @@ class MatchConfig:
 
 
 class CriteriaContext:
-    """Shared per-run state: leaf counts, containment tests, counters.
+    """Shared per-run state: the two tree indexes and the counters.
 
-    When prebuilt :class:`~repro.core.index.TreeIndex` objects are supplied
-    (the pipeline's ``index`` stage builds them once per tree), Criterion-2
-    evaluation runs on the indexed fast path: contained leaves come from the
-    index's flat leaf spans and containment is one preorder-interval
-    comparison instead of a parent-chain ascent. Without indexes the context
-    falls back to the naive walks, which keeps the two paths directly
-    comparable (see ``benchmarks/bench_pipeline.py``).
+    Criterion-2 evaluation reads everything it needs from one
+    :class:`~repro.core.index.TreeIndex` per tree: ``|x|`` is the index's
+    leaf count, contained leaves come from its flat leaf spans, and
+    containment is one preorder-interval comparison. The pipeline's
+    ``index`` stage builds (or reuses) both indexes once per run; when a
+    caller passes none, the context builds them here in one arena pass.
+    The indexes must describe *t1* and *t2* as they are now.
     """
 
-    __slots__ = ("t1", "t2", "config", "stats", "index1", "index2", "_leaf_counts")
+    __slots__ = ("t1", "t2", "config", "stats", "index1", "index2")
 
     def __init__(
         self,
@@ -118,42 +118,8 @@ class CriteriaContext:
         self.t2 = t2
         self.config = config if config is not None else MatchConfig()
         self.stats = stats if stats is not None else MatchingStats()
-        self.index1 = index1
-        self.index2 = index2
-        self._leaf_counts: Dict[Any, int] = {}
-        if index1 is None:
-            self._precompute_leaf_counts(t1)
-        if index2 is None:
-            self._precompute_leaf_counts(t2)
-
-    def _precompute_leaf_counts(self, tree: Tree) -> None:
-        # Postorder accumulation: one pass, no per-node subtree walks.
-        for node in tree.postorder():
-            if node.is_leaf:
-                self._leaf_counts[id(node)] = 1
-            else:
-                self._leaf_counts[id(node)] = sum(
-                    self._leaf_counts[id(child)] for child in node.children
-                )
-
-    def _index_for(self, node: Node) -> Optional[TreeIndex]:
-        """The index that owns *node*, if any (identity-checked)."""
-        if self.index1 is not None and self.index1.owns(node):
-            return self.index1
-        if self.index2 is not None and self.index2.owns(node):
-            return self.index2
-        return None
-
-    def leaf_count(self, node: Node) -> int:
-        """``|x|``: number of leaves contained in *node*'s subtree."""
-        index = self._index_for(node)
-        if index is not None:
-            return index.leaf_count(node.id)
-        count = self._leaf_counts.get(id(node))
-        if count is None:  # node created after context construction
-            count = node.leaf_count()
-            self._leaf_counts[id(node)] = count
-        return count
+        self.index1 = index1 if index1 is not None else TreeIndex(t1)
+        self.index2 = index2 if index2 is not None else TreeIndex(t2)
 
     # ------------------------------------------------------------------
     # Criterion 1
@@ -171,49 +137,29 @@ class CriteriaContext:
     def common_count(self, x: Node, y: Node, matching: Matching) -> int:
         """``|common(x, y)|``: matched leaf pairs contained in both subtrees.
 
-        Implemented by walking the leaves of ``x`` and checking whether each
-        partner lies under ``y``; every containment test counts as one
-        partner check (the paper's ``r2``). With tree indexes the whole
-        evaluation is arena index arithmetic — leaf identifiers come from a
-        precomputed span over the flat leaf-position array and each
-        containment test is one preorder-interval comparison, with no node
-        objects touched. Both paths count ``r2`` identically.
+        Walks the leaves of ``x`` (a span of the flat leaf-position array of
+        ``index1``) and tests whether each partner lies under ``y`` (one
+        preorder-interval comparison in ``index2``); every test counts as
+        one partner check (the paper's ``r2``). No node objects are touched.
         """
-        index1, index2 = self.index1, self.index2
-        if (
-            index1 is not None
-            and index2 is not None
-            and index1.owns(x)
-            and index2.owns(y)
-        ):
-            arena1 = index1.arena
-            arena2 = index2.arena
-            node_ids1 = arena1.node_ids
-            leaf_positions = index1.leaf_position_array()
-            start, stop = index1.leaf_span(x.id)
-            pos_of2 = arena2.pos_of
-            y_pos = pos_of2[y.id]
-            y_end = y_pos + arena2.subtree_size[y_pos]
-            partner1 = matching.partner1
-            stats = self.stats
-            count = 0
-            for i in range(start, stop):
-                partner_id = partner1(node_ids1[leaf_positions[i]])
-                stats.partner_checks += 1
-                if partner_id is None:
-                    continue
-                partner_pos = pos_of2[partner_id]
-                if y_pos < partner_pos < y_end:
-                    count += 1
-            return count
+        index1 = self.index1
+        arena2 = self.index2.arena
+        node_ids1 = index1.arena.node_ids
+        leaf_positions = index1.leaf_position_array()
+        start, stop = index1.leaf_span(x.id)
+        pos_of2 = arena2.pos_of
+        y_pos = pos_of2[y.id]
+        y_end = y_pos + arena2.subtree_size[y_pos]
+        partner1 = matching.partner1
+        stats = self.stats
         count = 0
-        for leaf in x.leaves():
-            partner_id = matching.partner1(leaf.id)
-            self.stats.partner_checks += 1
+        for i in range(start, stop):
+            partner_id = partner1(node_ids1[leaf_positions[i]])
+            stats.partner_checks += 1
             if partner_id is None:
                 continue
-            partner = self.t2.get(partner_id)
-            if _is_under(partner, y):
+            partner_pos = pos_of2[partner_id]
+            if y_pos < partner_pos < y_end:
                 count += 1
         return count
 
@@ -226,8 +172,8 @@ class CriteriaContext:
         """
         if x.label != y.label:
             return False
-        size_x = 0 if x.is_leaf else self.leaf_count(x)
-        size_y = 0 if y.is_leaf else self.leaf_count(y)
+        size_x = 0 if x.is_leaf else self.index1.leaf_count(x.id)
+        size_y = 0 if y.is_leaf else self.index2.leaf_count(y.id)
         biggest = max(size_x, size_y)
         if biggest == 0:
             return self.config.match_empty_internals
@@ -256,16 +202,6 @@ def apply_root_policy(t1: Tree, t2: Tree, matching: Matching, config: MatchConfi
         return
     if t1.root.label == t2.root.label:
         matching.add(t1.root.id, t2.root.id)
-
-
-def _is_under(node: Node, ancestor: Node) -> bool:
-    """True when *ancestor* is a proper ancestor of *node*."""
-    current = node.parent
-    while current is not None:
-        if current is ancestor:
-            return True
-        current = current.parent
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import List, Optional
 from ..core.node import Node
 from ..core.tree import Tree
 from ..lcs.myers import myers_lcs
-from .chains import label_chains, ordered_label_union
+from .chains import ordered_label_union
 from .criteria import CriteriaContext, MatchConfig, MatchingStats, apply_root_policy
 from .matching import Matching
 from .schema import LabelSchema
@@ -46,9 +46,8 @@ def fast_match(
         Optional counter sink for the §8 instrumentation (``r1``/``r2``).
     context:
         A prebuilt :class:`CriteriaContext` (the pipeline shares one, with
-        its tree indexes, across the match and postprocess stages). When it
-        carries indexes, label chains and label lists come from the index
-        instead of fresh preorder walks.
+        its tree indexes, across the match and postprocess stages). Label
+        chains and label lists come from the context's indexes.
     """
     if context is None:
         context = CriteriaContext(t1, t2, config, stats)
@@ -56,52 +55,19 @@ def fast_match(
     if schema is None:
         schema = LabelSchema.infer([t1, t2])
 
+    # chain_T(l) and the label lists were computed by the index pass from
+    # arena arrays; the leaf/internal split happens positionally (one
+    # first_child test per chain entry).
     index1, index2 = context.index1, context.index2
-    if index1 is not None and index2 is not None:
-        # chain_T(l) and the label lists were computed by the index pass
-        # from arena arrays; the leaf/internal split happens positionally
-        # (one first_child test per chain entry) instead of re-filtering
-        # full chains through node objects per label.
-        leaf_labels = ordered_label_union(
-            index1.leaf_labels(), index2.leaf_labels()
-        )
-        internal_labels = schema.sort_labels(
-            ordered_label_union(index1.internal_labels(), index2.internal_labels())
-        )
-        for label in leaf_labels:
-            _match_label(
-                label,
-                index1.leaf_chain(label),
-                index2.leaf_chain(label),
-                matching,
-                context,
-                leaf=True,
-            )
-        for label in internal_labels:
-            _match_label(
-                label,
-                index1.internal_chain(label),
-                index2.internal_chain(label),
-                matching,
-                context,
-                leaf=False,
-            )
-        apply_root_policy(t1, t2, matching, context.config)
-        return matching
-
-    # chain_T(l) for both trees: label -> nodes in left-to-right order.
-    chains1 = label_chains(t1)
-    chains2 = label_chains(t2)
-    leaf_labels = ordered_label_union(t1.leaf_labels(), t2.leaf_labels())
+    leaf_labels = ordered_label_union(index1.leaf_labels(), index2.leaf_labels())
     internal_labels = schema.sort_labels(
-        ordered_label_union(t1.internal_labels(), t2.internal_labels())
+        ordered_label_union(index1.internal_labels(), index2.internal_labels())
     )
-
     for label in leaf_labels:
         _match_label(
             label,
-            [n for n in chains1.get(label, ()) if n.is_leaf],
-            [n for n in chains2.get(label, ()) if n.is_leaf],
+            index1.leaf_chain(label),
+            index2.leaf_chain(label),
             matching,
             context,
             leaf=True,
@@ -109,8 +75,8 @@ def fast_match(
     for label in internal_labels:
         _match_label(
             label,
-            [n for n in chains1.get(label, ()) if not n.is_leaf],
-            [n for n in chains2.get(label, ()) if not n.is_leaf],
+            index1.internal_chain(label),
+            index2.internal_chain(label),
             matching,
             context,
             leaf=False,

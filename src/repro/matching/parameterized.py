@@ -28,7 +28,7 @@ from typing import List, Optional
 from ..core.node import Node
 from ..core.tree import Tree
 from ..lcs.myers import myers_lcs
-from .chains import label_chains, ordered_label_union
+from .chains import ordered_label_union
 from .criteria import CriteriaContext, MatchConfig, MatchingStats, apply_root_policy
 from .matching import Matching
 from .schema import LabelSchema
@@ -53,26 +53,24 @@ def parameterized_match(
     if schema is None:
         schema = LabelSchema.infer([t1, t2])
 
-    chains1 = label_chains(t1)
-    chains2 = label_chains(t2)
-
-    leaf_labels = ordered_label_union(t1.leaf_labels(), t2.leaf_labels())
+    index1, index2 = context.index1, context.index2
+    leaf_labels = ordered_label_union(index1.leaf_labels(), index2.leaf_labels())
     internal_labels = schema.sort_labels(
-        ordered_label_union(t1.internal_labels(), t2.internal_labels())
+        ordered_label_union(index1.internal_labels(), index2.internal_labels())
     )
 
     for label in leaf_labels:
         _match_label(
             label,
-            [n for n in chains1.get(label, ()) if n.is_leaf],
-            [n for n in chains2.get(label, ()) if n.is_leaf],
+            index1.leaf_chain(label),
+            index2.leaf_chain(label),
             matching, context, k, leaf=True,
         )
     for label in internal_labels:
         _match_label(
             label,
-            [n for n in chains1.get(label, ()) if not n.is_leaf],
-            [n for n in chains2.get(label, ()) if not n.is_leaf],
+            index1.internal_chain(label),
+            index2.internal_chain(label),
             matching, context, k, leaf=False,
         )
     apply_root_policy(t1, t2, matching, context.config)

@@ -43,8 +43,8 @@ def postprocess_matching(
 ) -> int:
     """Repair *matching* in place; return the number of changed pairs.
 
-    Passing the matcher's *context* (as the pipeline does) reuses its leaf
-    counts and tree indexes instead of recomputing them for the repair pass.
+    Passing the matcher's *context* (as the pipeline does) reuses its tree
+    indexes instead of rebuilding them for the repair pass.
     """
     if context is None:
         context = CriteriaContext(t1, t2, config, stats)

@@ -14,7 +14,7 @@ internal nodes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.node import Node
 from ..core.tree import Tree
@@ -31,21 +31,15 @@ def match(
 ) -> Matching:
     """Run Algorithm Match and return the resulting (maximal) matching.
 
-    A prebuilt *context* (the pipeline's, carrying shared tree indexes)
-    makes Criterion-2 evaluation use the indexed fast path and reuses the
-    index's label chains as the candidate buckets.
+    A prebuilt *context* (the pipeline's) shares its tree indexes; the
+    T2 index's label chains are the candidate buckets.
     """
     if context is None:
         context = CriteriaContext(t1, t2, config, stats)
     matching = Matching()
 
-    # Unmatched T2 candidates bucketed by label, in document order.
-    if context.index2 is not None:
-        candidates: Dict[str, List[Node]] = context.index2.chains()
-    else:
-        candidates = {}
-        for node in t2.preorder():
-            candidates.setdefault(node.label, []).append(node)
+    # T2 candidates bucketed by label, in document order.
+    candidates = context.index2.chains()
     matched2: set = set()
 
     def try_match(x: Node) -> None:

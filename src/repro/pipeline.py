@@ -95,10 +95,6 @@ class DiffConfig:
     render:
         Render the delta tree (``"latex"``, ``"html"`` or ``"text"``);
         implies ``build_delta``.
-    reuse_indexes:
-        Consult a :class:`~repro.core.index.TreeIndex` previously attached
-        to a tree (``tree.index``) before building a fresh one; hits are
-        reported in the trace as ``index_cache_hits``.
 
     All validation happens here, in ``__post_init__``, so every front end
     rejects a bad configuration with one typed :class:`ConfigError` before
@@ -112,7 +108,6 @@ class DiffConfig:
     postprocess: bool = True
     build_delta: bool = False
     render: Optional[str] = None
-    reuse_indexes: bool = True
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -358,13 +353,13 @@ class DiffPipeline:
         return result
 
     # ------------------------------------------------------------------
-    def _index_for(self, tree: Tree, trace: Trace) -> TreeIndex:
-        if self.config.reuse_indexes:
-            index, reused = cached_index(tree)
-            if reused:
-                trace.incr("index_cache_hits")
-            return index
-        return TreeIndex(tree)
+    @staticmethod
+    def _index_for(tree: Tree, trace: Trace) -> TreeIndex:
+        """A still-valid ``tree.index`` (counted as a cache hit) or a fresh one."""
+        index, reused = cached_index(tree)
+        if reused:
+            trace.incr("index_cache_hits")
+        return index
 
     @staticmethod
     def _build_delta(t1: Tree, t2: Tree, edit: EditScriptResult) -> "DeltaTree":

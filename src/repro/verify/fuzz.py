@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..core.arena import ArenaOverlay
-from ..core.index import LegacyTreeIndex, TreeIndex
 from ..core.isomorphism import trees_isomorphic
 from ..core.serialization import tree_from_dict, tree_to_dict
 from ..core.tree import Tree
@@ -45,7 +44,7 @@ from ..workload.random_trees import (
     random_tree,
 )
 from .differential import differential_check
-from .oracles import VerifyReport, Violation, verify_result
+from .oracles import VerifyReport, Violation, check_index_consistency, verify_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..pipeline import DiffResult
@@ -269,7 +268,7 @@ def _pair_fails(t1: Tree, t2: Tree, config: FuzzConfig, runner: Runner) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Arena representation crosschecks (the object core's differential twin)
+# Arena representation crosschecks
 # ---------------------------------------------------------------------------
 def _arena_check(
     t1: Tree, t2: Tree, results: Dict[str, "DiffResult"]
@@ -280,9 +279,10 @@ def _arena_check(
 
     * Node graph → :class:`~repro.core.arena.TreeArena` → Node graph
       round-trips to an isomorphic tree with identical preorder ids;
-    * the arena-backed :class:`~repro.core.index.TreeIndex` agrees with the
-      object-walking :class:`~repro.core.index.LegacyTreeIndex` on every
-      rank, size, leaf count, child rank, and leaf ordering;
+    * the arena-backed :class:`~repro.core.index.TreeIndex` agrees with
+      naive node walks (:func:`~repro.verify.oracles.check_index_consistency`)
+      on every preorder rank, size, leaf count, leaf span, child rank and
+      containment test;
     * each generated script replays through a copy-on-write
       :class:`~repro.core.arena.ArenaOverlay` to a tree isomorphic to T2,
       matching the object-path ``replay``.
@@ -310,41 +310,10 @@ def _arena_check(
                     {"tree": name},
                 )
             )
-        fast = TreeIndex(tree)
-        legacy = LegacyTreeIndex(tree)
-        for node_id in preorder_ids:
-            checks = [
-                ("rank", fast.rank(node_id), legacy.rank(node_id)),
-                (
-                    "subtree_size",
-                    fast.subtree_size(node_id),
-                    legacy.subtree_size(node_id),
-                ),
-                ("leaf_count", fast.leaf_count(node_id), legacy.leaf_count(node_id)),
-            ]
-            if node_id != tree.root.id:
-                checks.append(
-                    ("child_rank", fast.child_rank(node_id), legacy.child_rank(node_id))
-                )
-            for what, got, want in checks:
-                if got != want:
-                    violations.append(
-                        Violation(
-                            "arena",
-                            f"TreeIndex and LegacyTreeIndex disagree on {what}",
-                            {"tree": name, "node": node_id, "fast": got, "legacy": want},
-                        )
-                    )
-        fast_leaves = [n.id for n in fast.leaves_of(tree.root.id)]
-        legacy_leaves = [n.id for n in legacy.leaves_of(tree.root.id)]
-        if fast_leaves != legacy_leaves:
-            violations.append(
-                Violation(
-                    "arena",
-                    "TreeIndex and LegacyTreeIndex disagree on leaf ordering",
-                    {"tree": name},
-                )
-            )
+        violations.extend(
+            Violation("arena", f"{name}: {v.message}", v.details)
+            for v in check_index_consistency(tree)
+        )
     for algorithm, result in results.items():
         edit = result.edit
         try:

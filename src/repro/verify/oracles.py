@@ -494,10 +494,11 @@ def check_index_consistency(
 ) -> List[Violation]:
     """A :class:`TreeIndex` over *tree* must agree with naive recomputation.
 
-    Checks subtree sizes, leaf counts, leaf spans, 1-based sibling ranks,
-    preorder-interval containment against the parent chain, and that the
-    flat leaf list matches a document-order walk. Run on replayed trees to
-    prove the index abstractions survive a full edit round trip.
+    Checks preorder ranks, subtree sizes, leaf counts, leaf spans, 1-based
+    sibling ranks, preorder-interval containment against the parent chain,
+    and that the flat leaf list matches a document-order walk. Run on
+    replayed trees to prove the index abstractions survive a full edit
+    round trip, and by the fuzz harness on every generated tree.
     """
     name = "index_consistency"
     out: List[Violation] = []
@@ -511,12 +512,20 @@ def check_index_consistency(
                 {"index": len(index), "tree": len(tree)},
             )
         )
-    for node in tree.preorder():
+    for rank, node in enumerate(tree.preorder()):
         if node.id not in index:
             out.append(
                 Violation(name, "tree node missing from the index", {"node": node.id})
             )
             continue
+        if index.rank(node.id) != rank:
+            out.append(
+                Violation(
+                    name,
+                    "preorder rank disagrees with a direct walk",
+                    {"node": node.id, "rank": index.rank(node.id), "walked": rank},
+                )
+            )
         if index.subtree_size(node.id) != node.subtree_size():
             out.append(
                 Violation(

@@ -33,9 +33,10 @@ from repro.core.errors import (
     TreeError,
     UnknownNodeError,
 )
-from repro.core.index import LegacyTreeIndex, TreeIndex
+from repro.core.index import TreeIndex
 from repro.editscript.script import EditScript
 from repro.editscript.operations import Delete, Insert, Move, Update
+from test_core_index import assert_index_consistent
 
 
 def sample_tree() -> Tree:
@@ -342,27 +343,13 @@ class TestApplyToArena:
 
 
 # ---------------------------------------------------------------------------
-# TreeIndex parity against the object-walking implementation
+# TreeIndex over arena-parsed trees agrees with naive node walks
 # ---------------------------------------------------------------------------
 class TestIndexParity:
     def test_tables_agree(self):
         tree = tree_from_dict(tree_to_dict(sample_tree()))
-        fast = TreeIndex(tree)
-        legacy = LegacyTreeIndex(tree)
-        assert len(fast) == len(legacy)
-        for node in tree.preorder():
-            assert fast.rank(node.id) == legacy.rank(node.id)
-            assert fast.subtree_size(node.id) == legacy.subtree_size(node.id)
-            assert fast.leaf_count(node.id) == legacy.leaf_count(node.id)
-            if node.parent is not None:
-                assert fast.child_rank(node.id) == legacy.child_rank(node.id)
-            assert [n.id for n in fast.leaves_of(node.id)] == [
-                n.id for n in legacy.leaves_of(node.id)
-            ]
-        assert fast.leaf_labels() == legacy.leaf_labels()
-        assert fast.internal_labels() == legacy.internal_labels()
-        assert fast.node_table() == legacy.node_table()
-        assert fast.child_rank_table() == legacy.child_rank_table()
+        index = TreeIndex(tree)
+        assert_index_consistent(index, tree)
 
     def test_child_rank_raises_for_root(self):
         tree = sample_tree()
@@ -407,12 +394,7 @@ def test_roundtrip_property(spec):
         len(n.children) for n in originals
     ]
 
-    fast = TreeIndex(back)
-    legacy = LegacyTreeIndex(tree)
-    for node in originals:
-        assert fast.rank(node.id) == legacy.rank(node.id)
-        assert fast.subtree_size(node.id) == legacy.subtree_size(node.id)
-        assert fast.leaf_count(node.id) == legacy.leaf_count(node.id)
+    assert_index_consistent(TreeIndex(back), back)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def assert_index_consistent(index, tree):
     # Preorder ranks, subtree sizes, leaf counts, spans, child ranks.
     leaves_seen = []
     for rank, node in enumerate(preorder):
-        assert index.owns(node)
+        assert node.id in index
         assert index.rank(node.id) == rank
         assert index.subtree_size(node.id) == node.subtree_size()
         assert index.leaf_count(node.id) == naive_leaf_count(node)
@@ -112,6 +112,15 @@ class TestAfterReplay:
         fresh, reused = cached_index(document)
         assert not reused
         assert fresh is not index
+        assert_index_consistent(fresh, document)
+
+    def test_stale_index_detected_after_same_size_move(self, document):
+        index = attach_index(document)
+        sections = document.root.children
+        document.move(sections[0].children[0].id, sections[1].id, 1)
+        assert not index.describes(document)
+        fresh, reused = cached_index(document)
+        assert not reused
         assert_index_consistent(fresh, document)
 
 

@@ -123,12 +123,6 @@ class TestCriterion2:
         ctx = CriteriaContext(t1, t2)
         assert not ctx.nodes_equal(t1.get(3), t2.get(2), Matching())
 
-    def test_leaf_count_caching_handles_new_nodes(self, doc_pair):
-        t1, t2 = doc_pair
-        ctx = CriteriaContext(t1, t2)
-        new_leaf = t1.create_node("S", "late arrival", parent=t1.get(2))
-        assert ctx.leaf_count(new_leaf) == 1
-
 
 class TestCriterion3:
     def test_unique_sentences_hold(self, doc_pair):

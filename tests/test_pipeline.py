@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ConfigError, tree_diff
+from repro import ConfigError, Tree, tree_diff
 from repro.core.index import attach_index
 from repro.editscript.generator import generate_edit_script
 from repro.matching.criteria import MatchConfig, MatchingStats
@@ -144,6 +144,19 @@ class TestTrace:
         attach_index(new)
         result = DiffPipeline(DiffConfig()).run(old, new)
         assert result.trace.counters["index_cache_hits"] == 2
+
+    def test_attached_index_not_reused_after_same_size_mutation(self):
+        t1 = Tree.from_obj(("D", None, [
+            ("P", None, [("S", "one two three"), ("S", "four five six")]),
+            ("P", None, [("S", "seven eight nine"), ("S", "ten eleven twelve")]),
+        ]))
+        t2 = t1.copy()
+        attach_index(t2)
+        t2.move(3, 5, 3)  # first sentence to the end of the other paragraph
+        assert len(t2) == len(t1)
+        result = DiffPipeline(DiffConfig()).run(t1, t2)
+        assert result.trace.counters["index_cache_hits"] == 0
+        assert result.edit.verify(t1, t2)
 
     def test_listeners_see_every_span(self):
         old, new = random_pair(17, 5)

@@ -300,6 +300,15 @@ def test_index_consistency_rejects_stale_index(figure1_trees):
     assert "index node count differs from the tree" in found
 
 
+def test_index_consistency_rejects_reordered_index(figure1_trees):
+    t1, _ = figure1_trees
+    stale = TreeIndex(t1)
+    first, second = t1.root.children[:2]
+    t1.move(first.children[0].id, second.id, len(second.children) + 1)
+    found = messages(check_index_consistency(t1, stale))
+    assert "preorder rank disagrees with a direct walk" in found
+
+
 # ---------------------------------------------------------------------------
 # VerifyReport mechanics
 # ---------------------------------------------------------------------------
