@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import matching_quality
 from repro.ladiff.pipeline import default_match_config
-from repro.matching import fast_match, parameterized_match
+from repro.matching import fast_match
 from repro.workload import DocumentSpec, MutationEngine, MutationMix, generate_document
 
 from conftest import print_table
@@ -56,9 +56,7 @@ def sweep(pairs):
         rows.append((f"FastMatch t={t:.1f}", p, r, f))
     for k in (0, 2, 8, None):
         config = default_match_config()
-        p, r, f = score(
-            pairs, lambda a, b: parameterized_match(a, b, k=k, config=config)
-        )
+        p, r, f = score(pairs, lambda a, b: fast_match(a, b, config, k=k))
         label = "A(unbounded)" if k is None else f"A(k={k})"
         rows.append((label, p, r, f))
     return rows

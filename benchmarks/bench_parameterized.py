@@ -1,9 +1,9 @@
 """Ablation: the A(k) optimality/efficiency tradeoff (§9 future work).
 
 The paper plans "a parameterized algorithm A(k) where the parameter k
-specifies the desired level of optimality"; ``repro.matching.
-parameterized_match`` realizes it by bounding FastMatch's quadratic
-fallback to a window of k chain positions. This bench sweeps k on a
+specifies the desired level of optimality"; ``fast_match(..., k=k)``
+realizes it by bounding FastMatch's quadratic fallback to a window of k
+chain positions. This bench sweeps k on a
 move-heavy workload and reports the two sides of the trade:
 
 * matching effort (leaf comparisons r1) — grows with k,
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.editscript import generate_edit_script
 from repro.ladiff.pipeline import default_match_config
-from repro.matching import MatchingStats, parameterized_match
+from repro.matching import MatchingStats, fast_match
 from repro.workload import DocumentSpec, MutationEngine, MutationMix, generate_document
 
 from conftest import print_table
@@ -47,8 +47,8 @@ def sweep(pairs):
         total_cost = total_compares = total_ops = 0.0
         for base, edited in pairs:
             stats = MatchingStats()
-            matching = parameterized_match(
-                base, edited, k=k, config=default_match_config(), stats=stats
+            matching = fast_match(
+                base, edited, default_match_config(), stats=stats, k=k
             )
             result = generate_edit_script(base, edited, matching)
             assert result.verify(base, edited)

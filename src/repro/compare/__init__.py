@@ -7,12 +7,11 @@ from .generic import (
     exact_compare,
     numeric_compare,
 )
-from .sentence import SentenceComparator, tokenize_words, word_lcs_distance
+from .sentence import tokenize_words, word_lcs_distance
 
 __all__ = [
     "Comparator",
     "CompareRegistry",
-    "SentenceComparator",
     "default_compare",
     "exact_compare",
     "numeric_compare",

@@ -63,15 +63,13 @@ class CompareRegistry:
     Example::
 
         registry = CompareRegistry()
-        registry.register("S", SentenceComparator(case_sensitive=False))
         registry.register("price", numeric_compare)
-        distance = registry.compare_nodes(node_a, node_b)
+        distance = registry.compare(old_price, new_price, label="price")
     """
 
     def __init__(self, default: Comparator = default_compare) -> None:
         self._default = default
         self._by_label: Dict[str, Comparator] = {}
-        self.calls = 0
 
     def register(self, label: str, comparator: Comparator) -> None:
         """Route values of nodes labeled *label* through *comparator*."""
@@ -85,9 +83,4 @@ class CompareRegistry:
 
     def compare(self, a: Any, b: Any, label: Optional[str] = None) -> float:
         """Compare two raw values under the (optional) label's comparator."""
-        self.calls += 1
         return self.comparator_for(label)(a, b)
-
-    def compare_nodes(self, node_a: Any, node_b: Any) -> float:
-        """Compare two tree nodes' values; uses ``node_a``'s label for routing."""
-        return self.compare(node_a.value, node_b.value, node_a.label)

@@ -11,11 +11,18 @@ which is 0 for identical sentences, at most 1 when at least half the words of
 the longer sentence survive, and 2 when nothing matches. A value below 1
 means "move + update is cheaper than delete + insert", exactly the
 consistency property the cost model asks for.
+
+:func:`word_lcs_distance` is the one sentence distance: the default
+comparator routes every pair of strings to it, whatever the label. Words are
+case-sensitive and keep their punctuation; a sentence is tokenized once and
+the words are memoized, since matching compares each sentence against many
+candidates.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..lcs.myers import lcs_length
@@ -28,82 +35,26 @@ def tokenize_words(text: str) -> List[str]:
     return _WORD.findall(text)
 
 
+@lru_cache(maxsize=4096)
+def _words(text: str) -> Tuple[str, ...]:
+    return tuple(tokenize_words(text))
+
+
 def word_lcs_distance(a: Optional[str], b: Optional[str]) -> float:
     """Distance in ``[0, 2]`` between two sentence values.
 
     ``None`` values compare as empty sentences; two empty sentences are at
     distance 0.
     """
-    words_a = tokenize_words(a) if a else []
-    words_b = tokenize_words(b) if b else []
+    words_a = _words(a) if a else ()
+    words_b = _words(b) if b else ()
     if not words_a and not words_b:
         return 0.0
     if not words_a or not words_b:
         return 2.0
+    if words_a == words_b:
+        return 0.0
     common = lcs_length(words_a, words_b)
     return (len(words_a) + len(words_b) - 2 * common) / max(
         len(words_a), len(words_b)
     )
-
-
-class SentenceComparator:
-    """Callable sentence comparator with optional normalization and caching.
-
-    Parameters
-    ----------
-    case_sensitive:
-        When ``False``, words are lower-cased before comparison.
-    strip_punctuation:
-        When ``True``, leading/trailing punctuation is removed from each
-        word, so ``"end."`` matches ``"end"``.
-    cache_size:
-        Number of tokenizations memoized (sentences are compared against
-        many candidates during matching, so tokenizing once pays off).
-    """
-
-    _PUNCT = ".,;:!?()[]{}\"'`"
-
-    def __init__(
-        self,
-        case_sensitive: bool = True,
-        strip_punctuation: bool = False,
-        cache_size: int = 4096,
-    ) -> None:
-        self.case_sensitive = case_sensitive
-        self.strip_punctuation = strip_punctuation
-        self._cache_size = cache_size
-        self._token_cache: dict = {}
-        self.calls = 0  # instrumentation hook: number of compare invocations
-
-    def _tokens(self, text: Optional[str]) -> Tuple[str, ...]:
-        if not text:
-            return ()
-        cached = self._token_cache.get(text)
-        if cached is not None:
-            return cached
-        words = tokenize_words(text)
-        if not self.case_sensitive:
-            words = [w.lower() for w in words]
-        if self.strip_punctuation:
-            words = [w.strip(self._PUNCT) for w in words]
-            words = [w for w in words if w]
-        tokens = tuple(words)
-        if len(self._token_cache) >= self._cache_size:
-            self._token_cache.clear()
-        self._token_cache[text] = tokens
-        return tokens
-
-    def __call__(self, a: Optional[str], b: Optional[str]) -> float:
-        self.calls += 1
-        words_a = self._tokens(a)
-        words_b = self._tokens(b)
-        if not words_a and not words_b:
-            return 0.0
-        if not words_a or not words_b:
-            return 2.0
-        if words_a == words_b:
-            return 0.0
-        common = lcs_length(words_a, words_b)
-        return (len(words_a) + len(words_b) - 2 * common) / max(
-            len(words_a), len(words_b)
-        )

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..compare.sentence import SentenceComparator
 from ..core.tree import Tree
 from ..deltatree.builder import DeltaTree
 from ..deltatree.render_text import change_summary
@@ -58,14 +57,13 @@ class LaDiffResult:
 
 
 def default_match_config(t: float = 0.5, f: float = 0.6) -> MatchConfig:
-    """LaDiff's matching configuration.
+    """LaDiff's matching configuration: thresholds *t* and *f*.
 
-    Sentences are compared with the word-LCS distance of Section 7
-    (case-sensitive, punctuation significant, memoized tokenization).
+    No comparator is registered: the default one already sends sentence
+    (string) values to the word-LCS distance of Section 7, and any other
+    value type to its own comparator.
     """
-    config = MatchConfig(f=f, t=t)
-    config.registry.register("S", SentenceComparator())
-    return config
+    return MatchConfig(f=f, t=t)
 
 
 def ladiff(

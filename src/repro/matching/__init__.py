@@ -6,12 +6,10 @@ from .criteria import (
     MatchingStats,
     criterion3_holds,
     criterion3_violations,
-    matching_satisfies_criteria,
 )
 from .fastmatch import fast_match
 from .keyed import match_by_keys, match_with_keys_then_values
 from .matching import Matching
-from .parameterized import parameterized_match
 from .postprocess import postprocess_matching
 from .schema import DOCUMENT_SCHEMA, LabelSchema
 from .simple import match
@@ -29,7 +27,5 @@ __all__ = [
     "match",
     "match_by_keys",
     "match_with_keys_then_values",
-    "matching_satisfies_criteria",
-    "parameterized_match",
     "postprocess_matching",
 ]

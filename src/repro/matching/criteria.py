@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .._compat import DATACLASS_SLOTS
 from ..compare.generic import CompareRegistry
@@ -24,10 +24,6 @@ from ..core.index import TreeIndex
 from ..core.node import Node
 from ..core.tree import Tree
 from .matching import Matching
-
-#: Node-level comparator: distance in [0, 2] between two nodes' values.
-NodeCompare = Callable[[Node, Node], float]
-
 
 @dataclass(**DATACLASS_SLOTS)
 class MatchingStats:
@@ -245,23 +241,3 @@ def criterion3_holds(
     return not criterion3_violations(t1, t2, config) and not criterion3_violations(
         t2, t1, config
     )
-
-
-def matching_satisfies_criteria(
-    matching: Matching,
-    t1: Tree,
-    t2: Tree,
-    config: Optional[MatchConfig] = None,
-) -> bool:
-    """Validate that every pair of *matching* satisfies Criteria 1 and 2."""
-    context = CriteriaContext(t1, t2, config)
-    for x_id, y_id in matching.pairs():
-        x, y = t1.get(x_id), t2.get(y_id)
-        if x.is_leaf and y.is_leaf:
-            if not context.leaves_equal(x, y):
-                return False
-        elif x.is_leaf or y.is_leaf:
-            return False
-        elif not context.internals_equal(x, y, matching):
-            return False
-    return True

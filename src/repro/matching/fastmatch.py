@@ -10,6 +10,21 @@ bottom-up (schema) order so Criterion 2 sees fully matched descendants.
 Running time is ``O((ne + e^2) c + 2lne)`` (Appendix B), where ``e`` is the
 weighted edit distance — far below Match's ``O(n^2 c + mn)`` when the trees
 are similar (``e << n``).
+
+The optional ``k`` realizes the parameterized matcher A(k) that the paper
+leaves as future work (§9): "a parameterized algorithm A(k) where the
+parameter k specifies the desired level of optimality". It bounds the
+quadratic leftover pass to candidates within ``k`` chain positions of the
+node's own rank:
+
+* ``k = 0`` — LCS only: moves that changed relative order surface as
+  delete + insert;
+* small ``k`` — local moves are found, long-distance ones are not; the
+  leftover pass costs ``O(n k)``;
+* ``k = None`` (the default) — Algorithm FastMatch, unbounded.
+
+Whatever ``k``, the matching is correct input for Algorithm EditScript;
+only the script's optimality (cost) degrades.
 """
 
 from __future__ import annotations
@@ -32,6 +47,7 @@ def fast_match(
     schema: Optional[LabelSchema] = None,
     stats: Optional[MatchingStats] = None,
     context: Optional[CriteriaContext] = None,
+    k: Optional[int] = None,
 ) -> Matching:
     """Run Algorithm FastMatch and return the resulting matching.
 
@@ -48,7 +64,12 @@ def fast_match(
         A prebuilt :class:`CriteriaContext` (the pipeline shares one, with
         its tree indexes, across the match and postprocess stages). Label
         chains and label lists come from the context's indexes.
+    k:
+        Window of the leftover pass in chain positions (A(k), §9): ``0``
+        stops after the LCS pass, ``None`` leaves the pass unbounded.
     """
+    if k is not None and k < 0:
+        raise ValueError(f"k must be >= 0 or None, got {k}")
     if context is None:
         context = CriteriaContext(t1, t2, config, stats)
     matching = Matching()
@@ -70,6 +91,7 @@ def fast_match(
             index2.leaf_chain(label),
             matching,
             context,
+            k,
             leaf=True,
         )
     for label in internal_labels:
@@ -79,6 +101,7 @@ def fast_match(
             index2.internal_chain(label),
             matching,
             context,
+            k,
             leaf=False,
         )
     apply_root_policy(t1, t2, matching, context.config)
@@ -91,6 +114,7 @@ def _match_label(
     s2: List[Node],
     matching: Matching,
     context: CriteriaContext,
+    k: Optional[int],
     leaf: bool,
 ) -> None:
     """Steps 2a-2e of Figure 11 for one label chain."""
@@ -107,15 +131,22 @@ def _match_label(
     for x, y in myers_lcs(s1, s2, equal):
         matching.add(x.id, y.id)
 
-    # 2e. Pair remaining unmatched nodes as in Algorithm Match.
+    if k == 0:
+        return
+
+    # 2e. Pair remaining unmatched nodes as in Algorithm Match; under A(k)
+    # only candidates whose chain rank lies within k of x's are tried.
     leftovers2 = [y for y in s2 if not matching.has2(y.id)]
     if not leftovers2:
         return
-    for x in s1:
+    rank2 = None if k is None else {y.id: rank for rank, y in enumerate(s2)}
+    for rank1, x in enumerate(s1):
         if matching.has1(x.id):
             continue
         for y in leftovers2:
             if matching.has2(y.id):
+                continue
+            if rank2 is not None and abs(rank2[y.id] - rank1) > k:
                 continue
             if equal(x, y):
                 matching.add(x.id, y.id)

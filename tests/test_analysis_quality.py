@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import MatchQuality, matching_quality, pair_sets
-from repro.matching import Matching, MatchConfig, fast_match, match, parameterized_match
+from repro.matching import Matching, MatchConfig, fast_match, match
 from repro.workload import DocumentSpec, MutationEngine, generate_document
 
 
@@ -62,10 +62,10 @@ class TestGroundTruthScoring:
                           delete_leaf=0.2, update_leaf=0.2)
         mutated = MutationEngine(112, mix=mix).mutate(base, 15).tree
         q_zero = matching_quality(
-            base, mutated, parameterized_match(base, mutated, k=0)
+            base, mutated, fast_match(base, mutated, k=0)
         )
         q_full = matching_quality(
-            base, mutated, parameterized_match(base, mutated, k=None)
+            base, mutated, fast_match(base, mutated, k=None)
         )
         assert q_full.recall > q_zero.recall
         assert q_zero.precision >= 0.9

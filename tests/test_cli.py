@@ -96,6 +96,21 @@ class TestScriptCommand:
         assert main(["script", str(old), str(new)]) == 0
         assert "INS(" in capsys.readouterr().out
 
+    def test_numeric_sentence_values(self, tmp_path, capsys):
+        """A non-string ``S`` value is compared numerically, not tokenized."""
+        def document(value):
+            return {"label": "D", "children": [{"label": "P", "children": [
+                {"label": "S", "value": value},
+                {"label": "S", "value": "an ordinary sentence here"}]}]}
+
+        old = tmp_path / "old.json"
+        new = tmp_path / "new.json"
+        old.write_text(json.dumps(document(5)), encoding="utf-8")
+        new.write_text(json.dumps(document(6)), encoding="utf-8")
+        assert main(["script", str(old), str(new), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [entry["op"] for entry in payload] == ["update"]
+
 
 class TestStatsCommand:
     def test_reports_measurements(self, latex_files, capsys):

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from repro.compare import (
     CompareRegistry,
-    SentenceComparator,
     default_compare,
     exact_compare,
     numeric_compare,
     tokenize_words,
     word_lcs_distance,
 )
-from repro.core import Tree
+from repro.ladiff import default_match_config
 
 sentences = st.text(
     alphabet=st.sampled_from(list("abc xyz")), min_size=0, max_size=40
@@ -57,6 +56,17 @@ class TestWordLcsDistance:
     def test_identity(self, a):
         assert word_lcs_distance(a, a) == 0.0
 
+    def test_none_values(self):
+        assert word_lcs_distance(None, None) == 0.0
+        assert word_lcs_distance(None, "x") == 2.0
+
+    def test_default_config_matches_plain_function(self):
+        """LaDiff's sentences go through the one word-LCS distance."""
+        registry = default_match_config().registry
+        assert registry.compare("a b c", "a b d", label="S") == pytest.approx(
+            word_lcs_distance("a b c", "a b d")
+        )
+
     def test_consistency_property(self):
         """Similar sentences land below 1 (move+update beats delete+insert)."""
         old = "the quick brown fox jumps over the lazy dog"
@@ -73,39 +83,6 @@ class TestTokenizeWords:
     def test_empty(self):
         assert tokenize_words("") == []
         assert tokenize_words("   ") == []
-
-
-class TestSentenceComparator:
-    def test_matches_plain_function(self):
-        comparator = SentenceComparator()
-        assert comparator("a b c", "a b d") == pytest.approx(
-            word_lcs_distance("a b c", "a b d")
-        )
-
-    def test_case_insensitive(self):
-        comparator = SentenceComparator(case_sensitive=False)
-        assert comparator("Hello World", "hello world") == 0.0
-
-    def test_punctuation_stripping(self):
-        comparator = SentenceComparator(strip_punctuation=True)
-        assert comparator("the end.", "the end") == 0.0
-
-    def test_counts_calls(self):
-        comparator = SentenceComparator()
-        comparator("a", "b")
-        comparator("a", "c")
-        assert comparator.calls == 2
-
-    def test_cache_eviction(self):
-        comparator = SentenceComparator(cache_size=2)
-        for i in range(10):
-            comparator(f"sentence {i}", f"sentence {i + 1}")
-        assert comparator(f"sentence 1", f"sentence 1") == 0.0
-
-    def test_none_values(self):
-        comparator = SentenceComparator()
-        assert comparator(None, None) == 0.0
-        assert comparator(None, "x") == 2.0
 
 
 class TestGenericComparators:
@@ -130,6 +107,17 @@ class TestGenericComparators:
         assert default_compare(None, "x") == 2.0
         assert default_compare(("t",), ("t",)) == 0.0
 
+    def test_none_against_blank_sentence_is_two(self):
+        """``None`` is at distance 2 from any value, blank strings included,
+        for sentence labels as for every other label."""
+        registry = default_match_config().registry
+        for blank in ("", "   "):
+            assert default_compare(None, blank) == 2.0
+            assert registry.compare(None, blank, label="S") == 2.0
+            assert registry.compare(blank, None, label="S") == 2.0
+        # two blank sentences are still identical
+        assert registry.compare("", "  ", label="S") == 0.0
+
 
 class TestCompareRegistry:
     def test_label_routing(self):
@@ -138,19 +126,6 @@ class TestCompareRegistry:
         assert registry.compare(10, 5, label="price") == pytest.approx(0.5)
         # default for unknown label: word distance for strings
         assert registry.compare("a b", "a c", label="S") == pytest.approx(1.0)
-
-    def test_compare_nodes_uses_first_label(self):
-        registry = CompareRegistry()
-        registry.register("N", numeric_compare)
-        tree = Tree.from_obj(("D", None, [("N", 4), ("N", 2)]))
-        a, b = list(tree.leaves())
-        assert registry.compare_nodes(a, b) == pytest.approx(0.5)
-
-    def test_counts_calls(self):
-        registry = CompareRegistry()
-        registry.compare("a", "b")
-        registry.compare("a", "b")
-        assert registry.calls == 2
 
     def test_comparator_for_default(self):
         registry = CompareRegistry(default=exact_compare)

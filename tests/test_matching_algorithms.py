@@ -14,9 +14,9 @@ from repro.matching import (
     match,
     match_by_keys,
     match_with_keys_then_values,
-    matching_satisfies_criteria,
     postprocess_matching,
 )
+from repro.verify import check_matching_validity
 from repro.workload import DocumentSpec, generate_document
 from repro.workload.mutations import MutationEngine
 
@@ -79,7 +79,7 @@ class TestMatchBasics:
         edited = engine.mutate(base, 6).tree
         config = MatchConfig(f=0.6, t=0.5)
         m = match(base, edited, config)
-        assert matching_satisfies_criteria(m, base, edited, config)
+        assert check_matching_validity(base, edited, m, config, check_criterion2=True) == []
 
 
 class TestFastMatch:

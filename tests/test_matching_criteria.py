@@ -10,8 +10,8 @@ from repro.matching import (
     MatchingStats,
     criterion3_holds,
     criterion3_violations,
-    matching_satisfies_criteria,
 )
+from repro.verify import check_matching_validity
 
 
 @pytest.fixture
@@ -152,28 +152,35 @@ class TestCriterion3:
 
 
 class TestMatchingSatisfiesCriteria:
+    """Criteria 1 and 2 on every pair, as the verify oracle checks them."""
+
+    @staticmethod
+    def satisfies(m, t1, t2, config=None):
+        config = config if config is not None else MatchConfig()
+        return not check_matching_validity(t1, t2, m, config, check_criterion2=True)
+
     def test_good_matching_passes(self, doc_pair):
         t1, t2 = doc_pair
         m = Matching([(1, 1), (2, 2), (3, 3), (4, 4)])
         # pair (4, 4) is at word distance 2/3, so f must be at least that
-        assert matching_satisfies_criteria(m, t1, t2, MatchConfig(f=0.7))
+        assert self.satisfies(m, t1, t2, MatchConfig(f=0.7))
 
     def test_good_matching_fails_under_tight_f(self, doc_pair):
         t1, t2 = doc_pair
         m = Matching([(1, 1), (2, 2), (3, 3), (4, 4)])
-        assert not matching_satisfies_criteria(m, t1, t2, MatchConfig(f=0.5))
+        assert not self.satisfies(m, t1, t2, MatchConfig(f=0.5))
 
     def test_distant_leaf_pair_fails(self, doc_pair):
         t1, t2 = doc_pair
         m = Matching([(6, 6)])  # "one two three" vs "completely different words"
-        assert not matching_satisfies_criteria(m, t1, t2)
+        assert not self.satisfies(m, t1, t2)
 
     def test_leaf_to_internal_pair_fails(self, doc_pair):
         t1, t2 = doc_pair
         m = Matching([(3, 2)])
-        assert not matching_satisfies_criteria(m, t1, t2)
+        assert not self.satisfies(m, t1, t2)
 
     def test_weak_internal_pair_fails(self, doc_pair):
         t1, t2 = doc_pair
         m = Matching([(2, 6)])  # P with no common leaves
-        assert not matching_satisfies_criteria(m, t1, t2)
+        assert not self.satisfies(m, t1, t2)

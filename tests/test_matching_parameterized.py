@@ -1,10 +1,10 @@
-"""Tests for the parameterized matcher A(k) (§9 future work)."""
+"""Tests for the parameterized matcher A(k) (§9 future work): FastMatch's ``k``."""
 
 import pytest
 
 from repro.core import Tree
 from repro.editscript import generate_edit_script
-from repro.matching import MatchConfig, MatchingStats, fast_match, parameterized_match
+from repro.matching import MatchConfig, MatchingStats, fast_match
 from repro.workload import DocumentSpec, MutationEngine, MutationMix, generate_document
 
 
@@ -32,16 +32,9 @@ def moved_pair():
 
 
 class TestKExtremes:
-    def test_k_none_equals_fastmatch(self, moved_pair):
-        t1, t2 = moved_pair
-        config = MatchConfig()
-        unbounded = parameterized_match(t1, t2, k=None, config=config)
-        reference = fast_match(t1, t2, config)
-        assert set(unbounded.pairs()) == set(reference.pairs())
-
     def test_k_zero_misses_long_moves(self, moved_pair):
         t1, t2 = moved_pair
-        lcs_only = parameterized_match(t1, t2, k=0)
+        lcs_only = fast_match(t1, t2, k=0)
         # the wanderer (t1 node 3) changed relative order, so the LCS-only
         # pass cannot keep it and no fallback exists at k = 0
         assert not lcs_only.has1(3)
@@ -49,7 +42,7 @@ class TestKExtremes:
     def test_negative_k_rejected(self, moved_pair):
         t1, t2 = moved_pair
         with pytest.raises(ValueError):
-            parameterized_match(t1, t2, k=-1)
+            fast_match(t1, t2, k=-1)
 
 
 class TestTradeoff:
@@ -58,7 +51,7 @@ class TestTradeoff:
         t1, t2 = moved_pair
         costs = []
         for k in (0, 1, 4, None):
-            matching = parameterized_match(t1, t2, k=k)
+            matching = fast_match(t1, t2, k=k)
             result = generate_edit_script(t1, t2, matching)
             assert result.verify(t1, t2)
             costs.append(result.cost())
@@ -72,14 +65,16 @@ class TestTradeoff:
         mix = MutationMix(move_leaf=3.0, move_subtree=1.0)
         edited = MutationEngine(78, mix=mix).mutate(base, 15).tree
         compares = {}
+        counters = {}
         for k in (0, 2, None):
             stats = MatchingStats()
-            matching = parameterized_match(base, edited, k=k, config=MatchConfig(),
-                                           stats=stats)
+            matching = fast_match(base, edited, MatchConfig(), stats=stats, k=k)
             result = generate_edit_script(base, edited, matching)
             assert result.verify(base, edited)
             compares[k] = stats.leaf_compares
+            counters[k] = (stats.leaf_compares, stats.partner_checks)
         assert compares[0] <= compares[2] <= compares[None]
+        assert counters == {0: (614, 530), 2: (618, 542), None: (745, 610)}
 
     def test_any_k_is_correct(self):
         """Whatever k, the downstream edit script verifies (only optimality
@@ -87,6 +82,6 @@ class TestTradeoff:
         base = generate_document(79, DocumentSpec(sections=3))
         edited = MutationEngine(80).mutate(base, 12).tree
         for k in (0, 1, 3, 10, None):
-            matching = parameterized_match(base, edited, k=k)
+            matching = fast_match(base, edited, k=k)
             result = generate_edit_script(base, edited, matching)
             assert result.verify(base, edited)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro import ConfigError, Tree, tree_diff
 from repro.core.index import attach_index
+from repro.ladiff.pipeline import default_match_config
 from repro.editscript.generator import generate_edit_script
 from repro.matching.criteria import MatchConfig, MatchingStats
 from repro.matching.fastmatch import fast_match
@@ -14,6 +15,7 @@ from repro.matching.simple import match as simple_match
 from repro.obs.trace import NullSpan
 from repro.pipeline import STAGES, DiffConfig, DiffPipeline, Trace
 from repro.workload import MutationEngine, generate_document
+from repro.workload.corpus import paper_document_sets
 from repro.workload.documents import DocumentSpec
 from repro.workload.random_trees import RandomTreeSpec, random_tree
 
@@ -86,6 +88,43 @@ class TestParity:
         result = DiffPipeline(DiffConfig(postprocess=False)).run(old, new)
         legacy_edit, _ = legacy_diff(old, new, postprocess=False)
         assert result.script.to_dicts() == legacy_edit.script.to_dicts()
+
+
+class TestPaperCounters:
+    """The §8 counters of the default LaDiff configuration, pinned exactly.
+
+    A refactor of the compare or matching layers must leave every figure
+    unchanged; a drift here means the matching itself changed.
+    """
+
+    EXPECTED = [
+        # (leaf_compares, partner_checks, lcs_calls, postprocess_repairs, operations)
+        (130, 280, 4, 0, 4),
+        (345, 323, 4, 0, 15),
+        (562, 383, 4, 0, 22),
+        (2019, 694, 4, 0, 51),
+        (577, 384, 4, 0, 19),
+        (856, 454, 4, 0, 26),
+        (2422, 829, 4, 0, 54),
+        (908, 472, 4, 0, 34),
+        (1838, 941, 4, 0, 64),
+        (2923, 923, 4, 0, 70),
+    ]
+
+    def test_set_a_counters(self):
+        pipeline = DiffPipeline(DiffConfig(match=default_match_config()))
+        observed = []
+        for older, newer in paper_document_sets()[0].pairs():
+            result = pipeline.run(older.tree, newer.tree)
+            stats = result.match_stats
+            observed.append((
+                stats.leaf_compares,
+                stats.partner_checks,
+                stats.lcs_calls,
+                result.postprocess_repairs,
+                len(result.script),
+            ))
+        assert observed == self.EXPECTED
 
 
 class TestConfigValidation:

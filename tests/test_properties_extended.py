@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro import VersionStore, tree_diff, trees_isomorphic
 from repro.editscript import invert_script
-from repro.matching import parameterized_match
+from repro.matching import fast_match
 from repro.editscript.generator import generate_edit_script
 from repro.workload import DocumentSpec, MutationEngine, generate_document
 
@@ -80,7 +80,7 @@ class TestParameterizedProperties:
     def test_any_k_produces_correct_scripts(self, seed, k):
         base = small_doc(seed)
         edited = MutationEngine(seed + 3).mutate(base, 6).tree
-        matching = parameterized_match(base, edited, k=k)
+        matching = fast_match(base, edited, k=k)
         result = generate_edit_script(base, edited, matching)
         assert result.verify(base, edited)
 
@@ -93,7 +93,7 @@ class TestParameterizedProperties:
         edited = MutationEngine(seed + 17).mutate(base, 8).tree
         sizes = []
         for k in (0, 2, None):
-            matching = parameterized_match(base, edited, k=k)
+            matching = fast_match(base, edited, k=k)
             sizes.append(len(matching))
         assert sizes == sorted(sizes)
 

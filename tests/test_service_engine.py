@@ -6,6 +6,7 @@ import pytest
 
 from repro import Tree
 from repro.core.errors import ParseError
+from repro.ladiff.pipeline import default_match_config
 from repro.pipeline import DiffConfig, DiffPipeline
 from repro.service import DiffEngine, ScriptCache, ServiceMetrics
 from repro.service.metrics import SECTION8_COUNTERS
@@ -236,6 +237,18 @@ class TestValidation:
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):
             DiffEngine(workers=0)
+
+    def test_non_string_sentence_values_diff_cleanly(self):
+        """The default LaDiff config compares an int ``S`` value like any
+        other label's: numerically, through the default comparator."""
+        def document(value):
+            return Tree.from_obj(("D", None, [("P", None, [
+                ("S", value), ("S", "an ordinary sentence here")])]))
+
+        with DiffEngine(workers=1, config=default_match_config()) as engine:
+            result = engine.diff(document(5), document(6))
+        assert result.ok, result.error
+        assert [op["op"] for op in result.script.to_dicts()] == ["update"]
 
     def test_non_tree_input_is_captured_per_job(self, engine):
         result = engine.diff("not a tree", doc())
