@@ -95,6 +95,9 @@ def test_store_checkout_latency(benchmark):
         store.commit(version)
     result = benchmark(lambda: store.checkout(0))
     assert trees_isomorphic(result, versions[0])
+    # the one replay path reconstructs the whole chain, not just version 0
+    for index, version in enumerate(versions):
+        assert trees_isomorphic(store.checkout(index), version)
 
 
 if __name__ == "__main__":

@@ -19,9 +19,9 @@ from typing import Optional
 
 from ..core.errors import EditScriptError
 from ..core.tree import Tree
-from ..editscript.generator import EditScriptResult, _wrap_with_dummy_root
+from ..editscript.generator import EditScriptResult
 from ..editscript.operations import Delete, Insert, Move, Update
-from ..editscript.script import EditScript
+from ..editscript.script import EditScript, wrap_with_dummy_root
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def script_distances(
     """
     work = t1.copy()
     if wrapped_dummy_id is not None:
-        work = _wrap_with_dummy_root(work, wrapped_dummy_id)
+        work = wrap_with_dummy_root(work, wrapped_dummy_id)
     insert_weight = delete_weight = move_weight = 0.0
     for op in script:
         if isinstance(op, Insert):

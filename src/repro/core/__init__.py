@@ -2,7 +2,6 @@
 
 from .arena import (
     ArenaBuilder,
-    ArenaOverlay,
     TreeArena,
     arenas_isomorphic,
     flatten_root,
@@ -38,7 +37,6 @@ from .tree import Tree, map_tree
 
 __all__ = [
     "ArenaBuilder",
-    "ArenaOverlay",
     "TreeArena",
     "CyclicMoveError",
     "DuplicateNodeError",

@@ -25,10 +25,10 @@ Preorder indexing gives the two identities every consumer leans on:
   ``[p, p + subtree_size[p])`` — ancestor tests are two comparisons;
 * a node ``q`` lies under ``p`` iff ``p <= q < p + subtree_size[p]``.
 
-An arena is **immutable** once built. Edits are expressed through
-:class:`ArenaOverlay`, a copy-on-write layer that implements the paper's
-four primitives (INS/DEL/UPD/MOV) against an arena without touching it and
-can be re-flattened into a fresh arena with :meth:`ArenaOverlay.flatten`.
+An arena is **immutable** once built. Edits go through the
+:class:`~repro.core.tree.Tree` view: its four mutations (INS/DEL/UPD/MOV)
+work on the node graph, and :meth:`Tree.to_arena` re-flattens the edited
+tree into a fresh arena.
 """
 
 from __future__ import annotations
@@ -36,15 +36,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .errors import (
-    CyclicMoveError,
-    DuplicateNodeError,
-    InvalidPositionError,
-    NotALeafError,
-    RootOperationError,
-    TreeError,
-    UnknownNodeError,
-)
+from .errors import DuplicateNodeError, TreeError
 
 
 class Interner:
@@ -162,9 +154,9 @@ class ArenaBuilder:
 class TreeArena:
     """Immutable struct-of-arrays snapshot of one ordered tree.
 
-    Instances come from :class:`ArenaBuilder`, :func:`flatten_root`, or
-    :meth:`ArenaOverlay.flatten`; consumers (TreeIndex, digests,
-    serialization, the matchers) read the arrays directly.
+    Instances come from :class:`ArenaBuilder` or :func:`flatten_root`;
+    consumers (TreeIndex, digests, serialization, the matchers) read the
+    arrays directly.
     """
 
     __slots__ = (
@@ -200,31 +192,6 @@ class TreeArena:
         self._leaf_count: Optional["array"] = None
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def empty(cls) -> "TreeArena":
-        return ArenaBuilder().finish()
-
-    @classmethod
-    def from_root(cls, root: Any) -> "TreeArena":
-        """Flatten a :class:`Node` subtree (or any duck-typed node graph)."""
-        arena, _ = flatten_root(root)
-        return arena
-
-    @classmethod
-    def from_tree(cls, tree: Any) -> "TreeArena":
-        """Flatten a :class:`Tree`, bypassing any cached snapshot."""
-        arena, _ = flatten_root(tree.root)
-        return arena
-
-    def to_tree(self) -> Any:
-        """Materialize a :class:`~repro.core.tree.Tree` view over this arena."""
-        from .tree import Tree  # local import: tree.py imports this module
-
-        return Tree.from_arena(self)
-
-    # ------------------------------------------------------------------
     # Per-position accessors
     # ------------------------------------------------------------------
     def label_of(self, pos: int) -> str:
@@ -233,31 +200,8 @@ class TreeArena:
     def value_of(self, pos: int) -> Any:
         return self.value_pool[self.values[pos]]
 
-    def id_of(self, pos: int) -> Any:
-        return self.node_ids[pos]
-
     def is_leaf(self, pos: int) -> bool:
         return self.first_child[pos] < 0
-
-    def children_of(self, pos: int) -> List[int]:
-        """Positions of *pos*'s children, left to right."""
-        out: List[int] = []
-        child = self.first_child[pos]
-        next_sibling = self.next_sibling
-        while child >= 0:
-            out.append(child)
-            child = next_sibling[child]
-        return out
-
-    def is_under(self, pos: int, ancestor_pos: int) -> bool:
-        """True when *pos* lies inside the subtree rooted at *ancestor_pos*.
-
-        A node counts as under itself, matching ``TreeIndex.is_under``.
-        """
-        return (
-            ancestor_pos <= pos
-            < ancestor_pos + self.subtree_size[ancestor_pos]
-        )
 
     # ------------------------------------------------------------------
     # Derived arrays
@@ -360,229 +304,3 @@ def arenas_isomorphic(a: TreeArena, b: TreeArena) -> bool:
         if va is not vb and va != vb:
             return False
     return True
-
-
-class ArenaOverlay:
-    """Copy-on-write edit layer over an immutable :class:`TreeArena`.
-
-    The overlay implements the paper's four edit primitives with the same
-    validation and error surface as :class:`~repro.core.tree.Tree` — a
-    script that replays cleanly on a ``Tree`` replays cleanly here and vice
-    versa — but never mutates the base arena. Internally nodes are tracked
-    by *ref*: base preorder positions (``>= 0``) for surviving base nodes,
-    negative integers for nodes inserted through the overlay. Only the
-    child lists of touched parents are copied.
-
-    :meth:`flatten` seals the edited shape into a fresh arena. Label and
-    value pools of the base are re-interned, so pools stay deduplicated.
-    """
-
-    __slots__ = (
-        "base", "root_ref", "_children", "_parent", "_values", "_new",
-        "_deleted", "_ref_by_id", "_n_new",
-    )
-
-    def __init__(self, base: TreeArena) -> None:
-        self.base = base
-        self.root_ref: Optional[int] = 0 if base.n else None
-        #: ref -> copied child-ref list (only parents touched by an edit)
-        self._children: Dict[int, List[int]] = {}
-        #: ref -> parent ref override (None marks a detached/root ref)
-        self._parent: Dict[int, Optional[int]] = {}
-        #: ref -> updated value
-        self._values: Dict[int, Any] = {}
-        #: new ref -> (node_id, label, value)
-        self._new: Dict[int, Tuple[Any, str, Any]] = {}
-        #: deleted base positions
-        self._deleted: set = set()
-        #: ids of overlay-inserted nodes -> their (negative) ref
-        self._ref_by_id: Dict[Any, int] = {}
-        self._n_new = 0
-
-    # ------------------------------------------------------------------
-    # Ref resolution and per-ref accessors
-    # ------------------------------------------------------------------
-    def _resolve(self, node_id: Any) -> int:
-        ref = self._ref_by_id.get(node_id)
-        if ref is not None:
-            return ref
-        pos = self.base.pos_of.get(node_id)
-        if pos is None or pos in self._deleted:
-            raise UnknownNodeError(node_id)
-        return pos
-
-    def _known(self, node_id: Any) -> bool:
-        if node_id in self._ref_by_id:
-            return True
-        pos = self.base.pos_of.get(node_id)
-        return pos is not None and pos not in self._deleted
-
-    def id_of(self, ref: int) -> Any:
-        return self._new[ref][0] if ref < 0 else self.base.node_ids[ref]
-
-    def label_of(self, ref: int) -> str:
-        return self._new[ref][1] if ref < 0 else self.base.label_of(ref)
-
-    def value_of(self, ref: int) -> Any:
-        if ref in self._values:
-            return self._values[ref]
-        return self._new[ref][2] if ref < 0 else self.base.value_of(ref)
-
-    def children_of(self, ref: int) -> List[int]:
-        """Current child refs of *ref* (a fresh list when derived from base)."""
-        children = self._children.get(ref)
-        if children is not None:
-            return children
-        return [] if ref < 0 else self.base.children_of(ref)
-
-    def parent_of(self, ref: int) -> Optional[int]:
-        if ref in self._parent:
-            return self._parent[ref]
-        if ref < 0:  # new refs always carry an explicit parent entry
-            raise UnknownNodeError(self.id_of(ref))
-        pos = self.base.parent[ref]
-        return pos if pos >= 0 else None
-
-    def _cow_children(self, ref: int) -> List[int]:
-        children = self._children.get(ref)
-        if children is None:
-            children = [] if ref < 0 else self.base.children_of(ref)
-            self._children[ref] = children
-        return children
-
-    def _is_inside(self, ref: int, ancestor_ref: int) -> bool:
-        """True when *ref* is *ancestor_ref* or lies under it (overlay view)."""
-        node: Optional[int] = ref
-        while node is not None:
-            if node == ancestor_ref:
-                return True
-            node = self.parent_of(node)
-        return False
-
-    # ------------------------------------------------------------------
-    # The four edit primitives (Tree-compatible semantics and errors)
-    # ------------------------------------------------------------------
-    def insert(
-        self, node_id: Any, label: str, value: Any, parent_id: Any, position: int
-    ) -> int:
-        """``INS((node_id, label, value), parent_id, position)``."""
-        if self._known(node_id):
-            raise DuplicateNodeError(node_id)
-        parent_ref = self._resolve(parent_id)
-        self._n_new += 1
-        ref = -self._n_new
-        self._new[ref] = (node_id, label, value)
-        self._ref_by_id[node_id] = ref
-        self._attach(ref, parent_ref, position)
-        return ref
-
-    def delete(self, node_id: Any) -> int:
-        """``DEL(node_id)``: remove a leaf."""
-        ref = self._resolve(node_id)
-        if self.children_of(ref):
-            raise NotALeafError(node_id)
-        parent_ref = self.parent_of(ref)
-        if parent_ref is None:
-            raise RootOperationError("delete", node_id)
-        self._cow_children(parent_ref).remove(ref)
-        self._parent.pop(ref, None)
-        self._values.pop(ref, None)
-        self._children.pop(ref, None)
-        if ref < 0:
-            del self._new[ref]
-            del self._ref_by_id[node_id]
-        else:
-            self._deleted.add(ref)
-        return ref
-
-    def update(self, node_id: Any, value: Any) -> int:
-        """``UPD(node_id, value)``."""
-        ref = self._resolve(node_id)
-        self._values[ref] = value
-        return ref
-
-    def move(self, node_id: Any, parent_id: Any, position: int) -> int:
-        """``MOV(node_id, parent_id, position)``.
-
-        As in :meth:`Tree.move`, position bounds are checked against the
-        target's child list *after* detaching the node.
-        """
-        ref = self._resolve(node_id)
-        target_ref = self._resolve(parent_id)
-        old_parent = self.parent_of(ref)
-        if old_parent is None:
-            raise RootOperationError("move", node_id)
-        if self._is_inside(target_ref, ref):
-            raise CyclicMoveError(node_id, parent_id)
-        self._cow_children(old_parent).remove(ref)
-        self._parent[ref] = None
-        self._attach(ref, target_ref, position)
-        return ref
-
-    def _attach(self, ref: int, parent_ref: int, position: int) -> None:
-        children = self._cow_children(parent_ref)
-        limit = len(children) + 1
-        if not 1 <= position <= limit:
-            raise InvalidPositionError(position, limit)
-        children.insert(position - 1, ref)
-        self._parent[ref] = parent_ref
-
-    # ------------------------------------------------------------------
-    # Dummy-root support (edit-script generator wrap/strip)
-    # ------------------------------------------------------------------
-    def wrap_root(self, dummy_id: Any, label: str) -> int:
-        """Push a synthetic root above the current root; return its ref."""
-        if self.root_ref is None:
-            raise TreeError("cannot wrap an empty overlay")
-        if self._known(dummy_id):
-            raise DuplicateNodeError(dummy_id)
-        self._n_new += 1
-        ref = -self._n_new
-        self._new[ref] = (dummy_id, label, None)
-        self._ref_by_id[dummy_id] = ref
-        self._children[ref] = [self.root_ref]
-        self._parent[self.root_ref] = ref
-        self._parent[ref] = None
-        self.root_ref = ref
-        return ref
-
-    def strip_root(self) -> None:
-        """Remove a synthetic root, promoting its sole child."""
-        ref = self.root_ref
-        if ref is None:
-            raise TreeError("cannot strip the root of an empty overlay")
-        children = self.children_of(ref)
-        if len(children) != 1:
-            raise TreeError(
-                f"cannot strip root with {len(children)} children"
-            )
-        child = children[0]
-        self._parent[child] = None
-        self._parent.pop(ref, None)
-        self._values.pop(ref, None)
-        self._children.pop(ref, None)
-        if ref < 0:
-            node_id = self._new.pop(ref)[0]
-            del self._ref_by_id[node_id]
-        else:
-            self._deleted.add(ref)
-        self.root_ref = child
-
-    # ------------------------------------------------------------------
-    # Sealing
-    # ------------------------------------------------------------------
-    def flatten(self) -> TreeArena:
-        """Re-flatten the edited shape into a fresh immutable arena."""
-        builder = ArenaBuilder()
-        if self.root_ref is None:
-            return builder.finish()
-        stack: List[Tuple[int, int]] = [(self.root_ref, -1)]
-        while stack:
-            ref, parent_pos = stack.pop()
-            pos = builder.add(
-                parent_pos, self.id_of(ref), self.label_of(ref),
-                self.value_of(ref),
-            )
-            for child in reversed(self.children_of(ref)):
-                stack.append((child, pos))
-        return builder.finish()

@@ -44,10 +44,7 @@ from ..lcs.myers import myers_lcs
 from ..matching.matching import Matching
 from .cost import CostModel
 from .operations import Delete, Insert, Move, Update
-from .script import EditScript
-
-#: Label given to dummy roots added when the input roots are unmatched.
-DUMMY_ROOT_LABEL = "__ROOT__"
+from .script import EditScript, wrap_with_dummy_root
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -113,13 +110,9 @@ class EditScriptResult:
         Handles the dummy-root wrapping transparently: the returned tree is
         directly comparable (isomorphic) to the original ``T2``.
         """
-        work = t1.copy()
-        if self.wrapped:
-            work = _wrap_with_dummy_root(work, self.dummy_t1_id)
-        work = self.script.apply_to(work, in_place=True)
-        if self.wrapped:
-            work = _strip_dummy_root(work)
-        return work
+        return self.script.apply_to(
+            t1, dummy_id=self.dummy_t1_id if self.wrapped else None
+        )
 
     def verify(self, t1: Tree, t2: Tree) -> bool:
         """True when replaying the script on *t1* yields a tree isomorphic to *t2*."""
@@ -235,8 +228,8 @@ class _Generator:
             pass
         self.dummy_t1_id = next(self._fresh)
         self.dummy_t2_id = next(self._fresh)
-        self.work = _wrap_with_dummy_root(self.work, self.dummy_t1_id)
-        self.t2 = _wrap_with_dummy_root(self.t2.copy(), self.dummy_t2_id)
+        self.work = wrap_with_dummy_root(self.work, self.dummy_t1_id)
+        self.t2 = wrap_with_dummy_root(self.t2.copy(), self.dummy_t2_id)
         # The BFS now walks a wrapped *copy* of T2; FindPos reads its ranks.
         self.index2 = TreeIndex(self.t2)
         self.mprime.add(self.dummy_t1_id, self.dummy_t2_id)
@@ -408,34 +401,3 @@ class _Generator:
             self.script.append(op)
             op.apply(self.work)
             self.stats.deletes += 1
-
-
-# ---------------------------------------------------------------------------
-# Dummy-root helpers
-# ---------------------------------------------------------------------------
-def _wrap_with_dummy_root(tree: Tree, dummy_id: Any) -> Tree:
-    """Interpose a dummy root above *tree*'s root (in place); return *tree*."""
-    old_root = tree.root
-    dummy = Node(dummy_id, DUMMY_ROOT_LABEL, None)
-    dummy.children.append(old_root)
-    old_root.parent = dummy
-    old_root._slot = 0
-    tree.root = dummy
-    tree._nodes[dummy_id] = dummy
-    return tree
-
-
-def _strip_dummy_root(tree: Tree) -> Tree:
-    """Remove a dummy root, promoting its only child (in place)."""
-    dummy = tree.root
-    if dummy is None or dummy.label != DUMMY_ROOT_LABEL:
-        return tree
-    if len(dummy.children) != 1:
-        raise ValueError(
-            f"dummy root has {len(dummy.children)} children; cannot strip"
-        )
-    new_root = dummy.children[0]
-    new_root.parent = None
-    tree.root = new_root
-    del tree._nodes[dummy.id]
-    return tree

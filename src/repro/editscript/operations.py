@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Union
 
 from .._compat import DATACLASS_SLOTS
-from ..core.arena import ArenaOverlay
 from ..core.tree import Tree
 
 
@@ -34,11 +33,6 @@ class Insert:
     def apply(self, tree: Tree) -> None:
         tree.insert(self.node_id, self.label, self.value, self.parent_id, self.position)
 
-    def apply_overlay(self, overlay: ArenaOverlay) -> None:
-        overlay.insert(
-            self.node_id, self.label, self.value, self.parent_id, self.position
-        )
-
     def __str__(self) -> str:
         return (
             f"INS(({self.node_id}, {self.label}, {_fmt(self.value)}), "
@@ -54,9 +48,6 @@ class Delete:
 
     def apply(self, tree: Tree) -> None:
         tree.delete(self.node_id)
-
-    def apply_overlay(self, overlay: ArenaOverlay) -> None:
-        overlay.delete(self.node_id)
 
     def __str__(self) -> str:
         return f"DEL({self.node_id})"
@@ -77,9 +68,6 @@ class Update:
     def apply(self, tree: Tree) -> None:
         tree.update(self.node_id, self.value)
 
-    def apply_overlay(self, overlay: ArenaOverlay) -> None:
-        overlay.update(self.node_id, self.value)
-
     def __str__(self) -> str:
         return f"UPD({self.node_id}, {_fmt(self.value)})"
 
@@ -94,9 +82,6 @@ class Move:
 
     def apply(self, tree: Tree) -> None:
         tree.move(self.node_id, self.parent_id, self.position)
-
-    def apply_overlay(self, overlay: ArenaOverlay) -> None:
-        overlay.move(self.node_id, self.parent_id, self.position)
 
     def __str__(self) -> str:
         return f"MOV({self.node_id}, {self.parent_id}, {self.position})"

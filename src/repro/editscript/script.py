@@ -6,17 +6,26 @@ operations in application order, knows its own cost, can replay itself on a
 tree (the engine used to verify that generated scripts really produce a tree
 isomorphic to the target), and round-trips through plain dictionaries for
 persistence.
+
+:meth:`EditScript.apply_to` is the only replay engine. It also owns the
+dummy-root convention of Algorithm EditScript: when the input roots are
+unmatched the generator wraps both trees under synthetic roots labeled
+:data:`DUMMY_ROOT_LABEL`, so a script generated that way replays on ``T1``
+wrapped under the same dummy id, which is stripped again afterwards.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from ..core.arena import ArenaOverlay, TreeArena
-from ..core.errors import EditScriptError
+from ..core.errors import DuplicateNodeError, EditScriptError, TreeError
+from ..core.node import Node
 from ..core.tree import Tree
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .operations import Delete, EditOperation, Insert, Move, Update
+
+#: Label given to dummy roots added when the input roots are unmatched.
+DUMMY_ROOT_LABEL = "__ROOT__"
 
 
 class EditScript:
@@ -90,15 +99,23 @@ class EditScript:
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
-    def apply_to(self, tree: Tree, in_place: bool = False) -> Tree:
+    def apply_to(
+        self, tree: Tree, in_place: bool = False, dummy_id: Any = None
+    ) -> Tree:
         """Apply every operation in order and return the resulting tree.
 
         By default the input tree is copied first; pass ``in_place=True`` to
-        mutate it directly. Any structural violation (bad position, deleting
+        mutate it directly. Pass the dummy-root id the script was generated
+        under (``EditScriptResult.dummy_t1_id``) as *dummy_id* to replay a
+        wrapped script: the tree is wrapped under that id first and the
+        dummy is stripped at the end, so the result is comparable to the
+        unwrapped ``T2``. Any structural violation (bad position, deleting
         a non-leaf, unknown node) raises :class:`EditScriptError` with the
         offending operation's index.
         """
         target = tree if in_place else tree.copy()
+        if dummy_id is not None:
+            wrap_with_dummy_root(target, dummy_id)
         for index, op in enumerate(self._operations):
             try:
                 op.apply(target)
@@ -106,34 +123,9 @@ class EditScript:
                 raise EditScriptError(
                     f"operation {index} ({op}) failed: {exc}"
                 ) from exc
+        if dummy_id is not None:
+            _strip_dummy_root(target)
         return target
-
-    def apply_to_arena(self, arena: TreeArena) -> TreeArena:
-        """Replay against an immutable arena snapshot; return a fresh one.
-
-        Operations run through a copy-on-write :class:`ArenaOverlay` —
-        *arena* is never modified, no node objects are built, and the
-        edited shape is re-flattened once at the end. Validation and error
-        surface match :meth:`apply_to`.
-        """
-        overlay = ArenaOverlay(arena)
-        self.replay_on_overlay(overlay)
-        return overlay.flatten()
-
-    def replay_on_overlay(self, overlay: ArenaOverlay) -> None:
-        """Run every operation against an existing overlay, in order.
-
-        Exposed separately from :meth:`apply_to_arena` so callers that need
-        to bracket the replay (e.g. the version store's dummy-root
-        ``wrap_root``/``strip_root``) can share one overlay.
-        """
-        for index, op in enumerate(self._operations):
-            try:
-                op.apply_overlay(overlay)
-            except Exception as exc:
-                raise EditScriptError(
-                    f"operation {index} ({op}) failed: {exc}"
-                ) from exc
 
     # ------------------------------------------------------------------
     # Serialization
@@ -218,3 +210,36 @@ class EditScript:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EditScript({self.summary()})"
+
+
+def wrap_with_dummy_root(tree: Tree, dummy_id: Any) -> Tree:
+    """Interpose a dummy root above *tree*'s root (in place); return *tree*.
+
+    Raises :class:`DuplicateNodeError` when *dummy_id* already names a node
+    of *tree* — reusing it would alias that node and corrupt the tree.
+    """
+    old_root = tree.root
+    if old_root is None:
+        raise TreeError("cannot wrap an empty tree under a dummy root")
+    if dummy_id in tree:
+        raise DuplicateNodeError(dummy_id)
+    dummy = Node(dummy_id, DUMMY_ROOT_LABEL, None)
+    dummy.children.append(old_root)
+    old_root.parent = dummy
+    old_root._slot = 0
+    tree.root = dummy
+    tree._nodes[dummy_id] = dummy
+    return tree
+
+
+def _strip_dummy_root(tree: Tree) -> None:
+    """Remove the dummy root, promoting its only child (in place)."""
+    dummy = tree.root
+    if len(dummy.children) != 1:
+        raise EditScriptError(
+            f"dummy root has {len(dummy.children)} children; cannot strip"
+        )
+    new_root = dummy.children[0]
+    new_root.parent = None
+    tree.root = new_root
+    del tree._nodes[dummy.id]

@@ -98,8 +98,8 @@ def instantiate_script(
     """Rebind a canonical payload onto *t1*'s identifier space.
 
     Returns ``(script, wrapped, dummy_id)``; when ``wrapped`` is true the
-    script must be applied to *t1* wrapped under a dummy root with
-    ``dummy_id`` (see :meth:`repro.service.engine.JobResult.apply_to`).
+    script replays on *t1* as ``script.apply_to(t1, dummy_id=dummy_id)``
+    (see :meth:`repro.editscript.script.EditScript.apply_to`).
     """
     reverse: Dict[str, Any] = {
         f"o{rank}": node.id for rank, node in enumerate(t1.preorder())

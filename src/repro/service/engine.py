@@ -87,15 +87,9 @@ class JobResult:
         """Replay the script on a copy of *old_tree* (handles dummy roots)."""
         if self.script is None:
             raise ValueError(f"job {self.job_id} has no script (status={self.status})")
-        from ..editscript.generator import _strip_dummy_root, _wrap_with_dummy_root
-
-        work = old_tree.copy()
-        if self.wrapped:
-            work = _wrap_with_dummy_root(work, self.dummy_id)
-        work = self.script.apply_to(work, in_place=True)
-        if self.wrapped:
-            work = _strip_dummy_root(work)
-        return work
+        return self.script.apply_to(
+            old_tree, dummy_id=self.dummy_id if self.wrapped else None
+        )
 
     def verify(self, old_tree: Tree, new_tree: Tree) -> bool:
         """True when replaying the script on *old_tree* yields *new_tree*."""

@@ -58,7 +58,7 @@ Invariants (select per scenario via ``Scenario.invariants``):
 ``script_replays``
     Every 200 ``/v1/diff`` response carries a script that turns the
     request's old tree into its new tree (replayed with
-    :meth:`~repro.service.engine.JobResult.verify`).
+    :meth:`~repro.editscript.script.EditScript.apply_to`).
 ``convergence``
     Every scripted request eventually succeeded (retries absorbed all
     injected trouble).
@@ -77,6 +77,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Coroutine, Dict, List, Optional, Tuple
 
 from ..core.errors import ReproError
+from ..core.isomorphism import trees_isomorphic
 from ..core.serialization import tree_from_dict, tree_to_dict
 from ..core.tree import Tree
 from ..editscript.script import EditScript
@@ -90,7 +91,7 @@ from ..serve.protocol import Response, dumps
 from ..serve.router import Router, forwarded_headers
 from ..serve.supervisor import Supervisor, WorkerHandle
 from ..service.cache import ScriptCache
-from ..service.engine import DiffEngine, JobResult
+from ..service.engine import DiffEngine
 from ..service.metrics import merge_snapshots
 from ..workload import DocumentSpec, MutationEngine, generate_document
 from .clock import SimClock, Timer
@@ -148,14 +149,9 @@ def script_replays(old: Tree, new: Tree, script: Optional[Dict[str, Any]]) -> bo
         known = set(old.node_ids()) | {r["node_id"] for r in records if r["op"] == "insert"}
         parents = {r.get("parent_id") for r in records} - known - {None}
         dummy_id = parents.pop() if parents else "svc:d"
-    result = JobResult(
-        job_id="replay",
-        script=EditScript.from_dicts(records),
-        wrapped=script["wrapped"],
-        dummy_id=dummy_id,
-    )
+    edit = EditScript.from_dicts(records)
     try:
-        return result.verify(old, new)
+        return trees_isomorphic(edit.apply_to(old, dummy_id=dummy_id), new)
     except (ReproError, LookupError, ValueError, TypeError):
         return False
 

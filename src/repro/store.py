@@ -29,13 +29,13 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .service.engine import DiffEngine
 
-from .core.arena import ArenaOverlay, TreeArena
+from .core.arena import TreeArena
 from .core.errors import ReproError
 from .core.isomorphism import trees_isomorphic
 from .core.serialization import tree_from_dict, tree_to_dict
 from .core.tree import Tree
 from .editscript.invert import invert_script
-from .editscript.script import EditScript
+from .editscript.script import EditScript, wrap_with_dummy_root
 from .matching.criteria import MatchConfig
 from .pipeline import DiffConfig, DiffPipeline
 
@@ -170,11 +170,9 @@ class VersionStore:
         return info
 
     def _wrapped_head(self, edit_result) -> Tree:
-        from .editscript.generator import _wrap_with_dummy_root
-
         base = self._head.copy()
         if edit_result.wrapped:
-            base = _wrap_with_dummy_root(base, edit_result.dummy_t1_id)
+            base = wrap_with_dummy_root(base, edit_result.dummy_t1_id)
         return base
 
     # ------------------------------------------------------------------
@@ -206,9 +204,9 @@ class VersionStore:
         :class:`~repro.core.arena.TreeArena` snapshots (committed versions
         never change, so entries never go stale and need no defensive
         copies — a hit is one zero-copy ``Tree.from_arena`` view). A miss
-        replays from the nearest *newer* materialization — the head, or a
-        cached version — arena to arena through copy-on-write overlays,
-        building no intermediate node objects.
+        replays the backward legs on one :class:`Tree`, starting from the
+        nearest *newer* materialization — the head, or a cached version —
+        and caches the result's arena.
         """
         if not self._info:
             raise VersionStoreError("the store is empty")
@@ -226,21 +224,20 @@ class VersionStore:
                 return Tree.from_arena(cached)
             self.checkout_misses += 1
         start = self.head_version
-        arena: Optional[TreeArena] = None
+        arena = self._head.to_arena()
         for candidate in self._checkout_cache:
             if version < candidate < start:
                 start = candidate
                 arena = self._checkout_cache[candidate]
-        if arena is None:
-            arena = self._head.to_arena()
+        tree = Tree.from_arena(arena)
         for index in range(start - 1, version - 1, -1):
-            arena = self._apply_leg_arena(arena, index, backward=True)
+            tree = self._apply_leg(tree, index, backward=True)
         if self._checkout_cache_size:
-            self._checkout_cache[version] = arena
+            self._checkout_cache[version] = tree.to_arena()
             self._checkout_cache.move_to_end(version)
             while len(self._checkout_cache) > self._checkout_cache_size:
                 self._checkout_cache.popitem(last=False)
-        return Tree.from_arena(arena)
+        return tree
 
     def forward_delta(self, version: int) -> EditScript:
         """The stored script transforming *version* into *version + 1*."""
@@ -260,30 +257,9 @@ class VersionStore:
         return [self._backward[i] for i in range(old - 1, new - 1, -1)]
 
     def _apply_leg(self, tree: Tree, index: int, backward: bool) -> Tree:
-        from .editscript.generator import _strip_dummy_root, _wrap_with_dummy_root
-
-        wrapped = self._wrapped[index]
         script = self._backward[index] if backward else self._forward[index]
-        if wrapped:
-            tree = _wrap_with_dummy_root(tree, self._wrapped_ids[index])
-        tree = script.apply_to(tree, in_place=True)
-        if wrapped:
-            tree = _strip_dummy_root(tree)
-        return tree
-
-    def _apply_leg_arena(self, arena: TreeArena, index: int, backward: bool) -> TreeArena:
-        """Arena-to-arena replay of one leg (checkout's hot path)."""
-        from .editscript.generator import DUMMY_ROOT_LABEL
-
-        wrapped = self._wrapped[index]
-        script = self._backward[index] if backward else self._forward[index]
-        overlay = ArenaOverlay(arena)
-        if wrapped:
-            overlay.wrap_root(self._wrapped_ids[index], DUMMY_ROOT_LABEL)
-        script.replay_on_overlay(overlay)
-        if wrapped:
-            overlay.strip_root()
-        return overlay.flatten()
+        dummy_id = self._wrapped_ids[index] if self._wrapped[index] else None
+        return script.apply_to(tree, in_place=True, dummy_id=dummy_id)
 
     # ------------------------------------------------------------------
     # Persistence

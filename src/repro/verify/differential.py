@@ -38,9 +38,9 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from ..baselines.flat_diff import flat_diff
 from ..baselines.zhang_shasha import zhang_shasha_distance
 from ..core.tree import Tree
-from ..editscript.generator import EditScriptResult, _wrap_with_dummy_root
+from ..editscript.generator import EditScriptResult
 from ..editscript.operations import Delete, Insert, Move, Update
-from ..editscript.script import EditScript
+from ..editscript.script import EditScript, wrap_with_dummy_root
 from ..matching.criteria import MatchConfig
 from .oracles import Violation
 
@@ -81,7 +81,7 @@ def zs_script_bound(t1: Tree, edit: EditScriptResult) -> float:
     """
     work = t1.copy()
     if edit.wrapped:
-        work = _wrap_with_dummy_root(work, edit.dummy_t1_id)
+        work = wrap_with_dummy_root(work, edit.dummy_t1_id)
     bound = 0.0
     for op in edit.script:
         if isinstance(op, (Insert, Delete)):
@@ -109,8 +109,8 @@ def zs_lower_bound_check(
     wrapped copies too.
     """
     if edit.wrapped:
-        a = _wrap_with_dummy_root(t1.copy(), edit.dummy_t1_id)
-        b = _wrap_with_dummy_root(t2.copy(), edit.dummy_t2_id)
+        a = wrap_with_dummy_root(t1.copy(), edit.dummy_t1_id)
+        b = wrap_with_dummy_root(t2.copy(), edit.dummy_t2_id)
         zs = zhang_shasha_distance(a, b)
     elif zs is None:
         zs = zhang_shasha_distance(t1, t2)

@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..core.arena import ArenaOverlay
 from ..core.isomorphism import trees_isomorphic
 from ..core.serialization import tree_from_dict, tree_to_dict
 from ..core.tree import Tree
@@ -248,7 +247,7 @@ def check_pair(
                 results=results,
             )
             report.record("differential", outcome.violations)
-        report.record("arena", _arena_check(t1, t2, results))
+        report.record("arena", _arena_check(t1, t2))
     except Exception as exc:
         report.record(
             "pipeline",
@@ -270,25 +269,20 @@ def _pair_fails(t1: Tree, t2: Tree, config: FuzzConfig, runner: Runner) -> bool:
 # ---------------------------------------------------------------------------
 # Arena representation crosschecks
 # ---------------------------------------------------------------------------
-def _arena_check(
-    t1: Tree, t2: Tree, results: Dict[str, "DiffResult"]
-) -> List[Violation]:
+def _arena_check(t1: Tree, t2: Tree) -> List[Violation]:
     """Differential oracles between the object and arena representations.
 
-    Three families, run on every fuzzed pair:
+    Two families, run on every fuzzed pair:
 
     * Node graph → :class:`~repro.core.arena.TreeArena` → Node graph
       round-trips to an isomorphic tree with identical preorder ids;
     * the arena-backed :class:`~repro.core.index.TreeIndex` agrees with
       naive node walks (:func:`~repro.verify.oracles.check_index_consistency`)
       on every preorder rank, size, leaf count, leaf span, child rank and
-      containment test;
-    * each generated script replays through a copy-on-write
-      :class:`~repro.core.arena.ArenaOverlay` to a tree isomorphic to T2,
-      matching the object-path ``replay``.
-    """
-    from ..editscript.generator import DUMMY_ROOT_LABEL
+      containment test.
 
+    Script replay is checked by the ``replay_isomorphism`` oracle.
+    """
     violations: List[Violation] = []
     for name, tree in (("t1", t1), ("t2", t2)):
         arena = tree.to_arena()
@@ -314,33 +308,6 @@ def _arena_check(
             Violation("arena", f"{name}: {v.message}", v.details)
             for v in check_index_consistency(tree)
         )
-    for algorithm, result in results.items():
-        edit = result.edit
-        try:
-            overlay = ArenaOverlay(t1.to_arena())
-            if edit.wrapped:
-                overlay.wrap_root(edit.dummy_t1_id, DUMMY_ROOT_LABEL)
-            edit.script.replay_on_overlay(overlay)
-            if edit.wrapped:
-                overlay.strip_root()
-            replayed = Tree.from_arena(overlay.flatten())
-        except Exception as exc:
-            violations.append(
-                Violation(
-                    "arena",
-                    "overlay replay of the edit script raised",
-                    {"algorithm": algorithm, "error": f"{type(exc).__name__}: {exc}"},
-                )
-            )
-            continue
-        if not trees_isomorphic(replayed, t2):
-            violations.append(
-                Violation(
-                    "arena",
-                    "overlay replay produced a tree not isomorphic to T2",
-                    {"algorithm": algorithm},
-                )
-            )
     return violations
 
 

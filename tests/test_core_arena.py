@@ -1,9 +1,9 @@
 """Tests for the struct-of-arrays arena core (repro.core.arena).
 
-Covers the builder invariants, the lazy Tree view, copy-on-write overlay
-edits (including the error surface, which must match Tree's exactly), the
-arena replay path of EditScript, and a Hypothesis round-trip property
-pinning the Node-graph <-> arena equivalence.
+Covers the builder invariants, the lazy Tree view, script replay on an
+arena-backed view (which must leave the arena untouched), and a
+Hypothesis round-trip property pinning the Node-graph <-> arena
+equivalence.
 """
 
 import sys
@@ -14,25 +14,14 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ArenaBuilder,
-    ArenaOverlay,
     Tree,
-    TreeArena,
     arenas_isomorphic,
     flatten_root,
     tree_from_dict,
     tree_to_dict,
     trees_isomorphic,
 )
-from repro.core.errors import (
-    CyclicMoveError,
-    DuplicateNodeError,
-    EditScriptError,
-    InvalidPositionError,
-    NotALeafError,
-    RootOperationError,
-    TreeError,
-    UnknownNodeError,
-)
+from repro.core.errors import DuplicateNodeError, EditScriptError, TreeError
 from repro.core.index import TreeIndex
 from repro.editscript.script import EditScript
 from repro.editscript.operations import Delete, Insert, Move, Update
@@ -67,11 +56,11 @@ class TestArenaBuilder:
         assert arena.next_sibling[p] == q
         assert arena.next_sibling[s1] == s2
         assert list(arena.subtree_size) == [5, 3, 1, 1, 1]
-        assert arena.children_of(d) == [p, q]
-        assert arena.children_of(p) == [s1, s2]
+        assert arena.next_sibling[q] == -1
+        assert arena.first_child[p] == s1 and arena.next_sibling[s2] == -1
         assert arena.is_leaf(s1) and not arena.is_leaf(p)
         assert arena.label_of(q) == "S" and arena.value_of(q) == "cc"
-        assert arena.id_of(s2) == "s2"
+        assert arena.node_ids[s2] == "s2"
 
     def test_duplicate_id_rejected(self):
         b = ArenaBuilder()
@@ -92,7 +81,7 @@ class TestArenaBuilder:
             b.add(5, 2, "P", None)
 
     def test_empty_arena(self):
-        arena = TreeArena.empty()
+        arena = ArenaBuilder().finish()
         assert arena.n == 0 and len(arena) == 0
         assert list(arena.leaf_positions()) == []
 
@@ -128,10 +117,14 @@ class TestArenaBuilder:
         assert counts[arena.pos_of[tree.root.children[0].id]] == 2
 
     def test_is_under_is_self_inclusive(self):
-        arena = sample_tree().to_arena()
-        assert arena.is_under(0, 0)
-        assert arena.is_under(2, 1)
-        assert not arena.is_under(1, 2)
+        # q lies under p iff p <= q < p + subtree_size[p]; p is under itself
+        tree = sample_tree()
+        arena = tree.to_arena()
+        for node in tree.preorder():
+            pos = arena.pos_of[node.id]
+            under = {arena.pos_of[d.id] for d in node.preorder()}
+            assert under == set(range(pos, pos + arena.subtree_size[pos]))
+            assert pos in under
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +156,7 @@ class TestRoundTrip:
             node.id = f"x-{node.id}"
         t2._touch()
         t2._node_map = {n.id: n for n in t2.preorder()}
-        assert arenas_isomorphic(t1.to_arena(), TreeArena.from_tree(t2))
+        assert arenas_isomorphic(t1.to_arena(), t2.to_arena())
 
     def test_arenas_isomorphic_detects_differences(self):
         base = sample_tree()
@@ -229,97 +222,7 @@ class TestLazyView:
 
 
 # ---------------------------------------------------------------------------
-# Copy-on-write overlay
-# ---------------------------------------------------------------------------
-class TestArenaOverlay:
-    def overlay(self):
-        tree = sample_tree()
-        return tree, tree.to_arena()
-
-    def test_edit_parity_with_tree(self):
-        tree, arena = self.overlay()
-        ids = {n.label + (n.value or ""): n.id for n in tree.preorder()}
-        ops = [
-            ("insert", ("new1", "S", "ee", ids["D"], 2)),
-            ("update", (ids["Saa"], "AA")),
-            ("move", (ids["Scc"], ids["D"], 1)),
-            ("delete", (ids["Sbb"],)),
-        ]
-        mirror = tree.copy()
-        overlay = ArenaOverlay(arena)
-        for name, args in ops:
-            getattr(mirror, name)(*args)
-            getattr(overlay, name)(*args)
-        flattened = overlay.flatten()
-        assert arenas_isomorphic(flattened, mirror.to_arena())
-        # base arena untouched throughout
-        assert arenas_isomorphic(arena, sample_tree().to_arena())
-
-    def test_error_surface_matches_tree(self):
-        _, arena = self.overlay()
-        overlay = ArenaOverlay(arena)
-        root_id = arena.node_ids[0]
-        p_id = arena.node_ids[1]
-        leaf_id = arena.node_ids[2]
-        with pytest.raises(DuplicateNodeError):
-            overlay.insert(root_id, "S", None, p_id, 1)
-        with pytest.raises(UnknownNodeError):
-            overlay.update("missing", "x")
-        with pytest.raises(NotALeafError):
-            overlay.delete(p_id)
-        lone_tree = Tree.from_obj(("D", None, []))
-        lone = ArenaOverlay(lone_tree.to_arena())
-        with pytest.raises(RootOperationError):
-            lone.delete(lone_tree.root.id)
-        with pytest.raises(RootOperationError):
-            overlay.move(root_id, p_id, 1)
-        with pytest.raises(CyclicMoveError):
-            overlay.move(p_id, leaf_id, 1)
-        with pytest.raises(InvalidPositionError):
-            overlay.insert("n", "S", None, p_id, 99)
-
-    def test_deleted_node_becomes_unknown(self):
-        _, arena = self.overlay()
-        overlay = ArenaOverlay(arena)
-        leaf_id = arena.node_ids[2]
-        overlay.delete(leaf_id)
-        with pytest.raises(UnknownNodeError):
-            overlay.update(leaf_id, "x")
-        # ...and its id becomes reusable, as on Tree
-        overlay.insert(leaf_id, "S", "re", arena.node_ids[1], 1)
-        assert overlay.flatten().n == arena.n
-
-    def test_wrap_and_strip_root(self):
-        _, arena = self.overlay()
-        overlay = ArenaOverlay(arena)
-        overlay.wrap_root("dummy", "__ROOT__")
-        wrapped = overlay.flatten()
-        assert wrapped.n == arena.n + 1
-        assert wrapped.label_of(0) == "__ROOT__"
-        overlay.strip_root()
-        assert arenas_isomorphic(overlay.flatten(), arena)
-
-    def test_strip_requires_single_child(self):
-        _, arena = self.overlay()
-        overlay = ArenaOverlay(arena)
-        with pytest.raises(TreeError):
-            overlay.strip_root()  # real root has three children
-
-    def test_move_position_checked_after_detach(self):
-        # Tree.move checks bounds against the post-detach sibling list;
-        # the overlay must accept the same boundary position.
-        tree, arena = self.overlay()
-        p1 = tree.root.children[0]
-        last = len(tree.root.children)
-        mirror = tree.copy()
-        mirror.move(p1.id, tree.root.id, last)
-        overlay = ArenaOverlay(arena)
-        overlay.move(p1.id, tree.root.id, last)
-        assert arenas_isomorphic(overlay.flatten(), mirror.to_arena())
-
-
-# ---------------------------------------------------------------------------
-# EditScript arena replay
+# EditScript replay on an arena-backed Tree view
 # ---------------------------------------------------------------------------
 class TestApplyToArena:
     def test_parity_with_apply_to(self):
@@ -331,15 +234,21 @@ class TestApplyToArena:
             Move(ids["Sdd"], ids["D"], 1),
             Delete(ids["Saa"]),
         ])
+        arena = tree.to_arena()
         via_tree = script.apply_to(tree)
-        via_arena = script.apply_to_arena(tree.to_arena())
-        assert trees_isomorphic(via_tree, Tree.from_arena(via_arena))
+        via_arena = script.apply_to(Tree.from_arena(arena), in_place=True)
+        assert trees_isomorphic(via_tree, via_arena)
+        assert [n.id for n in via_arena.preorder()] == [
+            n.id for n in via_tree.preorder()
+        ]
+        # the replay edited the view's nodes, never the shared arena
+        assert arenas_isomorphic(arena, sample_tree().to_arena())
 
     def test_failure_wraps_index_and_op(self):
-        tree = sample_tree()
+        view = Tree.from_arena(sample_tree().to_arena())
         script = EditScript([Delete("does-not-exist")])
         with pytest.raises(EditScriptError, match=r"operation 0 \(DEL"):
-            script.apply_to_arena(tree.to_arena())
+            script.apply_to(view, in_place=True)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +312,7 @@ def test_roundtrip_property(spec):
 def test_core_types_have_no_dict():
     tree = sample_tree()
     arena = tree.to_arena()
-    for obj in (tree.root, arena, ArenaOverlay(arena), ArenaBuilder()):
+    for obj in (tree.root, arena, ArenaBuilder()):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.core import EditScriptError, Tree, trees_isomorphic
+from repro.core import (
+    DuplicateNodeError,
+    EditScriptError,
+    Tree,
+    TreeError,
+    trees_isomorphic,
+)
 from repro.editscript import (
+    DUMMY_ROOT_LABEL,
     CostModel,
     Delete,
     EditScript,
@@ -11,6 +18,7 @@ from repro.editscript import (
     Move,
     Update,
 )
+from repro.editscript.script import wrap_with_dummy_root
 
 
 @pytest.fixture
@@ -153,6 +161,49 @@ class TestApplyEngine:
         bad = EditScript([Move(3, 50, 1), Insert(50, "P", None, 1, 3)])
         with pytest.raises(EditScriptError):
             bad.apply_to(base_tree)
+
+
+class TestDummyRootReplay:
+    """``apply_to(..., dummy_id=...)``: wrap, replay, strip."""
+
+    def test_wrapped_replay_changes_the_root(self, base_tree):
+        # the generator's shape for a root label change D -> E
+        script = EditScript([
+            Insert(10, "E", None, 99, 2),
+            Move(2, 10, 1),
+            Move(5, 10, 2),
+            Delete(1),
+        ])
+        out = script.apply_to(base_tree, dummy_id=99)
+        expected = Tree.from_obj(
+            ("E", None, [
+                ("P", None, [("S", "a"), ("S", "b")]),
+                ("P", None, [("S", "c")]),
+            ])
+        )
+        assert trees_isomorphic(out, expected)
+        assert out.root.parent is None and 99 not in out
+        assert len(out) == len(list(out.preorder())) == 6
+        assert 1 in base_tree and 99 not in base_tree  # input untouched
+
+    def test_wrap_puts_the_dummy_on_top(self, base_tree):
+        wrapped = wrap_with_dummy_root(base_tree, 99)
+        assert wrapped.root.label == DUMMY_ROOT_LABEL
+        assert [c.id for c in wrapped.root.children] == [1]
+
+    def test_dummy_id_already_in_the_tree_is_refused(self, base_tree):
+        with pytest.raises(DuplicateNodeError):
+            EditScript().apply_to(base_tree, dummy_id=3)
+        assert len(base_tree) == len(list(base_tree.preorder())) == 6
+
+    def test_empty_tree_cannot_be_wrapped(self):
+        with pytest.raises(TreeError):
+            wrap_with_dummy_root(Tree(), 99)
+
+    def test_strip_requires_single_child(self, base_tree):
+        script = EditScript([Insert(10, "E", None, 99, 2)])
+        with pytest.raises(EditScriptError):
+            script.apply_to(base_tree, dummy_id=99)
 
 
 class TestSerialization:

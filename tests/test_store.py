@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Tree, VersionStore, trees_isomorphic
+from repro.core import EditScriptError, TreeError, map_tree
 from repro.store import VersionStoreError
 from repro.workload import DocumentSpec, MutationEngine, generate_document
 
@@ -15,6 +16,15 @@ def version_chain(length=5, seed=0, edits=6):
             MutationEngine(seed * 100 + i).mutate(versions[-1], edits).tree
         )
     return versions
+
+
+def with_root_label(tree, label):
+    """*tree* with its root relabeled (ids kept), so its legs get dummy-wrapped."""
+    return map_tree(tree, lambda n: (label if n.parent is None else n.label, n.value))
+
+
+def preorder_records(tree):
+    return [(n.id, n.label, n.value) for n in tree.preorder()]
 
 
 class TestCommitAndCheckout:
@@ -150,6 +160,54 @@ class TestRootChanges:
         assert trees_isomorphic(store.head(), v1)
         assert trees_isomorphic(store.checkout(0), v0)
         assert store.verify_history()
+
+
+class TestOneReplayPath:
+    def test_every_checkout_route_gives_the_same_tree(self, tmp_path):
+        versions = version_chain(6, seed=7)
+        versions[2] = with_root_label(versions[2], "D2")  # legs 1->2, 2->3
+        uncached = VersionStore(checkout_cache_size=0)
+        cached = VersionStore(checkout_cache_size=8)
+        for store in (uncached, cached):
+            for version in versions:
+                store.commit(version)
+        assert cached.to_dict()["wrapped"].count(True) == 2
+        path = str(tmp_path / "history.json")
+        cached.save(path)
+        loaded = VersionStore.load(path)
+        for index, version in enumerate(versions):
+            expected = preorder_records(uncached.checkout(index))
+            routes = {
+                "miss": cached.checkout(index),
+                "hit": cached.checkout(index),
+                "loaded": loaded.checkout(index),
+            }
+            for route, tree in routes.items():
+                assert preorder_records(tree) == expected, (index, route)
+                assert trees_isomorphic(tree, version), (index, route)
+        # the head bypasses the memo; every other version missed, then hit
+        assert cached.checkout_misses == cached.checkout_hits == len(versions) - 1
+
+    def test_dummy_id_naming_a_live_node_is_refused(self):
+        # The leaf sits below the moved P, so no edit touches it: a wrap
+        # that aliased it would go unnoticed and drop it from the id map.
+        store = VersionStore()
+        store.commit(Tree.from_obj(("A", None, [("P", None, [("S", "x y z")])])))
+        store.commit(Tree.from_obj(("B", None, [("P", None, [("S", "x y z")])])))
+        data = store.to_dict()
+        assert data["wrapped"] == [True]
+        dummy = data["wrapped_ids"][0]
+        leaf = next(store.head().leaves()).id
+        data["wrapped_ids"][0] = leaf
+        for leg in data["forward"] + data["backward"]:
+            for record in leg:
+                for key in ("node_id", "parent_id"):
+                    if record.get(key) == dummy:
+                        record[key] = leaf
+        with pytest.raises((TreeError, EditScriptError)):
+            VersionStore.from_dict(data).checkout(0)
+        with pytest.raises((TreeError, EditScriptError)):
+            VersionStore.from_dict(data).verify_history()
 
 
 class TestDigestCommitPath:
