@@ -16,7 +16,8 @@ consistency property the cost model asks for.
 comparator routes every pair of strings to it, whatever the label. Words are
 case-sensitive and keep their punctuation; a sentence is tokenized once and
 the words are memoized, since matching compares each sentence against many
-candidates.
+candidates. Only ``|LCS|`` is needed, so it comes from the bit-parallel
+kernel (:func:`repro.lcs.bitparallel.lcs_length`), not from an alignment.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from ..lcs.myers import lcs_length
+from ..lcs.bitparallel import lcs_length
 
 _WORD = re.compile(r"[^\s]+")
 

@@ -1,0 +1,48 @@
+"""Bit-parallel LCS length (Allison–Dix 1986, in Hyyrö's 2004 form).
+
+The paper's leaf ``compare`` (Section 7) counts the words outside the LCS of
+two sentences, so Criterion 1 needs only ``|LCS|``, never the pairs. This
+kernel computes that length with one machine-word-style step per item of
+the second sequence, over plain Python ints used as bit vectors:
+
+* ``masks[w]`` has bit ``i`` set iff ``s1[i] == w``;
+* ``v`` starts all ones over ``len(s1)`` bits; for each item ``w`` of
+  ``s2``, with ``u = v & masks[w]``, ``v = ((v + u) | (v - u))`` truncated
+  to ``len(s1)`` bits;
+* the zero bits of ``v`` count the LCS: ``|LCS| = len(s1) - popcount(v)``.
+
+Items are compared by hashing and ``==``, which is what sentence words
+need. Callers with a custom equality predicate, or that need the index
+pairs, use :func:`repro.lcs.myers.myers_lcs_indices`.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Hashable, Sequence
+
+
+def lcs_length(s1: Sequence[Hashable], s2: Sequence[Hashable]) -> int:
+    """Return ``|LCS(S1, S2)|`` under ``==``."""
+    n = len(s1)
+    if n == 0 or not s2:
+        return 0
+    masks: Dict[Hashable, int] = {}
+    bit = 1
+    for item in s1:
+        masks[item] = masks.get(item, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    v = full
+    get = masks.get
+    for item in s2:
+        m = get(item)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    # int.bit_count needs Python 3.10; this package supports 3.9.
+    return n - bin(v).count("1")
+
+
+def shortest_edit_distance(s1: Sequence[Hashable], s2: Sequence[Hashable]) -> int:
+    """Return ``D = |S1| + |S2| - 2 |LCS|``, the shortest edit script length."""
+    return len(s1) + len(s2) - 2 * lcs_length(s1, s2)

@@ -1,8 +1,8 @@
 """Classic dynamic-programming LCS, used as a reference implementation.
 
-``O(nm)`` time and space. The test suite checks Myers' algorithm against this
-oracle on random inputs; it is also the clearer implementation to read when
-studying the alignment step of the paper.
+``O(nm)`` time and space. The test suite checks Myers' algorithm and the
+bit-parallel length against this oracle on random inputs; it is also the
+clearer implementation to read when studying the alignment step of the paper.
 """
 
 from __future__ import annotations

@@ -2,10 +2,12 @@
 
 The paper (Section 4.2) treats the LCS routine as a three-argument procedure
 ``LCS(S1, S2, equal)`` where ``equal`` is an arbitrary equality predicate —
-node partnership for AlignChildren, value proximity for FastMatch, exact word
-equality for sentence comparison. The standard UNIX diff LCS cannot be used
-because it requires inequality (hashing/ordering) comparisons; Myers'
-algorithm needs only equality, which is why the paper (and we) use it.
+node partnership for AlignChildren, value proximity for FastMatch's chain
+LCS. The standard UNIX diff LCS cannot be used because it requires
+inequality (hashing/ordering) comparisons; Myers' algorithm needs only
+equality, which is why the paper (and we) use it wherever index pairs are
+needed. Sentence comparison needs only the LCS length under exact word
+equality; it uses the bit-parallel kernel in :mod:`repro.lcs.bitparallel`.
 
 Complexity is ``O(ND)`` where ``N = |S1| + |S2|`` and
 ``D = N - 2|LCS(S1, S2)|`` is the length of the shortest edit script.
@@ -113,20 +115,3 @@ def myers_lcs(
     """Return element pairs of an LCS, mirroring the paper's ``LCS(S1, S2, equal)``."""
     return [(s1[i], s2[j]) for i, j in myers_lcs_indices(s1, s2, equal)]
 
-
-def lcs_length(
-    s1: Sequence[S],
-    s2: Sequence[T],
-    equal: EqualFn = operator.eq,
-) -> int:
-    """Return ``|LCS(S1, S2)|``."""
-    return len(myers_lcs_indices(s1, s2, equal))
-
-
-def shortest_edit_distance(
-    s1: Sequence[S],
-    s2: Sequence[T],
-    equal: EqualFn = operator.eq,
-) -> int:
-    """Return ``D = |S1| + |S2| - 2 |LCS|``, the shortest edit script length."""
-    return len(s1) + len(s2) - 2 * lcs_length(s1, s2, equal)

@@ -183,8 +183,12 @@ class DiffServiceClient:
         path: str,
         payload: Optional[Dict[str, Any]] = None,
         trace: Optional[Tuple[str, str]] = None,
+        affinity_key: Optional[str] = None,
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         """One attempt, no retries: ``(status, decoded body, headers)``.
+
+        *affinity_key* is sent as ``X-Affinity-Key``, the cluster router's
+        routing key (see :mod:`repro.serve.router`).
 
         Connection-level failures propagate as :class:`OSError` /
         ``http.client`` exceptions; the load generator in
@@ -202,6 +206,8 @@ class DiffServiceClient:
             headers["X-Client-Id"] = self.client_id
         if trace is not None:
             inject_trace_headers(headers, trace[0], trace[1])
+        if affinity_key is not None:
+            headers["X-Affinity-Key"] = affinity_key
         body = None
         if payload is not None:
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -254,7 +260,11 @@ class DiffServiceClient:
             return 0.0
 
     def request(
-        self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
+        self,
+        method: str,
+        path: str,
+        payload: Optional[Dict[str, Any]] = None,
+        affinity_key: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Send with the retry policy; return the decoded 2xx body.
 
@@ -277,16 +287,18 @@ class DiffServiceClient:
             tries += 1
             try_span = root.child("client.attempt", kind="client").annotate(attempt=tries)
             trace_ctx = try_span.context
+            # Only pass trace= / affinity_key= when set: subclasses and test
+            # doubles that override request_once with the plain signature
+            # keep working as long as they use neither.
+            options: Dict[str, Any] = {}
+            if trace_ctx is not None:
+                options["trace"] = trace_ctx
+            if affinity_key is not None:
+                options["affinity_key"] = affinity_key
             try:
-                # Only pass trace= when the request is traced: subclasses
-                # and test doubles that override request_once with the plain
-                # signature keep working as long as they don't enable tracing.
-                if trace_ctx is not None:
-                    status, decoded, headers = self.request_once(
-                        method, path, payload, trace=trace_ctx
-                    )
-                else:
-                    status, decoded, headers = self.request_once(method, path, payload)
+                status, decoded, headers = self.request_once(
+                    method, path, payload, **options
+                )
             except ConnectionRefusedError as exc:
                 refused = True
                 last_status = 0
@@ -352,7 +364,7 @@ class DiffServiceClient:
             payload["deadline_ms"] = deadline_ms
         if job_id is not None:
             payload["id"] = job_id
-        return self.request("POST", "/v1/diff", payload)
+        return self.request("POST", "/v1/diff", payload, affinity_key=job_id)
 
     def batch(
         self,

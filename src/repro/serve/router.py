@@ -14,9 +14,13 @@ Affinity key, in precedence order:
 
 1. the ``X-Affinity-Key`` request header (set by
    :class:`~repro.serve.client.DiffServiceClient` from the job id);
-2. the ``id`` field of the JSON body, when present;
-3. the SHA-1 of the raw body bytes — identical snapshot pairs hash
-   identically, so even anonymous repeat traffic stays cache-affine.
+2. the SHA-1 of the raw body bytes (of the path when there is no body) —
+   identical snapshot pairs hash identically, so even anonymous repeat
+   traffic stays cache-affine.
+
+The router never decodes a body: every dict-format tree carries ``"id"``
+keys, so finding a job id there would take a full JSON decode per
+request, far dearer than the hash.
 
 Failover: every compute endpoint is a pure function of its body, so a
 request whose backend dies mid-flight (connection refused, reset, or a
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 from bisect import bisect_left, insort
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -162,17 +165,10 @@ class HashRing:
 
 
 def affinity_key(path: str, headers: Dict[str, str], body: bytes) -> str:
-    """The routing key of one request (header > body id > body hash)."""
+    """The routing key of one request (header > body hash > path hash)."""
     explicit = headers.get("x-affinity-key")
     if explicit:
         return explicit
-    if body and b'"id"' in body:
-        try:
-            data = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError, RecursionError):
-            data = None  # the worker answers the bad body with a 400
-        if isinstance(data, dict) and "id" in data:
-            return str(data["id"])
     return hashlib.sha1(body if body else path.encode("utf-8")).hexdigest()
 
 

@@ -609,9 +609,12 @@ class SimServiceClient(DiffServiceClient):
         path: str,
         payload: Optional[Dict[str, Any]] = None,
         trace: Optional[Tuple[str, str]] = None,
+        affinity_key: Optional[str] = None,
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         try:
-            status, decoded, headers = super().request_once(method, path, payload, trace)
+            status, decoded, headers = super().request_once(
+                method, path, payload, trace, affinity_key
+            )
         except OSError as exc:
             self.attempt_log.append({"exc": type(exc).__name__})
             raise

@@ -1,5 +1,7 @@
 """Tests for the compare package (sentence and generic comparators)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.compare import (
     word_lcs_distance,
 )
 from repro.ladiff import default_match_config
+from repro.lcs import myers_lcs_indices
 
 sentences = st.text(
     alphabet=st.sampled_from(list("abc xyz")), min_size=0, max_size=40
@@ -66,6 +69,21 @@ class TestWordLcsDistance:
         assert registry.compare("a b c", "a b d", label="S") == pytest.approx(
             word_lcs_distance("a b c", "a b d")
         )
+
+    def test_agrees_with_myers_lcs(self):
+        """The bit-parallel length gives the distance the Myers pairs give."""
+        rng = random.Random(1996)
+        for _ in range(300):
+            vocab = [f"w{i}" for i in range(rng.randint(1, 5))]
+            words_a = [rng.choice(vocab) for _ in range(rng.randint(1, 200))]
+            words_b = [rng.choice(vocab) for _ in range(rng.randint(1, 200))]
+            common = len(myers_lcs_indices(words_a, words_b))
+            expected = (len(words_a) + len(words_b) - 2 * common) / max(
+                len(words_a), len(words_b)
+            )
+            a, b = " ".join(words_a), " ".join(words_b)
+            assert word_lcs_distance(a, b) == expected
+            assert word_lcs_distance(b, a) == expected
 
     def test_consistency_property(self):
         """Similar sentences land below 1 (move+update beats delete+insert)."""

@@ -1,4 +1,5 @@
-"""Tests for the LCS package: Myers O(ND), DP reference, diff opcodes."""
+"""Tests for the LCS package: Myers O(ND), bit-parallel length, DP reference,
+diff opcodes."""
 
 import random
 
@@ -66,7 +67,7 @@ class TestMyersBasics:
 
     def test_custom_equality(self):
         equal = lambda a, b: a.lower() == b.lower()
-        assert lcs_length("AbC", "abc", equal) == 3
+        assert len(myers_lcs_indices("AbC", "abc", equal)) == 3
 
     def test_result_is_valid_subsequence(self):
         s1, s2 = "abcabba", "cbabac"
@@ -105,7 +106,9 @@ class TestMyersAgainstDp:
     )
     @settings(max_examples=200, deadline=None)
     def test_lengths_agree_with_dp(self, s1, s2):
-        assert lcs_length(s1, s2) == dp_lcs_length(s1, s2)
+        expected = dp_lcs_length(s1, s2)
+        assert len(myers_lcs_indices(s1, s2)) == expected
+        assert lcs_length(s1, s2) == expected
 
     @given(
         st.lists(st.integers(0, 3), max_size=20),
@@ -121,7 +124,25 @@ class TestMyersAgainstDp:
         for _ in range(25):
             s1 = [rng.randint(0, 9) for _ in range(rng.randint(0, 120))]
             s2 = [rng.randint(0, 9) for _ in range(rng.randint(0, 120))]
-            assert lcs_length(s1, s2) == dp_lcs_length(s1, s2)
+            expected = dp_lcs_length(s1, s2)
+            assert len(myers_lcs_indices(s1, s2)) == expected
+            assert lcs_length(s1, s2) == expected
+
+
+class TestBitParallelLength:
+    """``lcs_length`` is the bit-parallel kernel; ``dp_lcs_length`` is its oracle."""
+
+    def test_heavy_duplication_across_limbs(self):
+        # Small vocabularies make many equal items; lengths up to 200 make
+        # the bit vectors span several 64-bit limbs.
+        rng = random.Random(1996)
+        for _ in range(300):
+            vocab = rng.randint(1, 5)
+            s1 = [rng.randrange(vocab) for _ in range(rng.randint(0, 200))]
+            s2 = [rng.randrange(vocab) for _ in range(rng.randint(0, 200))]
+            expected = dp_lcs_length(s1, s2)
+            assert lcs_length(s1, s2) == expected
+            assert lcs_length(s2, s1) == expected
 
 
 class TestDiffOpcodes:

@@ -127,6 +127,35 @@ class TestPaperCounters:
         assert observed == self.EXPECTED
 
 
+class TestSection8Counters:
+    """Each Fig. 13 / Table 1 version set, base against its most-edited
+    version, through the default pipeline: the §8 counters and the script
+    size are pinned, and the script must replay to ``T2``.
+    """
+
+    EXPECTED = {
+        # set: (r1, r2, lcs_calls, operations)
+        "set-A (small)": (2019, 694, 4, 51),
+        "set-B (medium)": (7847, 2202, 4, 59),
+        "set-C (large)": (14989, 3896, 4, 48),
+    }
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_base_to_last_version(self, position):
+        doc_set = paper_document_sets()[position]
+        old, new = doc_set.versions[0].tree, doc_set.versions[-1].tree
+        result = DiffPipeline().run(old, new)
+        stats = result.match_stats
+        observed = (
+            stats.leaf_compares,
+            stats.partner_checks,
+            stats.lcs_calls,
+            len(result.script),
+        )
+        assert observed == self.EXPECTED[doc_set.name]
+        assert result.verify(old, new)
+
+
 class TestConfigValidation:
     def test_bad_algorithm(self):
         with pytest.raises(ConfigError):

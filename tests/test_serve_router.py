@@ -1,16 +1,19 @@
 """Unit tests for the cluster routing layer (repro.serve.router).
 
 Pure-function coverage: the consistent-hash ring's stability/minimal-
-movement contract, affinity-key extraction precedence, and the
+movement contract, affinity-key precedence (and the client header that
+sets it), and the
 snapshot-level metrics merge the aggregate ``/metrics`` endpoint uses.
 No sockets and no subprocesses — the process-level behavior lives in
 ``test_serve_cluster.py``.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.serve.client import DiffServiceClient
 from repro.serve.router import HashRing, affinity_key, hash_key
 from repro.service.metrics import ServiceMetrics, merge_snapshots
 
@@ -106,9 +109,37 @@ class TestAffinityKey:
         key = affinity_key("/v1/diff", {"x-affinity-key": "from-header"}, body)
         assert key == "from-header"
 
-    def test_body_id_beats_body_hash(self):
+    def test_body_id_does_not_change_the_key(self):
+        # The router hashes bodies; it never decodes one to find a job id.
         body = json.dumps({"id": "job-42", "old": "x"}).encode()
-        assert affinity_key("/v1/diff", {}, body) == "job-42"
+        assert affinity_key("/v1/diff", {}, body) == hashlib.sha1(body).hexdigest()
+
+    def test_client_sends_job_id_as_affinity_header(self):
+        sent = []
+
+        class Reply:
+            status = 200
+            headers = {}
+
+            def read(self):
+                return b"{}"
+
+        class RecordingConnection:
+            def request(self, method, path, body=None, headers=None):
+                sent.append(headers)
+
+            def getresponse(self):
+                return Reply()
+
+        class RecordingClient(DiffServiceClient):
+            def _connection(self):
+                return RecordingConnection()
+
+        client = RecordingClient(port=0)
+        client.diff('(D (S "a"))', '(D (S "b"))', job_id="job-42")
+        client.diff('(D (S "a"))', '(D (S "b"))')
+        assert sent[0]["X-Affinity-Key"] == "job-42"
+        assert "X-Affinity-Key" not in sent[1]
 
     def test_identical_bodies_share_a_key(self):
         body = json.dumps({"old": "(D)", "new": "(D (S \"a\"))"}).encode()
