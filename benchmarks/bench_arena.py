@@ -9,6 +9,9 @@ time and the peak ``tracemalloc`` memory of that path on a ~10k-node
 document corpus. ``check_regression.py`` gates the peak memory
 (``arena_peak_kb``, lower is better) against the committed baseline;
 allocation shape is deterministic, so the gate is machine-independent.
+It also times the Merkle digest pass over the parsed corpus (``digest_ms``,
+the serving layer's per-snapshot fingerprint); that figure is reported
+for context and not gated.
 
 Run directly for the table, ``--smoke`` for the fast CI configuration,
 ``--json-out PATH`` to also write the ``BENCH`` payload to a file.
@@ -24,6 +27,7 @@ import tracemalloc
 
 from repro.core.index import TreeIndex
 from repro.core.serialization import tree_from_dict
+from repro.service.digest import compute_digests
 
 from conftest import print_table
 
@@ -96,20 +100,23 @@ def measure(sections: int = 24, paragraphs: int = 20, sentences: int = 20,
 
     arena_s = _time(lambda: parse_index_arena(data), rounds)
     arena_peak = _peak_bytes(lambda: parse_index_arena(data))
+    digest_s = _time(lambda: compute_digests(tree), rounds)
+    assert tree._node_map is None  # digests read the arena arrays only
     return {
         "nodes": nodes,
         "arena_s": arena_s,
         "arena_peak_kb": arena_peak / 1024.0,
+        "digest_s": digest_s,
     }
 
 
 def report(stats: dict) -> dict:
     print_table(
         f"parse + index build on a {stats['nodes']}-node document corpus",
-        ["core", "wall ms", "peak KiB"],
+        ["core", "wall ms", "peak KiB", "digest ms"],
         [
             ("arena (struct-of-arrays)", f"{stats['arena_s'] * 1e3:.2f}",
-             f"{stats['arena_peak_kb']:.0f}"),
+             f"{stats['arena_peak_kb']:.0f}", f"{stats['digest_s'] * 1e3:.2f}"),
         ],
     )
     payload = {
@@ -117,6 +124,7 @@ def report(stats: dict) -> dict:
         "nodes": stats["nodes"],
         "arena_ms": round(stats["arena_s"] * 1e3, 3),
         "arena_peak_kb": round(stats["arena_peak_kb"], 1),
+        "digest_ms": round(stats["digest_s"] * 1e3, 3),
     }
     print("BENCH " + json.dumps(payload))
     return payload
@@ -131,6 +139,7 @@ def test_arena_parse_index(benchmark):
     )
     benchmark.extra_info["arena_ms"] = round(stats["arena_s"] * 1e3, 2)
     benchmark.extra_info["arena_peak_kb"] = round(stats["arena_peak_kb"], 1)
+    benchmark.extra_info["digest_ms"] = round(stats["digest_s"] * 1e3, 2)
 
 
 # ---------------------------------------------------------------------------

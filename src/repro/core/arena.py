@@ -19,6 +19,10 @@ allocation and pointer-chasing, not algorithmic work.
 ``subtree_size[p]`` number of nodes in the subtree rooted at ``p``
 =================  ====================================================
 
+Parsers feed an :class:`ArenaBuilder`, which records only each node's id,
+label, value and parent; :meth:`ArenaBuilder.finish` links ``first_child``
+and ``next_sibling`` and sums ``subtree_size`` in one reverse-preorder pass.
+
 Preorder indexing gives the two identities every consumer leans on:
 
 * the subtree rooted at ``p`` is exactly the contiguous slice
@@ -81,8 +85,8 @@ class ArenaBuilder:
     """
 
     __slots__ = (
-        "node_ids", "labels", "values", "parent", "first_child",
-        "next_sibling", "pos_of", "_label_pool", "_value_pool", "_last_child",
+        "node_ids", "labels", "values", "parent", "pos_of",
+        "_label_pool", "_value_pool",
     )
 
     def __init__(self) -> None:
@@ -90,12 +94,9 @@ class ArenaBuilder:
         self.labels = array("i")
         self.values = array("i")
         self.parent = array("i")
-        self.first_child = array("i")
-        self.next_sibling = array("i")
         self.pos_of: Dict[Any, int] = {}
         self._label_pool = Interner()
         self._value_pool = Interner()
-        self._last_child = array("i")
 
     def add(self, parent_pos: int, node_id: Any, label: str, value: Any) -> int:
         """Append one node; return its preorder position."""
@@ -115,35 +116,31 @@ class ArenaBuilder:
         self.labels.append(self._label_pool.intern(label))
         self.values.append(self._value_pool.intern(value))
         self.parent.append(parent_pos)
-        self.first_child.append(-1)
-        self.next_sibling.append(-1)
-        self._last_child.append(-1)
-        if parent_pos >= 0:
-            last = self._last_child[parent_pos]
-            if last < 0:
-                self.first_child[parent_pos] = pos
-            else:
-                self.next_sibling[last] = pos
-            self._last_child[parent_pos] = pos
         return pos
 
     def finish(self) -> "TreeArena":
-        """Seal the builder into an immutable arena (computes sizes)."""
+        """Seal the builder into an immutable arena.
+
+        The reverse pass meets each parent's children last to first, so
+        prepending each to its parent's chain leaves document order.
+        """
         n = len(self.node_ids)
         parent = self.parent
-        if n:
-            subtree_size = array("i", [1]) * n
-            for pos in range(n - 1, 0, -1):
-                subtree_size[parent[pos]] += subtree_size[pos]
-        else:
-            subtree_size = array("i")
+        first_child = array("i", [-1]) * n
+        next_sibling = array("i", [-1]) * n
+        subtree_size = array("i", [1]) * n
+        for pos in range(n - 1, 0, -1):
+            p = parent[pos]
+            next_sibling[pos] = first_child[p]
+            first_child[p] = pos
+            subtree_size[p] += subtree_size[pos]
         return TreeArena(
             node_ids=self.node_ids,
             labels=self.labels,
             values=self.values,
             parent=parent,
-            first_child=self.first_child,
-            next_sibling=self.next_sibling,
+            first_child=first_child,
+            next_sibling=next_sibling,
             subtree_size=subtree_size,
             label_pool=self._label_pool.pool,
             value_pool=self._value_pool.pool,

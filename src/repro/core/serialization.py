@@ -74,18 +74,22 @@ def arena_from_dict(data: Optional[Dict[str, Any]]) -> TreeArena:
     builder = ArenaBuilder()
     if data is None:
         return builder.finish()
+    add, taken = builder.add, builder.pos_of
     counter = itertools.count(1)
     stack: List[Any] = [(data, -1)]
+    pop, push = stack.pop, stack.append
     while stack:
-        spec, parent_pos = stack.pop()
+        spec, parent_pos = pop()
         node_id = spec.get("id")
         if node_id is None:
             node_id = next(counter)
-            while node_id in builder.pos_of:
+            while node_id in taken:
                 node_id = next(counter)
-        pos = builder.add(parent_pos, node_id, spec["label"], spec.get("value"))
-        for child in reversed(spec.get("children", ())):
-            stack.append((child, pos))
+        pos = add(parent_pos, node_id, spec["label"], spec.get("value"))
+        children = spec.get("children")
+        if children:
+            for child in reversed(children):
+                push((child, pos))
     return builder.finish()
 
 

@@ -4,7 +4,7 @@ from .html_parser import parse_html
 from .latex_parser import parse_latex, split_sentences
 from .latex_writer import write_latex
 from .markup import EXPECTED_LATEX_MARKERS, LABEL_TO_UNIT, MARKUP_CONVENTIONS
-from .pipeline import LaDiffResult, default_match_config, ladiff, ladiff_files
+from .pipeline import LaDiffResult, default_match_config, ladiff, ladiff_files, parse_document
 from .text_parser import parse_text, write_text
 from .xml_parser import parse_xml, write_xml
 
@@ -16,6 +16,7 @@ __all__ = [
     "default_match_config",
     "ladiff",
     "ladiff_files",
+    "parse_document",
     "parse_html",
     "parse_latex",
     "parse_text",

@@ -15,8 +15,9 @@ custom :class:`~repro.matching.MatchConfig` to control ``t`` (and ``f``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
+from ..core.errors import ConfigError
 from ..core.tree import Tree
 from ..deltatree.builder import DeltaTree
 from ..deltatree.render_text import change_summary
@@ -27,14 +28,28 @@ from .latex_parser import parse_latex
 from .text_parser import parse_text
 from .xml_parser import parse_xml
 
-Parser = Callable[[str], Tree]
-
 _PARSERS = {
     "latex": parse_latex,
     "html": parse_html,
     "text": parse_text,
     "xml": parse_xml,
 }
+
+
+def parse_document(source: str, format: str) -> Tree:
+    """Parse a document *source* written in the input *format*.
+
+    *format* is one of ``"latex"``, ``"html"``, ``"text"`` or ``"xml"``;
+    any other name raises :class:`~repro.core.errors.ConfigError` (a
+    ``ValueError``).
+    """
+    try:
+        parser = _PARSERS[format]
+    except KeyError:
+        raise ConfigError(
+            f"unknown input format {format!r}; expected one of {sorted(_PARSERS)}"
+        ) from None
+    return parser(source)
 
 
 @dataclass
@@ -80,25 +95,20 @@ def ladiff(
     old_source, new_source:
         The two document versions, as text.
     format:
-        Input format: ``"latex"``, ``"html"``, or ``"text"``.
+        Input format: ``"latex"``, ``"html"``, ``"text"`` or ``"xml"``
+        (see :func:`parse_document`).
     config:
         Matching thresholds; :func:`default_match_config` when omitted.
     output:
         Output mark-up: ``"latex"`` (Table 2 conventions), ``"html"``, or
         ``"text"`` (indented annotation dump).
     """
-    try:
-        parser = _PARSERS[format]
-    except KeyError:
-        raise ValueError(
-            f"unknown input format {format!r}; expected one of {sorted(_PARSERS)}"
-        ) from None
+    old_tree = parse_document(old_source, format)
+    new_tree = parse_document(new_source, format)
     config = config if config is not None else default_match_config()
     # One DiffPipeline run covers steps 2-5: match, postprocess, edit
     # script, delta tree, and rendering (validated up front by DiffConfig).
     pipeline = DiffPipeline(DiffConfig(match=config, render=output))
-    old_tree = parser(old_source)
-    new_tree = parser(new_source)
     diff = pipeline.run(old_tree, new_tree)
     return LaDiffResult(
         old_tree=old_tree,

@@ -27,7 +27,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import ReproError
 from ..core.tree import Tree
@@ -54,13 +54,18 @@ def canonicalize_script(
     """Serialize *script* with identifiers rewritten to the canonical space.
 
     The returned payload is JSON-friendly and independent of the concrete
-    node identifiers of the pair it was computed from.
+    node identifiers of the pair it was computed from. Preorder ranks are
+    read from *t1*'s arena, so no node graph is built.
     """
+    pos_of = t1.to_arena().pos_of
+    # Canonical names of the identifiers outside T1: dummy root, inserts.
     mapping: Dict[Any, str] = {}
     if wrapped and dummy_t1_id is not None:
         mapping[dummy_t1_id] = "d"
-    for rank, node in enumerate(t1.preorder()):
-        mapping[node.id] = f"o{rank}"
+
+    def canonical(node_id: Any) -> Optional[str]:
+        rank = pos_of.get(node_id)
+        return mapping.get(node_id) if rank is None else f"o{rank}"
 
     fresh = 0
     records: List[Dict[str, Any]] = []
@@ -68,21 +73,22 @@ def canonicalize_script(
         record = dict(record)
         parent_id = record.get("parent_id")
         if parent_id is not None:
-            try:
-                record["parent_id"] = mapping[parent_id]
-            except KeyError:
+            name = canonical(parent_id)
+            if name is None:
                 raise UncacheableScriptError(
                     f"script references unknown parent {parent_id!r}"
-                ) from None
+                )
+            record["parent_id"] = name
         node_id = record["node_id"]
-        if node_id not in mapping:
+        name = canonical(node_id)
+        if name is None:
             if record["op"] != "insert":
                 raise UncacheableScriptError(
                     f"script references unknown node {node_id!r}"
                 )
-            mapping[node_id] = f"n{fresh}"
+            name = mapping[node_id] = f"n{fresh}"
             fresh += 1
-        record["node_id"] = mapping[node_id]
+        record["node_id"] = name
         records.append(record)
     return {
         "records": records,
@@ -92,6 +98,15 @@ def canonicalize_script(
     }
 
 
+def _preorder_rank(canonical: Any, n: int) -> Optional[int]:
+    """``k`` for a canonical name ``o<k>`` with ``0 <= k < n``, else ``None``."""
+    if isinstance(canonical, str) and canonical[:1] == "o" and canonical[1:].isdecimal():
+        rank = int(canonical[1:])
+        if rank < n and canonical == f"o{rank}":
+            return rank
+    return None
+
+
 def instantiate_script(
     payload: Dict[str, Any], t1: Tree
 ) -> Tuple[EditScript, bool, Any]:
@@ -99,18 +114,20 @@ def instantiate_script(
 
     Returns ``(script, wrapped, dummy_id)``; when ``wrapped`` is true the
     script replays on *t1* as ``script.apply_to(t1, dummy_id=dummy_id)``
-    (see :meth:`repro.editscript.script.EditScript.apply_to`).
+    (see :meth:`repro.editscript.script.EditScript.apply_to`). Only the
+    names the payload mentions are bound: ``o<k>`` reads ``node_ids[k]``
+    of *t1*'s arena, so a cache hit builds no node graph.
     """
-    reverse: Dict[str, Any] = {
-        f"o{rank}": node.id for rank, node in enumerate(t1.preorder())
-    }
-    taken = set(t1.node_ids())
+    arena = t1.to_arena()
+    node_ids, pos_of = arena.node_ids, arena.pos_of
+    reverse: Dict[str, Any] = {}
+    minted: Set[str] = set()
 
     def fresh_id(canonical: str) -> Any:
         candidate = f"svc:{canonical}"
-        while candidate in taken:
+        while candidate in pos_of or candidate in minted:
             candidate += "_"
-        taken.add(candidate)
+        minted.add(candidate)
         return candidate
 
     wrapped = bool(payload.get("wrapped"))
@@ -127,7 +144,8 @@ def instantiate_script(
             if canonical is None:
                 continue
             if canonical not in reverse:
-                reverse[canonical] = fresh_id(canonical)
+                rank = _preorder_rank(canonical, arena.n)
+                reverse[canonical] = fresh_id(canonical) if rank is None else node_ids[rank]
             record[field] = reverse[canonical]
         records.append(record)
     return EditScript.from_dicts(records), wrapped, dummy_id

@@ -11,6 +11,13 @@ digests)``, computed bottom-up in one post-order pass, so:
 * equal **subtree** digests give an O(1) ``equal``-subtree fast path that
   matching layers can consult instead of walking both subtrees.
 
+The pass reads the tree's arena arrays. Each node is one ``blake2b``
+call over its length-prefixed label, its length-prefixed value encoding
+and its children's digests, in order. Label and value encodings are made
+once per interned pool entry; a string value is encoded by
+:func:`json.encoder.encode_basestring`, byte for byte what ``json.dumps``
+emits, without a ``JSONEncoder`` per value.
+
 The converse direction is exact for the value types the library uses in
 practice (strings, numbers of one type, ``None``): the encoding is
 injective, so isomorphic trees always hash equal. The one caveat is
@@ -24,10 +31,10 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from json.encoder import encode_basestring
 from typing import Any, Dict, List, Optional
 
-from ..core.arena import TreeArena
-from ..core.node import Node
+from ..core.arena import flatten_root
 from ..core.tree import Tree
 
 #: Digest width in bytes. 16 bytes (128 bits) keeps indexes small while
@@ -50,24 +57,18 @@ def _encode_value(value: Any) -> bytes:
 
     JSON with sorted keys covers the library's interchange types; anything
     non-JSON falls back to ``repr`` with a distinct tag so the two spaces
-    cannot collide.
+    cannot collide. Strings take the encoder's own string path directly.
     """
     if value is None:
         return b"\x00"
+    if isinstance(value, str):
+        return b"j" + encode_basestring(value).encode("utf-8", "surrogatepass")
     try:
         return b"j" + json.dumps(
             value, sort_keys=True, ensure_ascii=False, separators=(",", ":")
         ).encode("utf-8", "surrogatepass")
     except (TypeError, ValueError):
         return b"r" + repr(value).encode("utf-8", "surrogatepass")
-
-
-def _node_digest(node: Node, child_digests: bytes) -> bytes:
-    hasher = hashlib.blake2b(digest_size=DIGEST_SIZE)
-    hasher.update(_encode_field(str(node.label).encode("utf-8", "surrogatepass")))
-    hasher.update(_encode_field(_encode_value(node.value)))
-    hasher.update(child_digests)
-    return hasher.digest()
 
 
 class DigestIndex:
@@ -88,9 +89,6 @@ class DigestIndex:
         """Digest of the subtree rooted at *node_id*."""
         return self.by_id[node_id]
 
-    def subtree_hex(self, node_id: Any) -> str:
-        return self.by_id[node_id].hex()
-
     def subtrees_equal(self, node_id: Any, other: "DigestIndex", other_id: Any) -> bool:
         """O(1) isomorphism check between two indexed subtrees.
 
@@ -104,13 +102,17 @@ class DigestIndex:
         return len(self.by_id)
 
 
-def arena_digests(arena: TreeArena) -> DigestIndex:
-    """Compute per-subtree digests directly over arena arrays.
+def compute_digests(tree: Tree) -> DigestIndex:
+    """Compute per-subtree digests over the tree's arena arrays.
 
-    One reverse-preorder pass (children precede parents); label and value
-    encodings are computed once per interned pool entry instead of once
-    per node. Byte-identical to the object-path digests.
+    One reverse-preorder pass (children precede parents). Parsed, copied
+    and checked-out trees hand over their cached snapshot, so no node
+    graph is built. Any other tree is flattened into a throwaway arena:
+    caching it would outlive direct writes to node attributes.
     """
+    arena = tree.arena_snapshot()
+    if arena is None:
+        arena = flatten_root(tree.root)[0]
     n = arena.n
     if n == 0:
         return DigestIndex({}, EMPTY_TREE_DIGEST)
@@ -119,53 +121,22 @@ def arena_digests(arena: TreeArena) -> DigestIndex:
         for label in arena.label_pool
     ]
     value_enc = [_encode_field(_encode_value(v)) for v in arena.value_pool]
-    labels = arena.labels
-    values = arena.values
-    parents = arena.parent
+    labels, values = arena.labels, arena.values
+    first_child, next_sibling = arena.first_child, arena.next_sibling
     blake2b = hashlib.blake2b
-    digests: List[Optional[bytes]] = [None] * n
-    # Children digests accumulate right-to-left as the reverse pass meets
-    # them; reverse once per parent when hashing.
-    pending: List[Optional[List[bytes]]] = [None] * n
+    digests: List[bytes] = [b""] * n
     for pos in range(n - 1, -1, -1):
-        hasher = blake2b(digest_size=DIGEST_SIZE)
-        hasher.update(label_enc[labels[pos]])
-        hasher.update(value_enc[values[pos]])
-        children = pending[pos]
-        if children is not None:
-            children.reverse()
-            hasher.update(b"".join(children))
-            pending[pos] = None
-        digest = hasher.digest()
-        digests[pos] = digest
-        parent_pos = parents[pos]
-        if parent_pos >= 0:
-            parts = pending[parent_pos]
-            if parts is None:
-                pending[parent_pos] = [digest]
-            else:
-                parts.append(digest)
+        data = label_enc[labels[pos]] + value_enc[values[pos]]
+        child = first_child[pos]
+        if child >= 0:
+            parts = [data]
+            while child >= 0:  # children sit after pos: already hashed
+                parts.append(digests[child])
+                child = next_sibling[child]
+            data = b"".join(parts)
+        digests[pos] = blake2b(data, digest_size=DIGEST_SIZE).digest()
     by_id = dict(zip(arena.node_ids, digests))
     return DigestIndex(by_id, digests[0])
-
-
-def compute_digests(tree: Tree) -> DigestIndex:
-    """Compute per-subtree digests in one iterative post-order pass.
-
-    Reads the tree's cached arena snapshot when present (no node graph is
-    materialized on the parse/copy/checkout paths); falls back to walking
-    node objects otherwise.
-    """
-    arena = tree.arena_snapshot()
-    if arena is not None:
-        return arena_digests(arena)
-    by_id: Dict[Any, bytes] = {}
-    if tree.root is None:
-        return DigestIndex(by_id, EMPTY_TREE_DIGEST)
-    for node in tree.postorder():
-        children = b"".join(by_id[child.id] for child in node.children)
-        by_id[node.id] = _node_digest(node, children)
-    return DigestIndex(by_id, by_id[tree.root.id])
 
 
 def attach_digests(tree: Tree) -> DigestIndex:

@@ -122,6 +122,21 @@ class TestStatsCommand:
         assert "analytical bound:" in out
         assert "leaf compares (r1):" in out
 
+    def test_unknown_format_exits_nonzero_with_message(self, latex_files, capsys):
+        old, new = latex_files
+        assert main(["stats", old, new, "--format", "docx"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown input format 'docx'" in err
+        assert "['html', 'latex', 'text', 'xml']" in err
+
+    def test_xml_format(self, tmp_path, capsys):
+        old = tmp_path / "old.xml"
+        new = tmp_path / "new.xml"
+        old.write_text("<doc><p>One sentence here.</p></doc>", encoding="utf-8")
+        new.write_text("<doc><p>One sentence here.</p><p>Added.</p></doc>", encoding="utf-8")
+        assert main(["stats", str(old), str(new), "--format", "xml"]) == 0
+        assert "nodes (old/new):" in capsys.readouterr().out
+
 
 class TestParser:
     def test_missing_command_prints_help_and_exits_2(self, capsys):

@@ -25,6 +25,7 @@ from repro.core.errors import DuplicateNodeError, EditScriptError, TreeError
 from repro.core.index import TreeIndex
 from repro.editscript.script import EditScript
 from repro.editscript.operations import Delete, Insert, Move, Update
+from repro.workload import RandomTreeSpec, paper_document_sets, random_tree
 from test_core_index import assert_index_consistent
 
 
@@ -125,6 +126,71 @@ class TestArenaBuilder:
             under = {arena.pos_of[d.id] for d in node.preorder()}
             assert under == set(range(pos, pos + arena.subtree_size[pos]))
             assert pos in under
+
+
+# ---------------------------------------------------------------------------
+# Links made at finish() against the Node graph's children lists
+# ---------------------------------------------------------------------------
+def node_graph_links(tree: Tree):
+    """Per preorder position: (id, first-child id, next-sibling id, size),
+    read off the Node graph's ``children`` lists alone."""
+    order = list(tree.preorder())
+    size = {}
+    for node in reversed(order):
+        size[node.id] = 1 + sum(size[child.id] for child in node.children)
+    links = []
+    for node in order:
+        first = node.children[0].id if node.children else None
+        siblings = node.parent.children if node.parent is not None else [node]
+        rank = next(i for i, sib in enumerate(siblings) if sib is node)
+        following = siblings[rank + 1].id if rank + 1 < len(siblings) else None
+        links.append((node.id, first, following, size[node.id]))
+    return links
+
+
+def node_graph_dict(tree: Tree):
+    """Dict-format dump built from Node objects (no arena involved)."""
+    def dump(node):
+        out = {"id": node.id, "label": node.label, "value": node.value}
+        if node.children:
+            out["children"] = [dump(child) for child in node.children]
+        return out
+
+    return None if tree.root is None else dump(tree.root)
+
+
+def arena_links(arena):
+    ids = arena.node_ids
+
+    def id_at(pos):
+        return None if pos < 0 else ids[pos]
+
+    return [
+        (ids[pos], id_at(arena.first_child[pos]), id_at(arena.next_sibling[pos]),
+         arena.subtree_size[pos])
+        for pos in range(arena.n)
+    ]
+
+
+def link_cases():
+    cases = [
+        pytest.param(Tree(), id="empty"),
+        pytest.param(Tree.from_obj(("D",)), id="one-node"),
+    ]
+    for seed in range(12):
+        tree = random_tree(seed, RandomTreeSpec(max_depth=4, max_children=5))
+        cases.append(pytest.param(Tree.from_obj(tree.to_obj()), id=f"random-{seed}"))
+    for document_set in paper_document_sets(edit_counts=(0,)):
+        tree = document_set.versions[0].tree
+        cases.append(pytest.param(Tree.from_obj(tree.to_obj()), id=document_set.name))
+    return cases
+
+
+class TestFinishLinks:
+    @pytest.mark.parametrize("reference", link_cases())
+    def test_links_match_node_graph(self, reference):
+        arena = tree_from_dict(node_graph_dict(reference)).to_arena()
+        assert arena_links(arena) == node_graph_links(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import threading
 
 import pytest
 
-from repro import Tree, tree_diff, trees_isomorphic
+from repro import DiffEngine, Tree, tree_diff, trees_isomorphic
+from repro.core.serialization import tree_from_dict
+from repro.editscript.script import EditScript
 from repro.service.cache import (
     ScriptCache,
     canonicalize_script,
@@ -162,6 +164,111 @@ class TestCanonicalization:
         result = tree_diff(old, new)
         payload = canonicalize_script(result.script, old)
         assert json.loads(json.dumps(payload)) == payload
+
+
+def preorder_walk_records(payload, t1):
+    """Reference rebind: the ``o<k>`` names resolved by a Node preorder walk."""
+    reverse = {f"o{rank}": node.id for rank, node in enumerate(t1.preorder())}
+    taken = set(t1.node_ids())
+
+    def fresh_id(canonical):
+        candidate = f"svc:{canonical}"
+        while candidate in taken:
+            candidate += "_"
+        taken.add(candidate)
+        return candidate
+
+    if payload["wrapped"]:
+        reverse["d"] = fresh_id("d")
+    records = []
+    for record in payload["records"]:
+        record = dict(record)
+        for field in ("node_id", "parent_id"):
+            canonical = record.get(field)
+            if canonical is not None:
+                if canonical not in reverse:
+                    reverse[canonical] = fresh_id(canonical)
+                record[field] = reverse[canonical]
+        records.append(record)
+    return EditScript.from_dicts(records).to_dicts()
+
+
+class TestArenaRebind:
+    """Canonical ids come from the arena: a hit builds no node graph."""
+
+    OLD = {"label": "D", "children": [
+        {"label": "P", "children": [
+            {"label": "S", "value": "shared sentence one"},
+            {"label": "S", "value": "doomed line"},
+        ]},
+        {"label": "P", "children": [{"label": "S", "value": "tail paragraph stays"}]},
+    ]}
+    NEW = {"label": "D", "children": [
+        {"label": "P", "children": [{"label": "S", "value": "tail paragraph stays"}]},
+        {"label": "P", "children": [
+            {"label": "S", "value": "shared sentence one"},
+            {"label": "S", "value": "fresh line"},
+        ]},
+    ]}
+
+    def test_cache_hit_builds_no_nodes(self):
+        with DiffEngine(workers=1) as engine:
+            first = engine.diff(tree_from_dict(self.OLD), tree_from_dict(self.NEW))
+            old, new = tree_from_dict(self.OLD), tree_from_dict(self.NEW)
+            result = engine.diff(old, new)
+        assert first.source == "computed"
+        assert result.source == "cache" and len(result.script) > 0
+        assert old._node_map is None and new._node_map is None
+        assert trees_isomorphic(result.script.apply_to(old), new)
+
+    def test_digest_short_circuit_builds_no_nodes(self):
+        old, new = tree_from_dict(self.OLD), tree_from_dict(self.OLD)
+        with DiffEngine(workers=1) as engine:
+            result = engine.diff(old, new)
+        assert result.source == "digest" and len(result.script) == 0
+        assert old._node_map is None and new._node_map is None
+
+    def test_edited_tree_matches_preorder_walk(self):
+        # An edited tree has no fresh snapshot: to_arena() re-flattens the
+        # mutated node graph, whose preorder must give the same names.
+        old = tree_from_dict(self.OLD)
+        tail = old.root.children[1]
+        old.move(tail.id, old.root.id, 1)
+        old.update(tail.children[0].id, "tail paragraph moved")
+        old.insert("svc:n0", "S", "inserted line", tail.id, 1)
+        assert old.arena_snapshot() is None
+        new = tree_from_dict(self.NEW)
+        result = tree_diff(old, new)
+        payload = canonicalize_script(
+            result.script, old, result.edit.wrapped, result.edit.dummy_t1_id
+        )
+        script, wrapped, dummy = instantiate_script(payload, old)
+        assert script.to_dicts() == preorder_walk_records(payload, old)
+        assert wrapped == result.edit.wrapped
+        assert trees_isomorphic(script.apply_to(old, dummy_id=dummy), new)
+        # rebinding onto an isomorphic copy with other ids replays as well
+        copy = Tree.from_obj(old.to_obj())
+        script, _wrapped, dummy = instantiate_script(payload, copy)
+        assert script.to_dicts() == preorder_walk_records(payload, copy)
+        assert trees_isomorphic(script.apply_to(copy, dummy_id=dummy), new)
+
+    def test_fresh_ids_skip_tree_ids_and_foreign_names(self):
+        # minted ids step past tree ids of the same spelling; out-of-range
+        # and zero-padded o<k> names are foreign, so they mint fresh ids
+        t1 = tree_from_dict({"id": "svc:n0", "label": "D", "children": [
+            {"id": "svc:o5", "label": "S", "value": "a"},
+        ]})
+        payload = {"wrapped": True, "records": [
+            {"op": "insert", "node_id": "n0", "label": "S", "value": "b",
+             "parent_id": "o0", "position": 1},
+            {"op": "update", "node_id": "o1", "value": "c"},
+            {"op": "insert", "node_id": "o5", "label": "S", "value": "d",
+             "parent_id": "o00", "position": 1},
+        ]}
+        script, wrapped, dummy = instantiate_script(payload, t1)
+        assert t1._node_map is None
+        assert wrapped and dummy == "svc:d"
+        assert script.to_dicts() == preorder_walk_records(payload, t1)
 
 
 class TestConcurrentAccess:

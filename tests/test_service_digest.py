@@ -1,12 +1,17 @@
 """Tests for Merkle subtree digests (repro.service.digest)."""
 
+import json
 import random
+
+import pytest
 
 from repro import Tree, trees_isomorphic
 from repro.core.isomorphism import canonical_form
+from repro.core.serialization import tree_from_dict
 from repro.service.digest import (
     DIGEST_SIZE,
     EMPTY_TREE_DIGEST,
+    _encode_value,
     attach_digests,
     cached_digests,
     compute_digests,
@@ -148,3 +153,52 @@ class TestDigestIsomorphismProperty:
         fingerprints = {tree_fingerprint(tree) for tree in versions}
         canonicals = {canonical_form(tree) for tree in versions}
         assert len(fingerprints) == len(canonicals)
+
+
+# Root digests of ``(D (S <value>) (S "tail"))`` recorded before the string
+# fast path and the one-shot hash existed. Digests key the script cache, its
+# spill files and the ``old_digest``/``new_digest`` response fields, so any
+# drift here is a wire-visible change.
+GOLDEN = {
+    "ascii": ("hello world", "a5c79f272e056630fecd6f74d2fc19cf"),
+    "non_ascii": ("é 漢字", "8504e1f67a49d5903a97039deee9fed9"),
+    "emoji": ("\U0001F600", "01c3f5746848648abfc4924c365cdfc9"),
+    "lone_surrogate": ("\ud800", "ceac456bf102dca1f36839e69eb7b901"),
+    "quotes_backslashes": ('say "hi" \\ back\\slash', "df358ea79fd39dee1a024a9d761c0979"),
+    "control": ("\x00\n\t", "3d2f90f30c79d9f7acdd4c8295fd0a13"),
+    "empty": ("", "0106101b6e9f709a6b0240e6218ae1df"),
+    "int": (1, "f9d78093c482b245eb70ca5421505911"),
+    "float": (1.0, "8cf822fb6b4c386471891ee6c82be60e"),
+    "bool": (True, "a3642602422ec19d7c9b876d7844c79e"),
+    "none": (None, "73bea6dc5265bba650b653f81c1afdfe"),
+    "list": ([1, "a", None], "2e18354622d1b9335df53a4c420ac1e4"),
+    "dict": ({"b": 1, "a": [2, 3]}, "edc58e49911159969f9f40e74e4e9dce"),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_root_digest_is_pinned(self, name):
+        value, expected = GOLDEN[name]
+        data = {"id": 1, "label": "D", "children": [
+            {"id": 2, "label": "S", "value": value},
+            {"id": 3, "label": "S", "value": "tail"},
+        ]}
+        arena_backed = tree_from_dict(data)
+        assert compute_digests(arena_backed).root_hex == expected
+        assert arena_backed._node_map is None
+        # an edited tree (snapshot dropped, re-flattened) agrees too
+        edited = tree_from_dict(data)
+        edited.update(3, "tail")
+        assert edited.arena_snapshot() is None
+        assert compute_digests(edited).root_hex == expected
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, (v, _) in GOLDEN.items() if isinstance(v, str))
+    )
+    def test_string_fast_path_is_json_dumps(self, name):
+        value = GOLDEN[name][0]
+        reference = json.dumps(
+            value, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        ).encode("utf-8", "surrogatepass")
+        assert _encode_value(value) == b"j" + reference
