@@ -7,7 +7,6 @@ from .flat_diff import (
     flatten_tree,
     undetected_moves,
 )
-from .moves_post import ZsMove, ZsMoveResult, zhang_shasha_with_moves
 from .zhang_shasha import (
     ZsOperation,
     zhang_shasha_distance,
@@ -17,8 +16,6 @@ from .zhang_shasha import (
 
 __all__ = [
     "FlatDiffResult",
-    "ZsMove",
-    "ZsMoveResult",
     "ZsOperation",
     "flat_diff",
     "flat_diff_text",
@@ -27,5 +24,4 @@ __all__ = [
     "zhang_shasha_distance",
     "zhang_shasha_mapping",
     "zhang_shasha_operations",
-    "zhang_shasha_with_moves",
 ]

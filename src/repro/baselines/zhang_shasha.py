@@ -14,8 +14,7 @@ model. Unit costs by default; all three costs are pluggable.
 
 Implementation: the classic keyroot dynamic program, O(n1*n2*min(d1,l1)*
 min(d2,l2)) time, with optional reconstruction of the operation sequence
-(used by the [WZS95]-style move post-processing in
-:mod:`repro.baselines.moves_post`).
+and the node mapping it implies.
 """
 
 from __future__ import annotations

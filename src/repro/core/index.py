@@ -263,11 +263,6 @@ class TreeIndex:
         )
 
 
-def build_index(tree: Tree) -> TreeIndex:
-    """Construct a fresh :class:`TreeIndex` over *tree*."""
-    return TreeIndex(tree)
-
-
 def attach_index(tree: Tree) -> TreeIndex:
     """Build an index and attach it as ``tree.index`` for later reuse.
 

@@ -3,42 +3,25 @@
 from .annotations import Annotation, Del, Idn, Ins, Mov, Mrk, Upd
 from .builder import DeltaNode, DeltaTree, build_delta_tree
 from .correctness import assert_delta_tree, check_delta_tree
-from .query import (
-    Match,
-    change_counts_by_path,
-    changed_nodes,
-    changed_subtree_roots,
-    select,
-)
 from .render_html import render_html
 from .render_latex import render_latex
 from .render_text import change_summary, render_text
-from .rules import ALL_EVENTS, Firing, Rule, RuleEngine
 
 __all__ = [
-    "ALL_EVENTS",
     "Annotation",
     "Del",
     "DeltaNode",
     "DeltaTree",
-    "Firing",
     "Idn",
     "Ins",
-    "Match",
     "Mov",
     "Mrk",
-    "Rule",
-    "RuleEngine",
     "Upd",
     "assert_delta_tree",
     "build_delta_tree",
     "check_delta_tree",
-    "change_counts_by_path",
     "change_summary",
-    "changed_nodes",
-    "changed_subtree_roots",
     "render_html",
     "render_latex",
     "render_text",
-    "select",
 ]

@@ -21,7 +21,7 @@ verifying against both endpoints:
 
 from __future__ import annotations
 
-from typing import Counter as CounterType, List, Optional
+from typing import Counter as CounterType, List, Optional, Tuple
 from collections import Counter
 
 from ..core.node import Node
@@ -89,42 +89,46 @@ def _check_internal_consistency(delta: DeltaTree, problems: List[str]) -> None:
 def _check_mirror_matches_t2(
     delta: DeltaTree, t2: Tree, problems: List[str]
 ) -> None:
-    def mirror(node: DeltaNode):
-        return [
-            child
-            for child in node.children
-            if not isinstance(child.annotation, (Del, Mrk))
-        ]
+    """Compare the delta's live mirror against ``t2`` in preorder.
 
-    def compare(delta_node: DeltaNode, t2_node: Node, path: str) -> bool:
+    An explicit stack keeps deep chains off the interpreter stack; the
+    walk stops at the first mismatch.
+    """
+    if t2.root is None:
+        problems.append("t2 is empty but delta has a root")
+        return
+    stack: List[Tuple[DeltaNode, Node, str]] = [
+        (delta.root, t2.root, delta.root.label)
+    ]
+    while stack:
+        delta_node, t2_node, path = stack.pop()
         if delta_node.label != t2_node.label:
             problems.append(
                 f"mirror label mismatch at {path}: "
                 f"{delta_node.label!r} vs {t2_node.label!r}"
             )
-            return False
+            return
         if delta_node.value != t2_node.value:
             problems.append(
                 f"mirror value mismatch at {path}: "
                 f"{delta_node.value!r} vs {t2_node.value!r}"
             )
-            return False
-        live = mirror(delta_node)
+            return
+        live = [
+            child
+            for child in delta_node.children
+            if not isinstance(child.annotation, (Del, Mrk))
+        ]
         if len(live) != len(t2_node.children):
             problems.append(
                 f"mirror child count mismatch at {path}: "
                 f"{len(live)} vs {len(t2_node.children)}"
             )
-            return False
-        return all(
-            compare(a, b, f"{path}/{a.label}")
-            for a, b in zip(live, t2_node.children)
+            return
+        stack.extend(
+            (a, b, f"{path}/{a.label}")
+            for a, b in zip(reversed(live), reversed(t2_node.children))
         )
-
-    if t2.root is None:
-        problems.append("t2 is empty but delta has a root")
-        return
-    compare(delta.root, t2.root, delta.root.label)
 
 
 def _check_old_reading_matches_t1(

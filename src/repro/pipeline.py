@@ -20,8 +20,7 @@ and index-cache hits. Without a traced parent the stages are
 
 Every entry point in the repository — :func:`repro.diff.tree_diff`, the
 CLI, :class:`repro.service.DiffEngine`, :class:`repro.store.VersionStore`,
-:func:`repro.merge.three_way_merge`, :func:`repro.oem.json_diff`,
-:func:`repro.graphs.graph_diff`, and :func:`repro.ladiff.pipeline.ladiff` —
+:func:`repro.merge.three_way_merge`, and :func:`repro.ladiff.pipeline.ladiff` —
 routes through this module, so there is one place to cache, one place to
 measure, and one place to add backends.
 """

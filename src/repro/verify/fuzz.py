@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CH
 from ..core.isomorphism import trees_isomorphic
 from ..core.serialization import tree_from_dict, tree_to_dict
 from ..core.tree import Tree
-from ..editscript.generator import _Generator
+from ..editscript.operations import Insert, Move
 from ..editscript.script import EditScript
 from ..matching.criteria import MatchConfig
 from ..simtest.clock import SYSTEM_CLOCK
@@ -139,18 +139,30 @@ def default_runner(t1: Tree, t2: Tree, algorithm: str) -> "DiffResult":
 
 
 def skip_align_runner(t1: Tree, t2: Tree, algorithm: str) -> "DiffResult":
-    """Deliberately broken: the generator never runs ``AlignChildren``.
+    """Deliberately broken: drops every move ``AlignChildren`` emitted.
 
-    Misordered siblings survive, so replay produces a tree that is not
-    isomorphic to ``T2`` whenever the diff involves reordering — the
-    classic bug class the harness must catch (and shrink).
+    Those are exactly the moves that keep a node under its current
+    parent, so each node's parent is tracked from ``t1`` through the
+    script's inserts and moves. Misordered siblings survive, so replay
+    produces a tree that is not isomorphic to ``T2`` whenever the diff
+    involves reordering — the classic bug class the harness must catch
+    (and shrink).
     """
-    original = _Generator._align_children
-    _Generator._align_children = lambda self, *args, **kwargs: None
-    try:
-        return default_runner(t1, t2, algorithm)
-    finally:
-        _Generator._align_children = original
+    result = default_runner(t1, t2, algorithm)
+    # A wrapped script hangs the old root under the dummy root.
+    parent = {
+        node.id: node.parent.id if node.parent else result.edit.dummy_t1_id
+        for node in t1.preorder()
+    }
+    kept = []
+    for op in result.edit.script:
+        if isinstance(op, Move) and parent[op.node_id] == op.parent_id:
+            continue
+        if isinstance(op, (Insert, Move)):
+            parent[op.node_id] = op.parent_id
+        kept.append(op)
+    edit = dataclasses.replace(result.edit, script=EditScript(kept))
+    return dataclasses.replace(result, edit=edit)
 
 
 def drop_op_runner(t1: Tree, t2: Tree, algorithm: str) -> "DiffResult":

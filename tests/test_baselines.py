@@ -13,7 +13,6 @@ from repro.baselines import (
     zhang_shasha_distance,
     zhang_shasha_mapping,
     zhang_shasha_operations,
-    zhang_shasha_with_moves,
 )
 
 
@@ -138,39 +137,6 @@ class TestZhangShashaOperations:
         _, ops = zhang_shasha_operations(t1, t2)
         rendered = " ".join(str(op) for op in ops)
         assert "ZS-" in rendered
-
-
-class TestZhangShashaWithMoves:
-    def test_whole_subtree_move_fused(self):
-        t1 = tree(("D", None, [
-            ("P", None, [("S", "a"), ("S", "b")]),
-            ("P", None, [("S", "c")]),
-        ]))
-        t2 = tree(("D", None, [
-            ("P", None, [("S", "c")]),
-            ("P", None, [("S", "a"), ("S", "b")]),
-        ]))
-        result = zhang_shasha_with_moves(t1, t2)
-        assert result.moves  # at least one fusion found
-        assert result.fused_cost < result.base_distance
-
-    def test_no_moves_when_nothing_moved(self):
-        t1 = tree(("D", None, [("S", "a")]))
-        t2 = tree(("D", None, [("S", "a"), ("S", "b")]))
-        result = zhang_shasha_with_moves(t1, t2)
-        assert result.moves == []
-        assert result.fused_cost == result.base_distance
-
-    def test_fused_cost_accounting(self):
-        t1 = tree(("D", None, [("P", None, [("S", "x")]), ("Q", None, [("S", "k")])]))
-        t2 = tree(("D", None, [("Q", None, [("S", "k"), ("P", None, [("S", "x")])])]))
-        result = zhang_shasha_with_moves(t1, t2)
-        savings = result.base_distance - result.fused_cost
-        # each move of an s-node subtree saves 2*size - 1
-        expected = sum(
-            2 * move.old.subtree_size() - 1 for move in result.moves
-        )
-        assert savings == pytest.approx(expected)
 
 
 class TestFlatDiff:

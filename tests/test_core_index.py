@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Tree, tree_diff
-from repro.core.index import TreeIndex, attach_index, build_index, cached_index
+from repro.core.index import TreeIndex, attach_index, cached_index
 from repro.workload import MutationEngine, generate_document
 from repro.workload.documents import DocumentSpec
 from repro.workload.random_trees import RandomTreeSpec, random_tree
@@ -61,7 +61,7 @@ def document():
 
 class TestConstruction:
     def test_document_tree(self, document):
-        assert_index_consistent(build_index(document), document)
+        assert_index_consistent(TreeIndex(document), document)
 
     def test_single_node_tree(self):
         tree = Tree.from_obj(("D", "only"))

@@ -57,11 +57,6 @@ class TestGuideSnippets:
         ]
         exec(compile("\n".join(lines), "guide.md#trees", "exec"), {})
 
-    def test_oem_block_runs(self):
-        blocks = python_blocks("docs/guide.md")
-        oem_block = next(b for b in blocks if "data_to_tree" in b)
-        exec(compile(oem_block, "guide.md#oem", "exec"), {})
-
     def test_pipeline_block_runs(self):
         from repro import Tree
         blocks = python_blocks("docs/guide.md")

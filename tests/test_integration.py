@@ -6,18 +6,9 @@ import pytest
 
 from repro import Tree, VersionStore, tree_diff, trees_isomorphic
 from repro.baselines import flat_diff, zhang_shasha_distance
-from repro.deltatree import (
-    Rule,
-    RuleEngine,
-    build_delta_tree,
-    changed_subtree_roots,
-    render_html,
-    render_latex,
-    select,
-)
+from repro.deltatree import build_delta_tree, render_html, render_latex
 from repro.ladiff import ladiff, parse_latex, write_latex
 from repro.ladiff.fixtures import NEW_TEXBOOK, OLD_TEXBOOK
-from repro.oem import json_diff
 from repro.workload import DocumentSpec, MutationEngine, generate_document
 
 
@@ -33,21 +24,6 @@ class TestDocumentLifecycle:
 
         assert store.verify_history()
         assert trees_isomorphic(store.checkout(0), v0)
-
-        # Audit the recorded delta with active rules.
-        delta = build_delta_tree(v0, v1, tree_diff(v0, v1).edit)
-        deleted_sentences = []
-        engine = RuleEngine().add(
-            Rule(
-                name="log-deletions",
-                events=("DEL",),
-                condition=lambda m: m.node.label == "S",
-                action=lambda m: deleted_sentences.append(m.node.value),
-            )
-        )
-        firings = engine.run(delta)
-        assert firings
-        assert any("later chapters" in s for s in deleted_sentences)
 
     def test_parse_diff_render_reparse(self):
         """LaTeX in, marked-up LaTeX out, and the mark-up itself parses.
@@ -104,60 +80,10 @@ class TestAgreementAcrossComponents:
         edited = MutationEngine(52).mutate(base, 8).tree
         result = tree_diff(base, edited)
         delta = build_delta_tree(base, edited, result.edit)
-        ins_nodes = select(delta, tags=["INS"])
-        assert len(ins_nodes) == len(result.script.inserts)
+        assert delta.counts().get("INS", 0) == len(result.script.inserts)
         html_out = render_html(delta)
         latex_out = render_latex(delta)
         assert html_out and latex_out  # both renderers handle the same tree
-
-
-class TestJsonWorkflow:
-    def test_api_response_monitoring(self):
-        """Poll a JSON API, diff consecutive payloads, alert via rules."""
-        monday = {
-            "service": "ordersvc",
-            "endpoints": [
-                {"path": "/orders", "status": "healthy", "p99_ms": 120},
-                {"path": "/refunds", "status": "healthy", "p99_ms": 340},
-            ],
-        }
-        tuesday = {
-            "service": "ordersvc",
-            "endpoints": [
-                {"path": "/orders", "status": "degraded", "p99_ms": 1200},
-                {"path": "/refunds", "status": "healthy", "p99_ms": 320},
-            ],
-        }
-        result = json_diff(monday, tuesday)
-        assert result.verify()
-        delta = build_delta_tree(
-            result.old_tree, result.new_tree, result.diff.edit
-        )
-        updates = select(delta, tags=["UPD", "INS", "DEL"])
-        changed_values = " ".join(str(m.node.value) for m in updates)
-        assert "degraded" in changed_values
-
-    def test_patch_chain(self):
-        """Three JSON versions patched forward through stored deltas."""
-        v0 = {"users": ["ann", "bob"], "flags": {"beta": False}}
-        v1 = {"users": ["ann", "bob", "cem"], "flags": {"beta": False}}
-        v2 = {"users": ["bob", "cem"], "flags": {"beta": True}}
-        d01 = json_diff(v0, v1)
-        d12 = json_diff(v1, v2)
-        assert d12.patch(d01.patch(v0)) == v2
-
-
-class TestChangeRootNavigation:
-    def test_browser_jump_targets(self):
-        """changed_subtree_roots gives one anchor per edited region."""
-        base = generate_document(61, DocumentSpec(sections=4))
-        edited = MutationEngine(62).mutate(base, 5).tree
-        result = tree_diff(base, edited)
-        delta = build_delta_tree(base, edited, result.edit)
-        roots = changed_subtree_roots(delta)
-        # at least one anchor; no more anchors than script operations + markers
-        assert roots
-        assert len(roots) <= len(result.script) + len(result.script.moves)
 
 
 class TestSerializationInterop:

@@ -102,6 +102,25 @@ class TestEndpoints:
         assert out["oracles"]
         assert out["protocol"] == PROTOCOL
 
+    def test_verify_deep_chain_is_ok(self, client):
+        # D → P → … → P, one sentence per level: 901 nodes, well under the
+        # body cap, and deeper than a two-frames-per-level recursive check
+        # can walk at the default recursion limit.
+        def chain(depth, last_sentence):
+            root = {"label": "D", "children": []}
+            node = root
+            for level in range(depth):
+                value = last_sentence if level == depth - 1 else f"sentence {level}"
+                child = {"label": "P", "children": [{"label": "S", "value": value}]}
+                node["children"].append(child)
+                node = child
+            return root
+
+        out = client.verify(
+            chain(450, "the bottom"), chain(450, "the very bottom"), algorithm="fast"
+        )
+        assert out["ok"] is True
+
     def test_metrics_snapshot(self, client):
         client.diff(OLD_SEXPR, NEW_SEXPR)
         snap = client.metrics()
