@@ -646,46 +646,57 @@ def _cmd_batch(args) -> int:
     return 1 if failed else 0
 
 
+def _serve_config(args):
+    """``serve``'s flags as a ServeConfig; cluster workers read back
+    :func:`repro.serve.cluster.worker_argv` through it."""
+    from .serve.app import ServeConfig
+
+    return ServeConfig(
+        host=args.host,
+        port=args.port,
+        workers=args.threads,
+        cache_size=args.cache_size,
+        algorithm=args.algorithm,
+        match=default_match_config(t=args.t, f=args.f),
+        verify_fraction=args.verify_fraction,
+        queue_capacity=args.queue_depth,
+        rate=args.rate,
+        burst=args.burst,
+        max_body_bytes=args.max_body_kb * 1024,
+        deadline_ms=args.deadline_ms,
+        drain_timeout=args.drain_timeout,
+        trace_fraction=args.trace_fraction,
+        trace_buffer=args.trace_buffer,
+        trace_export=args.trace_export,
+    )
+
+
 def _cmd_serve(args) -> int:
-    from .serve.app import ServeConfig, run_server
-    from .serve.cluster import ClusterConfig, run_cluster
+    from .serve.app import DiffServer
+    from .serve.cluster import ClusterConfig, ClusterServer
+    from .serve.lifecycle import run_server
+
+    def announce(url: str) -> None:
+        print(f"repro-diff serve: listening on {url}", flush=True)
 
     try:
         if args.workers < 0:
             raise ValueError(f"workers must be >= 0, got {args.workers}")
-        serve_config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.threads,
-            cache_size=args.cache_size,
-            algorithm=args.algorithm,
-            match=default_match_config(t=args.t, f=args.f),
-            verify_fraction=args.verify_fraction,
-            queue_capacity=args.queue_depth,
-            rate=args.rate,
-            burst=args.burst,
-            max_body_bytes=args.max_body_kb * 1024,
-            deadline_ms=args.deadline_ms,
-            drain_timeout=args.drain_timeout,
-            trace_fraction=args.trace_fraction,
-            trace_buffer=args.trace_buffer,
-            trace_export=args.trace_export,
-        )
-
-        def announce(url: str) -> None:
-            print(f"repro-diff serve: listening on {url}", flush=True)
-
+        serve_config = _serve_config(args)
         if args.workers >= 2:
-            cluster_config = ClusterConfig(
-                host=args.host,
-                port=args.port,
-                workers=args.workers,
-                replicas=args.replicas,
-                drain_timeout=args.drain_timeout,
-                serve=serve_config,
+            front = ClusterServer(
+                ClusterConfig(
+                    host=args.host,
+                    port=args.port,
+                    workers=args.workers,
+                    replicas=args.replicas,
+                    drain_timeout=args.drain_timeout,
+                    serve=serve_config,
+                )
             )
-            return run_cluster(cluster_config, announce=announce)
-        return run_server(serve_config, announce=announce)
+        else:
+            front = DiffServer(serve_config)
+        return run_server(front, announce=announce)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -815,24 +826,20 @@ def _fetch_trace_spans(url: str, trace_id: str):
     import http.client
     from urllib.parse import urlsplit
 
+    from .serve.client import DiffServiceClient
+
     parts = urlsplit(url if "//" in url else f"//{url}")
-    host = parts.hostname or "127.0.0.1"
-    port = parts.port or 8765
-    conn = http.client.HTTPConnection(host, port, timeout=10.0)
+    client = DiffServiceClient(
+        host=parts.hostname or "127.0.0.1", port=parts.port or 8765, timeout=10.0
+    )
     try:
-        conn.request("GET", f"/v1/trace/{trace_id}")
-        response = conn.getresponse()
-        payload = json.loads(response.read())
-    except (OSError, ValueError) as exc:
+        with client:
+            status, payload, _ = client.request_once("GET", f"/v1/trace/{trace_id}")
+    except (OSError, http.client.HTTPException) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    finally:
-        conn.close()
-    if response.status != 200:
-        print(
-            f"error: HTTP {response.status}: {payload.get('message', payload)}",
-            file=sys.stderr,
-        )
+    if status != 200:
+        print(f"error: HTTP {status}: {payload.get('message', payload)}", file=sys.stderr)
         return None
     return payload.get("spans", [])
 

@@ -149,36 +149,51 @@ def tree_from_sexpr(text: str) -> Tree:
 def arena_from_sexpr(text: str) -> TreeArena:
     """Parse the s-expression format straight into an arena.
 
-    Node identifiers are assigned 1..n in preorder, as on the object path.
+    One pass over the tokens with an explicit stack of open lists, so the
+    nesting depth is bounded by memory, not by the recursion limit. Node
+    identifiers are assigned 1..n in preorder, as on the object path.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty s-expression")
-    expr, rest = _parse_expr(tokens, 0)
-    if rest != len(tokens):
-        raise ParseError("trailing garbage after s-expression")
+    if tokens[0] != "(":
+        raise ParseError(f"expected '(' at token 0, got {tokens[0]!r}")
     builder = ArenaBuilder()
-    if expr == []:
+    n = len(tokens)
+    if n > 1 and tokens[1] == ")":  # "()": the empty tree
+        if n > 2:
+            raise ParseError("trailing garbage after s-expression")
         return builder.finish()
-    counter = itertools.count(1)
-
-    def build(node_expr: Any, parent_pos: int) -> None:
-        if not isinstance(node_expr, list) or not node_expr:
-            raise ParseError(f"expected a (label ...) list, got {node_expr!r}")
-        label = node_expr[0]
-        if not isinstance(label, str) or label.startswith('"'):
+    add = builder.add
+    open_lists: List[int] = []  # arena positions of the lists not yet closed
+    pos = 0
+    while pos < n:
+        token = tokens[pos]
+        if token == ")":
+            open_lists.pop()
+            pos += 1
+            if not open_lists:
+                if pos != n:
+                    raise ParseError("trailing garbage after s-expression")
+                return builder.finish()
+            continue
+        if token != "(":
+            raise ParseError(f"expected a (label ...) list, got {token!r}")
+        if pos + 1 == n:
+            break
+        label = tokens[pos + 1]
+        if label == ")":
+            raise ParseError("expected a (label ...) list, got []")
+        if label == "(" or label[0] == '"':
             raise ParseError(f"node label must be a bare atom, got {label!r}")
-        rest = node_expr[1:]
+        pos += 2
         value = None
-        if rest and isinstance(rest[0], str) and rest[0].startswith('"'):
-            value = _unquote(rest[0])
-            rest = rest[1:]
-        pos = builder.add(parent_pos, next(counter), label, value)
-        for child in rest:
-            build(child, pos)
-
-    build(expr, -1)
-    return builder.finish()
+        if pos < n and tokens[pos][0] == '"':
+            value = _unquote(tokens[pos])
+            pos += 1
+        parent = open_lists[-1] if open_lists else -1
+        open_lists.append(add(parent, len(builder.node_ids) + 1, label, value))
+    raise ParseError("unbalanced parentheses")
 
 
 def _tokenize(text: str) -> List[str]:
@@ -198,23 +213,6 @@ def _tokenize(text: str) -> List[str]:
                 tokens.append(token)
                 break
     return tokens
-
-
-def _parse_expr(tokens: List[str], pos: int) -> Any:
-    if tokens[pos] != "(":
-        raise ParseError(f"expected '(' at token {pos}, got {tokens[pos]!r}")
-    pos += 1
-    items: List[Any] = []
-    while pos < len(tokens) and tokens[pos] != ")":
-        if tokens[pos] == "(":
-            sub, pos = _parse_expr(tokens, pos)
-            items.append(sub)
-        else:
-            items.append(tokens[pos])
-            pos += 1
-    if pos >= len(tokens):
-        raise ParseError("unbalanced parentheses")
-    return items, pos + 1
 
 
 def _quote(value: str) -> str:

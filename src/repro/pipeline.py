@@ -85,8 +85,6 @@ class DiffConfig:
     schema:
         Label order for FastMatch's bottom-up internal pass; inferred from
         the two trees when omitted.
-    cost_model:
-        Default cost model for :meth:`DiffResult.cost`.
     postprocess:
         Run the §8 top-down repair pass after matching.
     build_delta:
@@ -103,7 +101,6 @@ class DiffConfig:
     algorithm: str = "fast"
     match: Optional[MatchConfig] = None
     schema: Optional[LabelSchema] = None
-    cost_model: Optional[CostModel] = None
     postprocess: bool = True
     build_delta: bool = False
     render: Optional[str] = None
@@ -212,7 +209,6 @@ class DiffResult:
     trace: Optional[Trace] = None
     delta: Optional["DeltaTree"] = None
     rendered: Optional[str] = None
-    cost_model: Optional[CostModel] = None
 
     @property
     def script(self) -> EditScript:
@@ -220,7 +216,7 @@ class DiffResult:
         return self.edit.script
 
     def cost(self, model: Optional[CostModel] = None) -> float:
-        return self.edit.cost(model if model is not None else self.cost_model)
+        return self.edit.cost(model)
 
     def verify(self, t1: Tree, t2: Tree) -> bool:
         """Replay the script on *t1* and compare against *t2*."""
@@ -334,7 +330,6 @@ class DiffPipeline:
             match_stats=stats,
             postprocess_repairs=repairs,
             trace=trace,
-            cost_model=config.cost_model,
         )
         if config.build_delta:
             with trace.span("deltatree"):

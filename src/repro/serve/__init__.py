@@ -10,9 +10,9 @@ capped jittered backoff.
 
 Quickstart::
 
-    from repro.serve import ServeConfig, ServerThread, DiffServiceClient
+    from repro.serve import DiffServer, DiffServiceClient, ServeConfig, ServerThread
 
-    with ServerThread(ServeConfig(port=0, workers=2)) as handle:
+    with ServerThread(DiffServer(ServeConfig(port=0, workers=2))) as handle:
         client = DiffServiceClient(port=handle.port)
         out = client.diff(old_tree, new_tree)
         print(out["operations"], out["source"])
@@ -23,14 +23,16 @@ prints a final deterministic ``METRICS {json}`` line).
 
 Scaling out: ``repro-diff serve --workers 4`` forks four single-process
 workers behind a cache-affinity consistent-hash router with failover and
-rolling restarts — see :mod:`repro.serve.cluster`.
+rolling restarts — see :mod:`repro.serve.cluster`. Either front runs
+through :func:`run_server` (foreground) or :class:`ServerThread`, e.g.
+``ServerThread(ClusterServer(ClusterConfig(port=0, workers=2)))``.
 """
 
 from .admission import AdmissionController, Deadline, Decision, RateLimiter, TokenBucket
-from .app import DiffServer, ServeConfig, ServerThread, run_server
+from .app import DiffServer, ServeConfig
 from .client import DiffServiceClient, ServiceError
-from .cluster import ClusterConfig, ClusterServer, ClusterThread, run_cluster
-from .lifecycle import Lifecycle, dump_final_metrics
+from .cluster import ClusterConfig, ClusterServer
+from .lifecycle import Lifecycle, ServerThread, dump_final_metrics, run_server
 from .protocol import PROTOCOL, HttpError, job_result_to_dict
 from .router import HashRing, Router, affinity_key
 from .supervisor import Supervisor, WorkerHandle, WorkerStartupError
@@ -40,7 +42,6 @@ __all__ = [
     "AdmissionController",
     "ClusterConfig",
     "ClusterServer",
-    "ClusterThread",
     "Deadline",
     "Decision",
     "DiffServer",
@@ -60,6 +61,5 @@ __all__ = [
     "affinity_key",
     "dump_final_metrics",
     "job_result_to_dict",
-    "run_cluster",
     "run_server",
 ]

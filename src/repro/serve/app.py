@@ -24,6 +24,10 @@ counters and response shaping. Two callers run it: the socket loop of
 ._offload`: here compute runs on the engine's worker pool under
 a timeout, so the event loop only parses, routes and writes.
 
+It runs through the entry points it shares with the cluster front:
+:func:`~repro.serve.lifecycle.run_server` and :class:`~repro.serve
+.lifecycle.ServerThread`.
+
 Concurrency note: an expired deadline answers the *request* with 504, but
 the underlying pool job is not forcibly killed (CPython offers no safe
 preemption). The admission slot is returned with the response — the
@@ -34,8 +38,7 @@ for stragglers: ``engine.close()`` joins its pool after the drain.
 from __future__ import annotations
 
 import asyncio
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -87,7 +90,6 @@ class ServeConfig:
     trace_fraction: float = 0.0
     trace_buffer: int = 2048  #: ring-buffer capacity for closed spans
     trace_export: Optional[str] = None  #: JSONL path flushed on drain
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 class DiffServer(HttpFront):
@@ -415,91 +417,3 @@ class DiffServer(HttpFront):
             "complete": open_spans == 0 and not validate_trace(spans),
             "protocol": PROTOCOL,
         }
-
-
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
-def run_server(
-    config: Optional[ServeConfig] = None,
-    announce: Optional[Callable[[str], None]] = None,
-) -> int:
-    """Blocking foreground entry point used by ``repro-diff serve``.
-
-    Installs SIGTERM/SIGINT drain handlers, serves until one arrives,
-    drains, prints the final ``METRICS`` line, and returns a process exit
-    code (0 = clean drain, 1 = in-flight work abandoned at the timeout).
-    """
-    server = DiffServer(config)
-
-    async def _main() -> Dict[str, Any]:
-        await server.start()
-        return await server.run(install_signals=True, announce=announce)
-
-    asyncio.run(_main())
-    return 0 if server.lifecycle.drained_clean is not False else 1
-
-
-class ServerThread:
-    """A DiffServer on a background thread — tests and benchmarks.
-
-    ``start()`` returns once the socket is bound (``.port`` is then real);
-    ``stop()`` runs the same drain sequence SIGTERM would and returns the
-    final metrics snapshot.
-    """
-
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        engine: Optional[DiffEngine] = None,
-    ) -> None:
-        self.server = DiffServer(config, engine=engine)
-        self._ready = threading.Event()
-        self._final: Optional[Dict[str, Any]] = None
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=self._main, daemon=True)
-
-    @property
-    def port(self) -> int:
-        port = self.server.port
-        assert port is not None, "server not started"
-        return port
-
-    def _main(self) -> None:
-        async def body() -> None:
-            await self.server.start()
-            self._ready.set()
-            self._final = await self.server.run(
-                install_signals=False, dump_metrics=False
-            )
-
-        try:
-            asyncio.run(body())
-        except BaseException as exc:  # surfaced to the joining thread
-            self._error = exc
-            self._ready.set()
-
-    def start(self, timeout: float = 10.0) -> "ServerThread":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("server failed to start in time")
-        if self._error is not None:
-            raise RuntimeError(f"server failed to start: {self._error!r}")
-        return self
-
-    def stop(self, timeout: float = 10.0) -> Dict[str, Any]:
-        self.server.lifecycle.request_shutdown()
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("server did not drain in time")
-        if self._error is not None:
-            raise RuntimeError(f"server crashed: {self._error!r}")
-        assert self._final is not None
-        return self._final
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *_exc: Any) -> None:
-        if self._thread.is_alive():
-            self.stop()

@@ -13,7 +13,7 @@ Hard 4xx failures (bad request, not found, too large) are never retried —
 resending a malformed body cannot fix it — and surface as
 :class:`ServiceError` carrying the decoded error payload.
 
-The clock and randomness are injectable (``clock=``, ``sleep=``, ``rng=``)
+The clock and randomness are injectable (``clock=``, ``rng=``)
 so retry schedules are unit-testable in microseconds, and the transport
 accepts an optional :class:`~repro.simtest.faults.FaultInjector`
 (``faults=``) that can refuse connects, reset responses mid-body, or slow
@@ -26,12 +26,13 @@ import http.client
 import json
 import random
 import socket
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..core.serialization import tree_to_dict
 from ..core.tree import Tree
 from ..obs.trace import Tracer, inject_trace_headers
 from ..simtest.clock import SYSTEM_CLOCK, Clock
-from .protocol import PROTOCOL, RETRYABLE_STATUSES, tree_to_payload
+from .protocol import PROTOCOL, RETRYABLE_STATUSES
 
 #: Wire form of a snapshot accepted by the helpers below.
 TreeLike = Union[Tree, Dict[str, Any], str]
@@ -80,11 +81,11 @@ class DiffServiceClient:
     client_id:
         Sent as ``X-Client-Id`` so the server's per-client rate limiter
         sees a stable identity across reconnects.
-    clock, sleep, rng:
+    clock, rng:
         Injection points for tests and the simulation harness. ``clock``
         (a :class:`repro.simtest.clock.Clock`) supplies ``monotonic`` and
-        the default ``sleep``; passing ``sleep=`` separately overrides
-        just the backoff waits. Defaults: the real system clock and a
+        ``sleep`` — a :class:`~repro.simtest.clock.SimClock` turns backoff
+        waits into virtual time. Defaults: the real system clock and a
         private ``random.Random()``. Every wait and every jitter draw
         goes through these — there are no module-level ``time.``/
         ``random.`` calls left on the request path, so a seeded ``rng``
@@ -116,7 +117,6 @@ class DiffServiceClient:
         timeout: float = 30.0,
         client_id: Optional[str] = None,
         clock: Optional[Clock] = None,
-        sleep: Optional[Callable[[float], None]] = None,
         rng: Optional[random.Random] = None,
         faults: Optional[Any] = None,
         trace_fraction: float = 0.0,
@@ -136,7 +136,6 @@ class DiffServiceClient:
         self.timeout = timeout
         self.client_id = client_id
         self._clock = clock if clock is not None else SYSTEM_CLOCK
-        self._sleep = sleep if sleep is not None else self._clock.sleep
         self._rng = rng if rng is not None else random.Random()
         self._faults = faults
         if tracer is not None:
@@ -228,7 +227,7 @@ class DiffServiceClient:
         if self._faults is not None:
             fault = self._faults.fire("slow_response", target=target)
             if fault is not None:
-                self._sleep(fault.magnitude)
+                self._clock.sleep(fault.magnitude)
         if response.headers.get("Connection", "").lower() == "close":
             self.close()
         try:
@@ -329,12 +328,12 @@ class DiffServiceClient:
                 refused_left -= 1
                 delay = self._backoff(0, retry_after)
                 self.sleeps.append(delay)
-                self._sleep(delay)
+                self._clock.sleep(delay)
                 continue
             if attempt < self.retries:
                 delay = self._backoff(attempt, retry_after)
                 self.sleeps.append(delay)
-                self._sleep(delay)
+                self._clock.sleep(delay)
                 attempt += 1
                 continue
             root.annotate(status=last_status, tries=tries).close("error")
@@ -345,7 +344,7 @@ class DiffServiceClient:
     # ------------------------------------------------------------------
     @staticmethod
     def _wire_tree(tree: TreeLike) -> Union[Dict[str, Any], str, None]:
-        return tree_to_payload(tree) if isinstance(tree, Tree) else tree
+        return tree_to_dict(tree) if isinstance(tree, Tree) else tree
 
     def diff(
         self,
@@ -405,9 +404,7 @@ class DiffServiceClient:
     def wait_ready(self, timeout: float = 10.0, interval: float = 0.05) -> bool:
         """Poll ``/healthz`` until the server answers (startup races).
 
-        Polls on the injected clock (not the injectable backoff ``sleep``),
-        so a no-op test sleep cannot turn readiness polling into a busy
-        spin, while a ``SimClock`` still makes it instant.
+        Polls on the injected clock, so a ``SimClock`` makes it instant.
         """
         deadline = self._clock.monotonic() + timeout
         while self._clock.monotonic() < deadline:

@@ -34,7 +34,9 @@ single client request.
 
 Signals: SIGTERM/SIGINT drain the front and SIGTERM the fleet (each worker
 then runs its own drain sequence); SIGHUP triggers a one-at-a-time
-rolling restart.
+rolling restart. The front runs through the same
+:func:`~repro.serve.lifecycle.run_server` and :class:`~repro.serve
+.lifecycle.ServerThread` as the single-process server.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -75,7 +76,12 @@ class ClusterConfig:
         if self.workers < 2:
             raise ValueError(
                 f"cluster needs >= 2 workers, got {self.workers} "
-                f"(use run_server for the single-process path)"
+                f"(use DiffServer for the single-process path)"
+            )
+        if self.serve.trace_export:  # no process of a cluster exports spans
+            raise ValueError(
+                "trace export needs the single-process server (--workers 0/1); "
+                "a cluster's spans are read through GET /v1/trace/<id>"
             )
 
 
@@ -99,6 +105,7 @@ def worker_argv(serve: ServeConfig, python: Optional[str] = None) -> List[str]:
         "--drain-timeout", str(serve.drain_timeout),
         "--verify-fraction", str(serve.verify_fraction),
         "--trace-fraction", str(serve.trace_fraction),
+        "--trace-buffer", str(serve.trace_buffer),
         "--algorithm", serve.algorithm,
     ]
     if serve.match is not None:
@@ -208,83 +215,3 @@ class ClusterServer:
         merged["cluster"]["workers"] = self.supervisor.info()
         merged["protocol"] = PROTOCOL
         return merged
-
-
-# ---------------------------------------------------------------------------
-# Entry points (mirroring app.run_server / app.ServerThread)
-# ---------------------------------------------------------------------------
-def run_cluster(
-    config: ClusterConfig,
-    announce: Optional[Callable[[str], None]] = None,
-) -> int:
-    """Blocking foreground entry point for ``repro-diff serve --workers N``."""
-    cluster = ClusterServer(config)
-
-    async def _main() -> Dict[str, Any]:
-        await cluster.start()
-        return await cluster.run(install_signals=True, announce=announce)
-
-    asyncio.run(_main())
-    return 0 if cluster.lifecycle.drained_clean is not False else 1
-
-
-class ClusterThread:
-    """A ClusterServer on a background thread — tests and benchmarks.
-
-    Worker *processes* are real either way; only the front loop is
-    embedded. ``start()`` returns once every worker is healthy and the
-    front socket is bound; ``stop()`` runs the SIGTERM drain sequence and
-    returns the merged final metrics snapshot.
-    """
-
-    def __init__(self, config: ClusterConfig) -> None:
-        self.cluster = ClusterServer(config)
-        self._ready = threading.Event()
-        self._final: Optional[Dict[str, Any]] = None
-        self._error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=self._main, daemon=True)
-
-    @property
-    def port(self) -> int:
-        port = self.cluster.port
-        assert port is not None, "cluster not started"
-        return port
-
-    def _main(self) -> None:
-        async def body() -> None:
-            await self.cluster.start()
-            self._ready.set()
-            self._final = await self.cluster.run(
-                install_signals=False, dump_metrics=False
-            )
-
-        try:
-            asyncio.run(body())
-        except BaseException as exc:  # surfaced to the joining thread
-            self._error = exc
-            self._ready.set()
-
-    def start(self, timeout: float = 60.0) -> "ClusterThread":
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("cluster failed to start in time")
-        if self._error is not None:
-            raise RuntimeError(f"cluster failed to start: {self._error!r}")
-        return self
-
-    def stop(self, timeout: float = 60.0) -> Dict[str, Any]:
-        self.cluster.lifecycle.request_shutdown()
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("cluster did not drain in time")
-        if self._error is not None:
-            raise RuntimeError(f"cluster crashed: {self._error!r}")
-        assert self._final is not None
-        return self._final
-
-    def __enter__(self) -> "ClusterThread":
-        return self.start()
-
-    def __exit__(self, *_exc: Any) -> None:
-        if self._thread.is_alive():
-            self.stop()

@@ -17,6 +17,10 @@ The drain sequence on SIGTERM/SIGINT (or a programmatic
 The class is asyncio-native (the waiters run on the server's loop) but
 exposes thread-safe entry points — ``request_shutdown`` may be called
 from a signal handler or from another thread (tests, benchmarks).
+
+Both fronts (``DiffServer``, ``ClusterServer``) share ``start()``/``run()``
+/``lifecycle``/``port``, so one runner (:func:`run_server`) and one thread
+harness (:class:`ServerThread`) serve either.
 """
 
 from __future__ import annotations
@@ -25,7 +29,14 @@ import asyncio
 import json
 import signal
 import sys
-from typing import Any, Callable, Dict, Optional, TextIO
+import threading
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, TextIO, Union
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .app import DiffServer
+    from .cluster import ClusterServer
+
+    Front = Union[DiffServer, ClusterServer]
 
 #: Signals that trigger a graceful drain when handlers are installed.
 DRAIN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
@@ -151,3 +162,79 @@ def dump_final_traces(jsonl: str, path: str) -> int:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(jsonl)
     return sum(1 for line in jsonl.splitlines() if line.strip())
+
+
+# ---------------------------------------------------------------------------
+# Entry points: one runner and one thread harness for either front
+# ---------------------------------------------------------------------------
+def run_server(
+    front: "Front", announce: Optional[Callable[[str], None]] = None
+) -> int:
+    """Blocking foreground entry point used by ``repro-diff serve``.
+
+    Serves until SIGTERM/SIGINT, drains, prints the final ``METRICS`` line,
+    and returns the exit code (1 = in-flight work abandoned at the timeout).
+    """
+    asyncio.run(front.run(install_signals=True, announce=announce))
+    return 0 if front.lifecycle.drained_clean is not False else 1
+
+
+class ServerThread:
+    """A serving front on a background thread (tests).
+
+    ``start()`` returns once ``.port`` is bound (a cluster's workers all
+    healthy); ``stop()`` runs the SIGTERM drain and returns the final
+    metrics. The 60 s timeouts are only an upper bound, sized for a cluster.
+    """
+
+    def __init__(self, server: "Front") -> None:
+        self.server = server
+        self._ready = threading.Event()
+        self._final: Optional[Dict[str, Any]] = None
+        self._error: Optional[BaseException] = None
+        self._thread = threading.Thread(target=self._main, daemon=True)
+
+    @property
+    def port(self) -> int:
+        port = self.server.port
+        assert port is not None, "server not started"
+        return port
+
+    def _main(self) -> None:
+        async def body() -> None:
+            await self.server.start()
+            self._ready.set()
+            self._final = await self.server.run(
+                install_signals=False, dump_metrics=False
+            )
+
+        try:
+            asyncio.run(body())
+        except BaseException as exc:  # surfaced to the joining thread
+            self._error = exc
+            self._ready.set()
+
+    def start(self, timeout: float = 60.0) -> "ServerThread":
+        self._thread.start()
+        if not self._ready.wait(timeout):
+            raise RuntimeError("server failed to start in time")
+        if self._error is not None:
+            raise RuntimeError(f"server failed to start: {self._error!r}")
+        return self
+
+    def stop(self, timeout: float = 60.0) -> Dict[str, Any]:
+        self.server.lifecycle.request_shutdown()
+        self._thread.join(timeout)
+        if self._thread.is_alive():
+            raise RuntimeError("server did not drain in time")
+        if self._error is not None:
+            raise RuntimeError(f"server crashed: {self._error!r}")
+        assert self._final is not None
+        return self._final
+
+    def __enter__(self) -> "ServerThread":
+        return self.start()
+
+    def __exit__(self, *_exc: Any) -> None:
+        if self._thread.is_alive():
+            self.stop()

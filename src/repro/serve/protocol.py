@@ -24,7 +24,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import ParseError
-from ..core.serialization import tree_from_dict, tree_from_sexpr, tree_to_dict
+from ..core.serialization import tree_from_dict, tree_from_sexpr
 from ..core.tree import Tree
 from ..obs.trace import (  # noqa: F401  (re-exported wire-level helpers)
     SPAN_ID_HEADER,
@@ -264,7 +264,7 @@ def tree_from_payload(spec: Any, field: str) -> Tree:
             return tree_from_dict(spec)
         if isinstance(spec, str):
             return tree_from_sexpr(spec)
-    except (ParseError, KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (ParseError, KeyError, TypeError, ValueError) as exc:
         raise HttpError(400, "bad_tree", f"field {field!r} does not parse: {exc}")
     raise HttpError(
         400, "bad_tree", f"field {field!r} must be a tree dict or s-expression string"
@@ -333,11 +333,6 @@ def pairs_from_batch(data: Dict[str, Any], max_pairs: int) -> List[Tuple[Tree, T
         old, new = require_pair(entry)
         out.append((old, new, str(entry.get("id", f"pair-{index}"))))
     return out
-
-
-def tree_to_payload(tree: Tree) -> Optional[Dict[str, Any]]:
-    """Client-side helper: the wire form of a snapshot (dict format)."""
-    return tree_to_dict(tree)
 
 
 # ---------------------------------------------------------------------------

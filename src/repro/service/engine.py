@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..core.isomorphism import trees_isomorphic
 from ..core.tree import Tree
 from ..editscript.script import EditScript
 from ..matching.criteria import MatchConfig
@@ -42,7 +41,7 @@ from .cache import (
     instantiate_script,
 )
 from ..simtest.clock import SYSTEM_CLOCK, Clock
-from .digest import cached_digests, tree_fingerprint
+from .digest import cached_digests
 from .metrics import SECTION8_COUNTERS, ServiceMetrics
 
 #: A job input: a materialized tree, or a zero-argument loader called inside
@@ -91,10 +90,6 @@ class JobResult:
             old_tree, dummy_id=self.dummy_id if self.wrapped else None
         )
 
-    def verify(self, old_tree: Tree, new_tree: Tree) -> bool:
-        """True when replaying the script on *old_tree* yields *new_tree*."""
-        return trees_isomorphic(self.apply_to(old_tree), new_tree)
-
 
 def config_key(
     config: Optional[MatchConfig], algorithm: str, postprocess: bool
@@ -131,8 +126,10 @@ class DiffEngine:
         the worker is not forcibly killed, it just no longer counts).
     verify_fraction:
         Fraction of successful jobs (0.0–1.0) to re-check with the
-        script-level oracles from :mod:`repro.verify.oracles` (replay
-        isomorphism, cost accounting / conservation law). Sampling is
+        script-level oracles from :mod:`repro.verify.oracles`
+        (:func:`~repro.verify.oracles.check_replay` and
+        :func:`~repro.verify.oracles.check_cost_accounting`, the same
+        functions the full battery runs). Sampling is
         deterministic — job ``n`` is checked when ``floor(n * fraction)``
         crosses an integer — and outcomes land on
         :attr:`JobResult.verified`, the ``verify_checks`` /
@@ -217,11 +214,6 @@ class DiffEngine:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    @staticmethod
-    def fingerprint(tree: Tree) -> str:
-        """Merkle fingerprint of a snapshot (see :mod:`repro.service.digest`)."""
-        return tree_fingerprint(tree)
-
     def diff(
         self,
         old: TreeSource,
@@ -231,21 +223,6 @@ class DiffEngine:
     ) -> JobResult:
         """Run one job synchronously in the calling thread."""
         return self._run_job(job_id, old, new, trace)
-
-    def submit(
-        self,
-        old: TreeSource,
-        new: TreeSource,
-        job_id: str = "job",
-        trace: Optional[Tuple[str, Optional[str]]] = None,
-    ) -> "Future[JobResult]":
-        """Schedule one job on the pool; the future resolves to a JobResult.
-
-        Failures are captured *inside* the result, so ``future.result()``
-        only raises on timeout (when the caller passes one) or shutdown.
-        ``trace`` is an optional ``(trace_id, parent_span_id)`` context.
-        """
-        return self.pool().submit(self._run_job, job_id, old, new, trace)
 
     def map_pairs(
         self,
@@ -284,13 +261,6 @@ class DiffEngine:
                     )
                 )
         return results
-
-    def diff_corpus(self, snapshots: Sequence[Tree]) -> List[JobResult]:
-        """Diff consecutive snapshots of a version chain (N trees → N-1 jobs)."""
-        return self.map_pairs(
-            (snapshots[i], snapshots[i + 1], f"rev-{i}->{i + 1}")
-            for i in range(len(snapshots) - 1)
-        )
 
     # ------------------------------------------------------------------
     # Job execution
@@ -348,60 +318,24 @@ class DiffEngine:
         )
 
     def _spot_check(self, result: JobResult, old_tree: Tree, new_tree: Tree) -> bool:
-        """Script-level oracles on a served result (replay + accounting).
+        """The battery's script-level oracles on a served result.
 
-        Cache and digest hits carry no matching, so only the oracles that
-        need the script alone run here; the full battery lives in
-        :func:`repro.verify.oracles.verify_result`.
+        Cache and digest hits carry no matching, so only replay and cost
+        accounting run here, through the same functions as
+        :func:`~repro.verify.oracles.verify_result`.
         """
-        from ..verify.oracles import VerifyReport, Violation
+        from ..verify.oracles import VerifyReport, check_cost_accounting, check_replay
 
-        report = VerifyReport()
-        replay_violations = []
-        try:
-            if not result.verify(old_tree, new_tree):
-                replay_violations.append(
-                    Violation(
-                        "replay_isomorphism",
-                        "served script does not transform old into new",
-                        {"job": result.job_id, "source": result.source},
-                    )
-                )
-        except Exception as exc:
-            replay_violations.append(
-                Violation(
-                    "replay_isomorphism",
-                    "served script failed to replay",
-                    {"job": result.job_id, "error": f"{type(exc).__name__}: {exc}"},
-                )
-            )
-        report.record("replay_isomorphism", replay_violations)
-
-        accounting = []
         script = result.script
-        if script is not None:
-            if len(script.inserts) - len(script.deletes) != len(new_tree) - len(old_tree):
-                accounting.append(
-                    Violation(
-                        "cost_accounting",
-                        "conservation law violated: #INS - #DEL != |new| - |old|",
-                        {"job": result.job_id},
-                    )
-                )
-            if abs(result.cost - script.cost()) > 1e-9:
-                accounting.append(
-                    Violation(
-                        "cost_accounting",
-                        "served cost differs from the script's cost",
-                        {
-                            "job": result.job_id,
-                            "served": result.cost,
-                            "script": script.cost(),
-                        },
-                    )
-                )
-        report.record("cost_accounting", accounting)
-
+        dummy_id = result.dummy_id if result.wrapped else None
+        report = VerifyReport()
+        report.record(
+            "replay_isomorphism", check_replay(old_tree, new_tree, script, dummy_id)
+        )
+        report.record(
+            "cost_accounting",
+            check_cost_accounting(old_tree, new_tree, script, result.cost),
+        )
         self.metrics.absorb_verify_report(report)
         self.metrics.incr("verify_checks")
         if not report.ok:

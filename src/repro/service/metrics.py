@@ -194,13 +194,6 @@ class ServiceMetrics:
             "verify": verify,
         }
 
-    @staticmethod
-    def merge_snapshots(
-        snapshots: Dict[str, Dict[str, object]]
-    ) -> Dict[str, object]:
-        """Module-level :func:`merge_snapshots` exposed on the class."""
-        return merge_snapshots(snapshots)
-
     def render(self, cache_stats: Optional[Dict[str, int]] = None) -> str:
         """Human-readable summary block (used by ``repro-diff batch``)."""
         snap = self.snapshot()

@@ -38,6 +38,7 @@ from .editscript.invert import invert_script
 from .editscript.script import EditScript, wrap_with_dummy_root
 from .matching.criteria import MatchConfig
 from .pipeline import DiffConfig, DiffPipeline
+from .service.digest import tree_fingerprint
 
 
 class VersionStoreError(ReproError):
@@ -125,12 +126,12 @@ class VersionStore:
             self._head = snapshot
             self._info.append(info)
             if self._engine is not None:
-                self._head_digest = self._engine.fingerprint(self._head)
+                self._head_digest = tree_fingerprint(self._head)
             return info
         if self._engine is not None:
-            incoming_digest = self._engine.fingerprint(snapshot)
+            incoming_digest = tree_fingerprint(snapshot)
             if self._head_digest is None:
-                self._head_digest = self._engine.fingerprint(self._head)
+                self._head_digest = tree_fingerprint(self._head)
             if incoming_digest == self._head_digest:
                 self._engine.metrics.incr("digest_short_circuits")
                 head_info = self._info[-1]
@@ -166,7 +167,7 @@ class VersionStore:
         self._head = result.edit.replay(self._head)
         self._info.append(info)
         if self._engine is not None:
-            self._head_digest = self._engine.fingerprint(self._head)
+            self._head_digest = tree_fingerprint(self._head)
         return info
 
     def _wrapped_head(self, edit_result) -> Tree:

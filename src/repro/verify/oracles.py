@@ -16,7 +16,7 @@ the executable form of one of them:
   tree isomorphic to ``T2``; this is the paper's definition of a script
   *transforming* one tree into the other.
 * **cost accounting** (§3.2) — the reported cost equals the sum of the
-  individual operation costs under the result's cost model, and the script
+  individual operation costs under the unit cost model, and the script
   obeys the conservation law ``#INS - #DEL = |T2| - |T1|``.
 * **delta consistency** (§6) — the delta tree's IDN/UPD/INS/DEL/MOV/MRK
   annotation counts agree with the edit script, on top of the §6
@@ -39,9 +39,10 @@ from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 from ..core.index import TreeIndex
 from ..core.isomorphism import first_difference, trees_isomorphic
 from ..core.tree import Tree
-from ..editscript.cost import DEFAULT_COST_MODEL, CostModel
+from ..editscript.cost import DEFAULT_COST_MODEL
 from ..editscript.generator import EditScriptResult
-from ..editscript.operations import Delete, Insert, Move, Update
+from ..editscript.operations import Delete, Insert
+from ..editscript.script import EditScript
 from ..matching.criteria import CriteriaContext, MatchConfig
 from ..matching.matching import Matching
 
@@ -338,11 +339,17 @@ def check_conformance(
 # ---------------------------------------------------------------------------
 # Oracle 3: replay isomorphism
 # ---------------------------------------------------------------------------
-def check_replay(t1: Tree, t2: Tree, edit: EditScriptResult) -> List[Violation]:
-    """Replay the script on *t1*; the result must be isomorphic to *t2*."""
+def check_replay(
+    t1: Tree, t2: Tree, script: EditScript, dummy_id: Any = None
+) -> List[Violation]:
+    """Replay *script* on *t1*; the result must be isomorphic to *t2*.
+
+    *dummy_id* is the dummy-root id a wrapped script was generated under
+    (``None`` when the roots were matched and nothing was wrapped).
+    """
     name = "replay_isomorphism"
     try:
-        replayed = edit.replay(t1)
+        replayed = script.apply_to(t1, dummy_id=dummy_id)
     except Exception as exc:
         return [
             Violation(
@@ -368,16 +375,18 @@ def check_replay(t1: Tree, t2: Tree, edit: EditScriptResult) -> List[Violation]:
 def check_cost_accounting(
     t1: Tree,
     t2: Tree,
-    edit: EditScriptResult,
-    cost_model: Optional[CostModel] = None,
+    script: EditScript,
     reported_cost: Optional[float] = None,
 ) -> List[Violation]:
-    """Reported cost == sum of op costs; #INS - #DEL == |T2| - |T1|."""
+    """Reported cost == sum of op costs; #INS - #DEL == |T2| - |T1|.
+
+    *reported_cost* is the cost a caller was told (a served result's
+    ``cost``); it defaults to the script's own total.
+    """
     name = "cost_accounting"
     out: List[Violation] = []
-    model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-    recomputed = sum(model.operation_cost(op) for op in edit.script)
-    reported = reported_cost if reported_cost is not None else edit.cost(model)
+    recomputed = sum(DEFAULT_COST_MODEL.operation_cost(op) for op in script)
+    reported = reported_cost if reported_cost is not None else script.cost()
     if abs(reported - recomputed) > 1e-9:
         out.append(
             Violation(
@@ -386,8 +395,8 @@ def check_cost_accounting(
                 {"reported": reported, "recomputed": recomputed},
             )
         )
-    inserts = len(edit.script.inserts)
-    deletes = len(edit.script.deletes)
+    inserts = len(script.inserts)
+    deletes = len(script.deletes)
     if inserts - deletes != len(t2) - len(t1):
         out.append(
             Violation(
@@ -401,13 +410,13 @@ def check_cost_accounting(
                 },
             )
         )
-    summary = edit.script.summary()
-    if summary["total"] != len(edit.script):
+    summary = script.summary()
+    if summary["total"] != len(script):
         out.append(
             Violation(
                 name,
                 "summary total differs from script length",
-                {"summary": summary, "length": len(edit.script)},
+                {"summary": summary, "length": len(script)},
             )
         )
     return out
@@ -612,12 +621,13 @@ def verify_result(
     report.record(
         "conformance", check_conformance(t1, t2, result.edit, result.matching)
     )
-    report.record("replay_isomorphism", check_replay(t1, t2, result.edit))
+    edit = result.edit
     report.record(
-        "cost_accounting",
-        check_cost_accounting(
-            t1, t2, result.edit, result.cost_model, reported_cost=result.cost()
-        ),
+        "replay_isomorphism",
+        check_replay(t1, t2, edit.script, edit.dummy_t1_id if edit.wrapped else None),
+    )
+    report.record(
+        "cost_accounting", check_cost_accounting(t1, t2, edit.script, result.cost())
     )
     if check_delta:
         report.record(

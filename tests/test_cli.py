@@ -255,6 +255,40 @@ class TestServeCommand:
         assert main(["serve", "--port", "0", "--queue-depth", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_trace_export_with_a_cluster_exit_2(self, tmp_path, capsys):
+        # Refused by ClusterConfig before any worker process is spawned.
+        export = tmp_path / "spans.jsonl"
+        assert main(["serve", "--port", "0", "--workers", "2",
+                     "--trace-export", str(export)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not export.exists()
+
+    def test_worker_argv_round_trips_every_forwarded_field(self):
+        import dataclasses
+
+        from repro.cli import _serve_config, build_parser
+        from repro.ladiff.pipeline import default_match_config
+        from repro.serve.app import ServeConfig
+        from repro.serve.cluster import worker_argv
+
+        # Every CLI-mapped field away from its default, so a flag the
+        # worker command line drops shows up as a default on the way back.
+        config = ServeConfig(
+            host="127.0.0.2", workers=3, cache_size=17, algorithm="simple",
+            match=default_match_config(t=0.7, f=0.8), verify_fraction=0.25,
+            queue_capacity=5, rate=2.5, burst=3.0, max_body_bytes=64 * 1024,
+            deadline_ms=1234.0, drain_timeout=7.0, trace_fraction=0.5,
+            trace_buffer=100,
+        )
+        args = build_parser().parse_args(worker_argv(config)[3:])
+        assert args.workers == 1
+        back = _serve_config(args)
+        assert back.port == 0
+        assert (back.match.t, back.match.f) == (0.7, 0.8)
+        for field in dataclasses.fields(ServeConfig):
+            if field.name not in ("port", "match", "trace_export"):
+                assert getattr(back, field.name) == getattr(config, field.name), field.name
+
 
 class TestJsonDeterminism:
     """Every --json output is serialized with sorted keys (byte-stable)."""
@@ -400,11 +434,11 @@ class TestTraceCli:
         assert "no spans found" in capsys.readouterr().err
 
     def test_trace_url_fetches_from_live_server(self, capsys):
-        from repro.serve import DiffServiceClient, ServeConfig, ServerThread
+        from repro.serve import DiffServer, DiffServiceClient, ServeConfig, ServerThread
 
         config = ServeConfig(port=0, workers=1, queue_capacity=4,
                              trace_fraction=1.0)
-        with ServerThread(config) as handle:
+        with ServerThread(DiffServer(config)) as handle:
             with DiffServiceClient(port=handle.port, retries=0,
                                    timeout=10.0) as client:
                 out = client.diff('(D (S "from"))', '(D (S "to"))')
@@ -414,3 +448,20 @@ class TestTraceCli:
         captured = capsys.readouterr()
         assert f"trace {tid}" in captured.out
         assert "worker" in captured.out and "engine" in captured.out
+
+    def test_trace_url_unreachable_port_exits_1(self, capsys):
+        import socket
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["trace", "ab" * 8, "--url", f"127.0.0.1:{port}"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_trace_url_unknown_id_exits_1(self, capsys):
+        from repro.serve import DiffServer, ServeConfig, ServerThread
+
+        with ServerThread(DiffServer(ServeConfig(port=0, workers=1))) as handle:
+            assert main(["trace", "ab" * 8, "--url", f"127.0.0.1:{handle.port}"]) == 1
+        err = capsys.readouterr().err
+        assert "error: HTTP 404" in err

@@ -112,3 +112,11 @@ class TestDeepTrees:
     def test_sexpr_of_a_5000_deep_chain(self):
         text = tree_to_sexpr(deep_chain())
         assert text == "(P " * (DEEP - 1) + '(S "bottom")' + ")" * (DEEP - 1)
+
+    def test_5000_deep_sexpr_parses_and_round_trips(self):
+        text = "(P " * (DEEP - 1) + '(S "bottom")' + ")" * (DEEP - 1)
+        arena = tree_from_sexpr(text).to_arena()
+        assert arena.n == DEEP
+        assert list(arena.parent) == list(range(-1, DEEP - 1))
+        assert arena.value_of(DEEP - 1) == "bottom"
+        assert tree_to_sexpr(tree_from_sexpr(text)) == text

@@ -1,7 +1,8 @@
 """End-to-end tracing tests: one request, one tree of spans.
 
-Part one drives a single in-process :class:`ServerThread`; part two is the
-acceptance path — a real 2-worker :class:`ClusterThread` where the trace
+Both parts run through one :class:`ServerThread` harness. Part one drives
+a single in-process :class:`DiffServer`; part two is the acceptance path —
+a real 2-worker :class:`ClusterServer` where the trace
 crosses the client, the router's proxy leg, and a worker subprocess, and is
 reassembled shard-by-shard through ``GET /v1/trace/<id>``. The SIGKILL test
 runs last: a replayed request must leave its failover attempt visible in
@@ -17,9 +18,10 @@ import time
 import pytest
 
 from repro.obs.export import build_span_tree, load_spans_jsonl, merge_spans, validate_trace
-from repro.serve.app import ServeConfig, ServerThread
+from repro.serve.app import DiffServer, ServeConfig
 from repro.serve.client import DiffServiceClient
-from repro.serve.cluster import ClusterConfig, ClusterThread
+from repro.serve.cluster import ClusterConfig, ClusterServer
+from repro.serve.lifecycle import ServerThread
 from repro.workload import MutationEngine, random_tree
 
 OLD_SEXPR = '(D (P (S "alpha one") (S "beta two")))'
@@ -56,7 +58,7 @@ def traced_server():
         port=0, workers=2, queue_capacity=8,
         deadline_ms=10_000.0, trace_fraction=1.0,
     )
-    with ServerThread(config) as handle:
+    with ServerThread(DiffServer(config)) as handle:
         yield handle
 
 
@@ -120,7 +122,7 @@ class TestServerTracing:
 
 def test_unsampled_request_records_nothing_but_is_still_measured():
     config = ServeConfig(port=0, workers=1, queue_capacity=4, trace_fraction=0.0)
-    with ServerThread(config) as handle:
+    with ServerThread(DiffServer(config)) as handle:
         with DiffServiceClient(port=handle.port, retries=0,
                                timeout=10.0) as client:
             out = client.diff(OLD_SEXPR, NEW_SEXPR)
@@ -140,7 +142,7 @@ def test_trace_export_flushes_on_drain(tmp_path):
     export = tmp_path / "spans.jsonl"
     config = ServeConfig(port=0, workers=1, queue_capacity=4,
                          trace_fraction=1.0, trace_export=str(export))
-    with ServerThread(config) as handle:
+    with ServerThread(DiffServer(config)) as handle:
         with DiffServiceClient(port=handle.port, retries=0,
                                timeout=10.0) as client:
             out = client.diff(OLD_SEXPR, NEW_SEXPR)
@@ -162,7 +164,7 @@ def cluster():
         backoff_base=0.1,
         serve=ServeConfig(port=0, workers=1, queue_capacity=16, cache_size=64),
     )
-    thread = ClusterThread(config).start()
+    thread = ServerThread(ClusterServer(config)).start()
     yield thread
     thread.stop()
 

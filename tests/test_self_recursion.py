@@ -17,8 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 ALLOWED = {
     "baselines/flat_diff.py:flatten_tree.walk",
     "core/isomorphism.py:canonical_form.encode",
-    "core/serialization.py:_parse_expr",
-    "core/serialization.py:arena_from_sexpr.build",
     "core/tree.py:Tree.from_obj.build",
     "core/tree.py:Tree.pretty.render",
     "core/tree.py:Tree.to_obj.dump",
@@ -30,7 +28,6 @@ ALLOWED = {
     "ladiff/xml_parser.py:_write_element",
     "ladiff/xml_parser.py:parse_xml.build",
     "obs/export.py:render_span_tree.walk",
-    "service/metrics.py:ServiceMetrics.merge_snapshots",
     "simtest/events.py:_clean",
     "verify/fuzz.py:_without_subtree.convert",
     "workload/documents.py:DocumentGenerator._fill_section",

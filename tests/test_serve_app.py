@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.core.serialization import tree_from_sexpr
-from repro.serve import DiffServiceClient, ServeConfig, ServerThread, ServiceError
+from repro.serve import DiffServer, DiffServiceClient, ServeConfig, ServerThread, ServiceError
 from repro.serve.protocol import PROTOCOL
 
 OLD_SEXPR = '(D (P (S "alpha one") (S "beta two")))'
@@ -24,7 +24,7 @@ NEW_SEXPR = '(D (P (S "beta two") (S "alpha one") (S "gamma three")))'
 def make_server(**overrides) -> ServerThread:
     options = dict(port=0, workers=2, queue_capacity=4, deadline_ms=10_000.0)
     options.update(overrides)
-    return ServerThread(ServeConfig(**options))
+    return ServerThread(DiffServer(ServeConfig(**options)))
 
 
 def slow_engine(handle: ServerThread, delay: float) -> None:
@@ -179,8 +179,9 @@ class TestProtocolErrors:
 
     def test_deeply_nested_bodies_are_400_not_500(self, client):
         # ~6 KB each, far under the body cap, but 3000 levels deep: deeper
-        # than the JSON decoder (bad_json) or the s-expression parser
-        # (bad_tree) can recurse.
+        # than the JSON decoder can recurse (bad_json). The s-expression
+        # parser keeps an explicit stack, so the same depth there parses
+        # and diffs.
         depth = 3000
         raw = b'{"old": ' + b"[" * depth + b"]" * depth + b', "new": "(D)"}'
         conn = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10.0)
@@ -192,9 +193,15 @@ class TestProtocolErrors:
             conn.close()
         assert (response.status, body["error"]) == (400, "bad_json")
         deep_sexpr = "(S " * depth + ")" * depth
-        with pytest.raises(ServiceError) as err:
-            client.request("POST", "/v1/diff", {"old": deep_sexpr, "new": "(D)"})
-        assert (err.value.status, err.value.payload["error"]) == (400, "bad_tree")
+        out = client.request(
+            "POST", "/v1/diff", {"old": deep_sexpr, "new": "(D)", "include_script": False}
+        )
+        assert (out["status"], out["source"]) == ("ok", "computed")
+
+    def test_5000_deep_sexpr_pair_takes_the_digest_path(self, client):
+        chain = "(D" + " (P" * 4999 + ' (S "x")' + ")" * 5000
+        out = client.request("POST", "/v1/diff", {"old": chain, "new": chain})
+        assert (out["status"], out["source"], out["operations"]) == ("ok", "digest", 0)
 
     def test_bad_deadline_releases_its_admission_slot(self, client):
         with pytest.raises(ServiceError) as err:
@@ -216,7 +223,7 @@ class TestProtocolErrors:
         assert response.status == 411
 
     def test_batch_too_large(self, client):
-        with ServerThread(ServeConfig(port=0, workers=1, max_batch=2)) as handle:
+        with ServerThread(DiffServer(ServeConfig(port=0, workers=1, max_batch=2))) as handle:
             with DiffServiceClient(port=handle.port, retries=0) as small:
                 with pytest.raises(ServiceError) as err:
                     small.batch([(OLD_SEXPR, OLD_SEXPR)] * 3)

@@ -95,7 +95,7 @@ def make_client(port, **overrides):
         backoff_base=0.1,
         backoff_cap=2.0,
         timeout=5.0,
-        sleep=lambda _s: None,  # never actually wait
+        clock=SimClock(),  # backoff waits are virtual, never real
         rng=random.Random(42),
     )
     options.update(overrides)

@@ -1,6 +1,7 @@
 """Integration tests for the sharded cluster (repro.serve.cluster).
 
-A real 2-worker :class:`ClusterThread` — worker subprocesses, router, and
+A real 2-worker :class:`ClusterServer` on the shared :class:`ServerThread`
+harness — worker subprocesses, router, and
 supervisor all live — shared across the module (spawning interpreters is
 the expensive part on CI).  The kill test runs last because it leaves a
 restart count behind.  Supervisor backoff arithmetic is unit-tested
@@ -18,7 +19,8 @@ import pytest
 
 from repro.serve.app import ServeConfig
 from repro.serve.client import DiffServiceClient
-from repro.serve.cluster import ClusterConfig, ClusterThread, worker_argv
+from repro.serve.cluster import ClusterConfig, ClusterServer, worker_argv
+from repro.serve.lifecycle import ServerThread
 from repro.serve.supervisor import Supervisor, WorkerProcess
 from repro.simtest.clock import SimClock
 from repro.workload import MutationEngine, random_tree
@@ -35,7 +37,7 @@ def cluster():
         backoff_base=0.1,
         serve=ServeConfig(port=0, workers=1, queue_capacity=16, cache_size=64),
     )
-    thread = ClusterThread(config).start()
+    thread = ServerThread(ClusterServer(config)).start()
     yield thread
     final = thread.stop()
     # the drain path must still produce a merged final snapshot

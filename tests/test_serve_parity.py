@@ -17,7 +17,14 @@ import socket
 
 import pytest
 
-from repro.serve import ClusterConfig, ClusterServer, HashRing, ServeConfig, ServerThread
+from repro.serve import (
+    ClusterConfig,
+    ClusterServer,
+    DiffServer,
+    HashRing,
+    ServeConfig,
+    ServerThread,
+)
 from repro.serve.protocol import parse_request_line, read_content_length_body, read_headers
 from repro.simtest.clock import SimClock
 from repro.simtest.events import EventLog
@@ -63,7 +70,7 @@ def apply_condition(server, condition) -> None:
 
 
 def live_answer(raw: bytes, condition):
-    with ServerThread(ServeConfig(port=0, workers=1, queue_capacity=1)) as handle:
+    with ServerThread(DiffServer(ServeConfig(port=0, workers=1, queue_capacity=1))) as handle:
         apply_condition(handle.server, condition)
         with socket.create_connection(("127.0.0.1", handle.port), timeout=10.0) as sock:
             sock.sendall(raw)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.serve import ServeConfig, ServerThread
+from repro.serve import DiffServer, ServeConfig, ServerThread
 from repro.serve.protocol import (
     HttpError,
     PROTOCOL,
@@ -160,7 +160,7 @@ class TestJobResultSerialization:
 def server():
     config = ServeConfig(port=0, workers=2, queue_capacity=4,
                          deadline_ms=10_000.0, trace_fraction=0.0)
-    with ServerThread(config) as handle:
+    with ServerThread(DiffServer(config)) as handle:
         yield handle
 
 

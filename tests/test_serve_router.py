@@ -219,9 +219,6 @@ class TestMergeSnapshots:
         assert merged["verify"]["ok"] is False
         assert merged["verify"]["oracles"]["oracle_a"] == {"pass": 5, "fail": 2}
 
-    def test_classmethod_alias(self):
-        assert ServiceMetrics.merge_snapshots({}) == merge_snapshots({})
-
     def test_empty_merge(self):
         merged = merge_snapshots({})
         assert merged["counters"] == {}

@@ -6,6 +6,7 @@ import pytest
 
 from repro import Tree
 from repro.core.errors import ParseError
+from repro.core.isomorphism import trees_isomorphic
 from repro.ladiff.pipeline import default_match_config
 from repro.pipeline import DiffConfig, DiffPipeline
 from repro.service import DiffEngine, ScriptCache, ServiceMetrics
@@ -40,7 +41,7 @@ class TestSingleJobs:
         assert result.operations == len(result.script)
         assert result.operations > 0
         assert result.wall_ms > 0
-        assert result.verify(base, new)
+        assert trees_isomorphic(result.apply_to(base), new)
 
     def test_digest_short_circuit_on_identical_pair(self, engine):
         base = doc()
@@ -50,7 +51,7 @@ class TestSingleJobs:
         assert result.source == "digest"
         assert result.operations == 0
         assert result.old_digest == result.new_digest
-        assert result.verify(base, twin)
+        assert trees_isomorphic(result.apply_to(base), twin)
         assert engine.metrics.get("digest_short_circuits") == 1
 
     def test_result_carries_digests_and_summary(self, engine):
@@ -109,7 +110,7 @@ class TestCaching:
         new2 = Tree.from_obj(new.to_obj())
         result = engine.diff(base2, new2)
         assert result.source == "cache"
-        assert result.verify(base2, new2)
+        assert trees_isomorphic(result.apply_to(base2), new2)
 
     def test_config_key_separates_algorithms(self):
         cache = ScriptCache(capacity=8)
@@ -153,7 +154,7 @@ class TestBatches:
         assert [r.job_id for r in results] == [f"pair-{i}" for i in range(5)]
         assert all(r.ok for r in results)
         for (old, new), r in zip(pairs, results):
-            assert r.verify(old, new)
+            assert trees_isomorphic(r.apply_to(old), new)
 
     def test_malformed_document_fails_only_its_job(self, engine):
         base = doc()
@@ -182,22 +183,6 @@ class TestBatches:
         results = engine.map_pairs([(base, mutated(base), "alpha")])
         assert results[0].job_id == "alpha"
 
-    def test_diff_corpus_consecutive(self, engine):
-        chain = [doc()]
-        for i in range(3):
-            chain.append(mutated(chain[-1], seed=10 + i))
-        results = engine.diff_corpus(chain)
-        assert len(results) == 3
-        assert all(r.ok for r in results)
-        assert results[0].job_id == "rev-0->1"
-
-    def test_submit_future(self, engine):
-        base = doc()
-        new = mutated(base)
-        future = engine.submit(base, new, job_id="async")
-        result = future.result(timeout=30)
-        assert result.job_id == "async"
-        assert result.ok
 
 
 class TestTimeoutsAndRetries:

@@ -9,8 +9,9 @@ import random
 import pytest
 
 from repro.cli import main
-from repro.core.serialization import tree_to_dict
+from repro.core.serialization import tree_from_sexpr, tree_to_dict
 from repro.core.tree import Tree
+from repro.service.digest import tree_fingerprint
 from repro.service.engine import DiffEngine
 from repro.service.metrics import ServiceMetrics
 from repro.verify.fuzz import (
@@ -210,14 +211,16 @@ def test_engine_verify_fraction_validates():
 
 def test_engine_verify_fraction_full_sampling(figure1_trees):
     t1, t2 = figure1_trees
+    relabeled = tree_from_sexpr('(X (P (S "a")))')  # unmatched roots: a wrapped script
     with DiffEngine(workers=2, verify_fraction=1.0) as engine:
-        results = engine.map_pairs([(t1, t2), (t1, t1.copy()), (t2, t1)])
+        results = engine.map_pairs([(t1, t2), (t1, t1.copy()), (t2, t1), (t1, relabeled)])
+    assert results[3].wrapped
     assert all(r.ok and r.verified is True for r in results)
-    assert engine.metrics.get("verify_checks") == 3
+    assert engine.metrics.get("verify_checks") == 4
     assert engine.metrics.get("verify_failures") == 0
     snap = engine.metrics.snapshot()
     assert snap["verify"]["ok"] is True
-    assert snap["verify"]["oracles"]["replay_isomorphism"]["pass"] == 3
+    assert snap["verify"]["oracles"]["replay_isomorphism"]["pass"] == 4
 
 
 def test_engine_verify_fraction_half_sampling(figure1_trees):
@@ -227,6 +230,27 @@ def test_engine_verify_fraction_half_sampling(figure1_trees):
     sampled = [r for r in results if r.verified is not None]
     assert len(sampled) == 3  # floor(n/2) crossings over 6 jobs
     assert all(r.verified for r in sampled)
+
+
+def test_engine_spot_check_flags_a_tampered_cache_entry():
+    old = tree_from_sexpr('(D (P (S "alpha one") (S "beta two")))')
+    new = tree_from_sexpr('(D (P (S "alpha one") (S "beta three")))')
+    other = tree_from_sexpr('(D (P (S "alpha one") (S "beta four")))')
+    # A well-formed payload for the wrong pair: it replays old into
+    # `other`, with the same size and cost as the real old -> new script.
+    with DiffEngine(workers=1) as source:
+        wrong = source.diff(old, other)
+        payload = source.cache.get((wrong.old_digest, wrong.new_digest, source._config_key))
+    assert payload is not None
+    with DiffEngine(workers=1, verify_fraction=1.0) as engine:
+        engine.cache.put((wrong.old_digest, tree_fingerprint(new), engine._config_key), payload)
+        result = engine.diff(old, new)
+    assert (result.source, result.verified) == ("cache", False)
+    assert engine.metrics.get("verify_checks") == 1
+    assert engine.metrics.get("verify_failures") == 1
+    oracles = engine.metrics.snapshot()["verify"]["oracles"]
+    assert oracles["replay_isomorphism"] == {"pass": 0, "fail": 1}
+    assert oracles["cost_accounting"] == {"pass": 1, "fail": 0}
 
 
 def test_engine_verify_fraction_zero_never_samples(figure1_trees):
