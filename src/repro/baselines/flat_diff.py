@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.node import Node
 from ..core.tree import Tree
 from ..lcs.sequences import OpCode, diff_opcodes, unified_hunks
 
@@ -41,17 +40,11 @@ def flatten_tree(tree: Tree) -> List[str]:
     this is what "diffing the source" approximates.
     """
     lines: List[str] = []
-
-    def walk(node: Node) -> None:
+    for node in tree.preorder():
         if node.is_leaf and node.value is not None:
             lines.append(str(node.value))
         elif node.value is not None:
             lines.append(f"[{node.label}] {node.value}")
-        for child in node.children:
-            walk(child)
-
-    if tree.root is not None:
-        walk(tree.root)
     return lines
 
 

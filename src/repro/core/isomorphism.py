@@ -84,13 +84,15 @@ def first_difference(t1: Tree, t2: Tree) -> Optional[str]:
 def canonical_form(tree: Tree) -> Tuple:
     """Return a hashable canonical form (ignores node identifiers).
 
-    Two trees have equal canonical forms iff they are isomorphic, so the
-    form can key caches and deduplicate workload corpora.
+    The form is flat: one ``(label, value, parent position)`` triple per
+    node in preorder, read from the tree's arena. Preorder plus parent
+    positions fixes the shape, so two trees have equal canonical forms iff
+    they are isomorphic, and comparing two forms never recurses. The form
+    can key caches and deduplicate workload corpora; an empty tree's form
+    is ``()``.
     """
-    if tree.root is None:
-        return ()
-
-    def encode(node: Node) -> Tuple:
-        return (node.label, node.value, tuple(encode(c) for c in node.children))
-
-    return encode(tree.root)
+    arena = tree.to_arena()
+    return tuple(
+        (arena.label_of(pos), arena.value_of(pos), arena.parent[pos])
+        for pos in range(arena.n)
+    )

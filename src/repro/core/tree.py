@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .arena import TreeArena, flatten_root
+from .arena import ArenaBuilder, TreeArena, flatten_root
 from .errors import (
     CyclicMoveError,
     DuplicateNodeError,
@@ -166,18 +166,16 @@ class Tree:
                 ])
             )
 
-        Node identifiers are assigned automatically in preorder.
+        Node identifiers are assigned automatically in preorder, 1..n.
         """
-        tree = cls()
-
-        def build(node_spec: NestedSpec, parent: Optional[Node]) -> None:
+        builder = ArenaBuilder()
+        stack: List[Tuple[NestedSpec, int]] = [(spec, -1)]
+        while stack:
+            node_spec, parent_pos = stack.pop()
             label, value, children = _unpack_spec(node_spec)
-            node = tree.create_node(label, value, parent=parent)
-            for child_spec in children:
-                build(child_spec, node)
-
-        build(spec, None)
-        return tree
+            pos = builder.add(parent_pos, len(builder.node_ids) + 1, label, value)
+            stack.extend((child, pos) for child in reversed(tuple(children)))
+        return cls.from_arena(builder.finish())
 
     def create_node(
         self,
@@ -475,37 +473,40 @@ class Tree:
 
     def to_obj(self) -> Optional[NestedSpec]:
         """Inverse of :meth:`from_obj` (identifiers are not preserved)."""
-        if self.root is None:
+        arena = self.to_arena()
+        if arena.n == 0:
             return None
-
-        def dump(node: Node) -> NestedSpec:
-            return (node.label, node.value, [dump(child) for child in node.children])
-
-        return dump(self.root)
+        specs = [
+            (arena.label_of(pos), arena.value_of(pos), []) for pos in range(arena.n)
+        ]
+        for pos in range(1, arena.n):
+            specs[arena.parent[pos]][2].append(specs[pos])
+        return specs[0]
 
     # ------------------------------------------------------------------
     # Pretty-printing
     # ------------------------------------------------------------------
     def pretty(self, show_ids: bool = True, max_value_len: int = 40) -> str:
         """Return an indented one-node-per-line rendering of the tree."""
-        if self.root is None:
+        arena = self.to_arena()
+        if arena.n == 0:
             return "<empty tree>"
+        depth = [0] * arena.n
         lines: List[str] = []
-
-        def render(node: Node, indent: int) -> None:
-            parts = [node.label]
+        for pos in range(arena.n):
+            parent = arena.parent[pos]
+            if parent >= 0:
+                depth[pos] = depth[parent] + 1
+            parts = [arena.label_of(pos)]
             if show_ids:
-                parts.append(f"#{node.id}")
-            if node.value is not None:
-                text = str(node.value)
+                parts.append(f"#{arena.node_ids[pos]}")
+            value = arena.value_of(pos)
+            if value is not None:
+                text = str(value)
                 if len(text) > max_value_len:
                     text = text[: max_value_len - 3] + "..."
                 parts.append(f"({text})")
-            lines.append("  " * indent + " ".join(parts))
-            for child in node.children:
-                render(child, indent + 1)
-
-        render(self.root, 0)
+            lines.append("  " * depth[pos] + " ".join(parts))
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

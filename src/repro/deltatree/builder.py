@@ -4,12 +4,16 @@ A delta tree "overlays" an edit script onto the data: it mirrors the new
 tree ``T2`` with ``IDN``/``UPD``/``INS``/``MOV`` annotations, and re-inserts
 tombstones for deleted subtrees (``DEL``) and move sources (``MRK``) at
 their old positions, so a single preorder walk can render the complete
-marked-up document (the way LaDiff produces its output).
+marked-up document (the way LaDiff produces its output). That walk is
+:func:`repro.deltatree.units.document_units`, shared by every Table 2
+writer. Both passes here are loops (the mirror follows ``T2``'s preorder,
+tombstone subtrees keep an explicit stack), so document depth is not
+bounded by the recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.node import Node
 from ..core.tree import Tree
@@ -128,7 +132,7 @@ def build_delta_tree(
     }
     delta_of_t2: Dict[Any, DeltaNode] = {}
 
-    def build_mirror(x: Node) -> DeltaNode:
+    for x in t2.preorder():
         work_id = mprime.partner2(x.id)
         t1_id = work_id if work_id in t1_ids else None
         if x.id in inserted_t2:
@@ -145,11 +149,9 @@ def build_delta_tree(
             annotation = Idn()
         node = DeltaNode(x.label, x.value, annotation, t1_id=t1_id, t2_id=x.id)
         delta_of_t2[x.id] = node
-        for child in x.children:
-            node.children.append(build_mirror(child))
-        return node
-
-    root = build_mirror(t2.root)
+        if x.parent is not None:
+            delta_of_t2[x.parent.id].children.append(node)
+    root = delta_of_t2[t2.root.id]
 
     # ------------------------------------------------------------------
     # Pass 2: tombstones (DEL subtrees and MRK move sources) at their old
@@ -162,16 +164,27 @@ def build_delta_tree(
     #: markers under deleted parents can find their target).
     delta_for_deleted: Dict[Any, DeltaNode] = {}
 
-    def build_deleted_subtree(node: Node) -> DeltaNode:
-        delta = DeltaNode(node.label, node.value, Del(), t1_id=node.id)
-        delta_for_deleted[node.id] = delta
-        for child in node.children:
-            if child.id in deleted_t1:
-                delta.children.append(build_deleted_subtree(child))
-            # Matched descendants of a deleted node were moved away; they
-            # appear in the mirror (with their own MRK markers) rather than
-            # inside the DEL subtree.
-        return delta
+    def build_deleted_subtree(top: Node) -> DeltaNode:
+        # Matched descendants of a deleted node were moved away; they
+        # appear in the mirror (with their own MRK markers) rather than
+        # inside the DEL subtree.
+        stack: List[Tuple[Node, Optional[DeltaNode]]] = [(top, None)]
+        while stack:
+            node, parent = stack.pop()
+            delta = DeltaNode(node.label, node.value, Del(), t1_id=node.id)
+            delta_for_deleted[node.id] = delta
+            if parent is not None:
+                parent.children.append(delta)
+            stack.extend(
+                (child, delta) for child in reversed(node.children)
+                if child.id in deleted_t1
+            )
+        return delta_for_deleted[top.id]
+
+    def move_marker(node: Node) -> DeltaNode:
+        """MRK tombstone at the old position of the moved *node*."""
+        mark = Mrk(marker=marker_keys[node.id])
+        return DeltaNode(node.label, node.value, mark, t1_id=node.id)
 
     def target_delta_for(node: Node) -> Optional[DeltaNode]:
         """Delta node under which *node*'s tombstone children belong."""
@@ -195,12 +208,7 @@ def build_delta_tree(
                     continue
                 tombstone = build_deleted_subtree(child)
             elif child.id in seen_moves:
-                tombstone = DeltaNode(
-                    child.label,
-                    child.value,
-                    Mrk(marker=marker_keys[child.id]),
-                    t1_id=child.id,
-                )
+                tombstone = move_marker(child)
             else:
                 # Stationary matched child: advance the anchor when its
                 # mirror node lives under this target.
@@ -221,14 +229,7 @@ def build_delta_tree(
     # the generator dummy-wrapped both trees): its MRK tombstone has no old
     # parent to anchor under, so it too lands at the end of the root.
     if t1.root is not None and t1.root.id in seen_moves:
-        root.children.append(
-            DeltaNode(
-                t1.root.label,
-                t1.root.value,
-                Mrk(marker=marker_keys[t1.root.id]),
-                t1_id=t1.root.id,
-            )
-        )
+        root.children.append(move_marker(t1.root))
 
     # T1 preorder guarantees a parent's tombstone (if any) is created before
     # its children need it as a target.

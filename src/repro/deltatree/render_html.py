@@ -9,6 +9,10 @@ highlighted in its new position." This renderer produces that view:
 * updated text   — ``<em class="upd">``,
 * moved text     — highlighted ``<span class="mov">`` with an anchor link
   back to a ``<span class="mrk">`` tombstone at the old position.
+
+The layout (which nodes are headings, blocks, sentences and lists, and
+which are deleted) comes from :func:`repro.deltatree.units.document_units`,
+the walk the LaTeX writers share; this module only supplies the markup.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from __future__ import annotations
 import html
 from typing import List
 
-from .annotations import Del, Ins, Mov, Mrk, Upd
+from .annotations import Ins, Mov, Mrk, Upd
 from .builder import DeltaNode, DeltaTree
+from .units import HEADING_LABELS, document_units
 
 HTML_STYLE = """\
 <style>
@@ -30,13 +35,23 @@ span.margin { float: right; color: #6b7280; font-size: smaller; }
 </style>
 """
 
-_HEADING_TAGS = {"D": None, "Sec": "h2", "SubSec": "h3"}
-
 
 def render_html(delta: DeltaTree, full_document: bool = False) -> str:
     """Render a delta tree as annotated HTML (body only by default)."""
     lines: List[str] = []
-    _render_children(delta.root, lines, deleted=False)
+    for kind, node, deleted, sentences in document_units(delta.root):
+        if kind == "heading":
+            tag = f"h{HEADING_LABELS[node.label] + 1}"
+            title = html.escape(str(node.value)) if node.value is not None else ""
+            lines.append(f"<{tag}>{_note(node, deleted)}{title}</{tag}>")
+        elif kind == "block":
+            tag = "p" if node.label == "P" else "li"
+            text = " ".join(_sentence(child, gone) for child, gone in sentences)
+            lines.append(f"<{tag}>{_margin(node, deleted)}{text}</{tag}>")
+        elif kind == "sentence":
+            lines.append(f"<p>{_sentence(node, deleted)}</p>")
+        else:
+            lines.append("<ul>" if kind == "list" else "</ul>")
     body = "\n".join(lines) + "\n"
     if full_document:
         return (
@@ -47,49 +62,6 @@ def render_html(delta: DeltaTree, full_document: bool = False) -> str:
             + "</body></html>\n"
         )
     return body
-
-
-def _render_children(node: DeltaNode, lines: List[str], deleted: bool) -> None:
-    for child in node.children:
-        _render_node(child, lines, deleted)
-
-
-def _render_node(node: DeltaNode, lines: List[str], deleted: bool) -> None:
-    label = node.label
-    deleted = deleted or isinstance(node.annotation, Del)
-    if label in ("Sec", "SubSec"):
-        tag = _HEADING_TAGS[label]
-        note = _note(node, deleted)
-        title = html.escape(str(node.value)) if node.value is not None else ""
-        lines.append(f"<{tag}>{note}{title}</{tag}>")
-        _render_children(node, lines, deleted)
-    elif label == "P":
-        margin = _margin(node, deleted)
-        sentences = " ".join(
-            _sentence(child, deleted)
-            for child in node.children
-            if child.label == "S"
-        )
-        lines.append(f"<p>{margin}{sentences}</p>")
-        for child in node.children:
-            if child.label != "S":
-                _render_node(child, lines, deleted)
-    elif label == "list":
-        lines.append("<ul>")
-        _render_children(node, lines, deleted)
-        lines.append("</ul>")
-    elif label == "item":
-        margin = _margin(node, deleted)
-        sentences = " ".join(
-            _sentence(child, deleted)
-            for child in node.children
-            if child.label == "S"
-        )
-        lines.append(f"<li>{margin}{sentences}</li>")
-    elif label == "S":
-        lines.append(f"<p>{_sentence(node, deleted)}</p>")
-    else:
-        _render_children(node, lines, deleted)
 
 
 def _note(node: DeltaNode, deleted: bool) -> str:

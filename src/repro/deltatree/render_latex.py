@@ -14,21 +14,19 @@ Moved units are shown twice: a small-font, labeled copy at the old position
 (the tombstone) and the real content at the new position referencing that
 label — e.g. a sentence gains ``\footnote{Moved from S1}`` while the
 tombstone reads ``S1:[...]``, exactly like Figure 16 of the paper.
+
+The layout comes from :func:`repro.deltatree.units.document_units`, the
+one walk the HTML renderer and :func:`repro.ladiff.write_latex` share;
+this module supplies only the markup.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
-from .annotations import Del, Ins, Mov, Mrk, Upd
+from .annotations import Ins, Mov, Mrk, Upd
 from .builder import DeltaNode, DeltaTree
-
-#: Labels treated as sentence-level (font changes).
-SENTENCE_LABELS = {"S"}
-#: Labels treated as block-level (marginal notes).
-BLOCK_LABELS = {"P", "item"}
-#: Labels annotated inside their headings.
-HEADING_LABELS = {"Sec": "section", "SubSec": "subsection"}
+from .units import HEADING_LABELS, SENTENCE_LABELS, document_units
 
 LATEX_PREAMBLE = "\n".join(
     [
@@ -47,133 +45,86 @@ def render_latex(delta: DeltaTree, full_document: bool = False) -> str:
     With ``full_document=True`` the output is a compilable standalone
     document; otherwise only the body is returned.
     """
-    renderer = _LatexRenderer(delta)
-    body = renderer.render()
+    keys = _assign_display_keys(delta)
+    lines: List[str] = []
+    for kind, node, deleted, sentences in document_units(delta.root):
+        if kind == "heading":
+            command = "sub" * (HEADING_LABELS[node.label] - 1) + "section"
+            title = _escape(str(node.value)) if node.value is not None else ""
+            lines += [f"\\{command}{{{_heading_note(node, deleted)}{title}}}", ""]
+        elif kind == "block":
+            lines += [_block_markup(node, deleted, sentences, keys), ""]
+        elif kind == "sentence":
+            # A bare sentence directly under a section/document.
+            lines += [_sentence_markup(node, deleted, keys), ""]
+        elif kind == "list":
+            lines.append(r"\begin{itemize}")
+        else:
+            lines += [r"\end{itemize}", ""]
+    text = "\n".join(lines)
+    # Collapse runs of blank lines introduced by block handling.
+    while "\n\n\n" in text:
+        text = text.replace("\n\n\n", "\n\n")
+    body = text.strip("\n") + "\n"
     if full_document:
         return LATEX_PREAMBLE + body + LATEX_POSTAMBLE
     return body
 
 
-class _LatexRenderer:
-    def __init__(self, delta: DeltaTree) -> None:
-        self.delta = delta
-        self.display_keys = _assign_display_keys(delta)
-        self.lines: List[str] = []
+def _heading_note(node: DeltaNode, deleted: bool) -> str:
+    annotation = node.annotation
+    if deleted:
+        return "(del) "
+    if isinstance(annotation, Ins):
+        return "(ins) "
+    if isinstance(annotation, Upd):
+        return "(upd) "
+    if isinstance(annotation, (Mov, Mrk)):
+        return "(mov) "
+    return ""
 
-    # ------------------------------------------------------------------
-    def render(self) -> str:
-        self._render_children(self.delta.root, deleted=False)
-        text = "\n".join(self.lines)
-        # Collapse runs of blank lines introduced by block handling.
-        while "\n\n\n" in text:
-            text = text.replace("\n\n\n", "\n\n")
-        return text.strip("\n") + "\n"
 
-    def _render_children(self, node: DeltaNode, deleted: bool) -> None:
-        for child in node.children:
-            self._render_node(child, deleted)
+def _block_markup(
+    node: DeltaNode,
+    deleted: bool,
+    sentences: Sequence[Tuple[DeltaNode, bool]],
+    keys: Dict[str, str],
+) -> str:
+    annotation = node.annotation
+    noun = "para" if node.label == "P" else "item"
+    prefix = "\\item " if node.label == "item" else ""
+    if isinstance(annotation, Mrk):
+        return f"{prefix}{keys[annotation.marker]}:[{{\\small moved {noun}}}]"
+    margin = ""
+    if deleted:
+        margin = f"\\marginpar{{Deleted {noun}}}"
+    elif isinstance(annotation, Ins):
+        margin = f"\\marginpar{{Inserted {noun}}}"
+    elif isinstance(annotation, Upd):
+        margin = f"\\marginpar{{Updated {noun}}}"
+    elif isinstance(annotation, Mov):
+        margin = f"\\marginpar{{Moved from {keys[annotation.marker]}}}"
+    marked = (_sentence_markup(child, gone, keys) for child, gone in sentences)
+    body = " ".join(text for text in marked if text)
+    return (prefix + margin + body).strip()
 
-    # ------------------------------------------------------------------
-    def _render_node(self, node: DeltaNode, deleted: bool) -> None:
-        label = node.label
-        if label in HEADING_LABELS:
-            self._render_heading(node, deleted)
-        elif label in BLOCK_LABELS:
-            self._render_block(node, deleted)
-        elif label == "list":
-            self._render_list(node, deleted)
-        elif label in SENTENCE_LABELS:
-            # A bare sentence directly under a section/document.
-            self.lines.append(self._sentence_markup(node, deleted))
-            self.lines.append("")
-        else:
-            # Unknown container (e.g. the document root in nested calls):
-            # recurse transparently.
-            self._render_children(node, deleted)
 
-    # ------------------------------------------------------------------
-    def _render_heading(self, node: DeltaNode, deleted: bool) -> None:
-        command = HEADING_LABELS[node.label]
-        title = _escape(str(node.value)) if node.value is not None else ""
-        note = self._heading_note(node, deleted)
-        heading = f"\\{command}{{{note}{title}}}"
-        self.lines.append(heading)
-        self.lines.append("")
-        self._render_children(node, deleted or isinstance(node.annotation, Del))
-
-    def _heading_note(self, node: DeltaNode, deleted: bool) -> str:
-        annotation = node.annotation
-        if deleted or isinstance(annotation, Del):
-            return "(del) "
-        if isinstance(annotation, Ins):
-            return "(ins) "
-        if isinstance(annotation, Upd):
-            return "(upd) "
-        if isinstance(annotation, Mov):
-            return "(mov) "
-        if isinstance(annotation, Mrk):
-            return "(mov) "
-        return ""
-
-    # ------------------------------------------------------------------
-    def _render_block(self, node: DeltaNode, deleted: bool) -> None:
-        annotation = node.annotation
-        noun = "para" if node.label == "P" else "item"
-        prefix = "\\item " if node.label == "item" else ""
-        if isinstance(annotation, Mrk):
-            key = self.display_keys[annotation.marker]
-            self.lines.append(f"{prefix}{key}:[{{\\small moved {noun}}}]")
-            self.lines.append("")
-            return
-        margin = ""
-        if deleted or isinstance(annotation, Del):
-            margin = f"\\marginpar{{Deleted {noun}}}"
-            deleted = True
-        elif isinstance(annotation, Ins):
-            margin = f"\\marginpar{{Inserted {noun}}}"
-        elif isinstance(annotation, Upd):
-            margin = f"\\marginpar{{Updated {noun}}}"
-        elif isinstance(annotation, Mov):
-            key = self.display_keys[annotation.marker]
-            margin = f"\\marginpar{{Moved from {key}}}"
-        sentences = [
-            self._sentence_markup(child, deleted)
-            for child in node.children
-            if child.label in SENTENCE_LABELS
-        ]
-        body = " ".join(s for s in sentences if s)
-        self.lines.append((prefix + margin + body).strip())
-        self.lines.append("")
-        # Non-sentence children (nested lists inside items, ...) follow.
-        for child in node.children:
-            if child.label not in SENTENCE_LABELS:
-                self._render_node(child, deleted)
-
-    def _render_list(self, node: DeltaNode, deleted: bool) -> None:
-        self.lines.append(r"\begin{itemize}")
-        self._render_children(node, deleted or isinstance(node.annotation, Del))
-        self.lines.append(r"\end{itemize}")
-        self.lines.append("")
-
-    # ------------------------------------------------------------------
-    def _sentence_markup(self, node: DeltaNode, deleted: bool) -> str:
-        text = _escape(str(node.value)) if node.value is not None else ""
-        annotation = node.annotation
-        if isinstance(annotation, Mrk):
-            key = self.display_keys[annotation.marker]
-            return f"{key}:[{{\\small {text}}}]"
-        if deleted or isinstance(annotation, Del):
-            return f"{{\\small {text}}}"
-        if isinstance(annotation, Mov):
-            key = self.display_keys[annotation.marker]
-            if annotation.updated:
-                text = f"\\textit{{{text}}}"
-            return f"{text}\\footnote{{Moved from {key}}}"
-        if isinstance(annotation, Upd):
-            return f"\\textit{{{text}}}"
-        if isinstance(annotation, Ins):
-            return f"\\textbf{{{text}}}"
-        return text
+def _sentence_markup(node: DeltaNode, deleted: bool, keys: Dict[str, str]) -> str:
+    text = _escape(str(node.value)) if node.value is not None else ""
+    annotation = node.annotation
+    if isinstance(annotation, Mrk):
+        return f"{keys[annotation.marker]}:[{{\\small {text}}}]"
+    if deleted:
+        return f"{{\\small {text}}}"
+    if isinstance(annotation, Mov):
+        if annotation.updated:
+            text = f"\\textit{{{text}}}"
+        return f"{text}\\footnote{{Moved from {keys[annotation.marker]}}}"
+    if isinstance(annotation, Upd):
+        return f"\\textit{{{text}}}"
+    if isinstance(annotation, Ins):
+        return f"\\textbf{{{text}}}"
+    return text
 
 
 def _assign_display_keys(delta: DeltaTree) -> Dict[str, str]:

@@ -2,12 +2,13 @@
 
 One node per line, indented by depth, with the annotation tag in brackets.
 Intended for terminals, logs, and tests; the LaTeX and HTML renderers follow
-the paper's Table 2 conventions instead.
+the paper's Table 2 conventions instead. The walk keeps an explicit stack,
+so any depth renders.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from .annotations import Mov, Mrk, Upd
 from .builder import DeltaNode, DeltaTree
@@ -16,13 +17,11 @@ from .builder import DeltaNode, DeltaTree
 def render_text(delta: DeltaTree, show_values: bool = True) -> str:
     """Render the delta tree as indented annotated text."""
     lines: List[str] = []
-
-    def render(node: DeltaNode, depth: int) -> None:
+    stack: List[Tuple[DeltaNode, int]] = [(delta.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         lines.append("  " * depth + _describe(node, show_values))
-        for child in node.children:
-            render(child, depth + 1)
-
-    render(delta.root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)
 
 

@@ -19,9 +19,10 @@ XML; ``parse -> write -> parse`` is the identity on the supported subset
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Optional
+from typing import List, Optional, Tuple, Union
 from xml.sax.saxutils import escape, quoteattr
 
+from ..core.arena import ArenaBuilder
 from ..core.errors import ParseError
 from ..core.node import Node
 from ..core.tree import Tree
@@ -36,66 +37,78 @@ def parse_xml(source: str) -> Tree:
         root_element = ET.fromstring(source)
     except ET.ParseError as exc:
         raise ParseError(f"invalid XML: {exc}") from None
-    tree = Tree()
+    builder = ArenaBuilder()
 
-    def build(element: ET.Element, parent: Optional[Node]) -> None:
-        node = tree.create_node(element.tag, None, parent=parent)
-        for name in sorted(element.attrib):
-            tree.create_node(
-                ATTRIBUTE_PREFIX + name, element.attrib[name], parent=node
-            )
-        if element.text and element.text.strip():
-            tree.create_node(TEXT_LABEL, element.text.strip(), parent=node)
-        for child in element:
-            build(child, node)
+    def add(parent: int, label: str, value: Optional[str]) -> int:
+        return builder.add(parent, len(builder.node_ids) + 1, label, value)
+
+    # A stack entry is an element, or the stripped text of a tail.
+    stack: List[Tuple[Union[ET.Element, str], int]] = [(root_element, -1)]
+    while stack:
+        entry, parent = stack.pop()
+        if isinstance(entry, str):
+            add(parent, TEXT_LABEL, entry)
+            continue
+        pos = add(parent, entry.tag, None)
+        for name in sorted(entry.attrib):
+            add(pos, ATTRIBUTE_PREFIX + name, entry.attrib[name])
+        if entry.text and entry.text.strip():
+            add(pos, TEXT_LABEL, entry.text.strip())
+        content: List[Union[ET.Element, str]] = []
+        for child in entry:
+            content.append(child)
             if child.tail and child.tail.strip():
-                tree.create_node(TEXT_LABEL, child.tail.strip(), parent=node)
-
-    build(root_element, None)
-    return tree
+                content.append(child.tail.strip())
+        stack.extend((item, pos) for item in reversed(content))
+    return Tree.from_arena(builder.finish())
 
 
 def write_xml(tree: Tree, indent: int = 2) -> str:
     """Serialize a tree in the XML encoding back to XML text."""
     if tree.root is None:
         return ""
-    lines = []
-    _write_element(tree.root, lines, 0, indent)
-    return "\n".join(lines) + "\n"
-
-
-def _write_element(node: Node, lines, depth: int, indent: int) -> None:
-    if node.label.startswith(ATTRIBUTE_PREFIX) or node.label == TEXT_LABEL:
-        raise ParseError(
-            f"node {node.label!r} is not an element; attribute and text "
-            f"nodes may only appear under an element"
+    lines: List[str] = []
+    # A stack entry is an element still to write at its depth, or a line
+    # (a closing tag, a text line) already formatted.
+    stack: List[Union[Tuple[Node, int], str]] = [(tree.root, 0)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            lines.append(entry)
+            continue
+        node, depth = entry
+        if node.label.startswith(ATTRIBUTE_PREFIX) or node.label == TEXT_LABEL:
+            raise ParseError(
+                f"node {node.label!r} is not an element; attribute and text "
+                f"nodes may only appear under an element"
+            )
+        pad = " " * (depth * indent)
+        attributes = [
+            child
+            for child in node.children
+            if child.label.startswith(ATTRIBUTE_PREFIX)
+        ]
+        content = [
+            child
+            for child in node.children
+            if not child.label.startswith(ATTRIBUTE_PREFIX)
+        ]
+        attr_text = "".join(
+            f" {child.label[len(ATTRIBUTE_PREFIX):]}={quoteattr(str(child.value))}"
+            for child in attributes
         )
-    pad = " " * (depth * indent)
-    attributes = [
-        child
-        for child in node.children
-        if child.label.startswith(ATTRIBUTE_PREFIX)
-    ]
-    content = [
-        child
-        for child in node.children
-        if not child.label.startswith(ATTRIBUTE_PREFIX)
-    ]
-    attr_text = "".join(
-        f" {child.label[len(ATTRIBUTE_PREFIX):]}={quoteattr(str(child.value))}"
-        for child in attributes
-    )
-    if not content:
-        lines.append(f"{pad}<{node.label}{attr_text}/>")
-        return
-    if len(content) == 1 and content[0].label == TEXT_LABEL:
-        text = escape(str(content[0].value))
-        lines.append(f"{pad}<{node.label}{attr_text}>{text}</{node.label}>")
-        return
-    lines.append(f"{pad}<{node.label}{attr_text}>")
-    for child in content:
-        if child.label == TEXT_LABEL:
-            lines.append(f"{pad}{' ' * indent}{escape(str(child.value))}")
-        else:
-            _write_element(child, lines, depth + 1, indent)
-    lines.append(f"{pad}</{node.label}>")
+        if not content:
+            lines.append(f"{pad}<{node.label}{attr_text}/>")
+            continue
+        if len(content) == 1 and content[0].label == TEXT_LABEL:
+            text = escape(str(content[0].value))
+            lines.append(f"{pad}<{node.label}{attr_text}>{text}</{node.label}>")
+            continue
+        lines.append(f"{pad}<{node.label}{attr_text}>")
+        stack.append(f"{pad}</{node.label}>")
+        for child in reversed(content):
+            if child.label == TEXT_LABEL:
+                stack.append(f"{pad}{' ' * indent}{escape(str(child.value))}")
+            else:
+                stack.append((child, depth + 1))
+    return "\n".join(lines) + "\n"

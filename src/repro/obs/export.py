@@ -151,14 +151,15 @@ def render_span_tree(
     )
     lines = [f"trace {tid} ({len(spans)} spans, {total * 1000.0:.3f}ms)"]
 
-    def walk(span: Dict[str, Any], prefix: str, last: bool) -> None:
-        branch = "`- " if last else "|- "
-        lines.append(prefix + branch + _label(span))
-        kids = children.get(span["span"], [])
-        child_prefix = prefix + ("   " if last else "|  ")
-        for i, kid in enumerate(kids):
-            walk(kid, child_prefix, i == len(kids) - 1)
+    def entries(siblings: List[Dict[str, Any]], prefix: str) -> List[Any]:
+        """Stack entries for *siblings*, the first one on top."""
+        last = len(siblings) - 1
+        return [(span, prefix, i == last) for i, span in enumerate(siblings)][::-1]
 
-    for i, root in enumerate(roots):
-        walk(root, "", i == len(roots) - 1)
+    stack = entries(roots, "")
+    while stack:
+        span, prefix, last = stack.pop()
+        lines.append(prefix + ("`- " if last else "|- ") + _label(span))
+        kids = children.get(span["span"], [])
+        stack += entries(kids, prefix + ("   " if last else "|  "))
     return "\n".join(lines)

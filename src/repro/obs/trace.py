@@ -243,14 +243,14 @@ class Tracer:
         self,
         fraction: float = 0.0,
         capacity: int = 2048,
-        clock: Optional[Clock] = None,
+        clock: Clock = SYSTEM_CLOCK,
         rng: Optional[Random] = None,
         on_close: Optional[Callable[[Dict[str, Any]], None]] = None,
     ):
         if capacity < 1:
             raise ValueError("tracer capacity must be >= 1")
         self.fraction = min(1.0, max(0.0, float(fraction)))
-        self.clock = clock if clock is not None else SYSTEM_CLOCK
+        self.clock = clock
         self.rng = rng if rng is not None else Random()
         self.on_close = on_close
         self._lock = threading.Lock()

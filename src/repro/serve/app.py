@@ -100,12 +100,12 @@ class DiffServer(HttpFront):
         config: Optional[ServeConfig] = None,
         engine: Optional[DiffEngine] = None,
         metrics: Optional[ServiceMetrics] = None,
-        clock: Optional[Clock] = None,
+        clock: Clock = SYSTEM_CLOCK,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
         super().__init__(self.config.max_body_bytes)
-        self.clock = clock if clock is not None else SYSTEM_CLOCK
+        self.clock = clock
         self.metrics = (
             metrics if metrics is not None else ServiceMetrics(clock=self.clock)
         )
@@ -141,7 +141,7 @@ class DiffServer(HttpFront):
         )
         self.lifecycle = Lifecycle(
             drain_timeout=self.config.drain_timeout,
-            clock=clock,  # None in production: the loop clock drives drains
+            clock=clock,
         )
         self._started = self.clock.monotonic()
         self._job_seq = 0

@@ -116,7 +116,7 @@ class DiffServiceClient:
         max_retry_after: float = 30.0,
         timeout: float = 30.0,
         client_id: Optional[str] = None,
-        clock: Optional[Clock] = None,
+        clock: Clock = SYSTEM_CLOCK,
         rng: Optional[random.Random] = None,
         faults: Optional[Any] = None,
         trace_fraction: float = 0.0,
@@ -135,7 +135,7 @@ class DiffServiceClient:
         self.max_retry_after = max_retry_after
         self.timeout = timeout
         self.client_id = client_id
-        self._clock = clock if clock is not None else SYSTEM_CLOCK
+        self._clock = clock
         self._rng = rng if rng is not None else random.Random()
         self._faults = faults
         if tracer is not None:

@@ -32,6 +32,8 @@ import sys
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, TextIO, Union
 
+from ..simtest.clock import SYSTEM_CLOCK, Clock
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .app import DiffServer
     from .cluster import ClusterServer
@@ -45,13 +47,11 @@ DRAIN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 class Lifecycle:
     """Drain orchestration shared by the app, the CLI, and the tests.
 
-    ``clock`` (a :class:`repro.simtest.clock.Clock`) is optional: when
-    injected, the drain deadline and poll waits run on it instead of the
-    event loop's wall clock, so the simulation harness can drain a server
-    in virtual time. ``None`` (production) keeps the loop clock.
+    The drain deadline and poll waits run on ``clock``, so the simulation
+    harness drains a server in virtual time on a ``SimClock``.
     """
 
-    def __init__(self, drain_timeout: float = 30.0, clock: Optional[Any] = None) -> None:
+    def __init__(self, drain_timeout: float = 30.0, clock: Clock = SYSTEM_CLOCK) -> None:
         self.drain_timeout = drain_timeout
         self.clock = clock
         self._shutdown_event: Optional[asyncio.Event] = None
@@ -115,31 +115,17 @@ class Lifecycle:
             server.close()
             await server.wait_closed()
         deadline = (
-            self._now() + self.drain_timeout
+            self.clock.monotonic() + self.drain_timeout
             if self.drain_timeout is not None
             else None
         )
         while in_flight() > 0:
-            if deadline is not None and self._now() >= deadline:
+            if deadline is not None and self.clock.monotonic() >= deadline:
                 self.drained_clean = False
                 return False
-            await self._poll_sleep(poll_s)
+            await self.clock.sleep_async(poll_s)
         self.drained_clean = True
         return True
-
-    def _now(self) -> float:
-        if self.clock is not None:
-            return self.clock.monotonic()
-        return asyncio.get_running_loop().time()
-
-    async def _poll_sleep(self, poll_s: float) -> None:
-        if self.clock is None:
-            await asyncio.sleep(poll_s)
-        else:
-            # Virtual wait: advance the injected clock, then yield once so
-            # other coroutines on the loop can observe the new time.
-            self.clock.sleep(poll_s)
-            await asyncio.sleep(0)
 
 
 def dump_final_metrics(

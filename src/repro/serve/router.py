@@ -193,7 +193,7 @@ class Router(HttpFront):
         max_body_bytes: int = 1 << 20,
         connect_timeout: float = 5.0,
         proxy_timeout: float = 120.0,
-        clock: Optional[Clock] = None,
+        clock: Clock = SYSTEM_CLOCK,
         tracer: Optional[Tracer] = None,
         transport: Optional[Transport] = None,
     ) -> None:
@@ -207,7 +207,7 @@ class Router(HttpFront):
         self.backend_host = backend_host
         self.connect_timeout = connect_timeout
         self.proxy_timeout = proxy_timeout
-        self.clock = clock if clock is not None else SYSTEM_CLOCK
+        self.clock = clock
         # Propagate-only by default: the router never originates traces,
         # it records one ``router.proxy`` span per forwarding attempt for
         # requests that arrive with a valid X-Trace-Id.

@@ -122,7 +122,7 @@ class Supervisor:
         backoff_cap: float = 5.0,
         on_up: Optional[Callable[[WorkerHandle], None]] = None,
         on_down: Optional[Callable[[WorkerHandle], None]] = None,
-        clock: Optional[Clock] = None,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if count < 1:
             raise ValueError(f"worker count must be >= 1, got {count}")
@@ -131,7 +131,6 @@ class Supervisor:
         self.backoff_cap = backoff_cap
         self.on_up = on_up
         self.on_down = on_down
-        #: Optional injected Clock (simulation/tests); None = the real clock.
         self.clock = clock
         self.workers: Dict[str, WorkerHandle] = {
             f"w{index}": WorkerHandle(worker_factory(f"w{index}"))
@@ -145,17 +144,10 @@ class Supervisor:
         self._rolling = False
 
     def _now(self) -> float:
-        return (self.clock or SYSTEM_CLOCK).monotonic()
+        return self.clock.monotonic()
 
     async def _sleep_until(self, deadline: float) -> None:
-        remaining = max(0.0, deadline - self._now())
-        if self.clock is None:
-            await asyncio.sleep(remaining)
-        else:
-            # Virtual wait: advance the injected clock, then yield once so
-            # the rest of the loop observes the new time.
-            self.clock.sleep(remaining)
-            await asyncio.sleep(0)
+        await self.clock.sleep_async(max(0.0, deadline - self._now()))
 
     # ------------------------------------------------------------------
     # Membership

@@ -18,11 +18,14 @@ Two implementations of the same small surface:
   due during the gap all fire "late" at the new now.
 
 There is one convention: a component that reads time takes a ``Clock``
-(default :data:`SYSTEM_CLOCK`), never a bare callable.
+(default :data:`SYSTEM_CLOCK`), never a bare callable or ``None``. A
+coroutine waits through ``sleep_async``: real ``asyncio.sleep`` on the
+system clock, an advance plus one loop yield on a ``SimClock``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import heapq
 import itertools
 import threading
@@ -60,6 +63,10 @@ class Clock:
     def sleep(self, seconds: float) -> None:
         raise NotImplementedError
 
+    async def sleep_async(self, seconds: float) -> None:
+        """Wait *seconds* inside a coroutine, on this clock's time."""
+        raise NotImplementedError
+
     def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         raise NotImplementedError
 
@@ -83,6 +90,11 @@ class SystemClock(Clock):
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds)
+
+    async def sleep_async(self, seconds: float) -> None:
+        # The default event loop's time() is time.monotonic(), the clock
+        # monotonic() reads, so loop waits and clock readings agree.
+        await asyncio.sleep(seconds)
 
     def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         handle = Timer(self.monotonic() + delay, callback, args)
@@ -162,6 +174,12 @@ class SimClock(Clock):
     # ------------------------------------------------------------------
     def sleep(self, seconds: float) -> None:
         self.advance(max(0.0, seconds))
+
+    async def sleep_async(self, seconds: float) -> None:
+        """Advance virtual time, then yield once so other coroutines on the
+        loop observe the new time."""
+        self.sleep(seconds)
+        await asyncio.sleep(0)
 
     def advance(self, seconds: float) -> None:
         """Move time forward, firing due timers at their own deadlines."""

@@ -34,7 +34,7 @@ from ..core.tree import Tree
 from ..editscript.operations import Insert, Move
 from ..editscript.script import EditScript
 from ..matching.criteria import MatchConfig
-from ..simtest.clock import SYSTEM_CLOCK
+from ..simtest.clock import SYSTEM_CLOCK, Clock
 from ..workload.mutations import MutationEngine, MutationMix
 from ..workload.random_trees import (
     DEFAULT_WORDS,
@@ -445,7 +445,7 @@ def run_fuzz(
     config: FuzzConfig,
     runner: Optional[Runner] = None,
     on_iteration: Optional[Callable[[int], None]] = None,
-    clock: Optional[Any] = None,
+    clock: Clock = SYSTEM_CLOCK,
 ) -> FuzzReport:
     """Run the seeded fuzz loop; deterministic for a given *config*.
 
@@ -454,13 +454,12 @@ def run_fuzz(
     Pairs and oracles stay a pure function of the seed either way.
     """
     runner = runner or default_runner
-    active_clock = clock if clock is not None else SYSTEM_CLOCK
-    started = active_clock.monotonic()
+    started = clock.monotonic()
     fuzz_report = FuzzReport(report=VerifyReport())
     for i in range(config.iterations):
         if (
             config.time_budget_s is not None
-            and active_clock.monotonic() - started >= config.time_budget_s
+            and clock.monotonic() - started >= config.time_budget_s
         ):
             fuzz_report.budget_exhausted = True
             break
@@ -509,5 +508,5 @@ def run_fuzz(
         fuzz_report.failures.append(failure)
         if len(fuzz_report.failures) >= config.max_failures:
             break
-    fuzz_report.elapsed_s = active_clock.monotonic() - started
+    fuzz_report.elapsed_s = clock.monotonic() - started
     return fuzz_report

@@ -44,6 +44,24 @@ class TestPipelineBasics:
         result = ladiff(old, new, format="html", output="html")
         assert '<em class="upd">' in result.output
 
+    def test_html_renders_content_nested_under_an_item(self):
+        old = "\n".join([
+            r"\section{Plans}",
+            "Some intro sentence here.",
+            r"\begin{itemize}",
+            r"\item Outer point stays the same.",
+            r"\begin{itemize}",
+            r"\item Inner detail about the old plan.",
+            r"\end{itemize}",
+            r"\end{itemize}",
+        ])
+        new = old.replace("the old plan", "the revised plan")
+        html = ladiff(old, new, output="html").output
+        latex = ladiff(old, new, output="latex").output
+        assert "Inner detail about the revised plan." in latex
+        assert '<li><em class="upd">Inner detail about the revised plan.</em></li>' in html
+        assert html.index("Outer point") < html.index("Inner detail")
+
     def test_files_wrapper(self, tmp_path):
         old_path = tmp_path / "old.tex"
         new_path = tmp_path / "new.tex"
@@ -89,6 +107,13 @@ class TestAppendixASampleRun:
 
     def test_deleted_sentence_small(self, run):
         assert "{\\small In general, the later chapters" in run.output
+
+    def test_deleted_sentence_struck_in_html(self):
+        html = ladiff(OLD_TEXBOOK, NEW_TEXBOOK, output="html").output
+        assert (
+            "<del>In general, the later chapters contain more reliable "
+            "information than the earlier ones do.</del>"
+        ) in html
 
     def test_section_annotations_in_headings(self, run):
         # Three of the four headings change; Conclusion survives untouched.

@@ -271,12 +271,12 @@ class TestOverloadBehavior:
     def test_429_carries_retry_after(self):
         handle = make_server(queue_capacity=1, workers=1)
         slow_engine(handle, 0.4)
+        def block():
+            with DiffServiceClient(port=handle.port, retries=0) as client:
+                client.diff(OLD_SEXPR, NEW_SEXPR)
+
         with handle:
-            blocker = threading.Thread(
-                target=lambda: DiffServiceClient(port=handle.port, retries=0).diff(
-                    OLD_SEXPR, NEW_SEXPR
-                )
-            )
+            blocker = threading.Thread(target=block)
             blocker.start()
             time.sleep(0.1)  # let the blocker take the only slot
             with DiffServiceClient(port=handle.port, retries=0) as client:

@@ -1,5 +1,6 @@
 """Unit tests for the injectable clocks (repro.simtest.clock)."""
 
+import asyncio
 import threading
 import time
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.pipeline import DiffPipeline
 from repro.serve.admission import AdmissionController, Deadline
+from repro.serve.lifecycle import Lifecycle
 from repro.service.engine import DiffEngine
 from repro.service.metrics import ServiceMetrics
 from repro.simtest.clock import SYSTEM_CLOCK, SimClock, SystemClock
@@ -192,3 +194,20 @@ class TestClockConvention:
         assert set(trace.stage_ms().values()) == {0.0}
         result = DiffEngine(workers=1, cache=None, clock=clock).diff(old, new)
         assert result.ok and result.wall_ms == 0.0
+
+    def test_drains_wait_through_the_clock(self):
+        assert Lifecycle().clock is SYSTEM_CLOCK
+        clock = SimClock()
+        fired = []
+        clock.call_later(0.05, fired.append, "tick")
+        pending = [3]
+
+        def in_flight():
+            pending[0] -= 1
+            return pending[0]
+
+        lifecycle = Lifecycle(drain_timeout=10.0, clock=clock)
+        assert asyncio.run(lifecycle.drain(None, in_flight, poll_s=0.04)) is True
+        # Two virtual polls passed; the timer fired inside the second one.
+        assert clock.monotonic() == pytest.approx(0.08)
+        assert fired == ["tick"]
