@@ -153,13 +153,15 @@ class TreeArena:
 
     Instances come from :class:`ArenaBuilder` or :func:`flatten_root`;
     consumers (TreeIndex, digests, serialization, the matchers) read the
-    arrays directly.
+    arrays directly. Data derived from the arrays (``leaf_count``, the
+    subtree digests) is memoized here: it is valid for as long as the
+    snapshot is, and a mutated tree gets a new snapshot.
     """
 
     __slots__ = (
         "n", "node_ids", "labels", "values", "parent", "first_child",
         "next_sibling", "subtree_size", "label_pool", "value_pool",
-        "pos_of", "_leaf_count",
+        "pos_of", "_leaf_count", "digests",
     )
 
     def __init__(
@@ -187,6 +189,9 @@ class TreeArena:
         self.value_pool = value_pool
         self.pos_of = pos_of
         self._leaf_count: Optional["array"] = None
+        #: Subtree digests of this snapshot, memoized by
+        #: :func:`repro.service.digest.cached_digests` (``None`` until then).
+        self.digests: Any = None
 
     # ------------------------------------------------------------------
     # Per-position accessors

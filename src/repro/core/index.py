@@ -18,39 +18,36 @@ containment, ``children.index`` scans for FindPos).
   contained-leaf iteration without re-walking the subtree;
 * ``chain_T(l)`` label chains and first-seen leaf/internal label lists —
   exactly what FastMatch's step 1 builds per run;
-* 1-based child ranks — FindPos locates a node among its siblings in O(1);
-* subtree Merkle digests, computed lazily by reusing
-  :mod:`repro.service.digest`.
+* 1-based child ranks — FindPos locates a node among its siblings in O(1).
 
 Node-facing accessors (:meth:`leaves_of`, :meth:`chains`, ...) bind arena
 positions to :class:`Node` objects lazily, so building an index over a
 freshly parsed (arena-only) tree allocates no nodes; purely positional
 consumers never force them.
 
-An index is a snapshot: it describes the tree *as it was at construction*.
+An index describes the tree's arena snapshot *as it was at construction*.
 It is the only way the matching and edit-script layers learn tree
-structure, so code that mutates a tree rebuilds the index (cheap, one
-pass); :meth:`TreeIndex.describes` tells whether a tree has been mutated
-since its index was built.
+structure. :func:`cached_index` memoizes it on the tree until the tree's
+next mutation, which drops the snapshot and the memo together (see
+:meth:`Tree._touch <repro.core.tree.Tree._touch>`); the next call then
+builds a fresh index in one pass.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .node import Node
 from .tree import Tree
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..service.digest import DigestIndex
 
 
 class TreeIndex:
     """Immutable structural facts about one tree, read from its arena."""
 
     __slots__ = (
-        "tree",
+        "_tree",
         "arena",
         "_leaf_positions",
         "_leaf_start",
@@ -60,11 +57,12 @@ class TreeIndex:
         "_internal_label_list",
         "_order",
         "_node_chains",
-        "_digests",
     )
 
     def __init__(self, tree: Tree) -> None:
-        self.tree = tree
+        # Weak: the tree memoizes its index (see cached_index), and a strong
+        # back-reference would leave every indexed tree to the cycle collector.
+        self._tree = weakref.ref(tree)
         arena = tree.to_arena()
         self.arena = arena
         n = arena.n
@@ -107,11 +105,18 @@ class TreeIndex:
         self._internal_label_list = list(seen_internal_labels)
         self._order: Optional[List[Node]] = None
         self._node_chains: Optional[Dict[str, List[Node]]] = None
-        self._digests: Optional["DigestIndex"] = None
 
     # ------------------------------------------------------------------
     # Lazy node binding
     # ------------------------------------------------------------------
+    @property
+    def tree(self) -> Tree:
+        """The indexed tree (held weakly: its owner keeps it alive)."""
+        tree = self._tree()
+        if tree is None:
+            raise ReferenceError("the indexed tree no longer exists")
+        return tree
+
     def _nodes_in_order(self) -> List[Node]:
         """Node objects aligned with arena positions (bound on first use)."""
         order = self._order
@@ -128,14 +133,6 @@ class TreeIndex:
 
     def __contains__(self, node_id: Any) -> bool:
         return node_id in self.arena.pos_of
-
-    def describes(self, tree: Tree) -> bool:
-        """True when this index was built over *tree* and it is unmutated.
-
-        Every :class:`Tree` mutation drops the cached arena snapshot, so an
-        index still describes its tree exactly while the two share it.
-        """
-        return self.tree is tree and tree.arena_snapshot() is self.arena
 
     # ------------------------------------------------------------------
     # Structural facts (pure array arithmetic)
@@ -234,28 +231,6 @@ class TreeIndex:
         """Labels on at least one interior node, first-seen order."""
         return list(self._internal_label_list)
 
-    # ------------------------------------------------------------------
-    # Subtree digests (lazy; reuses the service layer's Merkle pass)
-    # ------------------------------------------------------------------
-    @property
-    def digests(self) -> "DigestIndex":
-        """Per-subtree Merkle digests (see :mod:`repro.service.digest`).
-
-        Computed on first access and memoized; reuses an index already
-        attached to the tree by the serving layer when present.
-        """
-        if self._digests is None:
-            from ..service.digest import cached_digests
-
-            self._digests = cached_digests(self.tree)
-        return self._digests
-
-    def subtrees_equal(
-        self, node_id: Any, other: "TreeIndex", other_id: Any
-    ) -> bool:
-        """O(1) isomorphism fast path between two indexed subtrees."""
-        return self.digests.get(node_id) == other.digests.get(other_id)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TreeIndex(nodes={self.arena.n}, "
@@ -263,25 +238,16 @@ class TreeIndex:
         )
 
 
-def attach_index(tree: Tree) -> TreeIndex:
-    """Build an index and attach it as ``tree.index`` for later reuse.
-
-    Like :func:`repro.service.digest.attach_digests`, the attachment is a
-    plain attribute. A later mutation makes it stale; :func:`cached_index`
-    then ignores it and builds a fresh index.
-    """
-    index = TreeIndex(tree)
-    tree.index = index  # type: ignore[attr-defined]
-    return index
-
-
 def cached_index(tree: Tree) -> Tuple[TreeIndex, bool]:
-    """Return ``(index, reused)`` — a still-valid attached index, or fresh.
+    """Return ``(index, reused)``: the tree's memoized index, or a fresh one.
 
-    A stale attachment (tree mutated since, or attribute copied across
-    trees) is never reused: see :meth:`TreeIndex.describes`.
+    A fresh index is memoized on the tree; any mutation of the tree drops
+    the memo with its arena snapshot, so a reused index always describes
+    the tree as it is.
     """
-    index = getattr(tree, "index", None)
-    if isinstance(index, TreeIndex) and index.describes(tree):
+    index = tree._index
+    if index is not None:
         return index, True
-    return TreeIndex(tree), False
+    index = TreeIndex(tree)
+    tree._index = index
+    return index, False

@@ -26,10 +26,10 @@ def trees_isomorphic(t1: Tree, t2: Tree) -> bool:
             return arenas_isomorphic(arena1, arena2)
     if t1.root is None or t2.root is None:
         return t1.root is None and t2.root is None
-    return _subtrees_equal(t1.root, t2.root)
+    return _nodes_isomorphic(t1.root, t2.root)
 
 
-def _subtrees_equal(a: Node, b: Node) -> bool:
+def _nodes_isomorphic(a: Node, b: Node) -> bool:
     stack: List[Tuple[Node, Node]] = [(a, b)]
     while stack:
         x, y = stack.pop()

@@ -23,8 +23,13 @@ array consumers (``TreeIndex``, digests, serialization dumps) never force
 the node graph into existence. The first node-touching access materializes
 all nodes in one preorder pass. Mutations work on the node graph and
 invalidate the snapshot; :meth:`Tree.to_arena` re-flattens on demand and
-caches the result until the next mutation. This mirrors the existing
-staleness contract of ``tree.index`` / ``tree.digests`` attachments.
+caches the result until the next mutation.
+
+The snapshot is also the one validity rule for data derived from the tree:
+the :class:`~repro.core.index.TreeIndex` memo lives in a tree slot and the
+subtree digests live on the arena, and :meth:`Tree._touch` drops both with
+the snapshot. Writing a node's attributes directly bypasses ``_touch``;
+such code calls it itself (see :func:`map_tree`).
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ class Tree:
         #: objects it was built over (the pre-arena staleness semantics).
         self._order_arena: Optional[TreeArena] = None
         self._arena_order: Optional[List[Node]] = None
+        #: The TreeIndex of the current snapshot (see ``cached_index``).
+        self._index: Any = None
         #: Detaches where the sibling-slot hint missed and a full scan ran.
         self.detach_fallback_scans = 0
 
@@ -102,9 +109,10 @@ class Tree:
         return self._arena if self._arena_fresh else None
 
     def _touch(self) -> None:
-        """Invalidate the arena snapshot after a mutation."""
+        """Invalidate the arena snapshot, and all derived from it, after a mutation."""
         self._arena = None
         self._arena_fresh = False
+        self._index = None
 
     def _materialize(self) -> None:
         if self._node_map is not None:

@@ -78,11 +78,8 @@ def three_way_merge(
     if base.root is None or left.root is None or right.root is None:
         raise MergeError("three_way_merge requires three non-empty trees")
 
-    # Both legs run on one pipeline; indexing the shared base once lets the
-    # second leg reuse it (reported as an index_cache_hit in its trace).
-    from .core.index import attach_index
-
-    attach_index(base)
+    # Both legs run on one pipeline; the second reuses the first's index
+    # of the shared base (an index_cache_hit in its trace).
     pipeline = DiffPipeline(DiffConfig(match=config))
     diff_left = pipeline.run(base, left)
     diff_right = pipeline.run(base, right)

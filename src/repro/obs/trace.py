@@ -9,8 +9,8 @@ Design notes
 * The :class:`Tracer` is process-local and lock-protected.  Closed spans
   land in a ring buffer (``capacity`` newest survive); open spans are
   tracked separately so an incomplete trace is detectable.
-* Sampling uses the same deterministic crossing rule as the engine's
-  ``verify_fraction``: request ``n`` is sampled iff
+* Sampling uses one deterministic crossing rule, :func:`sampled`, shared
+  with the engine's ``verify_fraction``: request ``n`` is sampled iff
   ``floor(n * f) > floor((n - 1) * f)``, which hits exactly ``f`` of
   requests with no RNG draw on the hot path.
 * An unsampled request carries a :class:`NullSpan` instead of ``None``:
@@ -38,6 +38,11 @@ MAX_TRACE_ID_LEN = 64
 MAX_SPAN_ID_LEN = 32
 
 _HEX = frozenset("0123456789abcdef")
+
+
+def sampled(n: int, fraction: float) -> bool:
+    """Whether call *n* (counted from 1) of a ``fraction`` sampler is taken."""
+    return floor(n * fraction) > floor((n - 1) * fraction)
 
 
 def _valid_hex_id(value: Any, max_len: int) -> bool:
@@ -266,8 +271,7 @@ class Tracer:
         """Sampling decision: a fresh trace id for sampled calls, else None."""
         with self._lock:
             self._sample_calls += 1
-            n, f = self._sample_calls, self.fraction
-            if floor(n * f) <= floor((n - 1) * f):
+            if not sampled(self._sample_calls, self.fraction):
                 return None
             self._traces_started += 1
             return f"{self.rng.getrandbits(64):016x}"

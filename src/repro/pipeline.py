@@ -41,7 +41,7 @@ from typing import (
 )
 
 from .core.errors import ConfigError
-from .core.index import TreeIndex, cached_index
+from .core.index import cached_index
 from .core.tree import Tree
 from .editscript.cost import CostModel
 from .editscript.generator import EditScriptResult, generate_edit_script
@@ -292,10 +292,10 @@ class DiffPipeline:
         repairs = 0
 
         with trace.span("index") as span:
-            index1 = self._index_for(t1, trace)
-            index2 = self._index_for(t2, trace)
+            index1, reused1 = cached_index(t1)
+            index2, reused2 = cached_index(t2)
             span.annotate(nodes_t1=len(t1), nodes_t2=len(t2))
-        trace.counters.setdefault("index_cache_hits", 0)
+        trace.counters["index_cache_hits"] = reused1 + reused2
         trace.counters["nodes_t1"] = len(t1)
         trace.counters["nodes_t2"] = len(t2)
 
@@ -347,14 +347,6 @@ class DiffPipeline:
         return result
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _index_for(tree: Tree, trace: Trace) -> TreeIndex:
-        """A still-valid ``tree.index`` (counted as a cache hit) or a fresh one."""
-        index, reused = cached_index(tree)
-        if reused:
-            trace.incr("index_cache_hits")
-        return index
-
     @staticmethod
     def _build_delta(t1: Tree, t2: Tree, edit: EditScriptResult) -> "DeltaTree":
         from .deltatree.builder import build_delta_tree

@@ -202,36 +202,64 @@ async def read_content_length_body(
     return await reader.readexactly(length) if length else b""
 
 
-async def fetch_json(
-    host: str, port: int, path: str, timeout: float = 5.0
-) -> Tuple[int, Dict[str, Any]]:
-    """One GET against a backend, fully framed: ``(status, decoded body)``.
+async def exchange(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    headers: Dict[str, str],
+    body: bytes,
+    timeout: float,
+    connect_timeout: Optional[float] = None,
+) -> Tuple[int, bytes]:
+    """One fully-framed upstream request on a fresh connection.
 
-    The async sibling of :meth:`DiffServiceClient.request_once` for use on
-    the serving loop (supervisor health checks, router metrics fan-in).
-    Connection failures propagate as ``OSError`` / ``asyncio.TimeoutError``.
+    Sends *headers* after ``Host``, ``Connection: close`` and the body's
+    ``Content-Length``; returns ``(status, body)`` of the
+    Content-Length-framed response. Each read waits at most *timeout*, the
+    connect at most *connect_timeout* (default *timeout*). Failures
+    propagate as ``OSError`` / ``asyncio.TimeoutError``, and as
+    ``asyncio.IncompleteReadError`` when the peer closes without answering.
     """
     reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
+        asyncio.open_connection(host, port),
+        timeout if connect_timeout is None else connect_timeout,
     )
     try:
-        request = (
-            f"GET {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
-            "Accept: application/json\r\nConnection: close\r\n\r\n"
-        )
-        writer.write(request.encode("latin-1"))
+        head = [
+            f"{method} {path} HTTP/1.1",
+            f"Host: {host}:{port}",
+            "Connection: close",
+            f"Content-Length: {len(body)}",
+        ]
+        head.extend(f"{name}: {value}" for name, value in headers.items())
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
         await writer.drain()
         status_line = await asyncio.wait_for(reader.readline(), timeout)
+        if not status_line:
+            raise asyncio.IncompleteReadError(b"", None)
         status = parse_status_line(status_line)
-        headers = await asyncio.wait_for(read_headers(reader), timeout)
-        length = int(headers.get("content-length", "0"))
-        raw = await asyncio.wait_for(reader.readexactly(length), timeout)
+        resp_headers = await asyncio.wait_for(read_headers(reader), timeout)
+        length = int(resp_headers.get("content-length", "0"))
+        return status, await asyncio.wait_for(reader.readexactly(length), timeout)
     finally:
-        writer.close()
         try:
+            writer.close()
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def fetch_json(
+    host: str, port: int, path: str, timeout: float = 5.0
+) -> Tuple[int, Dict[str, Any]]:
+    """One GET against a backend through :func:`exchange`: ``(status, decoded body)``.
+
+    For use on the serving loop (supervisor health checks, router fan-in).
+    """
+    status, raw = await exchange(
+        host, port, "GET", path, {"Accept": "application/json"}, b"", timeout
+    )
     try:
         decoded = json.loads(raw.decode("utf-8")) if raw else {}
     except ValueError:

@@ -56,9 +56,8 @@ from .protocol import (
     HttpError,
     HttpFront,
     Response,
+    exchange,
     fetch_json,
-    parse_status_line,
-    read_headers,
     require_method,
 )
 
@@ -301,61 +300,39 @@ class Router(HttpFront):
         port = self.ports.get(worker_id)
         if port is None:
             raise ConnectionRefusedError(111, f"{worker_id} has no port")
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(self.backend_host, port), self.connect_timeout
+        return await exchange(
+            self.backend_host,
+            port,
+            method,
+            path,
+            {"Content-Type": "application/json", **forwarded_headers(headers, trace)},
+            body,
+            self.proxy_timeout,
+            connect_timeout=self.connect_timeout,
         )
-        try:
-            head = [
-                f"{method} {path} HTTP/1.1",
-                f"Host: {self.backend_host}:{port}",
-                "Connection: close",
-                "Content-Type: application/json",
-                f"Content-Length: {len(body)}",
-            ]
-            head.extend(
-                f"{name}: {value}"
-                for name, value in forwarded_headers(headers, trace).items()
-            )
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
-            await writer.drain()
-            status_line = await asyncio.wait_for(reader.readline(), self.proxy_timeout)
-            if not status_line:
-                raise asyncio.IncompleteReadError(b"", None)
-            status = parse_status_line(status_line)
-            resp_headers = await asyncio.wait_for(
-                read_headers(reader), self.proxy_timeout
-            )
-            length = int(resp_headers.get("content-length", "0"))
-            resp_body = await asyncio.wait_for(
-                reader.readexactly(length), self.proxy_timeout
-            )
-            return status, resp_body
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
+    async def _fan_out(self, path: str) -> List[Tuple[str, Dict[str, Any]]]:
+        """``GET path`` on every worker: ``(worker_id, body)`` of each 200."""
+        live = sorted(self.ports.items())
+        results = await asyncio.gather(
+            *(
+                fetch_json(self.backend_host, port, path, timeout=self.connect_timeout)
+                for _, port in live
+            ),
+            return_exceptions=True,
+        )
+        return [
+            (worker_id, result[1])
+            for (worker_id, _), result in zip(live, results)
+            if not isinstance(result, BaseException) and result[0] == 200
+        ]
+
     async def aggregate_metrics(self) -> Dict[str, Any]:
         """Fan ``GET /metrics`` out to every live worker and merge."""
-        live = [(wid, port) for wid, port in sorted(self.ports.items())]
-        fetches: List[Awaitable] = [
-            fetch_json(self.backend_host, port, "/metrics", timeout=self.connect_timeout)
-            for _, port in live
-        ]
-        results = await asyncio.gather(*fetches, return_exceptions=True)
-        snapshots: Dict[str, Dict[str, Any]] = {}
-        for (worker_id, _), result in zip(live, results):
-            if isinstance(result, BaseException):
-                continue
-            status, decoded = result
-            if status == 200:
-                snapshots[worker_id] = decoded
-        merged = self.merge_metrics(snapshots)
+        merged = self.merge_metrics(dict(await self._fan_out("/metrics")))
         merged["cluster"] = self.stats()
         merged["protocol"] = PROTOCOL
         return merged
@@ -370,25 +347,12 @@ class Router(HttpFront):
         if not is_valid_trace_id(trace_id):
             raise HttpError(400, "bad_trace_id", f"not a trace id: {trace_id!r}")
         trace_id = trace_id.lower()
-        live = [(wid, port) for wid, port in sorted(self.ports.items())]
-        fetches: List[Awaitable] = [
-            fetch_json(
-                self.backend_host,
-                port,
-                f"/v1/trace/{trace_id}",
-                timeout=self.connect_timeout,
-            )
-            for _, port in live
-        ]
-        results = await asyncio.gather(*fetches, return_exceptions=True)
+        slices = await self._fan_out(f"/v1/trace/{trace_id}")
         span_lists: List[List[Dict[str, Any]]] = [self.tracer.trace(trace_id)]
         workers: List[str] = []
         open_spans = self.tracer.open_count(trace_id)
-        for (worker_id, _), result in zip(live, results):
-            if isinstance(result, BaseException):
-                continue
-            status, decoded = result
-            if status == 200 and isinstance(decoded.get("spans"), list):
+        for worker_id, decoded in slices:
+            if isinstance(decoded.get("spans"), list):
                 span_lists.append(decoded["spans"])
                 workers.append(worker_id)
                 open_spans += int(decoded.get("open_spans", 0) or 0)

@@ -20,7 +20,6 @@ Quickstart::
 from .cache import ScriptCache, canonicalize_script, instantiate_script
 from .digest import (
     DigestIndex,
-    attach_digests,
     cached_digests,
     compute_digests,
     tree_fingerprint,
@@ -35,7 +34,6 @@ __all__ = [
     "LatencyHistogram",
     "ScriptCache",
     "ServiceMetrics",
-    "attach_digests",
     "cached_digests",
     "canonicalize_script",
     "compute_digests",

@@ -8,8 +8,12 @@ digests)``, computed bottom-up in one post-order pass, so:
 * equal **root** digests imply the trees are isomorphic (identical up to
   node identifiers, Section 3.1's equivalence) and the engine can
   short-circuit to an empty edit script;
-* equal **subtree** digests give an O(1) ``equal``-subtree fast path that
-  matching layers can consult instead of walking both subtrees.
+* equal **subtree** digests mean isomorphic subtrees (compare
+  :meth:`DigestIndex.get` of the two roots).
+
+:func:`cached_digests` memoizes the digests on the tree's immutable arena
+snapshot, so a copy sharing the snapshot shares them too, and a mutation,
+which drops the snapshot, drops them with it.
 
 The pass reads the tree's arena arrays. Each node is one ``blake2b``
 call over its length-prefixed label, its length-prefixed value encoding
@@ -89,15 +93,6 @@ class DigestIndex:
         """Digest of the subtree rooted at *node_id*."""
         return self.by_id[node_id]
 
-    def subtrees_equal(self, node_id: Any, other: "DigestIndex", other_id: Any) -> bool:
-        """O(1) isomorphism check between two indexed subtrees.
-
-        This is the ``equal``-subtree fast path: when it returns True the
-        subtrees are identical up to node identifiers, so a matcher may
-        pair them wholesale without comparing leaves.
-        """
-        return self.by_id[node_id] == other.by_id[other_id]
-
     def __len__(self) -> int:
         return len(self.by_id)
 
@@ -139,26 +134,20 @@ def compute_digests(tree: Tree) -> DigestIndex:
     return DigestIndex(by_id, digests[0])
 
 
-def attach_digests(tree: Tree) -> DigestIndex:
-    """Compute digests and attach the index to the tree as ``tree.digests``.
-
-    The attachment is a plain attribute: any later mutation of the tree
-    silently invalidates it, so callers on the mutation path should either
-    recompute or use :func:`compute_digests` directly. Serving-layer code
-    treats snapshots as immutable, where attachment is safe and lets the
-    index be computed once per snapshot.
-    """
-    index = compute_digests(tree)
-    tree.digests = index  # type: ignore[attr-defined]
-    return index
-
-
 def cached_digests(tree: Tree) -> DigestIndex:
-    """Return ``tree.digests`` when present, else compute (without attaching)."""
-    index: Optional[DigestIndex] = getattr(tree, "digests", None)
-    if isinstance(index, DigestIndex):
-        return index
-    return compute_digests(tree)
+    """Digests of *tree*, memoized on its arena snapshot when it has one.
+
+    A tree without a fresh snapshot (built from nodes, or edited since) is
+    digested anew on every call: see :func:`compute_digests`.
+    """
+    arena = tree.arena_snapshot()
+    if arena is None:
+        return compute_digests(tree)
+    index: Optional[DigestIndex] = arena.digests
+    if index is None:
+        index = compute_digests(tree)
+        arena.digests = index
+    return index
 
 
 def tree_fingerprint(tree: Tree) -> str:

@@ -22,7 +22,6 @@ job (``repro-diff serve --workers N``, one engine per process).
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -32,14 +31,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 from ..core.tree import Tree
 from ..editscript.script import EditScript
 from ..matching.criteria import MatchConfig
-from ..obs.trace import AnySpan, Tracer
+from ..obs.trace import AnySpan, Tracer, sampled
 from ..pipeline import DiffConfig, DiffPipeline, Trace
-from .cache import (
-    ScriptCache,
-    UncacheableScriptError,
-    canonicalize_script,
-    instantiate_script,
-)
+from .cache import ScriptCache, canonicalize_script, instantiate_script
 from ..simtest.clock import SYSTEM_CLOCK, Clock
 from .digest import cached_digests
 from .metrics import SECTION8_COUNTERS, ServiceMetrics
@@ -313,9 +307,7 @@ class DiffEngine:
         with self._verify_lock:
             self._verify_seen += 1
             n = self._verify_seen
-        return math.floor(n * self.verify_fraction) > math.floor(
-            (n - 1) * self.verify_fraction
-        )
+        return sampled(n, self.verify_fraction)
 
     def _spot_check(self, result: JobResult, old_tree: Tree, new_tree: Tree) -> bool:
         """The battery's script-level oracles on a served result.
@@ -386,7 +378,7 @@ class DiffEngine:
             self.metrics.observe_stage(stage, milliseconds)
         for counter in SECTION8_COUNTERS:
             self.metrics.incr(counter, trace.counters[counter])
-        script, wrapped, dummy_id = self._bind(payload, old_tree)
+        script, wrapped, dummy_id = instantiate_script(payload, old_tree)
         result.source = "computed"
         result.script = script
         result.wrapped = wrapped
@@ -404,34 +396,15 @@ class DiffEngine:
 
         The trace travels beside the payload, never inside it: the payload
         is what gets cached, and a cache entry must not embed one
-        particular run's latencies.
+        particular run's latencies. The pipeline's scripts name only T1
+        ids, the dummy root and fresh insert ids, so canonicalization
+        cannot fail on them; if it ever does, the job fails uncached.
         """
         diffed = self._pipeline.run(old_tree, new_tree, parent=span)
-        try:
-            payload = canonicalize_script(
-                diffed.script,
-                old_tree,
-                diffed.edit.wrapped,
-                diffed.edit.dummy_t1_id,
-            )
-        except UncacheableScriptError:
-            # Fall back to an uncanonicalized payload bound to this pair's
-            # real identifiers; still correct for this job, never cached.
-            payload = {
-                "records": diffed.script.to_dicts(),
-                "wrapped": diffed.edit.wrapped,
-                "dummy_id": diffed.edit.dummy_t1_id,
-                "cost": diffed.script.cost(),
-                "summary": diffed.script.summary(),
-                "_unportable": True,
-            }
+        payload = canonicalize_script(
+            diffed.script,
+            old_tree,
+            diffed.edit.wrapped,
+            diffed.edit.dummy_t1_id,
+        )
         return payload, diffed.trace
-
-    def _bind(self, payload: Dict[str, Any], old_tree: Tree) -> Tuple[EditScript, bool, Any]:
-        if payload.get("_unportable"):
-            return (
-                EditScript.from_dicts(payload["records"]),
-                bool(payload["wrapped"]),
-                payload.get("dummy_id"),
-            )
-        return instantiate_script(payload, old_tree)

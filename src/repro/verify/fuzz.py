@@ -22,12 +22,14 @@ and the CLI can swap in deliberately broken runners
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from ..core.arena import ArenaBuilder
 from ..core.isomorphism import trees_isomorphic
 from ..core.serialization import tree_from_dict, tree_to_dict
 from ..core.tree import Tree
@@ -327,17 +329,29 @@ def _arena_check(t1: Tree, t2: Tree) -> List[Violation]:
 # Shrinking: greedy subtree deletion to a local minimum
 # ---------------------------------------------------------------------------
 def _without_subtree(tree: Tree, target_id: Any) -> Optional[Tree]:
-    """A rebuilt copy of *tree* minus the subtree rooted at *target_id*."""
-    if tree.root is None or tree.root.id == target_id:
+    """A rebuilt copy of *tree* minus the subtree rooted at *target_id*.
+
+    The cut subtree is the arena slice ``[cut, cut + size)``; the kept
+    nodes are re-added in preorder with ids 1..n, as :meth:`Tree.from_obj`
+    assigns. A node after the slice moves down by ``size``, and no kept
+    node's parent lies inside it.
+    """
+    arena = tree.to_arena()
+    cut = arena.pos_of.get(target_id)
+    if not cut:  # absent, or the root
         return None
-
-    def convert(node) -> tuple:
-        children = [
-            convert(child) for child in node.children if child.id != target_id
-        ]
-        return (node.label, node.value, children)
-
-    return Tree.from_obj(convert(tree.root))
+    size = arena.subtree_size[cut]
+    parent = arena.parent
+    builder = ArenaBuilder()
+    for pos in itertools.chain(range(cut), range(cut + size, arena.n)):
+        up = parent[pos]
+        builder.add(
+            up if up < cut else up - size,
+            len(builder.node_ids) + 1,
+            arena.label_of(pos),
+            arena.value_of(pos),
+        )
+    return Tree.from_arena(builder.finish())
 
 
 def shrink_pair(

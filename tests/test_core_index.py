@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Tree, tree_diff
-from repro.core.index import TreeIndex, attach_index, cached_index
+from repro.core.index import TreeIndex, cached_index
 from repro.workload import MutationEngine, generate_document
 from repro.workload.documents import DocumentSpec
 from repro.workload.random_trees import RandomTreeSpec, random_tree
@@ -82,16 +82,6 @@ class TestConstruction:
         tree = Tree.from_obj(("D", None, [spec]))
         assert_index_consistent(TreeIndex(tree), tree)
 
-    def test_digests_match_service_layer(self, document):
-        from repro.service.digest import compute_digests
-
-        index = TreeIndex(document)
-        reference = compute_digests(document)
-        assert index.digests.root == reference.root
-        for node in document.preorder():
-            assert index.digests.get(node.id) == reference.get(node.id)
-        assert index.subtrees_equal(document.root.id, index, document.root.id)
-
 
 class TestAfterReplay:
     """Rebuilding on a replayed tree agrees with naive recomputation."""
@@ -107,7 +97,7 @@ class TestAfterReplay:
         assert_index_consistent(TreeIndex(replayed), replayed)
 
     def test_stale_index_detected_after_mutation(self, document):
-        index = attach_index(document)
+        index, _ = cached_index(document)
         document.insert(999, "S", "a fresh sentence", document.root.id, 1)
         fresh, reused = cached_index(document)
         assert not reused
@@ -115,18 +105,18 @@ class TestAfterReplay:
         assert_index_consistent(fresh, document)
 
     def test_stale_index_detected_after_same_size_move(self, document):
-        index = attach_index(document)
+        index, _ = cached_index(document)
         sections = document.root.children
         document.move(sections[0].children[0].id, sections[1].id, 1)
-        assert not index.describes(document)
         fresh, reused = cached_index(document)
         assert not reused
+        assert fresh is not index
         assert_index_consistent(fresh, document)
 
 
 class TestCachedIndex:
     def test_reuses_attached_index(self, document):
-        index = attach_index(document)
+        index, _ = cached_index(document)
         again, reused = cached_index(document)
         assert reused and again is index
 
@@ -136,10 +126,11 @@ class TestCachedIndex:
         assert_index_consistent(index, document)
 
     def test_rejects_foreign_attachment(self, document):
-        other = generate_document(8, DocumentSpec(sections=3,
-                                                  paragraphs_per_section=3,
-                                                  sentences_per_paragraph=3))
-        document.index = TreeIndex(other)
+        # A copy shares the arena snapshot but not the index, whose lazy
+        # node binding belongs to the tree it was built over.
+        other = document.copy()
+        cached_index(other)
         index, reused = cached_index(document)
         assert not reused
+        assert index.tree is document
         assert_index_consistent(index, document)

@@ -80,6 +80,23 @@ class TestGuideSnippets:
         exec(compile(merge_block, "guide.md#merge", "exec"), namespace)
         assert namespace["result"].clean
 
+    def test_engine_block_runs(self):
+        from repro import Tree
+        blocks = python_blocks("docs/guide.md")
+        engine_block = next(b for b in blocks if "map_pairs" in b)
+        namespace = {
+            "old_a": Tree.from_obj(("D", None, [("S", "x y")])),
+            "new_a": Tree.from_obj(("D", None, [("S", "x y z")])),
+            "old_b": Tree.from_obj(("D", None, [("P", None, [("S", "p q")])])),
+            "new_b": Tree.from_obj(("D", None, [("P", None, []), ("S", "p q")])),
+        }
+        try:
+            exec(compile(engine_block, "guide.md#engine", "exec"), namespace)
+        finally:
+            if "engine" in namespace:
+                namespace["engine"].close()
+        assert [r.status for r in namespace["results"]] == ["ok", "ok"]
+
     def test_benches_referenced_in_experiments_exist(self):
         text = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
         for match in re.findall(r"`benchmarks/(bench_[a-z_0-9]+\.py)`", text):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ConfigError, Tree, tree_diff
-from repro.core.index import attach_index
+from repro.core.index import cached_index
 from repro.ladiff.pipeline import default_match_config
 from repro.editscript.generator import generate_edit_script
 from repro.matching.criteria import MatchConfig, MatchingStats
@@ -208,8 +208,8 @@ class TestTrace:
 
     def test_index_cache_hits_with_attached_indexes(self):
         old, new = random_pair(13, 5)
-        attach_index(old)
-        attach_index(new)
+        cached_index(old)
+        cached_index(new)
         result = DiffPipeline(DiffConfig()).run(old, new)
         assert result.trace.counters["index_cache_hits"] == 2
 
@@ -219,7 +219,7 @@ class TestTrace:
             ("P", None, [("S", "seven eight nine"), ("S", "ten eleven twelve")]),
         ]))
         t2 = t1.copy()
-        attach_index(t2)
+        cached_index(t2)
         t2.move(3, 5, 3)  # first sentence to the end of the other paragraph
         assert len(t2) == len(t1)
         result = DiffPipeline(DiffConfig()).run(t1, t2)

@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: ``module path:qualified name`` of each function allowed to recurse.
 ALLOWED = {
     "simtest/events.py:_clean",
-    "verify/fuzz.py:_without_subtree.convert",
     "workload/documents.py:DocumentGenerator._fill_section",
     "workload/random_trees.py:perfect_tree.grow",
     "workload/random_trees.py:random_tree.grow",

@@ -287,3 +287,24 @@ class TestAsyncFraming:
             asyncio.run(run({"transfer-encoding": "chunked"}))
         assert excinfo.value.status == 501
         assert asyncio.run(run({"content-length": "3"})) == b"abc"
+
+    def test_peer_closing_unanswered_is_an_incomplete_read(self):
+        # Supervisor health checks catch this (and OSError/timeouts) as
+        # "unhealthy"; a malformed-status HttpError would escape them.
+        from repro.serve.protocol import fetch_json
+
+        async def run():
+            async def hang_up(reader, writer):
+                await reader.readline()
+                writer.close()
+
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                await fetch_json("127.0.0.1", port, "/healthz", timeout=5.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        with pytest.raises(asyncio.IncompleteReadError):
+            asyncio.run(run())

@@ -12,7 +12,6 @@ from repro.service.digest import (
     DIGEST_SIZE,
     EMPTY_TREE_DIGEST,
     _encode_value,
-    attach_digests,
     cached_digests,
     compute_digests,
     tree_fingerprint,
@@ -89,7 +88,7 @@ class TestSubtreeFastPath:
         idx1 = compute_digests(tree)
         idx2 = compute_digests(twin)
         for a, b in zip(tree.preorder(), twin.preorder()):
-            assert idx1.subtrees_equal(a.id, idx2, b.id)
+            assert idx1.get(a.id) == idx2.get(b.id)
 
     def test_differing_subtree_flagged(self):
         tree = doc(seed=9)
@@ -103,16 +102,70 @@ class TestSubtreeFastPath:
         dirty = {changed_leaf.id}
         dirty.update(n.id for n in changed_leaf.ancestors())
         for a, b in zip(tree.preorder(), twin.preorder()):
-            assert idx1.subtrees_equal(a.id, idx2, b.id) == (b.id not in dirty)
+            assert (idx1.get(a.id) == idx2.get(b.id)) == (b.id not in dirty)
 
     def test_attach_and_cached(self):
-        tree = doc()
-        index = attach_digests(tree)
-        assert tree.digests is index
+        tree = Tree.from_obj(doc().to_obj())
+        index = cached_digests(tree)
+        assert tree.to_arena().digests is index
         assert cached_digests(tree) is index
-        bare = doc()
+        bare = doc()  # built node by node: no snapshot to memoize on
+        assert bare.arena_snapshot() is None
+        assert cached_digests(bare) is not cached_digests(bare)
         assert cached_digests(bare).root == index.root
-        assert not hasattr(bare, "digests")
+
+
+class TestSnapshotMemo:
+    """Digests and the TreeIndex live with the tree's arena snapshot."""
+
+    def test_digests_shared_until_mutation(self):
+        tree = Tree.from_obj(doc(seed=4).to_obj())
+        first = cached_digests(tree)
+        assert cached_digests(tree) is first
+        assert cached_digests(tree.copy()) is first
+        leaf = next(tree.leaves())
+        tree.update(leaf.id, "a value nobody wrote before")
+        after = cached_digests(tree)
+        assert after is not first
+        assert after.root == compute_digests(Tree.from_obj(tree.to_obj())).root
+
+    def test_index_reused_until_mutation(self):
+        from repro.core.index import cached_index
+
+        tree = Tree.from_obj(doc(seed=4).to_obj())
+        index, reused = cached_index(tree)
+        assert not reused
+        again, reused = cached_index(tree)
+        assert reused and again is index
+        assert not cached_index(tree.copy())[1]
+        tree.insert(10_000, "S", "fresh", tree.root.id, 1)
+        fresh, reused = cached_index(tree)
+        assert not reused and fresh is not index
+        assert cached_index(tree) == (fresh, True)
+
+    @pytest.mark.parametrize("edit", ["update", "insert", "move", "delete"])
+    def test_engine_sees_edits_after_digesting(self, edit):
+        from repro.service import DiffEngine
+
+        spec = ("D", None, [
+            ("P", None, [("S", "one two three"), ("S", "four five six")]),
+            ("P", None, [("S", "seven eight nine"), ("S", "ten eleven")]),
+        ])
+        old, new = Tree.from_obj(spec), Tree.from_obj(spec)
+        assert cached_digests(old).root == cached_digests(new).root
+        if edit == "update":
+            new.update(3, "x y z")
+        elif edit == "insert":
+            new.insert(100, "S", "twelve", 5, 3)
+        elif edit == "move":
+            new.move(3, 5, 3)
+        else:
+            new.delete(7)
+        with DiffEngine(workers=1) as engine:
+            result = engine.diff(old, new)
+        assert result.status == "ok"
+        assert result.source == "computed"
+        assert trees_isomorphic(result.apply_to(old), new)
 
 
 class TestDigestIsomorphismProperty:

@@ -217,6 +217,24 @@ class TestTimeoutsAndRetries:
         assert "backend down" in result.error
         engine.close()
 
+    def test_uncanonicalizable_script_fails_the_job_uncached(self):
+        from repro.editscript.operations import Update
+
+        engine = DiffEngine(workers=1, cache=8)
+        real_run = engine._pipeline.run
+
+        def run_naming_a_foreign_id(old_tree, new_tree, parent=None):
+            diffed = real_run(old_tree, new_tree, parent=parent)
+            diffed.script.append(Update("not-a-t1-id", "x"))
+            return diffed
+
+        engine._pipeline.run = run_naming_a_foreign_id
+        result = engine.diff(doc(), mutated(doc()))
+        assert result.status == "error"
+        assert "UncacheableScriptError" in result.error
+        assert len(engine.cache) == 0
+        engine.close()
+
 
 class TestValidation:
     def test_bad_worker_count(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -118,6 +119,27 @@ def test_shrinker_reduces_an_inflated_failing_pair():
     assert len(s1) + len(s2) < len(t1) + len(t2)
     # Greedy subtree deletion reaches the 2-leaf core (root + P + S each).
     assert len(s1) <= 3 and len(s2) <= 3
+
+
+def test_shrinker_handles_pairs_deeper_than_the_recursion_limit():
+    # Each rebuild walks the whole kept tree, so the first deletion (the
+    # sentence beside the chain) already rebuilds 3000 levels.
+    spec = ("P", None, [])
+    for _ in range(2999):
+        spec = ("P", None, [spec])
+    t1 = Tree.from_obj(("D", None, [("S", "pad"), spec]))
+    t2 = Tree.from_obj(("D", None, [("S", "pad")]))
+    assert sys.getrecursionlimit() < len(t1)
+
+    def fails(a, b):
+        # "Bug": the old tree is the bigger one.
+        return len(a) > len(b)
+
+    s1, s2 = shrink_pair(t1, t2, fails)
+    assert fails(s1, s2)
+    assert s1.to_obj() == ("D", None, [("P", None, [])])
+    assert s2.to_obj() == ("D", None, [])
+    assert list(s1.node_ids()) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
