@@ -21,7 +21,7 @@ from ..core.errors import EditScriptError
 from ..core.tree import Tree
 from ..editscript.generator import EditScriptResult
 from ..editscript.operations import Delete, Insert, Move, Update
-from ..editscript.script import EditScript, wrap_with_dummy_root
+from ..editscript.script import EditScript
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,8 @@ def script_distances(
     dummy-root wrapping (see :func:`result_distances` for the convenient
     path that handles this automatically).
     """
-    work = t1.copy()
-    if wrapped_dummy_id is not None:
-        work = wrap_with_dummy_root(work, wrapped_dummy_id)
     insert_weight = delete_weight = move_weight = 0.0
-    for op in script:
+    for op, work in script.steps(t1.copy(), wrapped_dummy_id):
         if isinstance(op, Insert):
             insert_weight += 1.0
         elif isinstance(op, Delete):
@@ -68,7 +65,6 @@ def script_distances(
             pass  # updates weigh 0
         else:  # pragma: no cover - defensive
             raise EditScriptError(f"unknown operation {op!r}")
-        op.apply(work)
     weighted = insert_weight + delete_weight + move_weight
     return EditDistances(
         unweighted=len(script),

@@ -52,7 +52,7 @@ def ambiguous_leaves(
     config: Optional[MatchConfig] = None,
 ) -> Set:
     """Ids of T1 leaves violating Criterion 3 (>= 2 close counterparts)."""
-    config = config if config is not None else MatchConfig()
+    registry = (config if config is not None else MatchConfig()).registry
     by_label: Dict[str, List[Node]] = {}
     for leaf in t2.leaves():
         by_label.setdefault(leaf.label, []).append(leaf)
@@ -60,7 +60,7 @@ def ambiguous_leaves(
     for x in t1.leaves():
         close = 0
         for y in by_label.get(x.label, ()):
-            if config.compare_nodes(x, y) <= 1.0:
+            if registry.compare(x.value, y.value, x.label) <= 1.0:
                 close += 1
                 if close > 1:
                     ambiguous.add(x.id)

@@ -7,21 +7,13 @@ from .flat_diff import (
     flatten_tree,
     undetected_moves,
 )
-from .zhang_shasha import (
-    ZsOperation,
-    zhang_shasha_distance,
-    zhang_shasha_mapping,
-    zhang_shasha_operations,
-)
+from .zhang_shasha import zhang_shasha_distance
 
 __all__ = [
     "FlatDiffResult",
-    "ZsOperation",
     "flat_diff",
     "flat_diff_text",
     "flatten_tree",
     "undetected_moves",
     "zhang_shasha_distance",
-    "zhang_shasha_mapping",
-    "zhang_shasha_operations",
 ]

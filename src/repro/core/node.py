@@ -56,11 +56,6 @@ class Node:
         """True when the node has no children."""
         return not self.children
 
-    @property
-    def is_root(self) -> bool:
-        """True when the node has no parent."""
-        return self.parent is None
-
     def child_index(self) -> int:
         """Return this node's 1-based position among its siblings.
 

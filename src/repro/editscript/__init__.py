@@ -1,14 +1,12 @@
-"""Edit operations, scripts, cost model, and Algorithm EditScript."""
+"""Edit operations, scripts, costs, and Algorithm EditScript."""
 
-from .cost import DEFAULT_COST_MODEL, CostModel
+from .cost import operation_cost, script_cost
 from .generator import EditScriptResult, GenerationStats, generate_edit_script
 from .invert import invert_script
 from .operations import Delete, EditOperation, Insert, Move, Update
 from .script import DUMMY_ROOT_LABEL, EditScript
 
 __all__ = [
-    "CostModel",
-    "DEFAULT_COST_MODEL",
     "DUMMY_ROOT_LABEL",
     "Delete",
     "EditOperation",
@@ -20,4 +18,6 @@ __all__ = [
     "Update",
     "generate_edit_script",
     "invert_script",
+    "operation_cost",
+    "script_cost",
 ]

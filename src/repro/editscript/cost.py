@@ -1,64 +1,33 @@
-"""Cost model for edit scripts (Section 3.2).
+"""Edit-script costs (Section 3.2).
 
 The paper adopts unit costs for insert, delete, and subtree move
 (``c_D(x) = c_I(x) = c_M(x) = 1``) and prices an update at
 ``compare(v, v')`` in ``[0, 2]``. The consistency requirement — an update
 cheaper than 1 should beat a delete/insert pair — is what makes matched pairs
 with similar values preferable to unmatched ones.
-
-:class:`CostModel` generalizes this: the three structural costs are
-configurable constants and the update cost delegates to a
-:class:`~repro.compare.CompareRegistry`, so domains can weight operations
-differently (e.g. make subtree moves expensive for near-immutable archives).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Iterable
 
-from ..compare.generic import CompareRegistry
+from ..compare.generic import default_compare
 from .operations import Delete, EditOperation, Insert, Move, Update
 
 
-class CostModel:
-    """Prices individual edit operations and whole scripts."""
+def operation_cost(op: EditOperation) -> float:
+    """Cost of a single operation.
 
-    def __init__(
-        self,
-        registry: Optional[CompareRegistry] = None,
-        insert_cost: float = 1.0,
-        delete_cost: float = 1.0,
-        move_cost: float = 1.0,
-    ) -> None:
-        self.registry = registry if registry is not None else CompareRegistry()
-        self.insert_cost = insert_cost
-        self.delete_cost = delete_cost
-        self.move_cost = move_cost
-
-    def update_cost(self, old_value: Any, new_value: Any, label: Optional[str] = None) -> float:
-        """``c_U`` = compare(old, new), routed through the registry."""
-        return self.registry.compare(old_value, new_value, label)
-
-    def operation_cost(self, op: EditOperation, label: Optional[str] = None) -> float:
-        """Cost of a single operation.
-
-        For :class:`Update` the recorded ``old_value`` is used; generators
-        populate it, so scripts can be re-priced without the source tree.
-        """
-        if isinstance(op, Insert):
-            return self.insert_cost
-        if isinstance(op, Delete):
-            return self.delete_cost
-        if isinstance(op, Move):
-            return self.move_cost
-        if isinstance(op, Update):
-            return self.update_cost(op.old_value, op.value, label)
-        raise TypeError(f"unknown edit operation: {op!r}")
-
-    def script_cost(self, operations: Iterable[EditOperation]) -> float:
-        """Total cost of a sequence of operations."""
-        return sum(self.operation_cost(op) for op in operations)
+    An :class:`Update` is priced from its recorded ``old_value``; generators
+    populate it, so scripts can be re-priced without the source tree.
+    """
+    if isinstance(op, (Insert, Delete, Move)):
+        return 1.0
+    if isinstance(op, Update):
+        return default_compare(op.old_value, op.value)
+    raise TypeError(f"unknown edit operation: {op!r}")
 
 
-#: Module-level default used when callers do not supply a model.
-DEFAULT_COST_MODEL = CostModel()
+def script_cost(operations: Iterable[EditOperation]) -> float:
+    """Total cost of a sequence of operations."""
+    return sum(operation_cost(op) for op in operations)

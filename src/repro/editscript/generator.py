@@ -42,7 +42,6 @@ from ..core.node import Node
 from ..core.tree import Tree
 from ..lcs.myers import myers_lcs
 from ..matching.matching import Matching
-from .cost import CostModel
 from .operations import Delete, Insert, Move, Update
 from .script import EditScript, wrap_with_dummy_root
 
@@ -100,9 +99,9 @@ class EditScriptResult:
     dummy_t2_id: Any = None
     stats: GenerationStats = field(default_factory=GenerationStats)
 
-    def cost(self, model: Optional[CostModel] = None) -> float:
-        """Total script cost (unit structural costs by default)."""
-        return self.script.cost(model)
+    def cost(self) -> float:
+        """Total script cost under the §3.2 unit costs."""
+        return self.script.cost()
 
     def replay(self, t1: Tree) -> Tree:
         """Re-apply the script to a fresh copy of *t1* and return the result.

@@ -16,12 +16,12 @@ wrapped under the same dummy id, which is stripped again afterwards.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import DuplicateNodeError, EditScriptError, TreeError
 from ..core.node import Node
 from ..core.tree import Tree
-from .cost import DEFAULT_COST_MODEL, CostModel
+from .cost import script_cost
 from .operations import Delete, EditOperation, Insert, Move, Update
 
 #: Label given to dummy roots added when the input roots are unmatched.
@@ -88,10 +88,9 @@ class EditScript:
             "total": len(self._operations),
         }
 
-    def cost(self, model: Optional[CostModel] = None) -> float:
-        """Total script cost under *model* (paper default when omitted)."""
-        model = model if model is not None else DEFAULT_COST_MODEL
-        return model.script_cost(self._operations)
+    def cost(self) -> float:
+        """Total script cost under the §3.2 unit costs."""
+        return script_cost(self._operations)
 
     def is_empty(self) -> bool:
         return not self._operations
@@ -114,18 +113,33 @@ class EditScript:
         offending operation's index.
         """
         target = tree if in_place else tree.copy()
+        for _ in self.steps(target, dummy_id):
+            pass
         if dummy_id is not None:
-            wrap_with_dummy_root(target, dummy_id)
+            _strip_dummy_root(target)
+        return target
+
+    def steps(
+        self, tree: Tree, dummy_id: Any = None
+    ) -> Iterator[Tuple[EditOperation, Tree]]:
+        """Replay on *tree* in place, yielding each operation first.
+
+        Each ``(op, tree)`` pair shows the working tree just before *op*
+        applies, so a caller can price an operation by the tree it acts on
+        (a move by its subtree at that moment). The tree is wrapped under
+        *dummy_id* when one is given and is left wrapped; pass a copy to
+        keep the input intact. Failures raise as in :meth:`apply_to`.
+        """
+        if dummy_id is not None:
+            wrap_with_dummy_root(tree, dummy_id)
         for index, op in enumerate(self._operations):
+            yield op, tree
             try:
-                op.apply(target)
+                op.apply(tree)
             except Exception as exc:
                 raise EditScriptError(
                     f"operation {index} ({op}) failed: {exc}"
                 ) from exc
-        if dummy_id is not None:
-            _strip_dummy_root(target)
-        return target
 
     # ------------------------------------------------------------------
     # Serialization

@@ -38,10 +38,6 @@ class MatchingStats:
     partner_checks: int = 0
     lcs_calls: int = 0
 
-    def combined(self, c: float = 1.0) -> float:
-        """Weighted total ``r1 * c + r2`` from the paper's cost formula."""
-        return self.leaf_compares * c + self.partner_checks
-
 
 @dataclass
 class MatchConfig:
@@ -82,10 +78,6 @@ class MatchConfig:
         if not 0.5 <= self.t <= 1.0:
             raise ConfigError(f"t must be in [1/2, 1], got {self.t}")
 
-    def compare_nodes(self, x: Node, y: Node) -> float:
-        """``compare`` on two nodes' values, routed by the first label."""
-        return self.registry.compare(x.value, y.value, x.label)
-
 
 class CriteriaContext:
     """Shared per-run state: the two tree indexes and the counters.
@@ -122,10 +114,12 @@ class CriteriaContext:
     # ------------------------------------------------------------------
     def leaves_equal(self, x: Node, y: Node) -> bool:
         """The paper's ``equal`` for leaves (Section 5.2)."""
-        if x.label != y.label:
+        label = x.label
+        if label != y.label:
             return False
         self.stats.leaf_compares += 1
-        return self.config.compare_nodes(x, y) <= self.config.f
+        config = self.config
+        return config.registry.compare(x.value, y.value, label) <= config.f
 
     # ------------------------------------------------------------------
     # Criterion 2
@@ -216,7 +210,7 @@ def criterion3_violations(
     obtained by swapping arguments.) Quadratic — intended for analysis and
     tests, not for the matching hot path.
     """
-    config = config if config is not None else MatchConfig()
+    registry = (config if config is not None else MatchConfig()).registry
     leaves2_by_label: Dict[str, List[Node]] = {}
     for leaf in t2.leaves():
         leaves2_by_label.setdefault(leaf.label, []).append(leaf)
@@ -225,7 +219,7 @@ def criterion3_violations(
         close = [
             y
             for y in leaves2_by_label.get(x.label, ())
-            if config.compare_nodes(x, y) <= 1.0
+            if registry.compare(x.value, y.value, x.label) <= 1.0
         ]
         if len(close) > 1:
             violations.append((x, close))

@@ -14,7 +14,7 @@ internal nodes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..core.node import Node
 from ..core.tree import Tree
@@ -58,23 +58,18 @@ def match(
         try_match(x)
     # Pass 2: internal nodes bottom-up. Sorting by subtree height guarantees
     # every descendant is considered before its ancestors, independent of
-    # any label schema.
-    internals = [node for node in t1.preorder() if not node.is_leaf]
-    internals.sort(key=_height)
-    for x in internals:
-        try_match(x)
+    # any label schema. Heights come from one pass over the T1 arena, high
+    # positions first, so every child is final before its parent reads it.
+    parent = context.index1.arena.parent
+    heights = [0] * len(parent)
+    for pos in range(len(parent) - 1, 0, -1):
+        above = heights[pos] + 1
+        if heights[parent[pos]] < above:
+            heights[parent[pos]] = above
+    nodes = list(t1.preorder())
+    internals = [pos for pos, height in enumerate(heights) if height]
+    internals.sort(key=heights.__getitem__)
+    for pos in internals:
+        try_match(nodes[pos])
     apply_root_policy(t1, t2, matching, context.config)
     return matching
-
-
-def _height(node: Node) -> int:
-    """Height of *node*'s subtree (leaves have height 0)."""
-    best = 0
-    stack: List[Tuple[Node, int]] = [(node, 0)]
-    while stack:
-        current, depth = stack.pop()
-        if current.is_leaf:
-            best = max(best, depth)
-        else:
-            stack.extend((child, depth + 1) for child in current.children)
-    return best

@@ -43,7 +43,6 @@ from typing import (
 from .core.errors import ConfigError
 from .core.index import cached_index
 from .core.tree import Tree
-from .editscript.cost import CostModel
 from .editscript.generator import EditScriptResult, generate_edit_script
 from .editscript.script import EditScript
 from .matching.criteria import CriteriaContext, MatchConfig, MatchingStats
@@ -215,8 +214,8 @@ class DiffResult:
         """The minimum conforming edit script."""
         return self.edit.script
 
-    def cost(self, model: Optional[CostModel] = None) -> float:
-        return self.edit.cost(model)
+    def cost(self) -> float:
+        return self.edit.cost()
 
     def verify(self, t1: Tree, t2: Tree) -> bool:
         """Replay the script on *t1* and compare against *t2*."""

@@ -161,17 +161,6 @@ class ServiceMetrics:
             self._stages = {}
             self.verify = VerifyReport()
 
-    def timestamps(self) -> Dict[str, Optional[float]]:
-        """First/last observation stamps (clock-relative, virtual under sim)."""
-        with self._lock:
-            out: Dict[str, Optional[float]] = {
-                "wall_first_at": self.wall_ms.first_at,
-                "wall_last_at": self.wall_ms.last_at,
-            }
-            for name, hist in sorted(self._stages.items()):
-                out[f"{name}_last_at"] = hist.last_at
-            return out
-
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Export counters and latency stats as a JSON-friendly dict."""

@@ -66,6 +66,3 @@ class EventLog:
             json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
             for event in self._events
         )
-
-    def to_list(self) -> List[Dict[str, Any]]:
-        return list(self._events)

@@ -40,7 +40,7 @@ from ..baselines.zhang_shasha import zhang_shasha_distance
 from ..core.tree import Tree
 from ..editscript.generator import EditScriptResult
 from ..editscript.operations import Delete, Insert, Move, Update
-from ..editscript.script import EditScript, wrap_with_dummy_root
+from ..editscript.script import wrap_with_dummy_root
 from ..matching.criteria import MatchConfig
 from .oracles import Violation
 
@@ -79,11 +79,9 @@ def zs_script_bound(t1: Tree, edit: EditScriptResult) -> float:
     The result is the cost of one valid relabel/insert/delete realization
     of the script, hence an upper bound on the optimal ZS distance.
     """
-    work = t1.copy()
-    if edit.wrapped:
-        work = wrap_with_dummy_root(work, edit.dummy_t1_id)
+    dummy_id = edit.dummy_t1_id if edit.wrapped else None
     bound = 0.0
-    for op in edit.script:
+    for op, work in edit.script.steps(t1.copy(), dummy_id):
         if isinstance(op, (Insert, Delete)):
             bound += 1.0
         elif isinstance(op, Update):
@@ -91,7 +89,6 @@ def zs_script_bound(t1: Tree, edit: EditScriptResult) -> float:
                 bound += 1.0
         elif isinstance(op, Move):
             bound += 2.0 * work.get(op.node_id).subtree_size()
-        work = EditScript([op]).apply_to(work, in_place=True)
     return bound
 
 

@@ -34,12 +34,12 @@ runs the whole battery and folds the outcome into a :class:`VerifyReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..core.index import TreeIndex
 from ..core.isomorphism import first_difference, trees_isomorphic
 from ..core.tree import Tree
-from ..editscript.cost import DEFAULT_COST_MODEL
+from ..editscript.cost import operation_cost
 from ..editscript.generator import EditScriptResult
 from ..editscript.operations import Delete, Insert
 from ..editscript.script import EditScript
@@ -347,11 +347,19 @@ def check_replay(
     *dummy_id* is the dummy-root id a wrapped script was generated under
     (``None`` when the roots were matched and nothing was wrapped).
     """
+    return _replay(t1, t2, script, dummy_id)[1]
+
+
+def _replay(
+    t1: Tree, t2: Tree, script: EditScript, dummy_id: Any
+) -> Tuple[Optional[Tree], List[Violation]]:
+    """:func:`check_replay` that also returns the replayed tree (``None``
+    when the script failed to replay)."""
     name = "replay_isomorphism"
     try:
         replayed = script.apply_to(t1, dummy_id=dummy_id)
     except Exception as exc:
-        return [
+        return None, [
             Violation(
                 name,
                 "script failed to replay",
@@ -359,14 +367,14 @@ def check_replay(
             )
         ]
     if not trees_isomorphic(replayed, t2):
-        return [
+        return replayed, [
             Violation(
                 name,
                 "replayed tree is not isomorphic to T2",
                 {"first_difference": first_difference(replayed, t2)},
             )
         ]
-    return []
+    return replayed, []
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +393,7 @@ def check_cost_accounting(
     """
     name = "cost_accounting"
     out: List[Violation] = []
-    recomputed = sum(DEFAULT_COST_MODEL.operation_cost(op) for op in script)
+    recomputed = sum(operation_cost(op) for op in script)
     reported = reported_cost if reported_cost is not None else script.cost()
     if abs(reported - recomputed) > 1e-9:
         out.append(
@@ -622,10 +630,10 @@ def verify_result(
         "conformance", check_conformance(t1, t2, result.edit, result.matching)
     )
     edit = result.edit
-    report.record(
-        "replay_isomorphism",
-        check_replay(t1, t2, edit.script, edit.dummy_t1_id if edit.wrapped else None),
+    replayed, violations = _replay(
+        t1, t2, edit.script, edit.dummy_t1_id if edit.wrapped else None
     )
+    report.record("replay_isomorphism", violations)
     report.record(
         "cost_accounting", check_cost_accounting(t1, t2, edit.script, result.cost())
     )
@@ -636,11 +644,7 @@ def verify_result(
                 t1, t2, result.edit, result.matching, delta=result.delta
             ),
         )
-    try:
-        replayed = result.edit.replay(t1)
-    except Exception:
-        # Unreplayable scripts were already reported by the replay oracle.
-        pass
-    else:
+    # An unreplayable script was already reported by the replay oracle.
+    if replayed is not None:
         report.record("index_consistency", check_index_consistency(replayed))
     return report

@@ -11,9 +11,8 @@ from repro.baselines import (
     flatten_tree,
     undetected_moves,
     zhang_shasha_distance,
-    zhang_shasha_mapping,
-    zhang_shasha_operations,
 )
+from repro.workload.corpus import make_document_set
 
 
 def tree(spec):
@@ -94,49 +93,28 @@ class TestZhangShashaDistance:
             assert 0 <= d <= len(t1) + len(t2)
             assert d >= abs(len(t1) - len(t2))
 
-    def test_custom_costs(self):
-        t1 = tree(("a", None, [("b",)]))
-        t2 = tree(("a", None, [("c",)]))
-        expensive = zhang_shasha_distance(
-            t1, t2, relabel_cost=lambda x, y: 0.0 if x.label == y.label else 10.0
-        )
-        # relabel costs 10, but delete+insert costs 2: the DP picks 2
-        assert expensive == 2.0
 
+class TestZhangShashaPinned:
+    """Distances first computed by the pluggable-cost implementation with
+    its unit-cost defaults; the hard-wired DP must reproduce them."""
 
-class TestZhangShashaOperations:
-    def test_ops_cost_equals_distance(self):
-        for seed in range(20):
-            t1 = random_labeled_tree(seed)
-            t2 = random_labeled_tree(seed + 77)
-            distance, ops = zhang_shasha_operations(t1, t2)
-            cost = sum(1 for op in ops if op.kind in ("delete", "insert", "relabel"))
-            assert cost == pytest.approx(distance)
+    def test_fig13_set_a_pair(self):
+        versions = make_document_set("A", 1, edit_counts=(0, 8)).versions
+        assert zhang_shasha_distance(versions[0].tree, versions[1].tree) == 26.0
 
-    def test_ops_cover_all_nodes(self):
-        t1 = tree(("a", None, [("b",), ("c",)]))
-        t2 = tree(("a", None, [("b",)]))
-        _, ops = zhang_shasha_operations(t1, t2)
-        covered1 = {id(op.old) for op in ops if op.old is not None}
-        covered2 = {id(op.new) for op in ops if op.new is not None}
-        assert covered1 == {id(n) for n in t1.preorder()}
-        assert covered2 == {id(n) for n in t2.preorder()}
+    def test_leaf_per_level_chain(self):
+        def chain(tag):
+            t = Tree()
+            node = t.create_node("D", None)
+            for level in range(25):
+                words = f"sentence {level} {tag}" if level % 3 == 0 else f"sentence {level}"
+                t.create_node("S", words, parent=node)
+                node = t.create_node("P", None, parent=node)
+            return t
 
-    def test_mapping_is_one_to_one(self):
-        t1 = random_labeled_tree(5)
-        t2 = random_labeled_tree(6)
-        mapping = zhang_shasha_mapping(t1, t2)
-        olds = [id(a) for a, _ in mapping]
-        news = [id(b) for _, b in mapping]
-        assert len(olds) == len(set(olds))
-        assert len(news) == len(set(news))
-
-    def test_str_representations(self):
-        t1 = tree(("a", None, [("b",)]))
-        t2 = tree(("a", None, [("c",)]))
-        _, ops = zhang_shasha_operations(t1, t2)
-        rendered = " ".join(str(op) for op in ops)
-        assert "ZS-" in rendered
+        t1, t2 = chain("x"), chain("y")
+        assert len(t1) == len(t2) == 51
+        assert zhang_shasha_distance(t1, t2) == 9.0
 
 
 class TestFlatDiff:

@@ -11,12 +11,13 @@ from repro.core import (
 )
 from repro.editscript import (
     DUMMY_ROOT_LABEL,
-    CostModel,
     Delete,
     EditScript,
     Insert,
     Move,
     Update,
+    operation_cost,
+    script_cost,
 )
 from repro.editscript.script import wrap_with_dummy_root
 
@@ -224,33 +225,26 @@ class TestSerialization:
 
 class TestCostModel:
     def test_unit_costs(self):
-        model = CostModel()
-        assert model.operation_cost(Insert(1, "S", "x", 2, 1)) == 1.0
-        assert model.operation_cost(Delete(1)) == 1.0
-        assert model.operation_cost(Move(1, 2, 1)) == 1.0
+        assert operation_cost(Insert(1, "S", "x", 2, 1)) == 1.0
+        assert operation_cost(Delete(1)) == 1.0
+        assert operation_cost(Move(1, 2, 1)) == 1.0
 
     def test_update_cost_uses_compare(self):
-        model = CostModel()
         op = Update(1, "a b d", old_value="a b c")
-        assert model.operation_cost(op) == pytest.approx(2 / 3)
+        assert operation_cost(op) == pytest.approx(2 / 3)
 
     def test_script_cost_sums(self):
-        model = CostModel()
         script = EditScript([
             Insert(10, "S", "x", 1, 1),
             Delete(3),
             Update(4, "a b", old_value="a b"),
         ])
-        assert script.cost(model) == pytest.approx(2.0)
-
-    def test_custom_structural_costs(self):
-        model = CostModel(move_cost=5.0)
-        assert model.operation_cost(Move(1, 2, 3)) == 5.0
+        assert script.cost() == pytest.approx(2.0)
+        assert script_cost(script) == script.cost()
 
     def test_unknown_operation_rejected(self):
-        model = CostModel()
         with pytest.raises(TypeError):
-            model.operation_cost(object())
+            operation_cost(object())
 
     def test_default_cost_via_script(self):
         script = EditScript([Delete(1), Delete(2)])

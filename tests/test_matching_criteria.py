@@ -47,7 +47,10 @@ class TestMatchConfig:
         config = MatchConfig()
         a = t1.get(3)  # "alpha beta gamma"
         b = t2.get(3)  # "alpha beta gamma"
-        assert config.compare_nodes(a, b) == 0.0
+        assert config.registry.compare(a.value, b.value, a.label) == 0.0
+        config.registry.register(a.label, lambda v, w: 0.25)
+        assert config.registry.compare(a.value, b.value, a.label) == 0.25
+        assert config.registry.compare(a.value, b.value, "other") == 0.0
 
 
 class TestCriterion1:
