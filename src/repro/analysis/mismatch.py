@@ -24,11 +24,10 @@ leaf is flagged; at ``t = 1/2`` more than half its leaves must be).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from ..core.node import Node
 from ..core.tree import Tree
-from ..matching.criteria import MatchConfig
+from ..matching.criteria import MatchConfig, criterion3_violations
 
 
 @dataclass
@@ -52,20 +51,7 @@ def ambiguous_leaves(
     config: Optional[MatchConfig] = None,
 ) -> Set:
     """Ids of T1 leaves violating Criterion 3 (>= 2 close counterparts)."""
-    registry = (config if config is not None else MatchConfig()).registry
-    by_label: Dict[str, List[Node]] = {}
-    for leaf in t2.leaves():
-        by_label.setdefault(leaf.label, []).append(leaf)
-    ambiguous: Set = set()
-    for x in t1.leaves():
-        close = 0
-        for y in by_label.get(x.label, ()):
-            if registry.compare(x.value, y.value, x.label) <= 1.0:
-                close += 1
-                if close > 1:
-                    ambiguous.add(x.id)
-                    break
-    return ambiguous
+    return {x.id for x, _ in criterion3_violations(t1, t2, config)}
 
 
 def mismatch_upper_bound(

@@ -16,7 +16,6 @@ from .errors import (
     ParseError,
     ReproError,
     RootOperationError,
-    SchemaError,
     TreeError,
     UnknownNodeError,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "ParseError",
     "ReproError",
     "RootOperationError",
-    "SchemaError",
     "Tree",
     "TreeError",
     "UnknownNodeError",

@@ -93,10 +93,6 @@ class MatchingError(ReproError):
     """A matching is malformed (not one-to-one, unknown nodes, ...)."""
 
 
-class SchemaError(ReproError):
-    """A label schema is inconsistent (e.g. unresolvable label cycle)."""
-
-
 class ParseError(ReproError):
     """A document could not be parsed into a tree."""
 

@@ -72,15 +72,6 @@ class Node:
         self._slot = slot  # repair the hint for the next lookup
         return slot + 1
 
-    def depth(self) -> int:
-        """Number of edges from the root to this node (root has depth 0)."""
-        depth = 0
-        node = self
-        while node.parent is not None:
-            node = node.parent
-            depth += 1
-        return depth
-
     def ancestors(self) -> Iterator["Node"]:
         """Yield the proper ancestors of this node, nearest first."""
         node = self.parent

@@ -313,26 +313,6 @@ class Tree:
             return iter(())
         return self.root.leaves()
 
-    def nodes_with_label(self, label: str) -> Iterator[Node]:
-        """Yield nodes with the given label in in-order (preorder) sequence.
-
-        This realizes the paper's ``chain_T(l)`` used by FastMatch: "all
-        nodes with a given label l in tree T are chained together from left
-        to right" in the order of an in-order traversal with siblings
-        visited left-to-right (preorder gives the same left-to-right order
-        for same-label chains).
-        """
-        for node in self.preorder():
-            if node.label == label:
-                yield node
-
-    def labels(self) -> Dict[str, int]:
-        """Return a mapping of label -> number of nodes carrying it."""
-        counts: Dict[str, int] = {}
-        for node in self.preorder():
-            counts[node.label] = counts.get(node.label, 0) + 1
-        return counts
-
     def leaf_labels(self) -> List[str]:
         """Labels that appear on at least one leaf."""
         seen: Dict[str, None] = {}
@@ -347,16 +327,6 @@ class Tree:
             if not node.is_leaf:
                 seen.setdefault(node.label, None)
         return list(seen)
-
-    def height(self) -> int:
-        """Length (in edges) of the longest root-to-leaf path; -1 if empty."""
-        if self.root is None:
-            return -1
-        best = 0
-        for node in self.preorder():
-            if node.is_leaf:
-                best = max(best, node.depth())
-        return best
 
     # ------------------------------------------------------------------
     # The four edit-model mutations (Section 3.2)

@@ -18,7 +18,6 @@ from typing import Optional
 from .core.tree import Tree
 from .matching.criteria import MatchConfig
 from .matching.matching import Matching
-from .matching.schema import LabelSchema
 from .pipeline import DiffConfig, DiffPipeline, DiffResult
 
 __all__ = ["DiffResult", "tree_diff"]
@@ -28,7 +27,6 @@ def tree_diff(
     t1: Tree,
     t2: Tree,
     config: Optional[MatchConfig] = None,
-    schema: Optional[LabelSchema] = None,
     matching: Optional[Matching] = None,
     algorithm: str = "fast",
     postprocess: bool = True,
@@ -41,8 +39,6 @@ def tree_diff(
         The old and new versions. Neither tree is mutated.
     config:
         Matching thresholds and comparators (:class:`MatchConfig`).
-    schema:
-        Label order for FastMatch; inferred when omitted.
     matching:
         A pre-computed matching (e.g. from keys); when given, the matching
         algorithms are skipped entirely.
@@ -67,7 +63,6 @@ def tree_diff(
         DiffConfig(
             algorithm=algorithm,
             match=config,
-            schema=schema,
             postprocess=postprocess,
         )
     )

@@ -82,6 +82,11 @@ def write_xml(tree: Tree, indent: int = 2) -> str:
                 f"node {node.label!r} is not an element; attribute and text "
                 f"nodes may only appear under an element"
             )
+        if node.value is not None:
+            raise ParseError(
+                f"element {node.label!r} carries a value; element content "
+                f"must be {TEXT_LABEL!r} children"
+            )
         pad = " " * (depth * indent)
         attributes = [
             child

@@ -5,7 +5,7 @@ nearly alike: for each label, the node chains of the two trees are first
 aligned with one LCS pass (matching everything that appears in the same
 order), and only the leftovers fall back to the quadratic pairing of
 Algorithm Match. Leaf labels are processed first, then internal labels in
-bottom-up (schema) order so Criterion 2 sees fully matched descendants.
+bottom-up (inferred label) order so Criterion 2 sees fully matched descendants.
 
 Running time is ``O((ne + e^2) c + 2lne)`` (Appendix B), where ``e`` is the
 weighted edit distance — far below Match's ``O(n^2 c + mn)`` when the trees
@@ -37,14 +37,13 @@ from ..lcs.myers import myers_lcs
 from .chains import ordered_label_union
 from .criteria import CriteriaContext, MatchConfig, MatchingStats, apply_root_policy
 from .matching import Matching
-from .schema import LabelSchema
+from .schema import infer_label_ranks
 
 
 def fast_match(
     t1: Tree,
     t2: Tree,
     config: Optional[MatchConfig] = None,
-    schema: Optional[LabelSchema] = None,
     stats: Optional[MatchingStats] = None,
     context: Optional[CriteriaContext] = None,
     k: Optional[int] = None,
@@ -55,9 +54,6 @@ def fast_match(
     ----------
     config:
         Thresholds ``f`` and ``t`` plus the compare registry.
-    schema:
-        Label order used to process internal labels bottom-up; inferred
-        from the two trees when omitted.
     stats:
         Optional counter sink for the §8 instrumentation (``r1``/``r2``).
     context:
@@ -73,16 +69,18 @@ def fast_match(
     if context is None:
         context = CriteriaContext(t1, t2, config, stats)
     matching = Matching()
-    if schema is None:
-        schema = LabelSchema.infer([t1, t2])
 
     # chain_T(l) and the label lists were computed by the index pass from
     # arena arrays; the leaf/internal split happens positionally (one
     # first_child test per chain entry).
     index1, index2 = context.index1, context.index2
     leaf_labels = ordered_label_union(index1.leaf_labels(), index2.leaf_labels())
-    internal_labels = schema.sort_labels(
-        ordered_label_union(index1.internal_labels(), index2.internal_labels())
+    # Internal labels bottom-up; the stable sort keeps first-seen order
+    # within a rank (labels of one merged cycle).
+    ranks = infer_label_ranks((t1, t2))
+    internal_labels = sorted(
+        ordered_label_union(index1.internal_labels(), index2.internal_labels()),
+        key=ranks.__getitem__,
     )
     for label in leaf_labels:
         _match_label(

@@ -10,155 +10,67 @@ When the observed parent/child label relation has cycles (the paper's
 example: itemize / enumerate / description lists nesting in each other), the
 paper's remedy is to *merge* the offending labels into one. The inference
 here does the same: strongly connected label groups are collapsed and every
-member shares the group's rank; callers can also normalize such labels to a
+member shares the group's rank; parsers can also normalize such labels to a
 single name at parse time (the LaTeX parser maps all list environments to
 ``"list"`` for exactly this reason).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from ..core.errors import SchemaError
 from ..core.tree import Tree
 
 
-class LabelSchema:
-    """An ordering of labels from leaf-most (rank 0) to root-most.
+def infer_label_ranks(trees: Iterable[Tree]) -> Dict[str, int]:
+    """Rank every label bottom-up (0 = deepest) from parent-child edges.
 
-    Construct either from a declared order (deepest first)::
-
-        schema = LabelSchema(["S", "P", "Sec", "D"])
-
-    or infer one from the trees being compared::
-
-        schema = LabelSchema.infer([t1, t2])
+    Builds the digraph ``child_label -> parent_label`` over all given
+    trees, collapses strongly connected components (label cycles) so the
+    members of a cycle share one rank, and ranks the condensation in
+    topological order, children first. FastMatch processes internal labels
+    in increasing rank.
     """
-
-    def __init__(self, order: Sequence[Iterable[str]]) -> None:
-        """*order* lists labels deepest-first; an entry may be a single label
-        or an iterable of labels sharing a rank (a merged cycle group)."""
-        self._rank: Dict[str, int] = {}
-        self._groups: List[Tuple[str, ...]] = []
-        for rank, entry in enumerate(order):
-            labels = (entry,) if isinstance(entry, str) else tuple(entry)
-            if not labels:
-                raise SchemaError(f"empty label group at rank {rank}")
-            for label in labels:
-                if label in self._rank:
-                    raise SchemaError(f"label {label!r} appears twice in schema")
-                self._rank[label] = rank
-            self._groups.append(labels)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def infer(cls, trees: Iterable[Tree]) -> "LabelSchema":
-        """Infer a bottom-up label order from observed parent-child edges.
-
-        Builds the digraph ``child_label -> parent_label`` over all given
-        trees, collapses strongly connected components (label cycles), and
-        returns the topological order of the condensation, deepest first.
-        """
-        edges: Set[Tuple[str, str]] = set()
-        labels: Set[str] = set()
-        for tree in trees:
-            for node in tree.preorder():
-                labels.add(node.label)
-                for child in node.children:
-                    edges.add((child.label, node.label))
-        if not labels:
-            return cls([])
-        components = _tarjan_scc(labels, edges)
-        # Map each label to its component index, then topo-sort components
-        # along child -> parent edges (Kahn), children first.
-        comp_of: Dict[str, int] = {}
-        for idx, comp in enumerate(components):
-            for label in comp:
-                comp_of[label] = idx
-        comp_edges: Set[Tuple[int, int]] = set()
-        for child, parent in edges:
-            a, b = comp_of[child], comp_of[parent]
-            if a != b:
-                comp_edges.add((a, b))
-        indegree = {i: 0 for i in range(len(components))}
-        successors: Dict[int, List[int]] = {i: [] for i in range(len(components))}
-        for a, b in comp_edges:
-            indegree[b] += 1
-            successors[a].append(b)
-        ready = sorted(i for i, deg in indegree.items() if deg == 0)
-        order: List[Tuple[str, ...]] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(tuple(sorted(components[current])))
-            for nxt in sorted(successors[current]):
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    ready.append(nxt)
-        if len(order) != len(components):  # pragma: no cover - SCCs prevent this
-            raise SchemaError("label graph condensation is cyclic")
-        return cls(order)
-
-    # ------------------------------------------------------------------
-    def rank(self, label: str) -> int:
-        """Rank of a label (0 = deepest). Unknown labels raise."""
-        try:
-            return self._rank[label]
-        except KeyError:
-            raise SchemaError(f"label {label!r} not in schema") from None
-
-    def knows(self, label: str) -> bool:
-        return label in self._rank
-
-    def labels(self) -> List[str]:
-        """All labels, deepest rank first."""
-        return [label for group in self._groups for label in group]
-
-    def merged_groups(self) -> List[Tuple[str, ...]]:
-        """Label groups that were merged to break cycles (size > 1)."""
-        return [group for group in self._groups if len(group) > 1]
-
-    def is_acyclic(self) -> bool:
-        """True when no labels had to be merged (strict acyclicity)."""
-        return not self.merged_groups()
-
-    def sort_labels(self, labels: Iterable[str]) -> List[str]:
-        """Sort the given labels deepest-first; unknown labels sort last
-        in first-seen order (stable)."""
-        indexed = list(labels)
-        fallback = {label: i for i, label in enumerate(indexed)}
-        return sorted(
-            indexed,
-            key=lambda l: (self._rank.get(l, len(self._groups)), fallback[l]),
-        )
-
-    def validate_tree(self, tree: Tree) -> None:
-        """Raise :class:`SchemaError` if *tree* violates the schema order.
-
-        Every child's rank must be strictly lower than its parent's rank,
-        except within a merged group (equal ranks allowed there).
-        """
-        for node in tree.preorder():
-            for child in node.children:
-                parent_rank = self.rank(node.label)
-                child_rank = self.rank(child.label)
-                if child_rank > parent_rank or (
-                    child_rank == parent_rank and node.label != child.label
-                    and child.label not in self._group_of(node.label)
-                ):
-                    raise SchemaError(
-                        f"label {child.label!r} (rank {child_rank}) may not "
-                        f"appear under {node.label!r} (rank {parent_rank})"
-                    )
-
-    def _group_of(self, label: str) -> Tuple[str, ...]:
-        return self._groups[self.rank(label)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LabelSchema({self._groups!r})"
-
-
-#: The paper's running document schema (Section 5.1 example).
-DOCUMENT_SCHEMA = LabelSchema(["S", ("item",), ("list",), "P", "SubSec", "Sec", "D"])
+    edges: Set[Tuple[str, str]] = set()
+    labels: Set[str] = set()
+    for tree in trees:
+        arena = tree.to_arena()
+        parent = arena.parent
+        for pos in range(arena.n):
+            label = arena.label_of(pos)
+            labels.add(label)
+            if parent[pos] >= 0:
+                edges.add((label, arena.label_of(parent[pos])))
+    components = _tarjan_scc(labels, edges)
+    # Map each label to its component index, then topo-sort components
+    # along child -> parent edges (Kahn), children first.
+    comp_of: Dict[str, int] = {}
+    for idx, comp in enumerate(components):
+        for label in comp:
+            comp_of[label] = idx
+    comp_edges: Set[Tuple[int, int]] = set()
+    for child, parent_label in edges:
+        a, b = comp_of[child], comp_of[parent_label]
+        if a != b:
+            comp_edges.add((a, b))
+    indegree = {i: 0 for i in range(len(components))}
+    successors: Dict[int, List[int]] = {i: [] for i in range(len(components))}
+    for a, b in comp_edges:
+        indegree[b] += 1
+        successors[a].append(b)
+    ready = sorted(i for i, deg in indegree.items() if deg == 0)
+    ranks: Dict[str, int] = {}
+    rank = 0
+    while ready:
+        current = ready.pop(0)
+        for label in components[current]:
+            ranks[label] = rank
+        rank += 1
+        for nxt in sorted(successors[current]):
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+    return ranks
 
 
 def _tarjan_scc(

@@ -49,7 +49,6 @@ from .matching.criteria import CriteriaContext, MatchConfig, MatchingStats
 from .matching.fastmatch import fast_match
 from .matching.matching import Matching
 from .matching.postprocess import postprocess_matching
-from .matching.schema import LabelSchema
 from .matching.simple import match as simple_match
 from .obs.trace import AnySpan, NullSpan, Span  # noqa: F401 - Span is re-exported
 from .simtest.clock import SYSTEM_CLOCK, Clock
@@ -81,9 +80,6 @@ class DiffConfig:
     match:
         Matching thresholds and comparators (:class:`MatchConfig`);
         defaults are the paper's ``f=0.6, t=0.5``.
-    schema:
-        Label order for FastMatch's bottom-up internal pass; inferred from
-        the two trees when omitted.
     postprocess:
         Run the §8 top-down repair pass after matching.
     build_delta:
@@ -99,7 +95,6 @@ class DiffConfig:
 
     algorithm: str = "fast"
     match: Optional[MatchConfig] = None
-    schema: Optional[LabelSchema] = None
     postprocess: bool = True
     build_delta: bool = False
     render: Optional[str] = None
@@ -304,9 +299,7 @@ class DiffPipeline:
         if matching is None:
             with trace.span("match") as span:
                 if config.algorithm == "fast":
-                    matching = fast_match(
-                        t1, t2, config.match, config.schema, stats, context=context
-                    )
+                    matching = fast_match(t1, t2, config.match, stats, context=context)
                 else:
                     matching = simple_match(
                         t1, t2, config.match, stats, context=context

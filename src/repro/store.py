@@ -147,8 +147,9 @@ class VersionStore:
 
         # Rebase the script onto the head's identifier space: the generator
         # replays on a working copy, and `replay` encapsulates dummy-root
-        # bookkeeping. Verify before accepting the commit.
-        if not result.verify(self._head, snapshot):  # pragma: no cover - guard
+        # bookkeeping. The replay is verified once and becomes the new head.
+        head = result.edit.replay(self._head)
+        if not trees_isomorphic(head, snapshot):  # pragma: no cover - guard
             raise VersionStoreError("generated delta failed verification")
 
         backward_base = self._wrapped_head(result.edit)
@@ -164,7 +165,7 @@ class VersionStore:
         self._backward.append(backward)
         self._wrapped.append(result.edit.wrapped)
         self._wrapped_ids.append(result.edit.dummy_t1_id)
-        self._head = result.edit.replay(self._head)
+        self._head = head
         self._info.append(info)
         if self._engine is not None:
             self._head_digest = tree_fingerprint(self._head)

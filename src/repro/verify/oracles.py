@@ -22,9 +22,10 @@ the executable form of one of them:
   annotation counts agree with the edit script, on top of the §6
   correctness definition in :mod:`repro.deltatree.correctness`.
 * **index consistency** — a fresh :class:`~repro.core.index.TreeIndex`
-  over the replayed tree agrees with naive recomputation (sizes, leaf
-  counts, spans, sibling ranks, containment), so every index-accelerated
-  stage still sees correct structure after a round trip.
+  over the replayed tree agrees with one direct walk of its node graph
+  (ranks, sizes, leaf counts, spans, sibling ranks, containment, labels
+  and values), so every index-accelerated stage still sees correct
+  structure after a round trip.
 
 All oracles are pure: they take trees and results, never mutate them, and
 return a list of :class:`Violation` (empty = pass). :func:`verify_result`
@@ -38,6 +39,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..core.index import TreeIndex
 from ..core.isomorphism import first_difference, trees_isomorphic
+from ..core.node import Node
 from ..core.tree import Tree
 from ..editscript.cost import operation_cost
 from ..editscript.generator import EditScriptResult
@@ -509,18 +511,24 @@ def check_delta_consistency(
 def check_index_consistency(
     tree: Tree, index: Optional[TreeIndex] = None
 ) -> List[Violation]:
-    """A :class:`TreeIndex` over *tree* must agree with naive recomputation.
+    """A :class:`TreeIndex` over *tree* must agree with one direct walk.
 
-    Checks preorder ranks, subtree sizes, leaf counts, leaf spans, 1-based
-    sibling ranks, preorder-interval containment against the parent chain,
-    and that the flat leaf list matches a document-order walk. Run on
-    replayed trees to prove the index abstractions survive a full edit
-    round trip, and by the fuzz harness on every generated tree.
+    One preorder walk of the node graph records each node's rank, parent,
+    sibling rank and first-leaf offset; one reverse pass sums subtree sizes
+    and leaf counts. The index must agree on preorder ranks, subtree sizes,
+    leaf counts, leaf spans, 1-based sibling ranks, preorder-interval
+    containment against the parent (both directions), labels and values
+    (read through its arena), and the document-order leaf list. The walk
+    reads ``Node`` objects only, so it stays independent of the arena the
+    index reads. Run on replayed trees to prove the index abstractions
+    survive a full edit round trip, and by the fuzz harness on every
+    generated tree.
     """
     name = "index_consistency"
     out: List[Violation] = []
     if index is None:
         index = TreeIndex(tree)
+    arena = index.arena
     if len(index) != len(tree):
         out.append(
             Violation(
@@ -529,75 +537,62 @@ def check_index_consistency(
                 {"index": len(index), "tree": len(tree)},
             )
         )
+    nodes: List[Node] = []
+    parents: List[int] = []  # preorder rank of the parent, -1 for the root
+    sibling_ranks: List[int] = []  # 1-based, 0 for the root
+    first_leaf: List[int] = []
+    leaf_ids: List[Any] = []
+    pending: Dict[int, Tuple[int, int]] = {}  # id(child) -> (parent, sibling rank)
     for rank, node in enumerate(tree.preorder()):
-        if node.id not in index:
-            out.append(
-                Violation(name, "tree node missing from the index", {"node": node.id})
-            )
-            continue
-        if index.rank(node.id) != rank:
-            out.append(
-                Violation(
-                    name,
-                    "preorder rank disagrees with a direct walk",
-                    {"node": node.id, "rank": index.rank(node.id), "walked": rank},
-                )
-            )
-        if index.subtree_size(node.id) != node.subtree_size():
-            out.append(
-                Violation(
-                    name,
-                    "subtree size disagrees with a direct walk",
-                    {"node": node.id},
-                )
-            )
-        if index.leaf_count(node.id) != node.leaf_count():
-            out.append(
-                Violation(
-                    name,
-                    "leaf count disagrees with a direct walk",
-                    {"node": node.id},
-                )
-            )
-        span_leaves = [leaf.id for leaf in index.leaves_of(node.id)]
-        walked = [leaf.id for leaf in node.leaves()]
-        if span_leaves != walked:
-            out.append(
-                Violation(
-                    name,
-                    "leaf span disagrees with the subtree's leaves",
-                    {"node": node.id},
-                )
-            )
+        parent, sibling_rank = pending.pop(id(node), (-1, 0))
+        nodes.append(node)
+        parents.append(parent)
+        sibling_ranks.append(sibling_rank)
+        first_leaf.append(len(leaf_ids))
         for position, child in enumerate(node.children, start=1):
-            if child.id not in index:
-                continue  # already reported by the child's own iteration
-            if index.child_rank(child.id) != position:
+            pending[id(child)] = (rank, position)
+        if not node.children:
+            leaf_ids.append(node.id)
+    sizes = [1] * len(nodes)
+    leaf_counts = [0 if node.children else 1 for node in nodes]
+    for rank in range(len(nodes) - 1, 0, -1):
+        sizes[parents[rank]] += sizes[rank]
+        leaf_counts[parents[rank]] += leaf_counts[rank]
+
+    if [arena.node_ids[pos] for pos in index.leaf_position_array()] != leaf_ids:
+        out.append(Violation(name, "leaf list disagrees with the document-order leaves"))
+    for rank, node in enumerate(nodes):
+        node_id = node.id
+        if node_id not in index:
+            out.append(Violation(name, "tree node missing from the index", {"node": node_id}))
+            continue
+        pos = index.rank(node_id)
+        start, count = first_leaf[rank], leaf_counts[rank]
+        checks = [
+            ("preorder rank disagrees with a direct walk", pos, rank),
+            ("subtree size disagrees with a direct walk", index.subtree_size(node_id), sizes[rank]),
+            ("leaf count disagrees with a direct walk", index.leaf_count(node_id), count),
+            ("leaf span disagrees with the subtree's leaves", index.leaf_span(node_id),
+             (start, start + count)),
+            ("label disagrees with the node", arena.label_of(pos), node.label),
+            ("value disagrees with the node", arena.value_of(pos), node.value),
+        ]
+        parent_id = nodes[parents[rank]].id if parents[rank] >= 0 else None
+        if parent_id is not None and parent_id in index:
+            # The sibling rank and both containment directions.
+            checks += [
+                ("child rank disagrees with the sibling position",
+                 index.child_rank(node_id), sibling_ranks[rank]),
+                ("interval containment misses a direct parent",
+                 index.is_under(node_id, parent_id), True),
+                ("interval containment inverts a parent/child pair",
+                 index.is_under(parent_id, node_id), False),
+            ]
+        for message, indexed, walked in checks:
+            if indexed is not walked and indexed != walked:  # identity first: NaN != NaN
                 out.append(
-                    Violation(
-                        name,
-                        "child rank disagrees with the sibling position",
-                        {"node": child.id, "rank": index.child_rank(child.id)},
-                    )
+                    Violation(name, message, {"node": node_id, "index": indexed, "walked": walked})
                 )
-        # Containment: the interval test must agree with the parent chain.
-        parent = node.parent
-        if parent is not None and not index.is_under(node.id, parent.id):
-            out.append(
-                Violation(
-                    name,
-                    "interval containment misses a direct parent",
-                    {"node": node.id, "parent": parent.id},
-                )
-            )
-        if parent is not None and index.is_under(parent.id, node.id):
-            out.append(
-                Violation(
-                    name,
-                    "interval containment inverts a parent/child pair",
-                    {"node": node.id, "parent": parent.id},
-                )
-            )
     return out
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro import Matching, Tree, tree_diff
 from repro.matching import MatchConfig
-from repro.matching.schema import LabelSchema
 
 
 @pytest.fixture
@@ -66,13 +65,9 @@ class TestTreeDiff:
         with pytest.raises(MatchingError):
             tree_diff(t1, t2, matching=Matching([(999, 1)]))
 
-    def test_explicit_config_and_schema(self, pair):
+    def test_explicit_config(self, pair):
         t1, t2 = pair
-        result = tree_diff(
-            t1, t2,
-            config=MatchConfig(f=0.5, t=0.6),
-            schema=LabelSchema(["S", "P", "D"]),
-        )
+        result = tree_diff(t1, t2, config=MatchConfig(f=0.5, t=0.6))
         assert result.verify(t1, t2)
 
     def test_postprocess_toggle(self, pair):

@@ -11,7 +11,7 @@ from repro.ladiff import (
     write_latex,
     write_text,
 )
-from repro.matching.schema import DOCUMENT_SCHEMA
+from repro.matching import infer_label_ranks
 
 
 class TestSplitSentences:
@@ -118,7 +118,11 @@ class TestParseLatex:
             "\\begin{itemize}\n\\item One.\n\\item Two.\n\\end{itemize}\n\n"
             "\\subsection{A1}\n\nSub body.\n"
         )
-        DOCUMENT_SCHEMA.validate_tree(tree)  # should not raise
+        ranks = infer_label_ranks([tree])
+        assert len(set(ranks.values())) == len(ranks)  # no merged labels
+        for node in tree.preorder():
+            for child in node.children:
+                assert ranks[child.label] < ranks[node.label]
 
     def test_empty_input(self):
         tree = parse_latex("")

@@ -6,6 +6,7 @@ from repro.core import ParseError, Tree, trees_isomorphic
 from repro.diff import tree_diff
 from repro.ladiff import parse_xml, write_xml
 from repro.matching import match_by_keys
+from repro.workload import DocumentSpec, generate_document
 
 
 SAMPLE = """
@@ -74,6 +75,14 @@ class TestParseXml:
         tree = Tree.from_obj(("@attr", "x"))
         with pytest.raises(ParseError):
             write_xml(tree)
+
+    def test_write_rejects_element_values(self):
+        # A generated document's S leaves hold their sentence as the
+        # element's value; the encoding keeps text in #text children, so
+        # writing them as <S/> would lose it.
+        document = generate_document(3, DocumentSpec(2, 2, 2))
+        with pytest.raises(ParseError):
+            write_xml(document)
 
     def test_write_empty_tree(self):
         assert write_xml(Tree()) == ""

@@ -5,7 +5,6 @@ import pytest
 from repro.core import Tree
 from repro.core.errors import MatchingError
 from repro.matching import (
-    LabelSchema,
     MatchConfig,
     Matching,
     MatchingStats,
@@ -111,12 +110,6 @@ class TestFastMatch:
         stats = MatchingStats()
         m = fast_match(base, base.copy(), stats=stats)
         assert len(m) == len(base)
-
-    def test_explicit_schema_accepted(self, figure1_trees):
-        t1, t2 = figure1_trees
-        schema = LabelSchema(["S", "P", "D"])
-        m = fast_match(t1, t2, MatchConfig(f=0.0, t=0.5), schema=schema)
-        assert m.contains(1, 1)
 
     def test_moved_leaf_found_by_quadratic_fallback(self):
         t1 = Tree.from_obj(

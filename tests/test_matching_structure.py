@@ -1,10 +1,11 @@
-"""Tests for the Matching data structure and the LabelSchema."""
+"""Tests for the Matching data structure and the inferred label order."""
 
 import pytest
 
-from repro.core import SchemaError, Tree
+from repro.core import Tree
 from repro.core.errors import MatchingError
-from repro.matching import DOCUMENT_SCHEMA, LabelSchema, Matching
+from repro.matching import Matching, infer_label_ranks
+from repro.workload import DocumentSpec, generate_document
 
 
 class TestMatching:
@@ -69,42 +70,33 @@ class TestMatching:
 
 
 class TestLabelSchema:
-    def test_declared_order_ranks(self):
-        schema = LabelSchema(["S", "P", "Sec", "D"])
-        assert schema.rank("S") == 0
-        assert schema.rank("D") == 3
-        assert schema.knows("P") and not schema.knows("X")
-
-    def test_unknown_label_raises(self):
-        schema = LabelSchema(["S"])
-        with pytest.raises(SchemaError):
-            schema.rank("zzz")
-
-    def test_duplicate_label_rejected(self):
-        with pytest.raises(SchemaError):
-            LabelSchema(["S", "S"])
-
     def test_merged_group(self):
-        schema = LabelSchema(["S", ("itemize", "enumerate"), "D"])
-        assert schema.rank("itemize") == schema.rank("enumerate") == 1
-        assert schema.merged_groups() == [("itemize", "enumerate")]
-        assert not schema.is_acyclic()
+        # list and item nest in each other: one merged rank between S and D.
+        t = Tree.from_obj(
+            ("D", None, [("list", None, [("item", None, [
+                ("list", None, [("item", None, [("S", "x")])]),
+            ])])])
+        )
+        ranks = infer_label_ranks([t])
+        assert ranks["list"] == ranks["item"]
+        assert ranks["S"] < ranks["list"] < ranks["D"]
+        assert len(set(ranks.values())) == 3
 
     def test_sort_labels_deepest_first(self):
-        schema = LabelSchema(["S", "P", "Sec", "D"])
-        assert schema.sort_labels(["D", "S", "Sec", "P"]) == ["S", "P", "Sec", "D"]
-
-    def test_sort_labels_unknown_sort_last(self):
-        schema = LabelSchema(["S", "P"])
-        assert schema.sort_labels(["X", "P", "S"]) == ["S", "P", "X"]
+        t = Tree.from_obj(
+            ("D", None, [("Sec", None, [("P", None, [("S", "x")])])])
+        )
+        ranks = infer_label_ranks([t])
+        assert sorted(["D", "S", "Sec", "P"], key=ranks.__getitem__) == [
+            "S", "P", "Sec", "D"
+        ]
 
     def test_infer_simple_document(self):
         t = Tree.from_obj(
             ("D", None, [("Sec", None, [("P", None, [("S", "x")])])])
         )
-        schema = LabelSchema.infer([t])
-        assert schema.rank("S") < schema.rank("P") < schema.rank("Sec") < schema.rank("D")
-        assert schema.is_acyclic()
+        ranks = infer_label_ranks([t])
+        assert ranks == {"S": 0, "P": 1, "Sec": 2, "D": 3}
 
     def test_infer_merges_cycles(self):
         # itemize inside enumerate and enumerate inside itemize: a cycle.
@@ -114,32 +106,24 @@ class TestLabelSchema:
         t2 = Tree.from_obj(
             ("D", None, [("enumerate", None, [("itemize", None, [("S", "b")])])])
         )
-        schema = LabelSchema.infer([t1, t2])
-        assert schema.rank("itemize") == schema.rank("enumerate")
-        assert ("enumerate", "itemize") in schema.merged_groups()
+        ranks = infer_label_ranks([t1, t2])
+        assert ranks["itemize"] == ranks["enumerate"]
+        assert ranks["S"] < ranks["itemize"] < ranks["D"]
 
     def test_infer_empty(self):
-        schema = LabelSchema.infer([Tree()])
-        assert schema.labels() == []
+        assert infer_label_ranks([Tree()]) == {}
 
     def test_infer_self_nesting_label(self):
         t = Tree.from_obj(("P", None, [("P", None, [("S", "x")])]))
-        schema = LabelSchema.infer([t])
-        assert schema.rank("S") < schema.rank("P")
-
-    def test_validate_tree_accepts_conforming(self):
-        schema = LabelSchema(["S", "P", "D"])
-        t = Tree.from_obj(("D", None, [("P", None, [("S", "x")])]))
-        schema.validate_tree(t)  # no raise
-
-    def test_validate_tree_rejects_violation(self):
-        schema = LabelSchema(["S", "P", "D"])
-        bad = Tree.from_obj(("P", None, [("D", None, [("S", "x")])]))
-        with pytest.raises(SchemaError):
-            schema.validate_tree(bad)
+        ranks = infer_label_ranks([t])
+        assert ranks["S"] < ranks["P"]
 
     def test_document_schema_covers_ladiff_labels(self):
-        for label in ("S", "item", "list", "P", "SubSec", "Sec", "D"):
-            assert DOCUMENT_SCHEMA.knows(label)
-        assert DOCUMENT_SCHEMA.rank("S") < DOCUMENT_SCHEMA.rank("P")
-        assert DOCUMENT_SCHEMA.rank("item") < DOCUMENT_SCHEMA.rank("list")
+        spec = DocumentSpec(
+            sections=5, subsection_probability=0.4, list_probability=0.4
+        )
+        doc = generate_document(13, spec)
+        ranks = infer_label_ranks([doc])
+        assert set(ranks) == {"S", "item", "list", "P", "SubSec", "Sec", "D"}
+        assert ranks["S"] < ranks["P"]
+        assert ranks["item"] < ranks["list"]

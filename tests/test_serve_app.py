@@ -103,22 +103,37 @@ class TestEndpoints:
         assert out["protocol"] == PROTOCOL
 
     def test_verify_deep_chain_is_ok(self, client):
-        # D → P → … → P, one sentence per level: 901 nodes, well under the
+        # D → P → … → P, one sentence per level: 961 nodes, well under the
         # body cap, and deeper than a two-frames-per-level recursive check
-        # can walk at the default recursion limit.
+        # can walk at the default recursion limit. The body is written as
+        # text: encoding it from nested dicts would need ~970 frames.
         def chain(depth, last_sentence):
-            root = {"label": "D", "children": []}
-            node = root
-            for level in range(depth):
-                value = last_sentence if level == depth - 1 else f"sentence {level}"
-                child = {"label": "P", "children": [{"label": "S", "value": value}]}
-                node["children"].append(child)
-                node = child
-            return root
+            levels = [
+                '{"label": "P", "children": [{"label": "S", "value": "%s"}'
+                % (last_sentence if level == depth - 1 else f"sentence {level}")
+                for level in range(depth)
+            ]
+            return (
+                '{"label": "D", "children": [' + ", ".join(levels) + "]}" * (depth + 1)
+            )
 
-        out = client.verify(
-            chain(450, "the bottom"), chain(450, "the very bottom"), algorithm="fast"
+        raw = '{"old": %s, "new": %s, "algorithm": "fast"}' % (
+            chain(480, "the bottom"), chain(480, "the very bottom")
         )
+        conn = http.client.HTTPConnection("127.0.0.1", client.port, timeout=10.0)
+        try:
+            conn.request("POST", "/v1/verify", body=raw.encode("utf-8"))
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert (response.status, body["ok"]) == (200, True)
+
+    def test_verify_5000_deep_sexpr_chain_is_ok(self, client):
+        # 10 001 nodes on a single path: the oracles must walk it in linear
+        # time to answer inside the client's timeout.
+        chain = "(D" + " (P" * 4999 + ' (S "x")' + ")" * 5000
+        out = client.verify(chain, chain, algorithm="fast")
         assert out["ok"] is True
 
     def test_metrics_snapshot(self, client):

@@ -18,6 +18,7 @@ from repro.service.metrics import ServiceMetrics
 from repro.verify.fuzz import (
     INJECTED_BUGS,
     FuzzConfig,
+    _arena_check,
     generate_pair,
     load_repro,
     run_fuzz,
@@ -26,6 +27,7 @@ from repro.verify.fuzz import (
     write_repro,
 )
 from repro.verify.oracles import VerifyReport, Violation
+from repro.workload import DocumentSpec, generate_document
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,27 @@ def test_shrinker_handles_pairs_deeper_than_the_recursion_limit():
 # ---------------------------------------------------------------------------
 # Repro files
 # ---------------------------------------------------------------------------
+def test_arena_check_walks_the_rebuilt_node_graph(monkeypatch):
+    # A rebuild from the arena that loses every leaf value must be caught;
+    # comparing the tree's arena with itself cannot see it.
+    import repro.core.tree as tree_module
+
+    tree = generate_document(3, DocumentSpec(2, 2, 2))
+    tree.root  # the source's node graph comes from the faithful rebuild
+    rebuild = tree_module._nodes_from_arena
+
+    def lossy(arena):
+        root, node_map, order = rebuild(arena)
+        for node in order:
+            if not node.children:
+                node.value = "lost"
+        return root, node_map, order
+
+    monkeypatch.setattr(tree_module, "_nodes_from_arena", lossy)
+    found = [v.message for v in _arena_check(tree, tree)]
+    assert "node graph -> arena -> node graph round-trip broke isomorphism" in found
+
+
 def test_repro_file_roundtrip(tmp_path, figure1_trees):
     t1, t2 = figure1_trees
     path = write_repro(

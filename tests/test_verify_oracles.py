@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro.core.index import TreeIndex
+from repro.core.node import Node
 from repro.core.tree import Tree
 from repro.editscript.operations import Delete, Insert, Update
 from repro.editscript.script import EditScript
@@ -293,6 +294,35 @@ def test_index_consistency_rejects_reordered_index(figure1_trees):
     t1.move(first.children[0].id, second.id, len(second.children) + 1)
     found = messages(check_index_consistency(t1, stale))
     assert "preorder rank disagrees with a direct walk" in found
+
+
+def test_index_consistency_rejects_stale_value():
+    t = Tree.from_obj(("D", None, [("P", None, [("S", "a b"), ("S", "c d")])]))
+    stale = TreeIndex(t)
+    t.update(next(t.leaves()).id, "changed words")
+    found = messages(check_index_consistency(t, stale))
+    assert found == ["value disagrees with the node"]
+
+
+def test_index_consistency_walks_each_node_once(monkeypatch):
+    # D → P → … → P with a sentence per level: per-node subtree walks
+    # would yield about n²/4 nodes here.
+    spec = ("S", "the bottom")
+    for level in range(2000):
+        spec = ("P", None, [("S", f"sentence {level}"), spec])
+    tree = Tree.from_obj(spec)
+    tree.root  # build the node graph outside the count
+    yielded = [0]
+    preorder = Node.preorder
+
+    def counting(node):
+        for item in preorder(node):
+            yielded[0] += 1
+            yield item
+
+    monkeypatch.setattr(Node, "preorder", counting)
+    assert check_index_consistency(tree) == []
+    assert yielded[0] <= 3 * len(tree)
 
 
 # ---------------------------------------------------------------------------

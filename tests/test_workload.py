@@ -18,6 +18,11 @@ from repro.workload import (
 )
 
 
+def _height(tree):
+    """Edges on the longest root-to-leaf path."""
+    return max(len(list(leaf.ancestors())) for leaf in tree.leaves())
+
+
 class TestRandomTrees:
     def test_deterministic_by_seed(self):
         t1 = random_tree(42)
@@ -30,19 +35,19 @@ class TestRandomTrees:
     def test_respects_depth_bound(self):
         spec = RandomTreeSpec(max_depth=3)
         tree = random_tree(7, spec)
-        assert tree.height() <= 3
+        assert _height(tree) <= 3
 
     def test_labels_from_spec(self):
         spec = RandomTreeSpec(leaf_labels=("X",), internal_labels=("Y",),
                               root_label="R")
         tree = random_tree(9, spec)
-        labels = set(tree.labels())
+        labels = {node.label for node in tree.preorder()}
         assert labels <= {"X", "Y", "R"}
 
     def test_flat_tree_leaf_count(self):
         tree = random_flat_tree(3, leaves=25)
         assert sum(1 for _ in tree.leaves()) == 25
-        assert tree.height() == 1
+        assert _height(tree) == 1
 
     def test_perfect_tree_shape(self):
         tree = perfect_tree(fanout=3, depth=2)
@@ -63,7 +68,7 @@ class TestDocumentGenerator:
         doc = generate_document(1, DocumentSpec(sections=4))
         assert doc.root.label == "D"
         assert all(c.label == "Sec" for c in doc.root.children)
-        labels = set(doc.labels())
+        labels = {node.label for node in doc.preorder()}
         assert "P" in labels and "S" in labels
 
     def test_sentences_mostly_unique(self):
@@ -93,7 +98,7 @@ class TestDocumentGenerator:
             sections=5, subsection_probability=0.4, list_probability=0.4
         )
         doc = DocumentGenerator(13).document(spec)
-        labels = set(doc.labels())
+        labels = {node.label for node in doc.preorder()}
         assert "list" in labels and "item" in labels
         assert "SubSec" in labels
 
