@@ -18,6 +18,13 @@ case-sensitive and keep their punctuation; a sentence is tokenized once and
 the words are memoized, since matching compares each sentence against many
 candidates. Only ``|LCS|`` is needed, so it comes from the bit-parallel
 kernel (:func:`repro.lcs.bitparallel.lcs_length`), not from an alignment.
+
+Matching asks only whether this distance is at most ``f``. For two strings
+under the default comparator,
+:meth:`repro.matching.criteria.CriteriaContext.leaves_equal` answers that
+itself, with the same tokenizer and kernel, without calling this function.
+This function stays the definition that the verify oracles and the tests
+check that answer against.
 """
 
 from __future__ import annotations

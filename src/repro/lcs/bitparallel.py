@@ -11,6 +11,9 @@ the second sequence, over plain Python ints used as bit vectors:
   to ``len(s1)`` bits;
 * the zero bits of ``v`` count the LCS: ``|LCS| = len(s1) - popcount(v)``.
 
+:func:`match_masks` builds the ``masks`` table and :func:`lcs_scan` runs
+the steps over ``s2``; :func:`lcs_length` is their composition. A caller
+that compares one sequence against many keeps its table and calls the scan.
 Items are compared by hashing and ``==``, which is what sentence words
 need. Callers with a custom equality predicate, or that need the index
 pairs, use :func:`repro.lcs.myers.myers_lcs_indices`.
@@ -18,20 +21,23 @@ pairs, use :func:`repro.lcs.myers.myers_lcs_indices`.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Sequence
+from typing import Dict, Hashable, Iterable, Sequence
 
 
-def lcs_length(s1: Sequence[Hashable], s2: Sequence[Hashable]) -> int:
-    """Return ``|LCS(S1, S2)|`` under ``==``."""
-    n = len(s1)
-    if n == 0 or not s2:
-        return 0
+def match_masks(s1: Sequence[Hashable]) -> Dict[Hashable, int]:
+    """Return the match-mask table of *s1*: bit ``i`` of ``masks[w]`` is set
+    iff ``s1[i] == w`` (the ``Peq`` table of Myers 1999 and Hyyrö 2004)."""
     masks: Dict[Hashable, int] = {}
     bit = 1
     for item in s1:
         masks[item] = masks.get(item, 0) | bit
         bit <<= 1
-    full = bit - 1
+    return masks
+
+
+def lcs_scan(masks: Dict[Hashable, int], n: int, s2: Iterable[Hashable]) -> int:
+    """Return ``|LCS(S1, S2)|`` from the match masks of an *n*-item ``S1``."""
+    full = (1 << n) - 1
     v = full
     get = masks.get
     for item in s2:
@@ -41,6 +47,13 @@ def lcs_length(s1: Sequence[Hashable], s2: Sequence[Hashable]) -> int:
             v = ((v + u) | (v - u)) & full
     # int.bit_count needs Python 3.10; this package supports 3.9.
     return n - bin(v).count("1")
+
+
+def lcs_length(s1: Sequence[Hashable], s2: Sequence[Hashable]) -> int:
+    """Return ``|LCS(S1, S2)|`` under ``==``."""
+    if not s1 or not s2:
+        return 0
+    return lcs_scan(match_masks(s1), len(s1), s2)
 
 
 def shortest_edit_distance(s1: Sequence[Hashable], s2: Sequence[Hashable]) -> int:

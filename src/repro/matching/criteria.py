@@ -1,7 +1,10 @@
 """Matching criteria 1-3 and the equality predicates they induce (Section 5).
 
 * **Criterion 1** (leaves): ``(x, y)`` may match only if labels agree and
-  ``compare(v(x), v(y)) <= f`` for a parameter ``0 <= f <= 1``.
+  ``compare(v(x), v(y)) <= f`` for a parameter ``0 <= f <= 1``. Under the
+  default comparator, sentence pairs are decided by a compiled test (see
+  :meth:`CriteriaContext.leaves_equal`) that gives the same answer as the
+  Section 7 word-LCS distance without computing most distances.
 * **Criterion 2** (internal nodes): labels agree and
   ``|common(x, y)| / max(|x|, |y|) > t`` for ``1/2 <= t <= 1``, where
   ``common`` counts matched leaf pairs contained in both subtrees.
@@ -18,12 +21,32 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .._compat import DATACLASS_SLOTS
-from ..compare.generic import CompareRegistry
+from ..compare.generic import CompareRegistry, default_compare
+from ..compare.sentence import tokenize_words
 from ..core.errors import ConfigError
 from ..core.index import TreeIndex
 from ..core.node import Node
 from ..core.tree import Tree
+from ..lcs.bitparallel import lcs_scan, match_masks
 from .matching import Matching
+
+
+class _SentenceRecords(dict):
+    """Each distinct sentence of a run, tokenized on first lookup.
+
+    ``records[text]`` is ``[words, len(words), word set, repeats, mask
+    table]``, where ``repeats`` counts the positions beyond each distinct
+    word's first, and the mask table is built the first time the scan
+    needs it.
+    """
+
+    def __missing__(self, text: str) -> list:
+        words = tuple(tokenize_words(text))
+        word_set = frozenset(words)
+        record = [words, len(words), word_set, len(words) - len(word_set), None]
+        self[text] = record
+        return record
+
 
 @dataclass(**DATACLASS_SLOTS)
 class MatchingStats:
@@ -91,7 +114,16 @@ class CriteriaContext:
     The indexes must describe *t1* and *t2* as they are now.
     """
 
-    __slots__ = ("t1", "t2", "config", "stats", "index1", "index2")
+    __slots__ = (
+        "t1",
+        "t2",
+        "config",
+        "stats",
+        "index1",
+        "index2",
+        "_word_routes",
+        "_sentences",
+    )
 
     def __init__(
         self,
@@ -108,18 +140,67 @@ class CriteriaContext:
         self.stats = stats if stats is not None else MatchingStats()
         self.index1 = index1 if index1 is not None else TreeIndex(t1)
         self.index2 = index2 if index2 is not None else TreeIndex(t2)
+        # Criterion 1's compiled form: per label, whether its comparator is
+        # the default one; per distinct sentence, its tokenized record.
+        self._word_routes: Dict[Optional[str], bool] = {}
+        self._sentences = _SentenceRecords()
 
     # ------------------------------------------------------------------
     # Criterion 1
     # ------------------------------------------------------------------
     def leaves_equal(self, x: Node, y: Node) -> bool:
-        """The paper's ``equal`` for leaves (Section 5.2)."""
+        """The paper's ``equal`` for leaves (Section 5.2).
+
+        Two ``str`` values under a label routed to
+        :func:`~repro.compare.generic.default_compare` are decided here,
+        with the same answer as ``word_lcs_distance(a, b) <= f``: equal
+        strings match, empty (or whitespace-only) sentences are decided as
+        that function decides them, an exact word-set bound on ``|LCS|``
+        rejects most pairs, and only the rest run the bit-parallel scan
+        against the first sentence's cached mask table. Every other pair
+        (any registered comparator, a wrapper of the default included)
+        goes through ``registry.compare(a, b, label) <= f``.
+        """
         label = x.label
         if label != y.label:
             return False
         self.stats.leaf_compares += 1
+        a = x.value
+        b = y.value
         config = self.config
-        return config.registry.compare(x.value, y.value, label) <= config.f
+        if type(a) is str and type(b) is str:
+            routes = self._word_routes
+            words_route = routes.get(label)
+            if words_route is None:
+                words_route = routes[label] = (
+                    config.registry.comparator_for(label) is default_compare
+                )
+            if words_route:
+                if a == b:
+                    return True
+                sentences = self._sentences
+                sentence_a = sentences[a]
+                sentence_b = sentences[b]
+                na = sentence_a[1]
+                nb = sentence_b[1]
+                if not na or not nb:
+                    return (0.0 if na == nb else 2.0) <= config.f
+                # Every distinct word of a sentence that the other lacks
+                # keeps at least one of its positions out of the LCS, so
+                # |LCS| <= shared distinct words + the fewer repeats.
+                shared = len(sentence_a[2] & sentence_b[2])
+                repeats_a = sentence_a[3]
+                repeats_b = sentence_b[3]
+                bound = shared + (repeats_a if repeats_a < repeats_b else repeats_b)
+                longest = na if na >= nb else nb
+                if (na + nb - 2 * bound) / longest > config.f:
+                    return False
+                masks = sentence_a[4]
+                if masks is None:
+                    masks = sentence_a[4] = match_masks(sentence_a[0])
+                common = lcs_scan(masks, na, sentence_b[0])
+                return (na + nb - 2 * common) / longest <= config.f
+        return config.registry.compare(a, b, label) <= config.f
 
     # ------------------------------------------------------------------
     # Criterion 2
@@ -207,20 +288,18 @@ def criterion3_violations(
     For each leaf ``x`` of ``t1``, collect the leaves ``y`` of ``t2`` with
     the same label and ``compare(v(x), v(y)) <= 1``; pairs with two or more
     candidates violate Matching Criterion 3. (The symmetric direction is
-    obtained by swapping arguments.) Quadratic — intended for analysis and
-    tests, not for the matching hot path.
+    obtained by swapping arguments.) Each pair is tested by
+    :meth:`CriteriaContext.leaves_equal` at ``f = 1``. Quadratic — intended
+    for analysis and tests, not for the matching hot path.
     """
     registry = (config if config is not None else MatchConfig()).registry
+    context = CriteriaContext(t1, t2, MatchConfig(f=1.0, registry=registry), MatchingStats())
     leaves2_by_label: Dict[str, List[Node]] = {}
     for leaf in t2.leaves():
         leaves2_by_label.setdefault(leaf.label, []).append(leaf)
     violations: List[Tuple[Node, List[Node]]] = []
     for x in t1.leaves():
-        close = [
-            y
-            for y in leaves2_by_label.get(x.label, ())
-            if registry.compare(x.value, y.value, x.label) <= 1.0
-        ]
+        close = [y for y in leaves2_by_label.get(x.label, ()) if context.leaves_equal(x, y)]
         if len(close) > 1:
             violations.append((x, close))
     return violations

@@ -120,7 +120,7 @@ def _match_label(
         return
 
     if leaf:
-        equal = lambda x, y: context.leaves_equal(x, y)  # noqa: E731
+        equal = context.leaves_equal
     else:
         equal = lambda x, y: context.internals_equal(x, y, matching)  # noqa: E731
 

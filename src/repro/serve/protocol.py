@@ -269,10 +269,20 @@ async def fetch_json(
     return status, decoded
 
 
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON value")
+
+
+#: Request bodies are strict JSON: the ``NaN``/``Infinity``/``-Infinity``
+#: literals Python's decoder accepts are refused: a NaN leaf value is
+#: unequal to itself, so the verify oracles would reject a correct diff.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_body(raw: bytes) -> Dict[str, Any]:
     """Decode a request body into a JSON object (400 on anything else)."""
     try:
-        data = json.loads(raw.decode("utf-8"))
+        data = _DECODER.decode(raw.decode("utf-8"))
     except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's stack allows.
         raise HttpError(400, "bad_json", f"request body is not valid JSON: {exc}")

@@ -1,7 +1,11 @@
 """Tests for Matching Criteria 1-3 and the criteria context (Section 5.1)."""
 
+import math
+import random
+
 import pytest
 
+from repro.compare import CompareRegistry, default_compare
 from repro.core import Tree
 from repro.matching import (
     CriteriaContext,
@@ -10,6 +14,7 @@ from repro.matching import (
     MatchingStats,
     criterion3_holds,
     criterion3_violations,
+    fast_match,
 )
 from repro.verify import check_matching_validity
 
@@ -80,6 +85,95 @@ class TestCriterion1:
         ctx.leaves_equal(t1.get(3), t2.get(3))
         ctx.leaves_equal(t1.get(3), t2.get(4))
         assert stats.leaf_compares == 2
+
+
+def _random_leaf_value(rng: random.Random):
+    """Mostly sentences over a 5-word vocabulary, so many share words."""
+    roll = rng.random()
+    if roll < 0.05:
+        return rng.choice(["", "   ", "\t"])
+    if roll < 0.08:
+        return None
+    if roll < 0.11:
+        return rng.randint(0, 3)
+    words = [rng.choice("ab bc cd de ef".split()) for _ in range(rng.randint(1, 7))]
+    text = words[0]
+    for word in words[1:]:
+        text += rng.choice([" ", " ", "\t", "  "]) + word
+    return text
+
+
+def _leaf_row(values):
+    return Tree.from_obj(("D", None, [("S", value) for value in values]))
+
+
+class TestCompiledCriterion1:
+    """``leaves_equal`` decides exactly as ``default_compare(a, b) <= f``."""
+
+    THRESHOLDS = (0.0, 0.25, 0.5, 0.6, 2 / 3, 0.75, 1.0)
+
+    def test_agrees_with_default_compare(self):
+        rng = random.Random(1996)
+        t1 = _leaf_row([_random_leaf_value(rng) for _ in range(80)])
+        t2 = _leaf_row([_random_leaf_value(rng) for _ in range(80)])
+        leaves1, leaves2 = list(t1.leaves()), list(t2.leaves())
+        ties = 0
+        for f in self.THRESHOLDS:
+            ctx = CriteriaContext(t1, t2, MatchConfig(f=f))
+            for x in leaves1:
+                for y in leaves2:
+                    distance = default_compare(x.value, y.value)
+                    ties += distance == f
+                    assert ctx.leaves_equal(x, y) == (distance <= f), (x.value, y.value, f)
+            assert ctx.stats.leaf_compares == len(leaves1) * len(leaves2)
+        assert ties > 100
+
+    @pytest.mark.parametrize("old, new", [
+        ("a b c d e x", "a b c d e y z w v"),  # the word-set bound is exact
+        ("a b c a b c", "c b a c b a"),  # only the scan finds |LCS| = 3
+    ])
+    def test_tie_at_f_matches_and_one_ulp_below_does_not(self, old, new):
+        t1, t2 = _leaf_row([old]), _leaf_row([new])
+        distance = default_compare(old, new)
+        for f, expected in ((distance, True), (math.nextafter(distance, 0.0), False)):
+            ctx = CriteriaContext(t1, t2, MatchConfig(f=f))
+            assert ctx.leaves_equal(t1.get(2), t2.get(2)) is expected
+
+    @staticmethod
+    def _run(registry):
+        t1 = _leaf_row(["ab bc cd", "de ef", "ab ab ab", "cd de ef ab"])
+        t2 = _leaf_row(["de ef ab", "ab bc cd", "ef", "ab cd ab"])
+        stats = MatchingStats()
+        fast_match(t1, t2, MatchConfig(registry=registry), stats)
+        assert stats.leaf_compares > 4
+        return stats.leaf_compares
+
+    def test_registered_comparator_sees_every_compare(self):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return default_compare(a, b)
+
+        registry = CompareRegistry()
+        registry.register("S", counting)
+        assert self._run(registry) == len(calls)
+
+    def test_wrapped_default_sees_every_compare(self):
+        calls = []
+
+        def wrapper(a, b):
+            calls.append((a, b))
+            return default_compare(a, b)
+
+        assert self._run(CompareRegistry(default=wrapper)) == len(calls)
+
+    def test_default_registry_never_reaches_word_lcs_distance(self, monkeypatch):
+        def unreachable(a, b):
+            raise AssertionError("word_lcs_distance called on the compiled path")
+
+        monkeypatch.setattr("repro.compare.generic.word_lcs_distance", unreachable)
+        self._run(CompareRegistry())
 
 
 class TestCriterion2:

@@ -180,6 +180,18 @@ class TestProtocolErrors:
         assert response.status == 400
         assert payload["error"] == "bad_json"
 
+    def test_nan_leaf_value_is_bad_json(self, client):
+        # NaN != NaN: decoded, this correct diff would fail the replay and
+        # delta oracles of /v1/verify.
+        def doc(last):
+            return {"label": "D", "children": [
+                {"label": "S", "value": float("nan")}, {"label": "S", "value": last},
+            ]}
+
+        with pytest.raises(ServiceError) as err:
+            client.request("POST", "/v1/verify", {"old": doc("b"), "new": doc("c")})
+        assert (err.value.status, err.value.payload["error"]) == (400, "bad_json")
+
     def test_missing_fields(self, client):
         with pytest.raises(ServiceError) as err:
             client.request("POST", "/v1/diff", {"old": OLD_SEXPR})
