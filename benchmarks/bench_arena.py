@@ -1,10 +1,11 @@
 """Ingest cost of the arena core: parse + index build on a 10k-node corpus.
 
-The hot ingest path — parse a serialized tree, build its
-:class:`~repro.core.index.TreeIndex` — runs through the struct-of-arrays
-core: ``tree_from_dict`` parses straight into a
+The hot ingest path — parse a serialized tree, build its structure tables
+(leaf counts and spans, label chains) — runs through the
+struct-of-arrays core: ``tree_from_dict`` parses straight into a
 :class:`~repro.core.arena.TreeArena` (no ``Node`` is ever built) and
-``TreeIndex`` reads the arrays directly. This benchmark reports the wall
+:meth:`TreeArena.build_tables <repro.core.arena.TreeArena.build_tables>`
+reads the arrays directly. This benchmark reports the wall
 time and the peak ``tracemalloc`` memory of that path on a ~10k-node
 document corpus. ``check_regression.py`` gates the peak memory
 (``arena_peak_kb``, lower is better) against the committed baseline;
@@ -25,7 +26,6 @@ import sys
 import time
 import tracemalloc
 
-from repro.core.index import TreeIndex
 from repro.core.serialization import tree_from_dict
 from repro.service.digest import compute_digests
 
@@ -66,7 +66,9 @@ def build_corpus(sections: int, paragraphs: int, sentences: int) -> dict:
 
 def parse_index_arena(data: dict):
     tree = tree_from_dict(data)  # lazy arena view: no Node objects
-    return tree, TreeIndex(tree)
+    arena = tree.to_arena()
+    arena.build_tables()
+    return tree, arena
 
 
 def _time(fn, rounds: int) -> float:
@@ -91,12 +93,11 @@ def measure(sections: int = 24, paragraphs: int = 20, sentences: int = 20,
             rounds: int = 3) -> dict:
     data = build_corpus(sections, paragraphs, sentences)
 
-    # The index must describe the corpus before the timings mean anything.
-    tree, index = parse_index_arena(data)
-    root_id = next(iter(tree.node_ids()))
+    # The tables must describe the corpus before the timings mean anything.
+    tree, arena = parse_index_arena(data)
     nodes = len(tree)
-    assert len(index) == index.subtree_size(root_id) == nodes
-    assert index.leaf_count(root_id) == sections * paragraphs * sentences
+    assert arena.n == arena.subtree_size[0] == nodes
+    assert arena.leaf_count[0] == sections * paragraphs * sentences
 
     arena_s = _time(lambda: parse_index_arena(data), rounds)
     arena_peak = _peak_bytes(lambda: parse_index_arena(data))

@@ -34,7 +34,6 @@ Public surface:
 """
 
 from .core.errors import ConfigError
-from .core.index import TreeIndex
 from .core.node import Node
 from .core.tree import Tree
 from .core.isomorphism import trees_isomorphic
@@ -77,7 +76,6 @@ __all__ = [
     "Node",
     "Trace",
     "Tree",
-    "TreeIndex",
     "VerifyReport",
     "VersionStore",
     "Violation",

@@ -29,9 +29,10 @@ class TreePairSizes:
 
 def tree_pair_sizes(t1: Tree, t2: Tree) -> TreePairSizes:
     """Measure (n, m, l) for a pair of trees."""
-    leaves = sum(1 for _ in t1.leaves()) + sum(1 for _ in t2.leaves())
+    arena1, arena2 = t1.to_arena(), t2.to_arena()
+    leaves = len(arena1.leaf_positions) + len(arena2.leaf_positions)
     internals = (len(t1) + len(t2)) - leaves
-    labels = set(t1.internal_labels()) | set(t2.internal_labels())
+    labels = set(arena1.internal_chains) | set(arena2.internal_chains)
     return TreePairSizes(
         leaves=leaves, internals=internals, internal_labels=len(labels)
     )

@@ -33,12 +33,22 @@ An arena is **immutable** once built. Edits go through the
 :class:`~repro.core.tree.Tree` view: its four mutations (INS/DEL/UPD/MOV)
 work on the node graph, and :meth:`Tree.to_arena` re-flattens the edited
 tree into a fresh arena.
+
+The arena is also the one home of the structure derived from those arrays.
+The paper's matchers need ``|x|`` and the leaves under ``x`` (Criterion 2)
+and the label chains ``chain_T(l)`` (FastMatch, §5.3). One lazy preorder
+pass builds them (:attr:`TreeArena.leaf_count`,
+:attr:`~TreeArena.leaf_positions`, :attr:`~TreeArena.leaf_start`,
+:attr:`~TreeArena.leaf_chains`, :attr:`~TreeArena.internal_chains`), and
+the serving layer's tree digest is memoized next to them. All of it is
+valid exactly as long as the snapshot is: a tree's mutation drops its
+snapshot, and the next :meth:`Tree.to_arena` builds a new one.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import DuplicateNodeError, TreeError
 
@@ -152,16 +162,16 @@ class TreeArena:
     """Immutable struct-of-arrays snapshot of one ordered tree.
 
     Instances come from :class:`ArenaBuilder` or :func:`flatten_root`;
-    consumers (TreeIndex, digests, serialization, the matchers) read the
-    arrays directly. Data derived from the arrays (``leaf_count``, the
-    subtree digests) is memoized here: it is valid for as long as the
-    snapshot is, and a mutated tree gets a new snapshot.
+    consumers (the matchers, digests, serialization) read the arrays
+    directly. The derived tables below are built on first read, by one
+    pass, and memoized here with the subtree digests: they describe this
+    snapshot, and a mutated tree gets a new one.
     """
 
     __slots__ = (
         "n", "node_ids", "labels", "values", "parent", "first_child",
         "next_sibling", "subtree_size", "label_pool", "value_pool",
-        "pos_of", "_leaf_count", "digests",
+        "pos_of", "_tables", "digests",
     )
 
     def __init__(
@@ -188,7 +198,7 @@ class TreeArena:
         self.label_pool = label_pool
         self.value_pool = value_pool
         self.pos_of = pos_of
-        self._leaf_count: Optional["array"] = None
+        self._tables: Optional[Tuple[Any, ...]] = None
         #: Subtree digests of this snapshot, memoized by
         #: :func:`repro.service.digest.cached_digests` (``None`` until then).
         self.digests: Any = None
@@ -206,36 +216,84 @@ class TreeArena:
         return self.first_child[pos] < 0
 
     # ------------------------------------------------------------------
-    # Derived arrays
+    # Derived structure
     # ------------------------------------------------------------------
+    def build_tables(self) -> bool:
+        """Build the derived tables now; True when they already existed.
+
+        One preorder pass records the document-order leaf positions, where
+        each position's leaves start among them, and the label chains; one
+        more pass turns the leaf starts into leaf counts (a subtree's leaves
+        are contiguous in document order).
+        """
+        if self._tables is not None:
+            return True
+        n = self.n
+        first_child = self.first_child
+        labels = self.labels
+        label_pool = self.label_pool
+        leaf_positions = array("i")
+        leaf_start = array("i", [0]) * n
+        leaf_chains: Dict[str, List[int]] = {}
+        internal_chains: Dict[str, List[int]] = {}
+        for pos in range(n):
+            leaf_start[pos] = len(leaf_positions)
+            if first_child[pos] < 0:
+                leaf_positions.append(pos)
+                chains = leaf_chains
+            else:
+                chains = internal_chains
+            label = label_pool[labels[pos]]
+            chain = chains.get(label)
+            if chain is None:
+                chains[label] = [pos]
+            else:
+                chain.append(pos)
+        leaves = len(leaf_positions)
+        subtree_size = self.subtree_size
+        leaf_count = array("i", [0]) * n
+        for pos in range(n):
+            end = pos + subtree_size[pos]
+            leaf_count[pos] = (leaf_start[end] if end < n else leaves) - leaf_start[pos]
+        self._tables = (leaf_count, leaf_positions, leaf_start, leaf_chains, internal_chains)
+        return False
+
+    def _derived(self) -> Tuple[Any, ...]:
+        if self._tables is None:
+            self.build_tables()
+        assert self._tables is not None
+        return self._tables
+
     @property
     def leaf_count(self) -> "array":
-        """Per-position leaf counts (the paper's ``|x|``), computed lazily.
+        """``leaf_count[p]``: leaves in ``p``'s subtree (the paper's ``|x|``)."""
+        return self._derived()[0]
 
-        One reverse-preorder pass: leaves contribute 1, every other
-        position accumulates its children (children always follow their
-        parent in preorder, so walking positions high-to-low sees each
-        child before its parent is read).
-        """
-        counts = self._leaf_count
-        if counts is None:
-            n = self.n
-            first_child = self.first_child
-            parent = self.parent
-            counts = array("i", [0]) * n if n else array("i")
-            for pos in range(n - 1, 0, -1):
-                if first_child[pos] < 0:
-                    counts[pos] += 1
-                counts[parent[pos]] += counts[pos]
-            if n and first_child[0] < 0:
-                counts[0] += 1
-            self._leaf_count = counts
-        return counts
-
-    def leaf_positions(self) -> Iterator[int]:
+    @property
+    def leaf_positions(self) -> "array":
         """Preorder positions of all leaves, in document order."""
-        first_child = self.first_child
-        return (pos for pos in range(self.n) if first_child[pos] < 0)
+        return self._derived()[1]
+
+    @property
+    def leaf_start(self) -> "array":
+        """``leaf_start[p]``: where ``p``'s leaves begin in :attr:`leaf_positions`.
+
+        The leaves of ``p`` are ``leaf_positions[leaf_start[p]:][:leaf_count[p]]``.
+        """
+        return self._derived()[2]
+
+    @property
+    def leaf_chains(self) -> Dict[str, List[int]]:
+        """``chain_T(l)`` of leaves: label -> leaf positions, document order.
+
+        Labels are keyed in first-seen order. Shared; treat as read-only.
+        """
+        return self._derived()[3]
+
+    @property
+    def internal_chains(self) -> Dict[str, List[int]]:
+        """``chain_T(l)`` of interior nodes, as :attr:`leaf_chains`."""
+        return self._derived()[4]
 
     # ------------------------------------------------------------------
     # Misc
@@ -254,9 +312,8 @@ def flatten_root(root: Any) -> Tuple[TreeArena, List[Any]]:
     """Flatten a node graph into an arena.
 
     Returns ``(arena, order)`` where ``order`` is the preorder list of the
-    source nodes, aligned with arena positions — callers that keep the node
-    objects alive (the lazy :class:`Tree` view) use it to map positions back
-    to nodes without a second traversal.
+    source nodes, aligned with arena positions — the :class:`Tree` view
+    keeps it to map positions back to nodes without a second traversal.
     """
     builder = ArenaBuilder()
     order: List[Any] = []

@@ -6,6 +6,9 @@ have a null value; leaves carry data (e.g. the text of a sentence).
 
 :class:`Node` instances are always owned by a :class:`repro.core.tree.Tree`;
 user code creates them through the tree's mutation API rather than directly.
+A node's label and value are read-only properties: only
+:mod:`repro.core.tree` rewrites them, and it drops the tree's arena snapshot
+with every write, so no snapshot can outlive the data it describes.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ class Node:
     label:
         The node's label (e.g. ``"D"``, ``"P"``, ``"S"`` for document,
         paragraph, sentence). Labels come from a fixed but arbitrary set.
+        Read-only: change it with :func:`~repro.core.tree.map_tree`.
     value:
-        The node's value; ``None`` for typical interior nodes.
+        The node's value; ``None`` for typical interior nodes. Read-only:
+        change it with :meth:`Tree.update <repro.core.tree.Tree.update>`.
     parent:
         The parent :class:`Node`, or ``None`` for the root.
     children:
@@ -34,12 +39,12 @@ class Node:
         mutation goes through the owning tree.
     """
 
-    __slots__ = ("id", "label", "value", "parent", "children", "_slot")
+    __slots__ = ("id", "_label", "_value", "parent", "children", "_slot")
 
     def __init__(self, node_id: Any, label: str, value: Any = None) -> None:
         self.id = node_id
-        self.label = label
-        self.value = value
+        self._label = label
+        self._value = value
         self.parent: Optional[Node] = None
         self.children: List[Node] = []
         #: 0-based hint of this node's position in ``parent.children``,
@@ -47,6 +52,14 @@ class Node:
         #: stale when earlier siblings are removed; consumers validate it
         #: (``parent.children[_slot] is node``) before trusting it.
         self._slot = -1
+
+    @property
+    def label(self) -> str:
+        return self._label
+
+    @property
+    def value(self) -> Any:
+        return self._value
 
     # ------------------------------------------------------------------
     # Structure queries

@@ -19,17 +19,19 @@ Since the arena refactor a tree is a *view* over an immutable
 :class:`~repro.core.arena.TreeArena` snapshot. Trees built from an arena
 (:meth:`Tree.from_arena` — the parse, copy and store-checkout paths) keep
 only the arena until some caller actually needs :class:`Node` objects; pure
-array consumers (``TreeIndex``, digests, serialization dumps) never force
-the node graph into existence. The first node-touching access materializes
-all nodes in one preorder pass. Mutations work on the node graph and
-invalidate the snapshot; :meth:`Tree.to_arena` re-flattens on demand and
-caches the result until the next mutation.
+array consumers (the arena's structure tables, digests, serialization
+dumps) never force the node graph into existence. The first node-touching
+access materializes all nodes in one preorder pass. Mutations work on the
+node graph and invalidate the snapshot; :meth:`Tree.to_arena` re-flattens
+on demand and caches the result until the next mutation.
 
 The snapshot is also the one validity rule for data derived from the tree:
-the :class:`~repro.core.index.TreeIndex` memo lives in a tree slot and the
-subtree digests live on the arena, and :meth:`Tree._touch` drops both with
-the snapshot. Writing a node's attributes directly bypasses ``_touch``;
-such code calls it itself (see :func:`map_tree`).
+leaf counts, leaf spans, label chains and the tree's digest all live on
+the arena, and :meth:`Tree._touch` drops them with it; the next
+:meth:`Tree.to_arena` builds a new snapshot and the node binding of
+:meth:`Tree.arena_nodes` together. A node's label and value are
+read-only outside this module; the builders, :meth:`Tree.update` and
+:func:`map_tree` write them, each followed by ``_touch``.
 """
 
 from __future__ import annotations
@@ -64,14 +66,10 @@ class Tree:
         #: Cached immutable snapshot; valid only while ``_arena_fresh``.
         self._arena: Optional[TreeArena] = None
         self._arena_fresh = False
-        #: Node binding of the last materialize/flatten: ``_arena_order[p]``
-        #: is the Node at preorder position ``p`` of ``_order_arena``. Kept
-        #: across mutations so a stale TreeIndex keeps resolving the node
-        #: objects it was built over (the pre-arena staleness semantics).
-        self._order_arena: Optional[TreeArena] = None
-        self._arena_order: Optional[List[Node]] = None
-        #: The TreeIndex of the current snapshot (see ``cached_index``).
-        self._index: Any = None
+        #: ``_order[p]`` is the Node at preorder position ``p`` of the
+        #: snapshot; reset by every flatten and materialize, so it matches
+        #: any fresh snapshot (see ``arena_nodes``).
+        self._order: Optional[List[Node]] = None
         #: Detaches where the sibling-slot hint missed and a full scan ran.
         self.detach_fallback_scans = 0
 
@@ -97,47 +95,38 @@ class Tree:
         if self._arena_fresh:
             assert self._arena is not None
             return self._arena
-        arena, order = flatten_root(self._root)
+        arena, self._order = flatten_root(self._root)
         self._arena = arena
         self._arena_fresh = True
-        self._order_arena = arena
-        self._arena_order = order
         return arena
 
     def arena_snapshot(self) -> Optional[TreeArena]:
         """The cached fresh arena, or ``None`` — never flattens or builds."""
         return self._arena if self._arena_fresh else None
 
+    def arena_nodes(self) -> List[Node]:
+        """The tree's nodes at the preorder positions of :meth:`to_arena`.
+
+        ``arena_nodes()[p]`` is the node whose id is ``to_arena().node_ids[p]``.
+        The list is shared and valid until the next mutation; treat it as
+        read-only.
+        """
+        self.to_arena()
+        if self._order is None:  # an arena view whose nodes are not built yet
+            self._materialize()
+        assert self._order is not None
+        return self._order
+
     def _touch(self) -> None:
         """Invalidate the arena snapshot, and all derived from it, after a mutation."""
         self._arena = None
         self._arena_fresh = False
-        self._index = None
 
     def _materialize(self) -> None:
         if self._node_map is not None:
             return
         assert self._arena is not None
-        root, node_map, order = _nodes_from_arena(self._arena)
-        self._root = root
-        self._node_map = node_map
-        self._order_arena = self._arena
-        self._arena_order = order
-
-    def _order_for(self, arena: TreeArena) -> List[Node]:
-        """Nodes aligned with *arena* positions (for index node binding).
-
-        Returns this tree's own nodes when *arena* is (or was) its snapshot;
-        otherwise builds a detached node graph from the arena.
-        """
-        if arena is self._order_arena and self._arena_order is not None:
-            return self._arena_order
-        if arena is self._arena:
-            self._materialize()
-            assert self._arena_order is not None
-            return self._arena_order
-        _, _, order = _nodes_from_arena(arena)
-        return order
+        self._root, self._node_map, self._order = _nodes_from_arena(self._arena)
 
     @property
     def root(self) -> Optional[Node]:
@@ -313,21 +302,6 @@ class Tree:
             return iter(())
         return self.root.leaves()
 
-    def leaf_labels(self) -> List[str]:
-        """Labels that appear on at least one leaf."""
-        seen: Dict[str, None] = {}
-        for node in self.leaves():
-            seen.setdefault(node.label, None)
-        return list(seen)
-
-    def internal_labels(self) -> List[str]:
-        """Labels that appear on at least one interior node."""
-        seen: Dict[str, None] = {}
-        for node in self.preorder():
-            if not node.is_leaf:
-                seen.setdefault(node.label, None)
-        return list(seen)
-
     # ------------------------------------------------------------------
     # The four edit-model mutations (Section 3.2)
     # ------------------------------------------------------------------
@@ -373,7 +347,7 @@ class Tree:
     def update(self, node_id: Any, value: Any) -> Node:
         """Apply ``UPD(node_id, value)``: replace the node's value."""
         node = self.get(node_id)
-        node.value = value
+        node._value = value
         self._touch()
         return node
 
@@ -444,8 +418,9 @@ class Tree:
         """Return an independent copy preserving node identifiers.
 
         Flattens to the (cached) arena snapshot and wraps it in a new lazy
-        view — the copy shares the immutable arrays and allocates no nodes
-        until one side actually needs them.
+        view — the copy shares the immutable arrays, with their structure
+        tables and digest, and allocates no nodes until one side actually
+        needs them.
         """
         return Tree.from_arena(self.to_arena())
 
@@ -542,8 +517,7 @@ def map_tree(tree: Tree, fn: Callable[[Node], Tuple[str, Any]]) -> Tree:
     """
     clone = tree.copy()
     for node in clone.preorder():
-        node.label, node.value = fn(node)
-    # The in-place rewrites bypassed the mutation API; drop the snapshot
-    # the copy shared with the source tree.
+        node._label, node._value = fn(node)
+    # Drop the snapshot the copy shared with the source tree.
     clone._touch()
     return clone

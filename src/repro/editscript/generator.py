@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Set
 
 from .._compat import DATACLASS_SLOTS
-from ..core.index import TreeIndex
 from ..core.isomorphism import trees_isomorphic
 from ..core.node import Node
 from ..core.tree import Tree
@@ -122,7 +121,6 @@ def generate_edit_script(
     t1: Tree,
     t2: Tree,
     matching: Matching,
-    index2: Optional[TreeIndex] = None,
 ) -> EditScriptResult:
     """Run Algorithm EditScript and return the full result bundle.
 
@@ -132,15 +130,15 @@ def generate_edit_script(
     :class:`~repro.matching.Matching`); the script never inserts or deletes
     a matched node, so it *conforms* to the matching by construction.
 
-    *index2* is a prebuilt :class:`~repro.core.index.TreeIndex` over
-    ``t2`` (the pipeline passes the one built by its index stage); one is
-    built here when omitted. FindPos locates a node among its siblings via
-    the index's child ranks and scans backwards for the in-order anchor.
+    FindPos locates a ``t2`` node among its siblings with
+    :meth:`Node.child_index <repro.core.node.Node.child_index>` (O(1) on
+    the slot hints of a tree nothing edits here) and scans backwards for
+    the in-order anchor.
     """
     if t1.root is None or t2.root is None:
         raise ValueError("generate_edit_script requires non-empty trees")
     _validate_matching(t1, t2, matching)
-    generator = _Generator(t1, t2, matching, index2=index2)
+    generator = _Generator(t1, t2, matching)
     return generator.run()
 
 
@@ -171,17 +169,10 @@ def _validate_matching(t1: Tree, t2: Tree, matching: Matching) -> None:
 class _Generator:
     """Mutable state for one run of Algorithm EditScript."""
 
-    def __init__(
-        self,
-        t1: Tree,
-        t2: Tree,
-        matching: Matching,
-        index2: Optional[TreeIndex] = None,
-    ) -> None:
+    def __init__(self, t1: Tree, t2: Tree, matching: Matching) -> None:
         self.t2_original = t2
         self.work = t1.copy()  # T1 working copy; ops are applied here
         self.t2 = t2  # replaced by a wrapped copy if roots are unmatched
-        self.index2 = index2 if index2 is not None else TreeIndex(t2)
         self.mprime = matching.copy()
         self.script = EditScript()
         self.stats = GenerationStats()
@@ -229,8 +220,6 @@ class _Generator:
         self.dummy_t2_id = next(self._fresh)
         self.work = wrap_with_dummy_root(self.work, self.dummy_t1_id)
         self.t2 = wrap_with_dummy_root(self.t2.copy(), self.dummy_t2_id)
-        # The BFS now walks a wrapped *copy* of T2; FindPos reads its ranks.
-        self.index2 = TreeIndex(self.t2)
         self.mprime.add(self.dummy_t1_id, self.dummy_t2_id)
         self.wrapped = True
 
@@ -361,12 +350,12 @@ class _Generator:
         """
         # 2. If x is the leftmost child of y marked "in order", return 1.
         # (Equivalently: no in-order sibling lies to x's left.) Locate x
-        # among its siblings in O(1) via the index and scan backwards,
+        # among its siblings in O(1) via its slot hint and scan backwards,
         # stopping at the first (i.e. rightmost) in-order left sibling.
         anchor: Optional[Node] = None
         siblings = x.parent.children
         in_order = self.in_order2
-        position = self.index2.child_rank(x.id) - 2
+        position = x.child_index() - 2
         while position >= 0:
             sibling = siblings[position]
             if sibling.id in in_order:

@@ -18,13 +18,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .._compat import DATACLASS_SLOTS
 from ..compare.generic import CompareRegistry, default_compare
 from ..compare.sentence import tokenize_words
 from ..core.errors import ConfigError
-from ..core.index import TreeIndex
 from ..core.node import Node
 from ..core.tree import Tree
 from ..lcs.bitparallel import lcs_scan, match_masks
@@ -103,15 +102,14 @@ class MatchConfig:
 
 
 class CriteriaContext:
-    """Shared per-run state: the two tree indexes and the counters.
+    """Shared per-run state: the two trees' arena snapshots and the counters.
 
-    Criterion-2 evaluation reads everything it needs from one
-    :class:`~repro.core.index.TreeIndex` per tree: ``|x|`` is the index's
-    leaf count, contained leaves come from its flat leaf spans, and
-    containment is one preorder-interval comparison. The pipeline's
-    ``index`` stage builds (or reuses) both indexes once per run; when a
-    caller passes none, the context builds them here in one arena pass.
-    The indexes must describe *t1* and *t2* as they are now.
+    Criterion-2 evaluation reads everything it needs from each tree's
+    :class:`~repro.core.arena.TreeArena`: ``|x|`` is its leaf count,
+    contained leaves come from its flat leaf spans, and containment is one
+    preorder-interval comparison. The pipeline's ``index`` stage builds the
+    arenas' tables once per snapshot; otherwise the first read here does.
+    The trees must not change while the context is in use.
     """
 
     __slots__ = (
@@ -119,8 +117,8 @@ class CriteriaContext:
         "t2",
         "config",
         "stats",
-        "index1",
-        "index2",
+        "arena1",
+        "arena2",
         "_word_routes",
         "_sentences",
     )
@@ -131,15 +129,13 @@ class CriteriaContext:
         t2: Tree,
         config: Optional[MatchConfig] = None,
         stats: Optional[MatchingStats] = None,
-        index1: Optional[TreeIndex] = None,
-        index2: Optional[TreeIndex] = None,
     ) -> None:
         self.t1 = t1
         self.t2 = t2
         self.config = config if config is not None else MatchConfig()
         self.stats = stats if stats is not None else MatchingStats()
-        self.index1 = index1 if index1 is not None else TreeIndex(t1)
-        self.index2 = index2 if index2 is not None else TreeIndex(t2)
+        self.arena1 = t1.to_arena()
+        self.arena2 = t2.to_arena()
         # Criterion 1's compiled form: per label, whether its comparator is
         # the default one; per distinct sentence, its tokenized record.
         self._word_routes: Dict[Optional[str], bool] = {}
@@ -149,9 +145,16 @@ class CriteriaContext:
     # Criterion 1
     # ------------------------------------------------------------------
     def leaves_equal(self, x: Node, y: Node) -> bool:
-        """The paper's ``equal`` for leaves (Section 5.2).
+        """The paper's ``equal`` for leaves (Section 5.2): same label, and
+        :meth:`leaf_values_equal` on their values."""
+        label = x.label
+        return label == y.label and self.leaf_values_equal(label, x.value, y.value)
 
-        Two ``str`` values under a label routed to
+    def leaf_values_equal(self, label: str, a: Any, b: Any) -> bool:
+        """Criterion 1 on the values *a* and *b* of two leaves labeled *label*.
+
+        Every call is one ``compare`` of the paper's ``r1``. Two ``str``
+        values under a label routed to
         :func:`~repro.compare.generic.default_compare` are decided here,
         with the same answer as ``word_lcs_distance(a, b) <= f``: equal
         strings match, empty (or whitespace-only) sentences are decided as
@@ -161,12 +164,7 @@ class CriteriaContext:
         (any registered comparator, a wrapper of the default included)
         goes through ``registry.compare(a, b, label) <= f``.
         """
-        label = x.label
-        if label != y.label:
-            return False
         self.stats.leaf_compares += 1
-        a = x.value
-        b = y.value
         config = self.config
         if type(a) is str and type(b) is str:
             routes = self._word_routes
@@ -208,16 +206,18 @@ class CriteriaContext:
     def common_count(self, x: Node, y: Node, matching: Matching) -> int:
         """``|common(x, y)|``: matched leaf pairs contained in both subtrees.
 
-        Walks the leaves of ``x`` (a span of the flat leaf-position array of
-        ``index1``) and tests whether each partner lies under ``y`` (one
-        preorder-interval comparison in ``index2``); every test counts as
-        one partner check (the paper's ``r2``). No node objects are touched.
+        Walks the leaves of ``x`` (a span of T1's flat leaf-position array)
+        and tests whether each partner lies under ``y`` (one preorder-interval
+        comparison in T2's arena); every test counts as one partner check
+        (the paper's ``r2``). No node objects are touched.
         """
-        index1 = self.index1
-        arena2 = self.index2.arena
-        node_ids1 = index1.arena.node_ids
-        leaf_positions = index1.leaf_position_array()
-        start, stop = index1.leaf_span(x.id)
+        arena1 = self.arena1
+        arena2 = self.arena2
+        node_ids1 = arena1.node_ids
+        leaf_positions = arena1.leaf_positions
+        x_pos = arena1.pos_of[x.id]
+        start = arena1.leaf_start[x_pos]
+        stop = start + arena1.leaf_count[x_pos]
         pos_of2 = arena2.pos_of
         y_pos = pos_of2[y.id]
         y_end = y_pos + arena2.subtree_size[y_pos]
@@ -243,8 +243,9 @@ class CriteriaContext:
         """
         if x.label != y.label:
             return False
-        size_x = 0 if x.is_leaf else self.index1.leaf_count(x.id)
-        size_y = 0 if y.is_leaf else self.index2.leaf_count(y.id)
+        arena1, arena2 = self.arena1, self.arena2
+        size_x = 0 if x.is_leaf else arena1.leaf_count[arena1.pos_of[x.id]]
+        size_y = 0 if y.is_leaf else arena2.leaf_count[arena2.pos_of[y.id]]
         biggest = max(size_x, size_y)
         if biggest == 0:
             return self.config.match_empty_internals

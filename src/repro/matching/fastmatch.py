@@ -29,12 +29,11 @@ only the script's optimality (cost) degrades.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import Any, Callable, List, Optional, Sequence
 
-from ..core.node import Node
 from ..core.tree import Tree
-from ..lcs.myers import myers_lcs
-from .chains import ordered_label_union
+from ..lcs.myers import myers_lcs_indices
 from .criteria import CriteriaContext, MatchConfig, MatchingStats, apply_root_policy
 from .matching import Matching
 from .schema import infer_label_ranks
@@ -57,9 +56,9 @@ def fast_match(
     stats:
         Optional counter sink for the §8 instrumentation (``r1``/``r2``).
     context:
-        A prebuilt :class:`CriteriaContext` (the pipeline shares one, with
-        its tree indexes, across the match and postprocess stages). Label
-        chains and label lists come from the context's indexes.
+        A prebuilt :class:`CriteriaContext` (the pipeline shares one
+        across the match and postprocess stages). Label chains and label
+        lists come from the context's arena snapshots.
     k:
         Window of the leftover pass in chain positions (A(k), §9): ``0``
         stops after the LCS pass, ``None`` leaves the pass unbounded.
@@ -70,84 +69,92 @@ def fast_match(
         context = CriteriaContext(t1, t2, config, stats)
     matching = Matching()
 
-    # chain_T(l) and the label lists were computed by the index pass from
-    # arena arrays; the leaf/internal split happens positionally (one
-    # first_child test per chain entry).
-    index1, index2 = context.index1, context.index2
-    leaf_labels = ordered_label_union(index1.leaf_labels(), index2.leaf_labels())
+    # chain_T(l) comes from each arena's tables, keyed by label in
+    # first-seen order, leaf and internal chains apart. Labels run in
+    # first-seen order of T1, then T2.
+    arena1, arena2 = context.arena1, context.arena2
+    stats = context.stats
+    leaf_labels = dict.fromkeys([*arena1.leaf_chains, *arena2.leaf_chains])
     # Internal labels bottom-up; the stable sort keeps first-seen order
     # within a rank (labels of one merged cycle).
     ranks = infer_label_ranks((t1, t2))
     internal_labels = sorted(
-        ordered_label_union(index1.internal_labels(), index2.internal_labels()),
+        dict.fromkeys([*arena1.internal_chains, *arena2.internal_chains]),
         key=ranks.__getitem__,
     )
+    # Leaves are compared on their arena values: Criterion 1 needs nothing
+    # else, and every leaf of a chain has the chain's label.
     for label in leaf_labels:
+        chain1 = arena1.leaf_chains.get(label, ())
+        chain2 = arena2.leaf_chains.get(label, ())
         _match_label(
-            label,
-            index1.leaf_chain(label),
-            index2.leaf_chain(label),
+            [arena1.value_of(pos) for pos in chain1],
+            [arena2.value_of(pos) for pos in chain2],
+            [arena1.node_ids[pos] for pos in chain1],
+            [arena2.node_ids[pos] for pos in chain2],
+            partial(context.leaf_values_equal, label),
             matching,
-            context,
+            stats,
             k,
-            leaf=True,
         )
+    # Internal nodes are bound to their Node objects, once per chain.
+    nodes1, nodes2 = t1.arena_nodes(), t2.arena_nodes()
     for label in internal_labels:
+        s1 = [nodes1[pos] for pos in arena1.internal_chains.get(label, ())]
+        s2 = [nodes2[pos] for pos in arena2.internal_chains.get(label, ())]
         _match_label(
-            label,
-            index1.internal_chain(label),
-            index2.internal_chain(label),
+            s1,
+            s2,
+            [x.id for x in s1],
+            [y.id for y in s2],
+            partial(context.internals_equal, matching=matching),
             matching,
-            context,
+            stats,
             k,
-            leaf=False,
         )
     apply_root_policy(t1, t2, matching, context.config)
     return matching
 
 
 def _match_label(
-    label: str,
-    s1: List[Node],
-    s2: List[Node],
+    s1: Sequence[Any],
+    s2: Sequence[Any],
+    ids1: List[Any],
+    ids2: List[Any],
+    equal: Callable[[Any, Any], bool],
     matching: Matching,
-    context: CriteriaContext,
+    stats: MatchingStats,
     k: Optional[int],
-    leaf: bool,
 ) -> None:
-    """Steps 2a-2e of Figure 11 for one label chain."""
+    """Steps 2a-2e of Figure 11 for one label chain.
+
+    ``s1``/``s2`` are what *equal* compares (leaf values or internal
+    nodes); ``ids1``/``ids2`` are the node ids at the same chain ranks.
+    """
     if not s1 or not s2:
         return
 
-    if leaf:
-        equal = context.leaves_equal
-    else:
-        equal = lambda x, y: context.internals_equal(x, y, matching)  # noqa: E731
-
     # 2c. One LCS pass matches everything that kept its relative order.
-    context.stats.lcs_calls += 1
-    for x, y in myers_lcs(s1, s2, equal):
-        matching.add(x.id, y.id)
+    stats.lcs_calls += 1
+    for i, j in myers_lcs_indices(s1, s2, equal):
+        matching.add(ids1[i], ids2[j])
 
     if k == 0:
         return
 
     # 2e. Pair remaining unmatched nodes as in Algorithm Match; under A(k)
     # only candidates whose chain rank lies within k of x's are tried.
-    leftovers2 = [y for y in s2 if not matching.has2(y.id)]
+    leftovers2 = [j for j, y_id in enumerate(ids2) if not matching.has2(y_id)]
     if not leftovers2:
         return
-    rank2 = None if k is None else {y.id: rank for rank, y in enumerate(s2)}
-    for rank1, x in enumerate(s1):
-        if matching.has1(x.id):
+    for i, x in enumerate(s1):
+        if matching.has1(ids1[i]):
             continue
-        for y in leftovers2:
-            if matching.has2(y.id):
+        for j in leftovers2:
+            if matching.has2(ids2[j]):
                 continue
-            if rank2 is not None and abs(rank2[y.id] - rank1) > k:
+            if k is not None and abs(j - i) > k:
                 continue
-            if equal(x, y):
-                matching.add(x.id, y.id)
+            if equal(x, s2[j]):
+                matching.add(ids1[i], ids2[j])
                 break
-
-

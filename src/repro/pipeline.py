@@ -1,10 +1,10 @@
 """The staged diff pipeline every front end runs on.
 
-The paper's algorithm is a fixed sequence of stages — build per-tree
-indexes, find a good matching (§5), optionally repair it (§8), generate the
-minimum conforming edit script (§4), and (for document front ends) build
-and render the delta tree (§6). :class:`DiffPipeline` runs exactly those
-named stages:
+The paper's algorithm is a fixed sequence of stages — build each tree's
+structure tables, find a good matching (§5), optionally repair it (§8),
+generate the minimum conforming edit script (§4), and (for document front
+ends) build and render the delta tree (§6). :class:`DiffPipeline` runs
+exactly those named stages:
 
     ``index → match → postprocess → editscript → deltatree``
 
@@ -41,7 +41,6 @@ from typing import (
 )
 
 from .core.errors import ConfigError
-from .core.index import cached_index
 from .core.tree import Tree
 from .editscript.generator import EditScriptResult, generate_edit_script
 from .editscript.script import EditScript
@@ -286,16 +285,15 @@ class DiffPipeline:
         repairs = 0
 
         with trace.span("index") as span:
-            index1, reused1 = cached_index(t1)
-            index2, reused2 = cached_index(t2)
+            # The tables live on each tree's snapshot, so a tree (or a copy
+            # sharing its snapshot) that was diffed before reuses them.
+            reused = t1.to_arena().build_tables() + t2.to_arena().build_tables()
             span.annotate(nodes_t1=len(t1), nodes_t2=len(t2))
-        trace.counters["index_cache_hits"] = reused1 + reused2
+        trace.counters["index_cache_hits"] = reused
         trace.counters["nodes_t1"] = len(t1)
         trace.counters["nodes_t2"] = len(t2)
 
-        context = CriteriaContext(
-            t1, t2, config.match, stats, index1=index1, index2=index2
-        )
+        context = CriteriaContext(t1, t2, config.match, stats)
         if matching is None:
             with trace.span("match") as span:
                 if config.algorithm == "fast":
@@ -313,7 +311,7 @@ class DiffPipeline:
                     span.annotate(repairs=repairs)
 
         with trace.span("editscript") as span:
-            edit = generate_edit_script(t1, t2, matching, index2=index2)
+            edit = generate_edit_script(t1, t2, matching)
             span.annotate(operations=len(edit.script))
 
         result = DiffResult(

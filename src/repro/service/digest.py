@@ -1,19 +1,17 @@
-"""Content-addressed Merkle fingerprints for subtrees.
+"""Content-addressed Merkle fingerprints of tree snapshots.
 
 The serving layer (:mod:`repro.service`) needs a cheap way to recognize
-that two snapshots — or two subtrees — are identical without running any
-matching algorithm. Each node gets a digest of ``(label, value, child
-digests)``, computed bottom-up in one post-order pass, so:
+that two snapshots are identical without running any matching algorithm.
+Each node gets a digest of ``(label, value, child digests)``, computed
+bottom-up in one post-order pass, and the root's digest fingerprints the
+tree: equal root digests imply the trees are isomorphic (identical up to
+node identifiers, Section 3.1's equivalence) and the engine can
+short-circuit to an empty edit script.
 
-* equal **root** digests imply the trees are isomorphic (identical up to
-  node identifiers, Section 3.1's equivalence) and the engine can
-  short-circuit to an empty edit script;
-* equal **subtree** digests mean isomorphic subtrees (compare
-  :meth:`DigestIndex.get` of the two roots).
-
-:func:`cached_digests` memoizes the digests on the tree's immutable arena
-snapshot, so a copy sharing the snapshot shares them too, and a mutation,
-which drops the snapshot, drops them with it.
+:func:`cached_digests` memoizes the root digest on the tree's immutable
+arena snapshot, so a copy sharing the snapshot shares it too, and a
+mutation, which drops the snapshot, drops it with it. Node labels and
+values are read-only outside the tree, so no write can slip past that.
 
 The pass reads the tree's arena arrays. Each node is one ``blake2b``
 call over its length-prefixed label, its length-prefixed value encoding
@@ -36,9 +34,8 @@ import hashlib
 import json
 import struct
 from json.encoder import encode_basestring
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
-from ..core.arena import flatten_root
 from ..core.tree import Tree
 
 #: Digest width in bytes. 16 bytes (128 bits) keeps indexes small while
@@ -76,12 +73,11 @@ def _encode_value(value: Any) -> bytes:
 
 
 class DigestIndex:
-    """Per-subtree Merkle digests for one tree, keyed by node identifier."""
+    """The Merkle digest of one tree snapshot."""
 
-    __slots__ = ("by_id", "root")
+    __slots__ = ("root",)
 
-    def __init__(self, by_id: Dict[Any, bytes], root: bytes) -> None:
-        self.by_id = by_id
+    def __init__(self, root: bytes) -> None:
         self.root = root
 
     @property
@@ -89,28 +85,18 @@ class DigestIndex:
         """Hex fingerprint of the whole tree."""
         return self.root.hex()
 
-    def get(self, node_id: Any) -> bytes:
-        """Digest of the subtree rooted at *node_id*."""
-        return self.by_id[node_id]
-
-    def __len__(self) -> int:
-        return len(self.by_id)
-
 
 def compute_digests(tree: Tree) -> DigestIndex:
-    """Compute per-subtree digests over the tree's arena arrays.
+    """Compute the tree's Merkle digest over its arena arrays, unmemoized.
 
-    One reverse-preorder pass (children precede parents). Parsed, copied
-    and checked-out trees hand over their cached snapshot, so no node
-    graph is built. Any other tree is flattened into a throwaway arena:
-    caching it would outlive direct writes to node attributes.
+    One reverse-preorder pass (children precede parents) hashes every
+    subtree. Parsed, copied and checked-out trees hand over their cached
+    snapshot, so no node graph is built.
     """
-    arena = tree.arena_snapshot()
-    if arena is None:
-        arena = flatten_root(tree.root)[0]
+    arena = tree.to_arena()
     n = arena.n
     if n == 0:
-        return DigestIndex({}, EMPTY_TREE_DIGEST)
+        return DigestIndex(EMPTY_TREE_DIGEST)
     label_enc = [
         _encode_field(str(label).encode("utf-8", "surrogatepass"))
         for label in arena.label_pool
@@ -130,23 +116,15 @@ def compute_digests(tree: Tree) -> DigestIndex:
                 child = next_sibling[child]
             data = b"".join(parts)
         digests[pos] = blake2b(data, digest_size=DIGEST_SIZE).digest()
-    by_id = dict(zip(arena.node_ids, digests))
-    return DigestIndex(by_id, digests[0])
+    return DigestIndex(digests[0])
 
 
 def cached_digests(tree: Tree) -> DigestIndex:
-    """Digests of *tree*, memoized on its arena snapshot when it has one.
-
-    A tree without a fresh snapshot (built from nodes, or edited since) is
-    digested anew on every call: see :func:`compute_digests`.
-    """
-    arena = tree.arena_snapshot()
-    if arena is None:
-        return compute_digests(tree)
+    """The digest of *tree*, memoized on its arena snapshot."""
+    arena = tree.to_arena()
     index: Optional[DigestIndex] = arena.digests
     if index is None:
-        index = compute_digests(tree)
-        arena.digests = index
+        index = arena.digests = compute_digests(tree)
     return index
 
 

@@ -291,11 +291,11 @@ def _arena_check(t1: Tree, t2: Tree) -> List[Violation]:
     * Node graph → :class:`~repro.core.arena.TreeArena` → Node graph
       round-trips to the same tree: the source's node graph is walked
       against a node graph rebuilt from its arena;
-    * the arena-backed :class:`~repro.core.index.TreeIndex` agrees with
-      one walk of the node graph
-      (:func:`~repro.verify.oracles.check_index_consistency`) on every
-      preorder rank (so on the identifiers and their order), size, leaf
-      count, leaf span, child rank, containment test, label and value.
+    * the structure tables of the tree's arena agree with one walk of the
+      node graph (:func:`~repro.verify.oracles.check_index_consistency`)
+      on every preorder rank (so on the identifiers and their order),
+      size, leaf count, leaf span, containment test, label chain, label
+      and value.
 
     Script replay is checked by the ``replay_isomorphism`` oracle.
     """

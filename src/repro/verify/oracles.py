@@ -21,11 +21,11 @@ the executable form of one of them:
 * **delta consistency** (§6) — the delta tree's IDN/UPD/INS/DEL/MOV/MRK
   annotation counts agree with the edit script, on top of the §6
   correctness definition in :mod:`repro.deltatree.correctness`.
-* **index consistency** — a fresh :class:`~repro.core.index.TreeIndex`
-  over the replayed tree agrees with one direct walk of its node graph
-  (ranks, sizes, leaf counts, spans, sibling ranks, containment, labels
-  and values), so every index-accelerated stage still sees correct
-  structure after a round trip.
+* **index consistency** — the structure tables of the replayed tree's
+  :class:`~repro.core.arena.TreeArena` agree with one direct walk of its
+  node graph (ranks, sizes, leaf counts, spans, containment, label
+  chains, labels and values), so every stage that reads them still sees
+  correct structure after a round trip.
 
 All oracles are pure: they take trees and results, never mutate them, and
 return a list of :class:`Violation` (empty = pass). :func:`verify_result`
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from ..core.index import TreeIndex
+from ..core.arena import TreeArena
 from ..core.isomorphism import first_difference, trees_isomorphic
 from ..core.node import Node
 from ..core.tree import Tree
@@ -508,87 +508,92 @@ def check_delta_consistency(
 
 
 # ---------------------------------------------------------------------------
-# Oracle 6: TreeIndex consistency (post-replay re-check)
+# Oracle 6: arena structure consistency (post-replay re-check)
 # ---------------------------------------------------------------------------
 def check_index_consistency(
-    tree: Tree, index: Optional[TreeIndex] = None
+    tree: Tree, arena: Optional[TreeArena] = None
 ) -> List[Violation]:
-    """A :class:`TreeIndex` over *tree* must agree with one direct walk.
+    """The structure tables of *tree*'s arena must agree with one direct walk.
 
     One preorder walk of the node graph records each node's rank, parent,
-    sibling rank and first-leaf offset; one reverse pass sums subtree sizes
-    and leaf counts. The index must agree on preorder ranks, subtree sizes,
-    leaf counts, leaf spans, 1-based sibling ranks, preorder-interval
-    containment against the parent (both directions), labels and values
-    (read through its arena), and the document-order leaf list. The walk
-    reads ``Node`` objects only, so it stays independent of the arena the
-    index reads. Run on replayed trees to prove the index abstractions
-    survive a full edit round trip, and by the fuzz harness on every
-    generated tree.
+    first-leaf offset and label chain; one reverse pass sums subtree sizes
+    and leaf counts. The arena (the tree's snapshot unless one is given)
+    must agree on preorder ranks, subtree sizes, leaf counts, leaf spans,
+    preorder-interval containment against the parent (both directions),
+    labels, values, the label chains and the document-order leaf list.
+    The walk reads ``Node`` objects only, so it stays independent of the
+    arena. Run on replayed trees to prove the tables survive a full edit
+    round trip, and by the fuzz harness on every generated tree.
     """
     name = "index_consistency"
     out: List[Violation] = []
-    if index is None:
-        index = TreeIndex(tree)
-    arena = index.arena
-    if len(index) != len(tree):
+    if arena is None:
+        arena = tree.to_arena()
+    if arena.n != len(tree):
         out.append(
             Violation(
                 name,
                 "index node count differs from the tree",
-                {"index": len(index), "tree": len(tree)},
+                {"index": arena.n, "tree": len(tree)},
             )
         )
     nodes: List[Node] = []
     parents: List[int] = []  # preorder rank of the parent, -1 for the root
-    sibling_ranks: List[int] = []  # 1-based, 0 for the root
     first_leaf: List[int] = []
     leaf_ids: List[Any] = []
-    pending: Dict[int, Tuple[int, int]] = {}  # id(child) -> (parent, sibling rank)
+    leaf_chains: Dict[str, List[Any]] = {}
+    internal_chains: Dict[str, List[Any]] = {}
+    pending: Dict[int, int] = {}  # id(child) -> preorder rank of its parent
     for rank, node in enumerate(tree.preorder()):
-        parent, sibling_rank = pending.pop(id(node), (-1, 0))
         nodes.append(node)
-        parents.append(parent)
-        sibling_ranks.append(sibling_rank)
+        parents.append(pending.pop(id(node), -1))
         first_leaf.append(len(leaf_ids))
-        for position, child in enumerate(node.children, start=1):
-            pending[id(child)] = (rank, position)
+        for child in node.children:
+            pending[id(child)] = rank
         if not node.children:
             leaf_ids.append(node.id)
+        chains = internal_chains if node.children else leaf_chains
+        chains.setdefault(node.label, []).append(node.id)
     sizes = [1] * len(nodes)
     leaf_counts = [0 if node.children else 1 for node in nodes]
     for rank in range(len(nodes) - 1, 0, -1):
         sizes[parents[rank]] += sizes[rank]
         leaf_counts[parents[rank]] += leaf_counts[rank]
 
-    if [arena.node_ids[pos] for pos in index.leaf_position_array()] != leaf_ids:
+    node_ids = arena.node_ids
+    if [node_ids[pos] for pos in arena.leaf_positions] != leaf_ids:
         out.append(Violation(name, "leaf list disagrees with the document-order leaves"))
+    for table, walked in ((arena.leaf_chains, leaf_chains),
+                          (arena.internal_chains, internal_chains)):
+        indexed = [(label, [node_ids[pos] for pos in chain]) for label, chain in table.items()]
+        if indexed != list(walked.items()):  # first-seen label order too
+            out.append(Violation(name, "label chains disagree with a direct walk"))
+    pos_of, subtree_size = arena.pos_of, arena.subtree_size
     for rank, node in enumerate(nodes):
         node_id = node.id
-        if node_id not in index:
+        pos = pos_of.get(node_id)
+        if pos is None:
             out.append(Violation(name, "tree node missing from the index", {"node": node_id}))
             continue
-        pos = index.rank(node_id)
         start, count = first_leaf[rank], leaf_counts[rank]
+        leaf_start = arena.leaf_start[pos]
         checks = [
             ("preorder rank disagrees with a direct walk", pos, rank),
-            ("subtree size disagrees with a direct walk", index.subtree_size(node_id), sizes[rank]),
-            ("leaf count disagrees with a direct walk", index.leaf_count(node_id), count),
-            ("leaf span disagrees with the subtree's leaves", index.leaf_span(node_id),
-             (start, start + count)),
+            ("subtree size disagrees with a direct walk", subtree_size[pos], sizes[rank]),
+            ("leaf count disagrees with a direct walk", arena.leaf_count[pos], count),
+            ("leaf span disagrees with the subtree's leaves",
+             (leaf_start, leaf_start + arena.leaf_count[pos]), (start, start + count)),
             ("label disagrees with the node", arena.label_of(pos), node.label),
             ("value disagrees with the node", arena.value_of(pos), node.value),
         ]
-        parent_id = nodes[parents[rank]].id if parents[rank] >= 0 else None
-        if parent_id is not None and parent_id in index:
-            # The sibling rank and both containment directions.
+        parent_pos = pos_of.get(nodes[parents[rank]].id) if parents[rank] >= 0 else None
+        if parent_pos is not None:
+            # Both containment directions.
             checks += [
-                ("child rank disagrees with the sibling position",
-                 index.child_rank(node_id), sibling_ranks[rank]),
                 ("interval containment misses a direct parent",
-                 index.is_under(node_id, parent_id), True),
+                 parent_pos < pos < parent_pos + subtree_size[parent_pos], True),
                 ("interval containment inverts a parent/child pair",
-                 index.is_under(parent_id, node_id), False),
+                 pos < parent_pos < pos + subtree_size[pos], False),
             ]
         for message, indexed, walked in checks:
             if indexed is not walked and indexed != walked:  # identity first: NaN != NaN

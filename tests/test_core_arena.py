@@ -22,7 +22,6 @@ from repro.core import (
     trees_isomorphic,
 )
 from repro.core.errors import DuplicateNodeError, EditScriptError, TreeError
-from repro.core.index import TreeIndex
 from repro.editscript.script import EditScript
 from repro.editscript.operations import Delete, Insert, Move, Update
 from repro.workload import RandomTreeSpec, paper_document_sets, random_tree
@@ -84,7 +83,7 @@ class TestArenaBuilder:
     def test_empty_arena(self):
         arena = ArenaBuilder().finish()
         assert arena.n == 0 and len(arena) == 0
-        assert list(arena.leaf_positions()) == []
+        assert list(arena.leaf_positions) == []
 
     def test_value_interning_keeps_bool_int_float_distinct(self):
         # 1 == True == 1.0 in Python; the pool must not merge them or
@@ -246,7 +245,7 @@ class TestLazyView:
         assert list(view.node_ids()) == list(arena.node_ids)
         assert view.to_arena() is arena
         assert view.arena_snapshot() is arena
-        TreeIndex(view)
+        arena.build_tables()
         tree_to_dict(view)
         assert view._node_map is None  # still no Node objects built
 
@@ -318,19 +317,19 @@ class TestApplyToArena:
 
 
 # ---------------------------------------------------------------------------
-# TreeIndex over arena-parsed trees agrees with naive node walks
+# Structure tables of arena-parsed trees agree with naive node walks
 # ---------------------------------------------------------------------------
 class TestIndexParity:
     def test_tables_agree(self):
         tree = tree_from_dict(tree_to_dict(sample_tree()))
-        index = TreeIndex(tree)
-        assert_index_consistent(index, tree)
+        assert_index_consistent(tree.to_arena(), tree)
 
     def test_child_rank_raises_for_root(self):
-        tree = sample_tree()
-        fast = TreeIndex(tree)
-        with pytest.raises(KeyError):
-            fast.child_rank(tree.root.id)
+        # FindPos reads sibling ranks from the nodes; the root has none.
+        tree = tree_from_dict(tree_to_dict(sample_tree()))
+        assert [c.child_index() for c in tree.root.children] == [1, 2, 3]
+        with pytest.raises(ValueError):
+            tree.root.child_index()
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ def test_roundtrip_property(spec):
         len(n.children) for n in originals
     ]
 
-    assert_index_consistent(TreeIndex(back), back)
+    assert_index_consistent(back.to_arena(), back)
 
 
 # ---------------------------------------------------------------------------

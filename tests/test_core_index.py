@@ -1,9 +1,8 @@
-"""TreeIndex invariants: the index must agree with naive recomputation."""
+"""Arena structure tables: they must agree with naive recomputation."""
 
 import pytest
 
 from repro import Tree, tree_diff
-from repro.core.index import TreeIndex, cached_index
 from repro.workload import MutationEngine, generate_document
 from repro.workload.documents import DocumentSpec
 from repro.workload.random_trees import RandomTreeSpec, random_tree
@@ -13,44 +12,48 @@ def naive_leaf_count(node):
     return sum(1 for _ in node.leaves())
 
 
-def naive_chains(tree):
+def naive_chains(tree, leaves):
+    """Label -> nodes of one kind, document order, labels first-seen."""
     chains = {}
     for node in tree.preorder():
-        chains.setdefault(node.label, []).append(node)
+        if node.is_leaf == leaves:
+            chains.setdefault(node.label, []).append(node)
     return chains
 
 
-def assert_index_consistent(index, tree):
-    """Every indexed fact equals its naive recomputation."""
+def assert_index_consistent(arena, tree):
+    """Every table of *arena* equals its naive recomputation on *tree*."""
     preorder = list(tree.preorder())
-    assert len(index) == len(preorder) == len(tree)
+    assert arena.n == len(preorder) == len(tree)
+    assert tree.arena_nodes() == preorder
 
-    # Preorder ranks, subtree sizes, leaf counts, spans, child ranks.
+    # Preorder ranks, subtree sizes, leaf counts, spans.
     leaves_seen = []
     for rank, node in enumerate(preorder):
-        assert node.id in index
-        assert index.rank(node.id) == rank
-        assert index.subtree_size(node.id) == node.subtree_size()
-        assert index.leaf_count(node.id) == naive_leaf_count(node)
-        assert list(index.leaves_of(node.id)) == list(node.leaves())
-        if node.parent is not None:
-            assert index.child_rank(node.id) == node.child_index()
+        assert arena.pos_of[node.id] == rank
+        assert arena.subtree_size[rank] == node.subtree_size()
+        assert arena.leaf_count[rank] == naive_leaf_count(node)
+        start = arena.leaf_start[rank]
+        span = arena.leaf_positions[start:start + arena.leaf_count[rank]]
+        assert [preorder[pos] for pos in span] == list(node.leaves())
         if node.is_leaf:
             leaves_seen.append(node)
 
     # The flat leaf list is the document-order leaf sequence.
-    assert list(index.leaves_of(tree.root.id)) == leaves_seen == list(tree.leaves())
+    assert [preorder[pos] for pos in arena.leaf_positions] == leaves_seen
+    assert leaves_seen == list(tree.leaves())
 
-    # Containment agrees with parent-chain ascent, both directions.
-    for node in preorder:
-        for other in preorder:
+    # Preorder intervals agree with parent-chain ascent, both directions.
+    for rank, node in enumerate(preorder):
+        for other_rank, other in enumerate(preorder):
             naive = any(a is other for a in node.ancestors())
-            assert index.is_under(node.id, other.id) == naive
+            end = other_rank + arena.subtree_size[other_rank]
+            assert (other_rank < rank < end) == naive
 
-    # Label chains and label lists.
-    assert {k: v for k, v in index.chains().items()} == naive_chains(tree)
-    assert index.leaf_labels() == tree.leaf_labels()
-    assert index.internal_labels() == tree.internal_labels()
+    # Label chains, with their labels in first-seen order.
+    for table, leaves in ((arena.leaf_chains, True), (arena.internal_chains, False)):
+        bound = {label: [preorder[pos] for pos in chain] for label, chain in table.items()}
+        assert list(bound.items()) == list(naive_chains(tree, leaves).items())
 
 
 @pytest.fixture
@@ -61,30 +64,30 @@ def document():
 
 class TestConstruction:
     def test_document_tree(self, document):
-        assert_index_consistent(TreeIndex(document), document)
+        assert_index_consistent(document.to_arena(), document)
 
     def test_single_node_tree(self):
         tree = Tree.from_obj(("D", "only"))
-        index = TreeIndex(tree)
-        assert_index_consistent(index, tree)
-        assert index.leaf_count(tree.root.id) == 1
-        assert list(index.leaves_of(tree.root.id)) == [tree.root]
+        arena = tree.to_arena()
+        assert_index_consistent(arena, tree)
+        assert arena.leaf_count[0] == 1
+        assert list(arena.leaf_positions) == [0]
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_random_trees(self, seed):
         tree = random_tree(seed, RandomTreeSpec(max_depth=5, max_children=4))
-        assert_index_consistent(TreeIndex(tree), tree)
+        assert_index_consistent(tree.to_arena(), tree)
 
     def test_deep_chain(self):
         spec = ("P", None, [("S", "bottom")])
         for _ in range(60):
             spec = ("P", None, [spec])
         tree = Tree.from_obj(("D", None, [spec]))
-        assert_index_consistent(TreeIndex(tree), tree)
+        assert_index_consistent(tree.to_arena(), tree)
 
 
 class TestAfterReplay:
-    """Rebuilding on a replayed tree agrees with naive recomputation."""
+    """Tables built on a replayed tree agree with naive recomputation."""
 
     @pytest.mark.parametrize("seed", [11, 23, 47])
     def test_index_after_edit_script_apply(self, seed):
@@ -94,43 +97,45 @@ class TestAfterReplay:
         new = MutationEngine(seed + 1).mutate(old, 12).tree
         result = tree_diff(old, new)
         replayed = result.edit.script.apply_to(old)
-        assert_index_consistent(TreeIndex(replayed), replayed)
+        assert_index_consistent(replayed.to_arena(), replayed)
 
     def test_stale_index_detected_after_mutation(self, document):
-        index, _ = cached_index(document)
+        arena = document.to_arena()
+        arena.build_tables()
         document.insert(999, "S", "a fresh sentence", document.root.id, 1)
-        fresh, reused = cached_index(document)
-        assert not reused
-        assert fresh is not index
+        fresh = document.to_arena()
+        assert fresh is not arena
+        assert not fresh.build_tables()
         assert_index_consistent(fresh, document)
 
     def test_stale_index_detected_after_same_size_move(self, document):
-        index, _ = cached_index(document)
+        arena = document.to_arena()
+        arena.build_tables()
         sections = document.root.children
         document.move(sections[0].children[0].id, sections[1].id, 1)
-        fresh, reused = cached_index(document)
-        assert not reused
-        assert fresh is not index
+        fresh = document.to_arena()
+        assert fresh is not arena
+        assert not fresh.build_tables()
         assert_index_consistent(fresh, document)
 
 
 class TestCachedIndex:
     def test_reuses_attached_index(self, document):
-        index, _ = cached_index(document)
-        again, reused = cached_index(document)
-        assert reused and again is index
+        arena = document.to_arena()
+        arena.build_tables()
+        assert document.to_arena().build_tables()
+        assert document.to_arena().leaf_chains is arena.leaf_chains
 
     def test_builds_when_absent(self, document):
-        index, reused = cached_index(document)
-        assert not reused
-        assert_index_consistent(index, document)
+        assert not document.to_arena().build_tables()
+        assert_index_consistent(document.to_arena(), document)
 
-    def test_rejects_foreign_attachment(self, document):
-        # A copy shares the arena snapshot but not the index, whose lazy
-        # node binding belongs to the tree it was built over.
+    def test_copy_shares_the_tables(self, document):
+        # A copy shares the snapshot, so the tables too; its node binding
+        # is its own.
+        document.to_arena().build_tables()
         other = document.copy()
-        cached_index(other)
-        index, reused = cached_index(document)
-        assert not reused
-        assert index.tree is document
-        assert_index_consistent(index, document)
+        assert other.to_arena().build_tables()
+        assert other.arena_nodes()[0] is other.root is not document.root
+        assert_index_consistent(other.to_arena(), other)
+        assert_index_consistent(document.to_arena(), document)

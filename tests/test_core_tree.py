@@ -115,8 +115,9 @@ class TestTraversal:
         assert counts == {"D": 1, "P": 2, "S": 3}
 
     def test_leaf_and_internal_labels(self, small_tree):
-        assert small_tree.leaf_labels() == ["S"]
-        assert set(small_tree.internal_labels()) == {"D", "P"}
+        arena = small_tree.to_arena()
+        assert list(arena.leaf_chains) == ["S"]
+        assert set(arena.internal_chains) == {"D", "P"}
 
     def test_height(self, small_tree):
         depths = [len(list(leaf.ancestors())) for leaf in small_tree.leaves()]

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ConfigError, Tree, tree_diff
-from repro.core.index import cached_index
 from repro.ladiff.pipeline import default_match_config
 from repro.editscript.generator import generate_edit_script
 from repro.matching.criteria import MatchConfig, MatchingStats
@@ -208,10 +207,18 @@ class TestTrace:
 
     def test_index_cache_hits_with_attached_indexes(self):
         old, new = random_pair(13, 5)
-        cached_index(old)
-        cached_index(new)
+        old.to_arena().build_tables()
+        new.to_arena().build_tables()
         result = DiffPipeline(DiffConfig()).run(old, new)
         assert result.trace.counters["index_cache_hits"] == 2
+
+    def test_copies_reuse_the_tables_of_an_earlier_run(self):
+        old, new = random_pair(13, 5)
+        first = DiffPipeline(DiffConfig()).run(old, new)
+        assert first.trace.counters["index_cache_hits"] == 0
+        again = DiffPipeline(DiffConfig()).run(old.copy(), new.copy())
+        assert again.trace.counters["index_cache_hits"] == 2
+        assert again.script == first.script
 
     def test_attached_index_not_reused_after_same_size_mutation(self):
         t1 = Tree.from_obj(("D", None, [
@@ -219,11 +226,13 @@ class TestTrace:
             ("P", None, [("S", "seven eight nine"), ("S", "ten eleven twelve")]),
         ]))
         t2 = t1.copy()
-        cached_index(t2)
+        t2.to_arena().build_tables()
         t2.move(3, 5, 3)  # first sentence to the end of the other paragraph
         assert len(t2) == len(t1)
         result = DiffPipeline(DiffConfig()).run(t1, t2)
-        assert result.trace.counters["index_cache_hits"] == 0
+        # t1 still holds the snapshot it shared with t2 before the move, so
+        # only t1's tables are reused; t2's are rebuilt.
+        assert result.trace.counters["index_cache_hits"] == 1
         assert result.edit.verify(t1, t2)
 
     def test_listeners_see_every_span(self):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro import Tree, trees_isomorphic
+from repro.core import map_tree
 from repro.core.isomorphism import canonical_form
 from repro.core.serialization import tree_from_dict
 from repro.service.digest import (
@@ -39,16 +40,11 @@ class TestBasics:
     def test_empty_tree(self):
         index = compute_digests(Tree())
         assert index.root == EMPTY_TREE_DIGEST
-        assert len(index) == 0
 
     def test_digest_width(self):
         index = compute_digests(doc())
-        assert all(len(d) == DIGEST_SIZE for d in index.by_id.values())
-
-    def test_every_node_indexed(self):
-        tree = doc()
-        index = compute_digests(tree)
-        assert set(index.by_id) == set(tree.node_ids())
+        assert len(index.root) == DIGEST_SIZE
+        assert len(index.root_hex) == 2 * DIGEST_SIZE
 
     def test_identifiers_do_not_matter(self):
         tree = doc(seed=5)
@@ -65,8 +61,38 @@ class TestBasics:
     def test_label_change_changes_fingerprint(self):
         tree = doc()
         before = tree_fingerprint(tree)
-        next(tree.leaves()).label = "Q"
-        assert tree_fingerprint(tree) != before
+        first = next(tree.leaves()).id
+        relabeled = map_tree(
+            tree, lambda n: ("Q" if n.id == first else n.label, n.value)
+        )
+        assert tree_fingerprint(relabeled) != before
+        assert tree_fingerprint(tree) == before
+
+    def test_node_attributes_are_read_only(self):
+        # Writing a node directly would leave the tree's snapshot, and so
+        # its fingerprint and every cached diff, describing the old data.
+        u = Tree.from_obj(("D", None, [("S", "a b")]))
+        tree_fingerprint(u)
+        leaf = next(u.leaves())
+        with pytest.raises(AttributeError):
+            leaf.value = "changed words"
+        with pytest.raises(AttributeError):
+            leaf.label = "Q"
+        assert leaf.value == "a b" and leaf.label == "S"
+
+    def test_update_reaches_the_fingerprint_and_the_engine(self):
+        from repro.service import DiffEngine
+
+        spec = ("D", None, [("S", "a b")])
+        t, u = Tree.from_obj(spec), Tree.from_obj(spec)
+        assert tree_fingerprint(u) == tree_fingerprint(t)
+        u.update(next(u.leaves()).id, "changed words")
+        assert tree_fingerprint(u) != tree_fingerprint(t)
+        with DiffEngine(workers=1) as engine:
+            result = engine.diff(t, u)
+        assert result.status == "ok" and result.source == "computed"
+        assert len(result.script) > 0
+        assert trees_isomorphic(result.apply_to(t), u)
 
     def test_sibling_order_matters(self):
         t1 = Tree.from_obj(("D", None, [("S", "a"), ("S", "b")]))
@@ -81,42 +107,49 @@ class TestBasics:
         assert tree_fingerprint(t1) != tree_fingerprint(t2)
 
 
+def subtree_fingerprint(node):
+    """Root digest of *node*'s subtree, taken as a tree of its own."""
+
+    def spec(n):
+        return (n.label, n.value, [spec(c) for c in n.children])
+
+    return tree_fingerprint(Tree.from_obj(spec(node)))
+
+
 class TestSubtreeFastPath:
     def test_equal_subtrees_detected_across_trees(self):
         tree = doc(seed=9)
         twin = Tree.from_obj(tree.to_obj())
-        idx1 = compute_digests(tree)
-        idx2 = compute_digests(twin)
         for a, b in zip(tree.preorder(), twin.preorder()):
-            assert idx1.get(a.id) == idx2.get(b.id)
+            assert subtree_fingerprint(a) == subtree_fingerprint(b)
 
     def test_differing_subtree_flagged(self):
         tree = doc(seed=9)
         twin = Tree.from_obj(tree.to_obj())
         changed_leaf = next(twin.leaves())
         twin.update(changed_leaf.id, "changed!")
-        idx1 = compute_digests(tree)
-        idx2 = compute_digests(twin)
         # The changed leaf and all its ancestors differ; disjoint subtrees
         # keep their digests.
         dirty = {changed_leaf.id}
         dirty.update(n.id for n in changed_leaf.ancestors())
         for a, b in zip(tree.preorder(), twin.preorder()):
-            assert (idx1.get(a.id) == idx2.get(b.id)) == (b.id not in dirty)
+            same = subtree_fingerprint(a) == subtree_fingerprint(b)
+            assert same == (b.id not in dirty)
 
     def test_attach_and_cached(self):
         tree = Tree.from_obj(doc().to_obj())
         index = cached_digests(tree)
         assert tree.to_arena().digests is index
         assert cached_digests(tree) is index
-        bare = doc()  # built node by node: no snapshot to memoize on
+        bare = doc()  # built node by node: memoized on its first flatten
         assert bare.arena_snapshot() is None
-        assert cached_digests(bare) is not cached_digests(bare)
+        assert cached_digests(bare) is cached_digests(bare)
+        assert bare.to_arena().digests is cached_digests(bare)
         assert cached_digests(bare).root == index.root
 
 
 class TestSnapshotMemo:
-    """Digests and the TreeIndex live with the tree's arena snapshot."""
+    """Digests and the structure tables live with the tree's arena snapshot."""
 
     def test_digests_shared_until_mutation(self):
         tree = Tree.from_obj(doc(seed=4).to_obj())
@@ -130,18 +163,16 @@ class TestSnapshotMemo:
         assert after.root == compute_digests(Tree.from_obj(tree.to_obj())).root
 
     def test_index_reused_until_mutation(self):
-        from repro.core.index import cached_index
-
         tree = Tree.from_obj(doc(seed=4).to_obj())
-        index, reused = cached_index(tree)
-        assert not reused
-        again, reused = cached_index(tree)
-        assert reused and again is index
-        assert not cached_index(tree.copy())[1]
+        arena = tree.to_arena()
+        assert not arena.build_tables()
+        assert tree.to_arena().build_tables()
+        assert tree.copy().to_arena().build_tables()
         tree.insert(10_000, "S", "fresh", tree.root.id, 1)
-        fresh, reused = cached_index(tree)
-        assert not reused and fresh is not index
-        assert cached_index(tree) == (fresh, True)
+        fresh = tree.to_arena()
+        assert fresh is not arena
+        assert not fresh.build_tables()
+        assert tree.to_arena().build_tables()
 
     @pytest.mark.parametrize("edit", ["update", "insert", "move", "delete"])
     def test_engine_sees_edits_after_digesting(self, edit):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.core.arena import ArenaBuilder
 from repro.core.serialization import tree_from_sexpr, tree_to_dict
 from repro.core.tree import Tree
 from repro.service.digest import tree_fingerprint
@@ -157,11 +158,11 @@ def test_arena_check_walks_the_rebuilt_node_graph(monkeypatch):
     rebuild = tree_module._nodes_from_arena
 
     def lossy(arena):
-        root, node_map, order = rebuild(arena)
-        for node in order:
-            if not node.children:
-                node.value = "lost"
-        return root, node_map, order
+        builder = ArenaBuilder()
+        for pos in range(arena.n):
+            value = "lost" if arena.is_leaf(pos) else arena.value_of(pos)
+            builder.add(arena.parent[pos], arena.node_ids[pos], arena.label_of(pos), value)
+        return rebuild(builder.finish())
 
     monkeypatch.setattr(tree_module, "_nodes_from_arena", lossy)
     found = [v.message for v in _arena_check(tree, tree)]

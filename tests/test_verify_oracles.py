@@ -10,7 +10,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.index import TreeIndex
 from repro.core.node import Node
 from repro.core.tree import Tree
 from repro.editscript.operations import Delete, Insert, Update
@@ -275,12 +274,12 @@ def test_delta_consistency_rejects_tampered_delta(figure1_trees):
 def test_index_consistency_passes(figure1_trees):
     t1, _ = figure1_trees
     assert check_index_consistency(t1) == []
-    assert check_index_consistency(t1, TreeIndex(t1)) == []
+    assert check_index_consistency(t1, t1.to_arena()) == []
 
 
 def test_index_consistency_rejects_stale_index(figure1_trees):
     t1, _ = figure1_trees
-    stale = TreeIndex(t1)
+    stale = t1.to_arena()
     t1.insert(node_id="extra", label="S", value="late arrival",
               parent_id=t1.root.children[0].id, position=1)
     found = messages(check_index_consistency(t1, stale))
@@ -289,16 +288,17 @@ def test_index_consistency_rejects_stale_index(figure1_trees):
 
 def test_index_consistency_rejects_reordered_index(figure1_trees):
     t1, _ = figure1_trees
-    stale = TreeIndex(t1)
+    stale = t1.to_arena()
     first, second = t1.root.children[:2]
     t1.move(first.children[0].id, second.id, len(second.children) + 1)
     found = messages(check_index_consistency(t1, stale))
     assert "preorder rank disagrees with a direct walk" in found
+    assert "label chains disagree with a direct walk" in found
 
 
 def test_index_consistency_rejects_stale_value():
     t = Tree.from_obj(("D", None, [("P", None, [("S", "a b"), ("S", "c d")])]))
-    stale = TreeIndex(t)
+    stale = t.to_arena()
     t.update(next(t.leaves()).id, "changed words")
     found = messages(check_index_consistency(t, stale))
     assert found == ["value disagrees with the node"]
