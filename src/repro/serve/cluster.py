@@ -133,6 +133,8 @@ class ClusterServer:
             health_interval=config.health_interval,
             backoff_base=config.backoff_base,
             backoff_cap=config.backoff_cap,
+            # a worker leaving the port map takes its idle sockets with it
+            on_down=lambda handle: self.router.upstream.drop(handle.worker_id),
         )
         self.router = Router(
             ring=self.supervisor.ring,
@@ -191,6 +193,9 @@ class ClusterServer:
             await self.router.close_connections()
         finally:
             hup_task.cancel()
+            # a worker's drain waits for its open connections, so the idle
+            # upstream sockets close first, also when the drain above failed
+            await self.router.upstream.close()
             await self.supervisor.stop()
             supervise_task.cancel()
             await asyncio.gather(

@@ -202,6 +202,69 @@ async def read_content_length_body(
     return await reader.readexactly(length) if length else b""
 
 
+class NoResponse(asyncio.IncompleteReadError):
+    """The upstream connection ended before the first byte of a response.
+
+    EOF or a reset while the request was sent or its status line awaited.
+    On a reused keep-alive connection this is what a socket the worker
+    closed while it sat idle looks like.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(b"", None)
+
+
+def encode_request(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    headers: Dict[str, str],
+    body: bytes,
+    keep_alive: bool,
+) -> bytes:
+    """One upstream HTTP/1.1 request.
+
+    *headers* follow ``Host``, ``Connection`` and the body's
+    ``Content-Length``.
+    """
+    head = [
+        f"{method} {path} HTTP/1.1",
+        f"Host: {host}:{port}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+        f"Content-Length: {len(body)}",
+    ]
+    head.extend(f"{name}: {value}" for name, value in headers.items())
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+async def roundtrip(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, request: bytes
+) -> Tuple[int, Dict[str, str], bytes]:
+    """Send one encoded request and read its Content-Length-framed response.
+
+    Returns ``(status, lowercased headers, body)``. Raises
+    :class:`NoResponse` when the connection ends before the status line,
+    ``asyncio.IncompleteReadError`` when it ends inside the headers or
+    the body, and ``OSError`` on other socket failures. Every response
+    of the service carries a ``Content-Length``, so headers without one
+    were cut off.
+    """
+    try:
+        writer.write(request)
+        await writer.drain()
+        status_line = await reader.readline()
+    except ConnectionError as exc:
+        raise NoResponse() from exc
+    if not status_line:
+        raise NoResponse()
+    status = parse_status_line(status_line)
+    headers = await read_headers(reader)
+    if "content-length" not in headers:
+        raise asyncio.IncompleteReadError(b"", None)
+    return status, headers, await reader.readexactly(int(headers["content-length"]))
+
+
 async def exchange(
     host: str,
     port: int,
@@ -210,44 +273,41 @@ async def exchange(
     headers: Dict[str, str],
     body: bytes,
     timeout: float,
-    connect_timeout: Optional[float] = None,
 ) -> Tuple[int, bytes]:
-    """One fully-framed upstream request on a fresh connection.
+    """One request on a fresh connection that closes after the response.
 
-    Sends *headers* after ``Host``, ``Connection: close`` and the body's
-    ``Content-Length``; returns ``(status, body)`` of the
-    Content-Length-framed response. Each read waits at most *timeout*, the
-    connect at most *connect_timeout* (default *timeout*). Failures
-    propagate as ``OSError`` / ``asyncio.TimeoutError``, and as
-    ``asyncio.IncompleteReadError`` when the peer closes without answering.
+    Connect, send and read all fall under one deadline of *timeout*
+    seconds. Returns ``(status, body)``; failures propagate as
+    ``OSError`` / ``asyncio.TimeoutError``, and as
+    ``asyncio.IncompleteReadError`` when the peer closes without
+    answering.
     """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port),
-        timeout if connect_timeout is None else connect_timeout,
+    return await asyncio.wait_for(
+        _exchange(host, port, method, path, headers, body), timeout
     )
+
+
+async def _exchange(
+    host: str, port: int, method: str, path: str, headers: Dict[str, str], body: bytes
+) -> Tuple[int, bytes]:
+    reader, writer = await asyncio.open_connection(host, port)
     try:
-        head = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {host}:{port}",
-            "Connection: close",
-            f"Content-Length: {len(body)}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in headers.items())
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
-        status_line = await asyncio.wait_for(reader.readline(), timeout)
-        if not status_line:
-            raise asyncio.IncompleteReadError(b"", None)
-        status = parse_status_line(status_line)
-        resp_headers = await asyncio.wait_for(read_headers(reader), timeout)
-        length = int(resp_headers.get("content-length", "0"))
-        return status, await asyncio.wait_for(reader.readexactly(length), timeout)
+        request = encode_request(
+            host, port, method, path, headers, body, keep_alive=False
+        )
+        status, _, resp_body = await roundtrip(reader, writer, request)
+        return status, resp_body
     finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await close_quietly(writer)
+
+
+async def close_quietly(writer: asyncio.StreamWriter) -> None:
+    """Close a stream and wait for it, ignoring a peer that already left."""
+    try:
+        writer.close()
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
 
 
 async def fetch_json(
@@ -256,6 +316,8 @@ async def fetch_json(
     """One GET against a backend through :func:`exchange`: ``(status, decoded body)``.
 
     For use on the serving loop (supervisor health checks, router fan-in).
+    Each call opens its own connection: a health check has to prove the
+    worker still accepts one.
     """
     status, raw = await exchange(
         host, port, "GET", path, {"Accept": "application/json"}, b"", timeout
@@ -458,11 +520,7 @@ class HttpFront:
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await close_quietly(writer)
 
     async def _serve_one(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, peer: str

@@ -32,12 +32,23 @@ shard (and its warm cache).
 The replay chain (:meth:`Router._proxy`) is transport-agnostic: each
 attempt goes through ``Router.transport``, a socket exchange in
 production and a direct call into an in-process worker in the simulator.
+
+The socket leg keeps its connections: an :class:`UpstreamPool` holds up
+to :data:`MAX_IDLE_PER_WORKER` idle keep-alive connections per worker, so
+a proxied request reuses one instead of paying a TCP connect, a worker
+connection task and a teardown. Idle sockets are filed under the port
+they were opened to, so a worker respawned on a new port never gets the
+old port's sockets, and a socket whose worker left the port map while
+its request was in flight is closed, not returned. The supervisor's
+down notice (suspect, restart, rolling restart) closes a worker's idle
+sockets, and the router's drain closes all of them.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
+import json
 from bisect import bisect_left, insort
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
@@ -55,10 +66,13 @@ from .protocol import (
     PROTOCOL,
     HttpError,
     HttpFront,
+    NoResponse,
     Response,
-    exchange,
+    close_quietly,
+    encode_request,
     fetch_json,
     require_method,
+    roundtrip,
 )
 
 #: Request headers forwarded verbatim to the backend worker.
@@ -70,6 +84,78 @@ Transport = Callable[
     [str, str, str, Dict[str, str], bytes, Optional[Tuple[str, str]]],
     Awaitable[Tuple[int, bytes]],
 ]
+
+
+#: Idle keep-alive connections kept per worker. A burst wider than this
+#: opens extra connections, which close after their response. The value
+#: is a guess: the one benchmark workload through the router has a single
+#: client, so it never holds more than one idle socket per worker, and no
+#: concurrent run has measured this bound.
+MAX_IDLE_PER_WORKER = 8
+
+#: One open upstream connection.
+Upstream = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+class UpstreamPool:
+    """Idle keep-alive connections to the workers, per worker and port.
+
+    A worker's idle list is tagged with the port its sockets were opened
+    to; taking or returning a connection under another port closes the
+    old ones first. The most recently returned connection is reused
+    first. After :meth:`close` every returned connection is closed.
+    """
+
+    def __init__(self) -> None:
+        self._closed = False
+        self._idle: Dict[str, Tuple[int, List[Upstream]]] = {}
+
+    def take(self, worker_id: str, port: int) -> Optional[Upstream]:
+        """An idle connection to *worker_id* on *port*, or None."""
+        entry = self._idle.get(worker_id)
+        if entry is None:
+            return None
+        if entry[0] != port:
+            self.drop(worker_id)
+            return None
+        return entry[1].pop() if entry[1] else None
+
+    def put(self, worker_id: str, port: int, conn: Upstream) -> None:
+        """File *conn* as idle; close it if the pool is closed or full."""
+        if self._closed:
+            conn[1].close()
+            return
+        entry = self._idle.get(worker_id)
+        if entry is None or entry[0] != port:
+            self.drop(worker_id)
+            entry = self._idle[worker_id] = (port, [])
+        if len(entry[1]) < MAX_IDLE_PER_WORKER:
+            entry[1].append(conn)
+        else:
+            conn[1].close()
+
+    def drop(self, worker_id: str) -> None:
+        """Close every idle connection to *worker_id*."""
+        _, conns = self._idle.pop(worker_id, (0, []))
+        for _, writer in conns:
+            writer.close()
+
+    async def close(self) -> None:
+        """Close every idle connection; later returns are closed too."""
+        self._closed = True
+        writers = [writer for _, conns in self._idle.values() for _, writer in conns]
+        self._idle.clear()
+        await asyncio.gather(*(close_quietly(writer) for writer in writers))
+
+
+def says_draining(status: int, body: bytes) -> bool:
+    """Whether a worker's answer is the 503 it gives while it drains."""
+    if status != 503:
+        return False
+    try:
+        return json.loads(body).get("error") == "draining"
+    except (ValueError, AttributeError):
+        return False
 
 
 def forwarded_headers(
@@ -214,6 +300,8 @@ class Router(HttpFront):
         #: How each forwarding attempt reaches its worker (the socket leg
         #: unless one is passed in).
         self.transport: Transport = transport if transport is not None else self._forward
+        #: Idle keep-alive connections of the socket leg.
+        self.upstream = UpstreamPool()
         #: Loop-thread-only counters surfaced under ``cluster.router``.
         self.counters: Dict[str, int] = {}
         self._started = self.clock.monotonic()
@@ -296,20 +384,82 @@ class Router(HttpFront):
         body: bytes,
         trace: Optional[Tuple[str, str]] = None,
     ) -> Tuple[int, bytes]:
-        """The socket transport: one fully-framed exchange with a worker."""
+        """The socket transport: one request on a keep-alive connection.
+
+        An idle connection to the worker's current port is reused when
+        the pool has one. If that connection ends before any response
+        byte (:class:`~repro.serve.protocol.NoResponse`: the worker closed
+        it while it sat idle), the request is sent once more on a fresh
+        connection to the same worker, so that this is not counted as a
+        backend failure. A 503 ``draining`` answer on a reused connection
+        (the worker began draining while the socket sat idle) drops the
+        worker's idle sockets and takes the same retry: the draining
+        worker no longer accepts connections, so the fresh connect fails
+        over as it would without a pool. Every other failure, a timeout
+        included, propagates to :meth:`_proxy`'s failover.
+        """
         port = self.ports.get(worker_id)
         if port is None:
             raise ConnectionRefusedError(111, f"{worker_id} has no port")
-        return await exchange(
+        request = encode_request(
             self.backend_host,
             port,
             method,
             path,
             {"Content-Type": "application/json", **forwarded_headers(headers, trace)},
             body,
-            self.proxy_timeout,
-            connect_timeout=self.connect_timeout,
+            keep_alive=True,
         )
+        conn = self.upstream.take(worker_id, port)
+        if conn is not None:
+            self.count("upstream_reuses")
+            try:
+                status, resp_body = await self._send(worker_id, port, conn, request)
+            except NoResponse:
+                pass
+            else:
+                if not says_draining(status, resp_body):
+                    return status, resp_body
+                self.upstream.drop(worker_id)
+        conn = await asyncio.wait_for(
+            asyncio.open_connection(self.backend_host, port), self.connect_timeout
+        )
+        self.count("upstream_connects")
+        return await self._send(worker_id, port, conn, request)
+
+    async def _send(
+        self, worker_id: str, port: int, conn: Upstream, request: bytes
+    ) -> Tuple[int, bytes]:
+        """One framed exchange on *conn* under one ``proxy_timeout`` deadline.
+
+        The connection goes back to the pool only after a complete
+        Content-Length-framed response (``roundtrip`` raises on anything
+        less) that does not say ``Connection: close``, and only while the
+        worker still owns *port*: a worker that left the port map during
+        the request gets no new idle socket, which would hold its drain
+        open.
+        """
+        reader, writer = conn
+        try:
+            status, resp_headers, resp_body = await asyncio.wait_for(
+                roundtrip(reader, writer, request), self.proxy_timeout
+            )
+        except BaseException:
+            writer.close()  # a timeout or error leaves the stream mid-response
+            raise
+        if (
+            self.ports.get(worker_id) == port
+            and resp_headers.get("connection", "").lower() != "close"
+        ):
+            self.upstream.put(worker_id, port, conn)
+        else:
+            writer.close()
+        return status, resp_body
+
+    async def close_connections(self) -> None:
+        """Cancel idle client connections, then close the idle upstream ones."""
+        await super().close_connections()
+        await self.upstream.close()
 
     # ------------------------------------------------------------------
     # Aggregation

@@ -422,7 +422,7 @@ class WorkerProcess:
                     self.port = int(line.decode().strip().rsplit(":", 1)[1])
                     break
         except (WorkerStartupError, asyncio.TimeoutError, ValueError) as exc:
-            self._kill_quietly()
+            await self._kill_quietly()
             raise WorkerStartupError(str(exc)) from exc
         self._reader_tasks = [
             asyncio.ensure_future(self._pump_stdout(self.proc)),
@@ -432,7 +432,7 @@ class WorkerProcess:
             if await self.check_health():
                 return
             await asyncio.sleep(0.05)
-        self._kill_quietly()
+        await self._kill_quietly()
         raise WorkerStartupError(
             f"{self.worker_id}: bound port {self.port} but never answered /healthz"
         )
@@ -462,8 +462,7 @@ class WorkerProcess:
             try:
                 await asyncio.wait_for(self.proc.wait(), self.stop_timeout)
             except asyncio.TimeoutError:
-                self._kill_quietly()
-                await self.proc.wait()
+                await self._kill_quietly()
         if self._reader_tasks:
             await asyncio.gather(*self._reader_tasks, return_exceptions=True)
             self._reader_tasks = []
@@ -496,9 +495,16 @@ class WorkerProcess:
             return ""
         return raw.decode("utf-8", "replace")[-500:]
 
-    def _kill_quietly(self) -> None:
+    async def _kill_quietly(self) -> None:
+        """SIGKILL the incarnation if it still runs, then reap it.
+
+        Reaping matters even for a child that already exited: an unreaped
+        one keeps its transport open past the event loop's close.
+        """
         if self.alive():
             try:
                 self.proc.kill()
             except ProcessLookupError:
                 pass
+        if self.proc is not None:
+            await self.proc.wait()

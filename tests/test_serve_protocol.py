@@ -308,3 +308,26 @@ class TestAsyncFraming:
 
         with pytest.raises(asyncio.IncompleteReadError):
             asyncio.run(run())
+
+    def test_response_cut_off_in_its_headers_is_an_incomplete_read(self):
+        # A worker dying after its status line must not read as a 200 with
+        # an empty body: the router fails such a request over instead.
+        from repro.serve.protocol import exchange
+
+        async def run():
+            async def cut_off(reader, writer):
+                await reader.readline()
+                writer.write(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n")
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(cut_off, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                await exchange("127.0.0.1", port, "POST", "/v1/diff", {}, b"{}", 5.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        with pytest.raises(asyncio.IncompleteReadError):
+            asyncio.run(run())
