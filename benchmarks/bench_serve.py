@@ -4,9 +4,10 @@ This bench drives a **real** ``repro-diff serve`` subprocess on an
 ephemeral port through real sockets — it is both the load generator for
 the acceptance criteria and the perf trajectory for the serving layer:
 
-* **overload** — a burst of 4× the queue capacity must come back as a mix
-  of 200s and 429s (never a hang, never a 500), with every accepted
-  request completing within its deadline;
+* **overload** — a burst of 4× the queue capacity, each request a
+  distinct pair the server has to compute, must come back as a mix of
+  200s and 429s (never a hang, never a 500), with every accepted request
+  completing within its deadline;
 * **graceful drain** — SIGTERM must stop the listener, flush in-flight
   work, print the final ``METRICS`` line, and exit 0;
 * **cache warmth** — repeating identical pairs against a warm digest-keyed
@@ -118,15 +119,21 @@ def snapshot_pairs(count: int, seed: int = 1996):
 # Measurements
 # ---------------------------------------------------------------------------
 def measure_overload(port: int, queue_capacity: int) -> dict:
-    """Fire a 4x-capacity concurrent burst of raw (non-retrying) requests."""
+    """Fire a 4x-capacity concurrent burst of raw (non-retrying) requests.
+
+    Every request is a distinct pair, so each one is a cache miss that
+    holds an admission slot while it computes. Repeats of one pair would
+    be cache hits, which the server answers on its event loop without
+    queueing, so they cannot overload it.
+    """
     burst = BURST_FACTOR * queue_capacity
-    pairs = snapshot_pairs(1, seed=777)
-    old, new = pairs[0]
+    pairs = snapshot_pairs(burst, seed=777)
     outcomes: list = []
     lock = threading.Lock()
     barrier = threading.Barrier(burst)
 
     def fire(n: int) -> None:
+        old, new = pairs[n]
         client = DiffServiceClient(port=port, retries=0, client_id=f"burst-{n}")
         barrier.wait()
         started = time.perf_counter()

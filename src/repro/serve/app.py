@@ -21,8 +21,11 @@ counters and response shaping. Two callers run it: the socket loop of
 :class:`~repro.serve.protocol.HttpFront`, and the simulator
 (:mod:`repro.simtest.scenario`), which calls :meth:`~repro.serve.protocol
 .HttpFront.handle` directly. They differ in one method, :meth:`DiffServer
-._offload`: here compute runs on the engine's worker pool under
-a timeout, so the event loop only parses, routes and writes.
+._offload`. Here the event loop parses, routes and writes, and it also
+answers what needs no matching: each job's digests, Merkle short-circuit
+and one cache lookup are linear in the capped body, like the parse.
+Matching, sampled spot checks and ``/v1/verify`` run on the engine's
+worker pool under a timeout, so the loop never runs them.
 
 It runs through the entry points it shares with the cluster front:
 :func:`~repro.serve.lifecycle.run_server` and :class:`~repro.serve
@@ -45,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..matching.criteria import MatchConfig
 from ..obs.export import validate_trace
 from ..obs.trace import Tracer, extract_trace_context, is_valid_trace_id
-from ..service.engine import DiffEngine
+from ..service.engine import DiffEngine, DiffJob
 from ..service.metrics import ServiceMetrics
 from ..simtest.clock import SYSTEM_CLOCK, Clock
 from .admission import AdmissionController, Deadline
@@ -172,8 +175,7 @@ class DiffServer(HttpFront):
             # Admission releases before the response is written, so the
             # drain waits on both counts.
             await self.lifecycle.drain(
-                self.server,
-                lambda: self.active_requests + self.admission.in_flight,
+                self, lambda: self.active_requests + self.admission.in_flight
             )
             await self.close_connections()
         finally:
@@ -294,24 +296,40 @@ class DiffServer(HttpFront):
         )
 
     async def _offload(self, calls: List[Callable[[], Any]], timeout: float) -> List[Any]:
-        """The compute leg: *calls* on the engine pool, bounded by *timeout*.
+        """The compute leg: answer *calls* in order, bounded by *timeout*.
 
-        This is the one step the simulator replaces (it runs the calls
-        inline and advances virtual time instead).
+        A :class:`~repro.service.engine.DiffJob` runs its lookup here, on
+        the loop: a digest short-circuit or a cache hit is answered
+        without a thread-pool round trip. A job that lookup leaves open
+        (a miss, or a hit sampled for the spot check) and every other
+        call run on the engine pool. This is the one step the simulator
+        replaces (it runs the calls inline and advances virtual time
+        instead).
         """
-        loop = asyncio.get_running_loop()
         pool = self.engine.pool()
-        futures = [loop.run_in_executor(pool, call) for call in calls]
-        # asyncio.wait, not wait_for(gather(...)): one fewer loop hop
-        # between the pool finishing and this request resuming.
-        try:
-            _, pending = await asyncio.wait(futures, timeout=timeout)
-            if not pending:
-                return [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()  # no-op once done; drops queued jobs otherwise
-        raise asyncio.TimeoutError
+        submitted = [
+            None if isinstance(call, DiffJob) and call.lookup() else pool.submit(call)
+            for call in calls
+        ]
+        waiters = [asyncio.wrap_future(future) for future in submitted if future is not None]
+        if waiters:
+            # asyncio.wait, not wait_for(gather(...)): one fewer loop hop
+            # between the pool finishing and this request resuming.
+            try:
+                _, pending = await asyncio.wait(waiters, timeout=timeout)
+            finally:
+                for call, future in zip(calls, submitted):
+                    # True only for a queued call, which then never runs
+                    if future is not None and future.cancel() and isinstance(call, DiffJob):
+                        call.abandon()
+                for waiter in waiters:
+                    waiter.cancel()  # no-op once done
+            if pending:
+                raise asyncio.TimeoutError
+        return [
+            call() if future is None else future.result()
+            for call, future in zip(calls, submitted)
+        ]
 
     # ------------------------------------------------------------------
     # Handlers
@@ -329,7 +347,7 @@ class DiffServer(HttpFront):
         old, new = require_pair(data)
         job_id = str(data.get("id", self._next_job_id("http")))
         [result] = await self._compute(
-            deadline, [partial(self.engine.diff, old, new, job_id, trace)]
+            deadline, [DiffJob(self.engine, old, new, job_id, trace)]
         )
         include_script = bool(data.get("include_script", True))
         return job_result_to_dict(result, include_script=include_script)
@@ -343,7 +361,7 @@ class DiffServer(HttpFront):
         pairs = pairs_from_batch(data, self.config.max_batch)
         results = await self._compute(
             deadline,
-            [partial(self.engine.diff, old, new, job_id, trace) for old, new, job_id in pairs],
+            [DiffJob(self.engine, old, new, job_id, trace) for old, new, job_id in pairs],
         )
         include_script = bool(data.get("include_script", True))
         jobs = [job_result_to_dict(r, include_script=include_script) for r in results]

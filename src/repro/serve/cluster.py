@@ -188,7 +188,7 @@ class ClusterServer:
         try:
             await self.lifecycle.wait_for_shutdown()
             await self.lifecycle.drain(
-                self.router.server, lambda: self.router.active_requests
+                self.router, lambda: self.router.active_requests
             )
             await self.router.close_connections()
         finally:

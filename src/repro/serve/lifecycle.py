@@ -6,11 +6,13 @@ The drain sequence on SIGTERM/SIGINT (or a programmatic
 1. flip to *draining* — ``/healthz`` starts reporting it and every new
    compute request is refused with 503 + ``Retry-After`` so load
    balancers and retrying clients move on immediately;
-2. close the listening socket (no new connections);
-3. wait for the admission controller's in-flight count to reach zero,
-   bounded by ``drain_timeout`` seconds (jobs still running after that
-   are abandoned to process teardown — they are compute-only and hold no
-   external resources);
+2. close the listening socket (no new connections) and the keep-alive
+   connections that wait for a request line; a busy connection answers
+   with ``Connection: close`` and then closes;
+3. wait for the open connections and the admission controller's in-flight
+   count to reach zero, all of it bounded by ``drain_timeout`` seconds
+   (jobs still running after that are abandoned to process teardown —
+   they are compute-only and hold no external resources);
 4. shut the engine's worker pools down and emit one final deterministic
    ``METRICS {json}`` line so the last scrape is never lost.
 
@@ -37,6 +39,7 @@ from ..simtest.clock import SYSTEM_CLOCK, Clock
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .app import DiffServer
     from .cluster import ClusterServer
+    from .protocol import HttpFront
 
     Front = Union[DiffServer, ClusterServer]
 
@@ -105,20 +108,32 @@ class Lifecycle:
 
     async def drain(
         self,
-        server: Optional[asyncio.AbstractServer],
+        front: Optional["HttpFront"],
         in_flight: Callable[[], int],
         poll_s: float = 0.02,
     ) -> bool:
-        """Run steps 2-3 of the sequence; True when all work flushed."""
+        """Run steps 2-3 of the sequence on *front*; True when all work flushed.
+
+        From Python 3.12.1 on, ``wait_closed()`` waits for every open
+        connection, so it runs inside the ``drain_timeout`` bound too.
+        """
         self.draining = True
-        if server is not None:
-            server.close()
-            await server.wait_closed()
         deadline = (
             self.clock.monotonic() + self.drain_timeout
             if self.drain_timeout is not None
             else None
         )
+        if front is not None and front.server is not None:
+            front.server.close()
+            front.close_idle_connections()
+            remaining = (
+                max(0.0, deadline - self.clock.monotonic()) if deadline is not None else None
+            )
+            try:
+                await asyncio.wait_for(front.server.wait_closed(), remaining)
+            except asyncio.TimeoutError:
+                self.drained_clean = False
+                return False
         while in_flight() > 0:
             if deadline is not None and self.clock.monotonic() >= deadline:
                 self.drained_clean = False

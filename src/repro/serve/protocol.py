@@ -458,6 +458,7 @@ class HttpFront:
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None  #: actual bound port once listening
         self._conn_tasks: set = set()
+        self._idle: set = set()  #: connection tasks waiting for a request line
 
     async def dispatch(
         self, method: str, path: str, headers: Dict[str, str], body: bytes, peer: str
@@ -495,8 +496,17 @@ class HttpFront:
         if sockets:
             self.port = sockets[0].getsockname()[1]
 
+    def close_idle_connections(self) -> None:
+        """Close the keep-alive connections waiting for a request line.
+
+        The drain calls this: a busy connection closes by itself after
+        its response, which says ``Connection: close`` while draining.
+        """
+        for task in self._idle:
+            task.cancel()
+
     async def close_connections(self) -> None:
-        """Cancel idle keep-alive connections (post-drain cleanup)."""
+        """Cancel every connection left open (post-drain cleanup)."""
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -508,25 +518,32 @@ class HttpFront:
         peer = writer.get_extra_info("peername")
         peer_id = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "unknown"
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+        self._conn_tasks.add(task)
         try:
-            while await self._serve_one(reader, writer, peer_id):
-                pass
+            while True:
+                self._idle.add(task)
+                try:
+                    request_line = await reader.readline()
+                finally:
+                    self._idle.discard(task)
+                if not await self._serve_one(request_line, reader, writer, peer_id):
+                    break
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             pass  # client went away mid-request; nothing to answer
         except asyncio.CancelledError:
-            pass  # post-drain cleanup of an idle keep-alive socket
+            pass  # the drain closed this socket while it was idle
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
+            self._conn_tasks.discard(task)
             await close_quietly(writer)
 
     async def _serve_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, peer: str
+        self,
+        request_line: bytes,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        peer: str,
     ) -> bool:
-        """Read, answer and write one request; True to keep the socket."""
-        request_line = await reader.readline()
+        """Answer and write the request *request_line* opens; True to keep the socket."""
         if not request_line.strip():
             return False
         started = self.clock.perf_counter()

@@ -11,9 +11,13 @@ things that workload needs:
 2. **Result caching** — scripts are canonicalized and cached by content
    digests, so re-diffing content the service has already seen is a
    dictionary lookup (:mod:`repro.service.cache`).
-3. **Fan-out with isolation** — jobs run on a thread pool with per-job
-   timeout, bounded retry, and per-job error capture: one malformed
-   document fails its own job, never the batch.
+3. **Fan-out with isolation** — a :class:`DiffJob` splits where the
+   engine knows whether it has to match. Its :meth:`~DiffJob.lookup`
+   (digests, short-circuit, one cache get) is linear in the input, so a
+   caller may run it inline: the HTTP server answers digest and cache
+   hits on its event loop. Matching and sampled spot checks run on a
+   thread pool with per-job timeout and per-job error capture: one
+   malformed document fails its own job, never the batch.
 
 CPython's GIL serializes pure-Python compute, so the thread pool overlaps
 only digesting/caching with compute; multi-core scaling is the cluster's
@@ -41,6 +45,9 @@ from .metrics import SECTION8_COUNTERS, ServiceMetrics
 #: A job input: a materialized tree, or a zero-argument loader called inside
 #: the job so that parse failures are captured per-job.
 TreeSource = Union[Tree, Callable[[], Tree]]
+
+#: A :class:`ScriptCache` key: the two root digests and :func:`config_key`.
+CacheKey = Tuple[Optional[str], Optional[str], str]
 
 
 @dataclass
@@ -215,8 +222,12 @@ class DiffEngine:
         job_id: str = "diff",
         trace: Optional[Tuple[str, Optional[str]]] = None,
     ) -> JobResult:
-        """Run one job synchronously in the calling thread."""
-        return self._run_job(job_id, old, new, trace)
+        """Run one job, lookup and compute alike, in the calling thread.
+
+        The server instead runs :meth:`DiffJob.lookup` on its event loop
+        and only what is left on :meth:`pool`.
+        """
+        return DiffJob(self, old, new, job_id, trace)()
 
     def map_pairs(
         self,
@@ -239,7 +250,7 @@ class DiffEngine:
         if not jobs:
             return []
         pool = self.pool()
-        futures = [pool.submit(self._run_job, *job) for job in jobs]
+        futures = [pool.submit(DiffJob(self, old, new, job_id)) for job_id, old, new in jobs]
         results: List[JobResult] = []
         for (job_id, _, _), future in zip(jobs, futures):
             try:
@@ -259,47 +270,6 @@ class DiffEngine:
     # ------------------------------------------------------------------
     # Job execution
     # ------------------------------------------------------------------
-    def _run_job(
-        self,
-        job_id: str,
-        old: TreeSource,
-        new: TreeSource,
-        trace: Optional[Tuple[str, Optional[str]]] = None,
-    ) -> JobResult:
-        start = self.clock.perf_counter()
-        self.metrics.incr("jobs_submitted")
-        result = JobResult(job_id=job_id)
-        span = self.tracer.span(
-            "engine",
-            kind="engine",
-            ctx=trace or self.default_trace,
-            meta={"job": job_id},
-        )
-        result.trace_id = span.trace_id
-        try:
-            old_tree = old() if callable(old) else old
-            new_tree = new() if callable(new) else new
-            if not isinstance(old_tree, Tree) or not isinstance(new_tree, Tree):
-                raise TypeError("job inputs must be Tree objects or loaders returning them")
-            self._diff_into(result, old_tree, new_tree, span)
-            if self._should_verify():
-                result.verified = self._spot_check(result, old_tree, new_tree)
-        except Exception as exc:
-            result.status = "error"
-            result.source = None
-            result.script = None
-            result.error = f"{type(exc).__name__}: {exc}"
-        result.wall_ms = (self.clock.perf_counter() - start) * 1000.0
-        if result.status == "ok":
-            self.metrics.incr("jobs_succeeded")
-            self.metrics.incr("ops_emitted", result.operations)
-        else:
-            self.metrics.incr("jobs_failed")
-        self.metrics.observe_wall(result.wall_ms)
-        span.annotate(source=result.source, job_status=result.status)
-        span.close("ok" if result.status == "ok" else "error")
-        return result
-
     def _should_verify(self) -> bool:
         """Deterministic sampling: check job *n* when ``floor(n·f)`` steps."""
         if self.verify_fraction <= 0.0:
@@ -334,9 +304,14 @@ class DiffEngine:
             self.metrics.incr("verify_failures")
         return report.ok
 
-    def _diff_into(
-        self, result: JobResult, old_tree: Tree, new_tree: Tree, span: AnySpan
-    ) -> None:
+    def _lookup(
+        self, result: JobResult, old_tree: Tree, new_tree: Tree
+    ) -> Optional[CacheKey]:
+        """Answer *result* from the digests or the cache if it can be.
+
+        Returns ``None`` when it is answered, else the cache key that
+        :meth:`_compute_into` stores the computed script under.
+        """
         old_index = cached_digests(old_tree)
         new_index = cached_digests(new_tree)
         result.old_digest = old_index.root_hex
@@ -349,9 +324,9 @@ class DiffEngine:
             result.script = EditScript()
             result.summary = result.script.summary()
             result.attempts = 0
-            return
+            return None
 
-        # 2. Cache lookup by content digests + config.
+        # 2. One cache lookup by content digests + config.
         key = (result.old_digest, result.new_digest, self._config_key)
         if self.cache is not None:
             payload = self.cache.get(key)
@@ -365,11 +340,23 @@ class DiffEngine:
                 result.operations = len(script)
                 result.cost = payload.get("cost", script.cost())
                 result.summary = dict(payload.get("summary", script.summary()))
-                return
+                return None
             self.metrics.incr("cache_misses")
+        return key
 
-        # 3. Compute once (a diff is deterministic: the same input would
-        # fail the same way again), then populate the cache.
+    def _compute_into(
+        self,
+        result: JobResult,
+        old_tree: Tree,
+        new_tree: Tree,
+        key: CacheKey,
+        span: AnySpan,
+    ) -> None:
+        """Step 3 of a job: compute once, then populate the cache.
+
+        A diff is deterministic (the same input would fail the same way
+        again), so a failure is not retried.
+        """
         result.attempts = 1
         payload, trace = self._compute(old_tree, new_tree, span)
 
@@ -408,3 +395,118 @@ class DiffEngine:
             diffed.edit.dummy_t1_id,
         )
         return payload, diffed.trace
+
+
+class DiffJob:
+    """One engine job, split where the engine knows whether it has to match.
+
+    :meth:`lookup` is the first leg: it loads and digests both trees and
+    answers the job from the Merkle short-circuit or one cache get. It is
+    linear in the input, so a caller may run it where matching must not
+    run (the HTTP server runs it on its event loop). Calling the job runs
+    the rest, and the whole job when :meth:`lookup` never ran: matching
+    on a miss, the spot check on a sampled job. ``wall_ms`` adds up the
+    two legs and leaves out any wait between them; the ``engine`` span
+    opens in the first leg and closes when the job is answered.
+    """
+
+    def __init__(
+        self,
+        engine: DiffEngine,
+        old: TreeSource,
+        new: TreeSource,
+        job_id: str = "diff",
+        trace: Optional[Tuple[str, Optional[str]]] = None,
+    ) -> None:
+        self.engine = engine
+        self.result = JobResult(job_id=job_id)
+        #: True once the result is final (metrics counted, span closed).
+        self.done = False
+        self._sources = (old, new)
+        self._trace = trace
+        self._span: Optional[AnySpan] = None  #: set when the first leg starts
+        self._trees: Tuple[Tree, ...] = ()
+        self._miss: Optional[CacheKey] = None  #: a cache miss's key: compute left
+        self._verify = False
+        self._elapsed = 0.0
+
+    def lookup(self) -> bool:
+        """Run the first leg; True when it answered the job."""
+        engine, result = self.engine, self.result
+        start = engine.clock.perf_counter()
+        engine.metrics.incr("jobs_submitted")
+        self._span = engine.tracer.span(
+            "engine",
+            kind="engine",
+            ctx=self._trace or engine.default_trace,
+            meta={"job": result.job_id},
+        )
+        result.trace_id = self._span.trace_id
+        try:
+            old, new = self._sources
+            old_tree = old() if callable(old) else old
+            new_tree = new() if callable(new) else new
+            if not isinstance(old_tree, Tree) or not isinstance(new_tree, Tree):
+                raise TypeError("job inputs must be Tree objects or loaders returning them")
+            self._trees = (old_tree, new_tree)
+            self._miss = engine._lookup(result, old_tree, new_tree)
+            if self._miss is None:
+                self._verify = engine._should_verify()
+        except Exception as exc:
+            _fail(result, exc)
+        self._elapsed = engine.clock.perf_counter() - start
+        if result.status != "ok" or (self._miss is None and not self._verify):
+            self._finish()
+        return self.done
+
+    def __call__(self) -> JobResult:
+        """Run what is left of the job and return its result."""
+        if self._span is None:
+            self.lookup()
+        if self.done:
+            return self.result
+        engine, result, span = self.engine, self.result, self._span
+        assert span is not None
+        start = engine.clock.perf_counter()
+        old_tree, new_tree = self._trees
+        try:
+            if self._miss is not None:
+                engine._compute_into(result, old_tree, new_tree, self._miss, span)
+                self._verify = engine._should_verify()
+            if self._verify:
+                result.verified = engine._spot_check(result, old_tree, new_tree)
+        except Exception as exc:
+            _fail(result, exc)
+        self._elapsed += engine.clock.perf_counter() - start
+        self._finish()
+        return self.result
+
+    def abandon(self) -> None:
+        """Close a looked-up job whose second leg will never run."""
+        self.result.status = "timeout"
+        self.result.error = "abandoned before its compute started"
+        self._finish()
+
+    def _finish(self) -> None:
+        engine, result, span = self.engine, self.result, self._span
+        assert span is not None
+        result.wall_ms = self._elapsed * 1000.0
+        if result.status == "ok":
+            engine.metrics.incr("jobs_succeeded")
+            engine.metrics.incr("ops_emitted", result.operations)
+        elif result.status == "timeout":
+            engine.metrics.incr("jobs_timed_out")
+        else:
+            engine.metrics.incr("jobs_failed")
+        if result.status != "timeout":
+            engine.metrics.observe_wall(result.wall_ms)
+        span.annotate(source=result.source, job_status=result.status)
+        span.close("ok" if result.status == "ok" else "error")
+        self.done = True
+
+
+def _fail(result: JobResult, exc: Exception) -> None:
+    result.status = "error"
+    result.source = None
+    result.script = None
+    result.error = f"{type(exc).__name__}: {exc}"

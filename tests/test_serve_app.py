@@ -2,12 +2,14 @@
 
 A real server runs on a background thread bound to an ephemeral port; the
 tests drive it through the real client over real sockets. Slow compute is
-simulated by wrapping the engine's job runner, so overload and deadline
-paths are deterministic without large inputs.
+simulated by wrapping the engine's compute step (the part of a job that
+runs on the engine pool), so overload and deadline paths are
+deterministic without large inputs.
 """
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -15,10 +17,32 @@ import pytest
 
 from repro.core.serialization import tree_from_sexpr
 from repro.serve import DiffServer, DiffServiceClient, ServeConfig, ServerThread, ServiceError
+from repro.serve import cluster as cluster_module
+from repro.serve.cluster import ClusterConfig, ClusterServer
 from repro.serve.protocol import PROTOCOL
 
 OLD_SEXPR = '(D (P (S "alpha one") (S "beta two")))'
 NEW_SEXPR = '(D (P (S "beta two") (S "alpha one") (S "gamma three")))'
+
+
+class IdleWorker:
+    """A cluster fleet member with no process: up at once, never sent a request."""
+
+    def __init__(self, worker_id, argv, **_options):
+        self.worker_id = worker_id
+        self.port = self.pid = self.last_exit = self.final_metrics = None
+
+    async def spawn(self):
+        self.port = 1
+
+    def alive(self):
+        return True
+
+    async def check_health(self):
+        return True
+
+    async def terminate(self, graceful=True):
+        pass
 
 
 def make_server(**overrides) -> ServerThread:
@@ -28,15 +52,15 @@ def make_server(**overrides) -> ServerThread:
 
 
 def slow_engine(handle: ServerThread, delay: float) -> None:
-    """Make every job take at least *delay* seconds (install before start)."""
+    """Make every computed job take at least *delay* seconds."""
     engine = handle.server.engine
-    original = engine._run_job
+    original = engine._compute
 
-    def slowed(job_id, old, new, trace=None):
+    def slowed(old_tree, new_tree, span):
         time.sleep(delay)
-        return original(job_id, old, new, trace)
+        return original(old_tree, new_tree, span)
 
-    engine._run_job = slowed
+    engine._compute = slowed
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +367,119 @@ class TestOverloadBehavior:
             final = handle.stop()
         assert final["counters"]["deadline_timeouts"] == 1
 
+    def test_queued_job_past_the_deadline_is_closed_as_timed_out(self):
+        handle = make_server(workers=1, trace_fraction=1.0)
+        slow_engine(handle, 0.5)
+        other = '(D (P (S "delta four")))'
+        with handle:
+            with DiffServiceClient(port=handle.port, retries=0) as client:
+                with pytest.raises(ServiceError) as err:
+                    client.batch([(OLD_SEXPR, NEW_SEXPR), (OLD_SEXPR, other)], deadline_ms=100)
+            assert err.value.status == 504
+            final = handle.stop()  # joins the pool: the running job finishes
+        counters = final["counters"]
+        # the second job was still queued at the deadline and never ran
+        assert (counters["jobs_submitted"], counters["jobs_succeeded"]) == (2, 1)
+        assert counters["jobs_timed_out"] == 1
+        assert handle.server.tracer.open_count() == 0  # its span was closed too
+
+
+class TestWarmReadPath:
+    """Digest short-circuits and cache hits are answered on the event loop."""
+
+    def test_hits_do_not_wait_behind_a_computed_job(self):
+        handle = make_server(workers=1)
+        with handle:
+            with DiffServiceClient(port=handle.port, retries=0) as client:
+                assert client.diff(OLD_SEXPR, NEW_SEXPR)["source"] == "computed"
+                slow_engine(handle, 0.5)  # the next miss holds the only pool thread
+
+                def miss():
+                    with DiffServiceClient(port=handle.port, retries=0) as other:
+                        other.diff(NEW_SEXPR, OLD_SEXPR)
+
+                busy = threading.Thread(target=miss)
+                busy.start()
+                while handle.server.admission.in_flight == 0:
+                    time.sleep(0.005)
+                for old, new, source in (
+                    (OLD_SEXPR, NEW_SEXPR, "cache"),
+                    (OLD_SEXPR, OLD_SEXPR, "digest"),
+                ):
+                    started = time.perf_counter()
+                    out = client.diff(old, new)
+                    assert out["source"] == source
+                    assert time.perf_counter() - started < 0.2
+                assert handle.server.admission.in_flight == 1  # still computing
+                busy.join(timeout=10)
+
+    def test_sampled_hit_is_spot_checked_on_the_pool(self):
+        handle = make_server(verify_fraction=1.0)
+        engine = handle.server.engine
+        checked = []
+        original = engine._spot_check
+
+        def recording(result, old_tree, new_tree):
+            checked.append((result.source, threading.current_thread().name))
+            return original(result, old_tree, new_tree)
+
+        engine._spot_check = recording
+        with handle:
+            with DiffServiceClient(port=handle.port, retries=0) as client:
+                outs = [
+                    client.diff(OLD_SEXPR, NEW_SEXPR),
+                    client.diff(OLD_SEXPR, NEW_SEXPR),
+                    client.diff(OLD_SEXPR, OLD_SEXPR),
+                ]
+        assert [out["source"] for out in outs] == ["computed", "cache", "digest"]
+        assert all(out["verified"] is True for out in outs)
+        assert [source for source, _ in checked] == ["computed", "cache", "digest"]
+        assert all(name.startswith("repro-diff") for _, name in checked)
+
+    def test_counters_match_the_pool_path(self):
+        other = '(D (P (S "delta four")))'
+        with make_server() as handle:
+            with DiffServiceClient(port=handle.port, retries=0) as client:
+                client.diff(OLD_SEXPR, NEW_SEXPR)  # miss
+                client.diff(OLD_SEXPR, NEW_SEXPR)  # hit
+                client.diff(NEW_SEXPR, NEW_SEXPR)  # short-circuit
+                batch = client.batch([(OLD_SEXPR, NEW_SEXPR), (OLD_SEXPR, other)])
+                snap = client.metrics()
+        assert [job["source"] for job in batch["jobs"]] == ["cache", "computed"]
+        assert [job["job_id"] for job in batch["jobs"]] == ["pair-0", "pair-1"]
+        counters = snap["counters"]
+        assert {
+            name: counters[name]
+            for name in (
+                "jobs_submitted", "jobs_succeeded", "cache_hits", "cache_misses",
+                "digest_short_circuits",
+            )
+        } == {
+            "jobs_submitted": 5, "jobs_succeeded": 5, "cache_hits": 2,
+            "cache_misses": 2, "digest_short_circuits": 1,
+        }
+        cache = snap["cache"]
+        assert (cache["hits"], cache["misses"], cache["puts"]) == (2, 2, 2)
+
+    def test_traced_hit_keeps_its_engine_span_under_the_worker(self):
+        trace_id = "ab" * 16
+        with make_server() as handle:
+            with DiffServiceClient(port=handle.port, retries=0) as client:
+                client.diff(OLD_SEXPR, NEW_SEXPR)
+                status, out, headers = client.request_once(
+                    "POST",
+                    "/v1/diff",
+                    {"old": OLD_SEXPR, "new": NEW_SEXPR},
+                    trace=(trace_id, "cd" * 8),
+                )
+                view = client.request("GET", f"/v1/trace/{trace_id}")
+        assert status == 200 and out["source"] == "cache"
+        assert headers.get("X-Trace-Id") == trace_id
+        assert view["complete"] is True
+        spans = {span["name"]: span for span in view["spans"]}
+        assert spans["engine"]["parent"] == spans["worker"]["span"]
+        assert spans["engine"]["meta"]["source"] == "cache"
+
 
 class TestLifecycle:
     def test_healthz_reports_draining_and_computes_refused(self):
@@ -376,6 +513,26 @@ class TestLifecycle:
         assert outcome["status"] == "ok"  # the in-flight job was flushed
         assert handle.server.lifecycle.drained_clean is True
         assert final["counters"]["jobs_succeeded"] >= 1
+
+    @pytest.mark.parametrize("front", ["diff-server", "router"])
+    def test_idle_keepalive_client_does_not_hold_the_drain(self, front, monkeypatch):
+        if front == "router":
+            monkeypatch.setattr(cluster_module, "WorkerProcess", IdleWorker)
+            handle = ServerThread(ClusterServer(ClusterConfig(port=0, workers=2)))
+        else:
+            handle = make_server()
+        handle.start()
+        idle = socket.create_connection(("127.0.0.1", handle.port), timeout=10.0)
+        try:
+            idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert idle.recv(65536).startswith(b"HTTP/1.1 200")
+            started = time.perf_counter()
+            handle.stop()  # drain_timeout is 30 s; the idle socket must not wait it out
+            assert time.perf_counter() - started < 1.0
+            assert handle.server.lifecycle.drained_clean is True
+            assert idle.recv(1) == b""  # the server closed the idle socket
+        finally:
+            idle.close()
 
     def test_final_metrics_line_is_deterministic_json(self):
         import io

@@ -10,6 +10,7 @@ from repro.core.isomorphism import trees_isomorphic
 from repro.ladiff.pipeline import default_match_config
 from repro.pipeline import DiffConfig, DiffPipeline
 from repro.service import DiffEngine, ScriptCache, ServiceMetrics
+from repro.service.engine import DiffJob
 from repro.service.metrics import SECTION8_COUNTERS
 from repro.workload import DocumentSpec, MutationEngine, generate_document
 
@@ -143,6 +144,56 @@ class TestCaching:
         assert engine.cache.stats()["evictions"] == 1
         assert engine.diff(*pairs[0]).source == "computed"  # was evicted
         engine.close()
+
+
+class TestSplitJobs:
+    """A job's lookup leg answers hits; calling it runs what is left."""
+
+    def test_lookup_answers_hits_and_short_circuits(self, engine):
+        base = doc()
+        new = mutated(base)
+        engine.diff(base, new)
+        for old_tree, new_tree, source in ((base, new, "cache"), (new, new, "digest")):
+            job = DiffJob(engine, old_tree, new_tree)
+            assert job.lookup() is True
+            assert job.done and job.result.source == source
+            assert job() is job.result  # nothing left to run
+        assert engine.metrics.get("jobs_submitted") == 3
+
+    def test_miss_stops_before_matching_and_counts_once(self, engine):
+        base = doc()
+        new = mutated(base)
+        job = DiffJob(engine, base, new)
+        assert job.lookup() is False
+        assert job.result.source is None
+        assert engine.metrics.get("cache_misses") == 1
+        result = job()
+        assert result.source == "computed" and result.ok
+        assert trees_isomorphic(result.apply_to(base), new)
+        counters = engine.metrics.snapshot()["counters"]
+        assert (counters["jobs_submitted"], counters["jobs_succeeded"]) == (1, 1)
+        assert (counters["cache_misses"], counters["cache_hits"]) == (1, 0)
+
+    def test_sampled_hit_leaves_its_spot_check_for_the_second_leg(self):
+        with DiffEngine(workers=1, verify_fraction=1.0) as engine:
+            base = doc()
+            new = mutated(base)
+            engine.diff(base, new)
+            job = DiffJob(engine, base, new)
+            assert job.lookup() is False  # a hit, but the check is still due
+            assert job.result.source == "cache" and job.result.verified is None
+            assert job().verified is True
+            assert engine.metrics.get("verify_checks") == 2
+
+    def test_abandoned_job_is_counted_as_timed_out(self, engine):
+        base = doc()
+        job = DiffJob(engine, base, mutated(base))
+        job.lookup()
+        job.abandon()
+        assert job.done and job.result.status == "timeout"
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["jobs_submitted"] == counters["jobs_timed_out"] == 1
+        assert engine.metrics.wall_ms.count == 0
 
 
 class TestBatches:
