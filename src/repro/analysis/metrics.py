@@ -77,8 +77,4 @@ def script_distances(
 
 def result_distances(t1: Tree, result: EditScriptResult) -> EditDistances:
     """(d, e) for a generator result, handling dummy-root wrapping."""
-    return script_distances(
-        t1,
-        result.script,
-        wrapped_dummy_id=result.dummy_t1_id if result.wrapped else None,
-    )
+    return script_distances(t1, result.script, wrapped_dummy_id=result.dummy_t1_id)

@@ -6,14 +6,16 @@ have a null value; leaves carry data (e.g. the text of a sentence).
 
 :class:`Node` instances are always owned by a :class:`repro.core.tree.Tree`;
 user code creates them through the tree's mutation API rather than directly.
-A node's label and value are read-only properties: only
-:mod:`repro.core.tree` rewrites them, and it drops the tree's arena snapshot
-with every write, so no snapshot can outlive the data it describes.
+Everything a node holds is read-only outside :mod:`repro.core.tree`: its
+label and value, its parent link and its children, a tuple. That module is
+the one writer of node data and structure, and it drops the tree's arena
+snapshot with every write, so no snapshot can outlive the data it describes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional
+from operator import attrgetter
+from typing import Any, Iterator, List, Optional, Tuple
 
 
 class Node:
@@ -33,33 +35,32 @@ class Node:
         The node's value; ``None`` for typical interior nodes. Read-only:
         change it with :meth:`Tree.update <repro.core.tree.Tree.update>`.
     parent:
-        The parent :class:`Node`, or ``None`` for the root.
+        The parent :class:`Node`, or ``None`` for the root. Read-only.
     children:
-        Ordered list of child nodes. Treated as read-only by callers; all
-        mutation goes through the owning tree.
+        Tuple of the child nodes, in order. Read-only: the owning tree's
+        edit operations replace it.
     """
 
-    __slots__ = ("id", "_label", "_value", "parent", "children", "_slot")
+    __slots__ = ("id", "_label", "_value", "_parent", "_children", "_slot")
 
     def __init__(self, node_id: Any, label: str, value: Any = None) -> None:
         self.id = node_id
         self._label = label
         self._value = value
-        self.parent: Optional[Node] = None
-        self.children: List[Node] = []
+        self._parent: Optional[Node] = None
+        self._children: Tuple[Node, ...] = ()
         #: 0-based hint of this node's position in ``parent.children``,
         #: maintained by the owning tree's attach/detach paths. May go
         #: stale when earlier siblings are removed; consumers validate it
         #: (``parent.children[_slot] is node``) before trusting it.
         self._slot = -1
 
-    @property
-    def label(self) -> str:
-        return self._label
-
-    @property
-    def value(self) -> Any:
-        return self._value
+    # Read-only views. A C getter keeps each read cheap: matching and
+    # Algorithm EditScript read these once or more per node.
+    label = property(attrgetter("_label"))
+    value = property(attrgetter("_value"))
+    parent = property(attrgetter("_parent"))
+    children = property(attrgetter("_children"))
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -67,7 +68,7 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         """True when the node has no children."""
-        return not self.children
+        return not self._children
 
     def child_index(self) -> int:
         """Return this node's 1-based position among its siblings.
@@ -75,9 +76,9 @@ class Node:
         The paper indexes children starting from 1 (``INS((x,l,v), y, k)``
         makes ``x`` the *k*-th child of ``y``), so the library follows suit.
         """
-        if self.parent is None:
+        if self._parent is None:
             raise ValueError(f"root node {self.id!r} has no sibling position")
-        siblings = self.parent.children
+        siblings = self._parent._children
         slot = self._slot
         if 0 <= slot < len(siblings) and siblings[slot] is self:
             return slot + 1
@@ -87,10 +88,10 @@ class Node:
 
     def ancestors(self) -> Iterator["Node"]:
         """Yield the proper ancestors of this node, nearest first."""
-        node = self.parent
+        node = self._parent
         while node is not None:
             yield node
-            node = node.parent
+            node = node._parent
 
     def is_ancestor_of(self, other: "Node") -> bool:
         """True when *other* lies strictly inside this node's subtree."""
@@ -105,7 +106,7 @@ class Node:
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(reversed(node.children))
+            stack.extend(reversed(node._children))
 
     def postorder(self) -> Iterator["Node"]:
         """Yield this subtree's nodes in postorder (children before node)."""
@@ -116,7 +117,7 @@ class Node:
         while stack:
             node = stack.pop()
             output.append(node)
-            stack.extend(node.children)
+            stack.extend(node._children)
         return reversed(output)
 
     def leaves(self) -> Iterator["Node"]:

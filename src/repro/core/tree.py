@@ -9,6 +9,9 @@ edit model (Section 3.2):
 * :meth:`Tree.update` — ``UPD(x, val)``: replace a node's value.
 * :meth:`Tree.move`   — ``MOV(x, y, k)``: re-parent a whole subtree.
 
+The dummy root of Algorithm EditScript (Section 4.1) is a tree operation
+too: :meth:`Tree.wrap_root` and :meth:`Tree.unwrap_root`.
+
 Positions are 1-based, matching the paper. Structural invariants (leaf-only
 insert/delete, no cyclic moves, position bounds) are enforced eagerly so a
 buggy edit script fails loudly instead of corrupting the tree.
@@ -29,9 +32,11 @@ The snapshot is also the one validity rule for data derived from the tree:
 leaf counts, leaf spans, label chains and the tree's digest all live on
 the arena, and :meth:`Tree._touch` drops them with it; the next
 :meth:`Tree.to_arena` builds a new snapshot and the node binding of
-:meth:`Tree.arena_nodes` together. A node's label and value are
-read-only outside this module; the builders, :meth:`Tree.update` and
-:func:`map_tree` write them, each followed by ``_touch``.
+:meth:`Tree.arena_nodes` together. This module is the one writer of
+nodes: a node's label, value, parent and children are read-only
+everywhere else, and every write here (the builders, the four edit
+operations, the dummy-root wrap and unwrap, :func:`map_tree`) is followed
+by ``_touch``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .arena import ArenaBuilder, TreeArena, flatten_root
 from .errors import (
     CyclicMoveError,
     DuplicateNodeError,
+    EditScriptError,
     InvalidPositionError,
     NotALeafError,
     RootOperationError,
@@ -54,6 +60,9 @@ from .node import Node
 #: Nested-structure shorthand accepted by :meth:`Tree.from_obj`:
 #: ``(label,)``, ``(label, value)`` or ``(label, value, [children...])``.
 NestedSpec = Tuple[Any, ...]
+
+#: Label given to dummy roots added when the input roots are unmatched.
+DUMMY_ROOT_LABEL = "__ROOT__"
 
 
 class Tree:
@@ -133,13 +142,6 @@ class Tree:
         if self._node_map is None:
             self._materialize()
         return self._root
-
-    @root.setter
-    def root(self, node: Optional[Node]) -> None:
-        if self._node_map is None:
-            self._materialize()
-        self._root = node
-        self._touch()
 
     @property
     def _nodes(self) -> Dict[Any, Node]:
@@ -294,7 +296,7 @@ class Tree:
             node = queue[index]
             index += 1
             yield node
-            queue.extend(node.children)
+            queue.extend(node._children)
 
     def leaves(self) -> Iterator[Node]:
         """All leaves of the tree in document (left-to-right) order."""
@@ -373,12 +375,47 @@ class Tree:
         self._touch()
         return node
 
+    def wrap_root(self, dummy_id: Any) -> "Tree":
+        """Put a dummy root, with id *dummy_id*, above the root; return the tree.
+
+        Algorithm EditScript does this to both trees when their roots are
+        unmatched (Section 4.1), so a script it generates that way replays
+        on ``T1`` wrapped under the same id. Raises
+        :class:`DuplicateNodeError` when *dummy_id* already names a node.
+        """
+        old_root = self.root
+        if old_root is None:
+            raise TreeError("cannot wrap an empty tree under a dummy root")
+        if dummy_id in self._nodes:
+            raise DuplicateNodeError(dummy_id)
+        dummy = Node(dummy_id, DUMMY_ROOT_LABEL)
+        self._attach(old_root, dummy, 1)
+        self._root = self._nodes[dummy_id] = dummy
+        self._touch()
+        return self
+
+    def unwrap_root(self) -> None:
+        """Remove the dummy root and promote its only child.
+
+        Raises :class:`EditScriptError` when the root has other than one
+        child, which a script replayed under :meth:`wrap_root` can leave.
+        """
+        dummy = self.root
+        count = len(dummy.children) if dummy is not None else 0
+        if count != 1:
+            raise EditScriptError(f"dummy root has {count} children; cannot strip")
+        new_root = self._root = dummy.children[0]
+        self._detach(new_root)
+        del self._nodes[dummy.id]
+        self._touch()
+
     def _attach(self, node: Node, parent: Node, position: int) -> None:
-        limit = len(parent.children) + 1
+        siblings = parent._children
+        limit = len(siblings) + 1
         if not 1 <= position <= limit:
             raise InvalidPositionError(position, limit)
-        parent.children.insert(position - 1, node)
-        node.parent = parent
+        parent._children = siblings[:position - 1] + (node,) + siblings[position - 1:]
+        node._parent = parent
         node._slot = position - 1
 
     def _detach(self, node: Node) -> None:
@@ -393,8 +430,8 @@ class Tree:
         O(1). A full scan remains as fallback and is counted so tests can
         assert the hint actually hits.
         """
-        parent = node.parent
-        siblings = parent.children
+        parent = node._parent
+        siblings = parent._children
         count = len(siblings)
         slot = node._slot
         if 0 <= slot < count and siblings[slot] is node:
@@ -408,8 +445,8 @@ class Tree:
             if index < 0:
                 index = siblings.index(node)
                 self.detach_fallback_scans += 1
-        del siblings[index]
-        node.parent = None
+        parent._children = siblings[:index] + siblings[index + 1:]
+        node._parent = None
 
     # ------------------------------------------------------------------
     # Copying and snapshots
@@ -481,16 +518,19 @@ def _nodes_from_arena(arena: TreeArena) -> Tuple[Optional[Node], Dict[Any, Node]
     value_pool = arena.value_pool
     order: List[Node] = []
     node_map: Dict[Any, Node] = {}
+    kids: Dict[int, List[Node]] = {}
     for pos in range(arena.n):
         node = Node(node_ids[pos], label_pool[labels[pos]], value_pool[values[pos]])
         parent_pos = parents[pos]
         if parent_pos >= 0:
-            parent_node = order[parent_pos]
-            node.parent = parent_node
-            node._slot = len(parent_node.children)
-            parent_node.children.append(node)
+            node._parent = order[parent_pos]
+            siblings = kids.setdefault(parent_pos, [])
+            node._slot = len(siblings)
+            siblings.append(node)
         order.append(node)
         node_map[node.id] = node
+    for parent_pos, siblings in kids.items():
+        order[parent_pos]._children = tuple(siblings)
     return (order[0] if order else None), node_map, order
 
 

@@ -42,7 +42,7 @@ from ..core.tree import Tree
 from ..lcs.myers import myers_lcs
 from ..matching.matching import Matching
 from .operations import Delete, Insert, Move, Update
-from .script import EditScript, wrap_with_dummy_root
+from .script import EditScript
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -81,11 +81,9 @@ class EditScriptResult:
     transformed:
         The working copy of ``T1`` after all operations — isomorphic to
         ``T2`` (including the dummy root, when one was added).
-    wrapped:
-        True when dummy roots were introduced because the input roots were
-        unmatched in ``M``.
     dummy_t1_id / dummy_t2_id:
-        Identifiers of the dummy roots (``None`` unless ``wrapped``).
+        Identifiers of the dummy roots introduced because the input roots
+        were unmatched in ``M``; ``None`` when nothing was wrapped.
     stats:
         Operation counters (see :class:`GenerationStats`).
     """
@@ -93,10 +91,14 @@ class EditScriptResult:
     script: EditScript
     matching: Matching
     transformed: Tree
-    wrapped: bool = False
     dummy_t1_id: Any = None
     dummy_t2_id: Any = None
     stats: GenerationStats = field(default_factory=GenerationStats)
+
+    @property
+    def wrapped(self) -> bool:
+        """True when dummy roots were introduced (see ``dummy_t1_id``)."""
+        return self.dummy_t1_id is not None
 
     def cost(self) -> float:
         """Total script cost under the §3.2 unit costs."""
@@ -108,9 +110,7 @@ class EditScriptResult:
         Handles the dummy-root wrapping transparently: the returned tree is
         directly comparable (isomorphic) to the original ``T2``.
         """
-        return self.script.apply_to(
-            t1, dummy_id=self.dummy_t1_id if self.wrapped else None
-        )
+        return self.script.apply_to(t1, dummy_id=self.dummy_t1_id)
 
     def verify(self, t1: Tree, t2: Tree) -> bool:
         """True when replaying the script on *t1* yields a tree isomorphic to *t2*."""
@@ -130,10 +130,10 @@ def generate_edit_script(
     :class:`~repro.matching.Matching`); the script never inserts or deletes
     a matched node, so it *conforms* to the matching by construction.
 
-    FindPos locates a ``t2`` node among its siblings with
-    :meth:`Node.child_index <repro.core.node.Node.child_index>` (O(1) on
-    the slot hints of a tree nothing edits here) and scans backwards for
-    the in-order anchor.
+    FindPos locates nodes among their siblings with
+    :meth:`Node.child_index <repro.core.node.Node.child_index>`: O(1) on
+    the slot hints of ``t2``, which nothing edits here, and on the working
+    tree wherever its hints still hold (a stale one is repaired by a scan).
     """
     if t1.root is None or t2.root is None:
         raise ValueError("generate_edit_script requires non-empty trees")
@@ -182,7 +182,6 @@ class _Generator:
         # same-numbered T2 node as already placed.
         self.in_order1: Set[Any] = set()  # working-tree (T1') node ids
         self.in_order2: Set[Any] = set()  # T2 node ids
-        self.wrapped = False
         self.dummy_t1_id: Any = None
         self.dummy_t2_id: Any = None
         existing = [n for n in itertools.chain(t1.node_ids(), t2.node_ids())
@@ -198,7 +197,6 @@ class _Generator:
             script=self.script,
             matching=self.mprime,
             transformed=self.work,
-            wrapped=self.wrapped,
             dummy_t1_id=self.dummy_t1_id,
             dummy_t2_id=self.dummy_t2_id,
             stats=self.stats,
@@ -211,17 +209,13 @@ class _Generator:
         root1, root2 = self.work.root, self.t2.root
         if self.mprime.contains(root1.id, root2.id):
             return
-        if self.mprime.has1(root1.id) or self.mprime.has2(root2.id):
-            # Roots matched to interior nodes of the other tree: the dummy
-            # wrap below still handles this (the old root subtree gets moved
-            # where its partner lives).
-            pass
+        # Roots matched to interior nodes of the other tree need nothing
+        # more: the old root subtree gets moved where its partner lives.
         self.dummy_t1_id = next(self._fresh)
         self.dummy_t2_id = next(self._fresh)
-        self.work = wrap_with_dummy_root(self.work, self.dummy_t1_id)
-        self.t2 = wrap_with_dummy_root(self.t2.copy(), self.dummy_t2_id)
+        self.work.wrap_root(self.dummy_t1_id)
+        self.t2 = self.t2.copy().wrap_root(self.dummy_t2_id)
         self.mprime.add(self.dummy_t1_id, self.dummy_t2_id)
-        self.wrapped = True
 
     # ------------------------------------------------------------------
     # Phase 2 of Figure 8: BFS over T2 (update + insert + move + align)
@@ -291,23 +285,24 @@ class _Generator:
     # Function AlignChildren (Figure 9)
     # ------------------------------------------------------------------
     def _align_children(self, w: Node, x: Node) -> None:
+        w_children, x_children = w.children, x.children
         # 1. Mark all children of w and of x "out of order".
-        for child in w.children:
+        for child in w_children:
             self.in_order1.discard(child.id)
-        for child in x.children:
+        for child in x_children:
             self.in_order2.discard(child.id)
         # 2. S1: children of w whose partners are children of x;
         #    S2: children of x whose partners are children of w.
-        x_child_ids = {c.id for c in x.children}
-        w_child_ids = {c.id for c in w.children}
+        x_child_ids = {c.id for c in x_children}
+        w_child_ids = {c.id for c in w_children}
         s1 = [
             c
-            for c in w.children
+            for c in w_children
             if self.mprime.partner1(c.id) in x_child_ids
         ]
         s2 = [
             c
-            for c in x.children
+            for c in x_children
             if self.mprime.partner2(c.id) in w_child_ids
         ]
         if not s1 and not s2:
@@ -323,7 +318,7 @@ class _Generator:
             in_lcs_t2_ids.add(b.id)
         # 6. Move every matched-but-out-of-sequence pair into place. We scan
         # b over x's children left-to-right so anchors are always final.
-        for b in x.children:
+        for b in x_children:
             if b.id in in_lcs_t2_ids:
                 continue
             a_id = self.mprime.partner2(b.id)
@@ -367,11 +362,10 @@ class _Generator:
         # 3-5. Place right after the partner u of the rightmost in-order
         # left sibling v of x.
         u = self.work.get(self.mprime.partner2(anchor.id))
-        parent = u.parent
-        index = parent.children.index(u) + 1  # 1-based index of u
+        index = u.child_index()
         if moving_id is not None:
             mover = self.work.get(moving_id)
-            if mover.parent is parent and parent.children.index(mover) < index - 1:
+            if mover.parent is u.parent and mover.child_index() < index:
                 index -= 1
         return index + 1
 

@@ -7,25 +7,21 @@ tree (the engine used to verify that generated scripts really produce a tree
 isomorphic to the target), and round-trips through plain dictionaries for
 persistence.
 
-:meth:`EditScript.apply_to` is the only replay engine. It also owns the
-dummy-root convention of Algorithm EditScript: when the input roots are
-unmatched the generator wraps both trees under synthetic roots labeled
-:data:`DUMMY_ROOT_LABEL`, so a script generated that way replays on ``T1``
-wrapped under the same dummy id, which is stripped again afterwards.
+:meth:`EditScript.apply_to` is the only replay engine. When the input roots
+are unmatched the generator wraps both trees under dummy roots
+(:meth:`Tree.wrap_root <repro.core.tree.Tree.wrap_root>`), so a script
+generated that way replays on ``T1`` wrapped under the same dummy id, which
+:meth:`~repro.core.tree.Tree.unwrap_root` takes off again afterwards.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.errors import DuplicateNodeError, EditScriptError, TreeError
-from ..core.node import Node
+from ..core.errors import EditScriptError
 from ..core.tree import Tree
 from .cost import script_cost
 from .operations import Delete, EditOperation, Insert, Move, Update
-
-#: Label given to dummy roots added when the input roots are unmatched.
-DUMMY_ROOT_LABEL = "__ROOT__"
 
 
 class EditScript:
@@ -116,7 +112,7 @@ class EditScript:
         for _ in self.steps(target, dummy_id):
             pass
         if dummy_id is not None:
-            _strip_dummy_root(target)
+            target.unwrap_root()
         return target
 
     def steps(
@@ -131,7 +127,7 @@ class EditScript:
         keep the input intact. Failures raise as in :meth:`apply_to`.
         """
         if dummy_id is not None:
-            wrap_with_dummy_root(tree, dummy_id)
+            tree.wrap_root(dummy_id)
         for index, op in enumerate(self._operations):
             yield op, tree
             try:
@@ -224,36 +220,3 @@ class EditScript:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EditScript({self.summary()})"
-
-
-def wrap_with_dummy_root(tree: Tree, dummy_id: Any) -> Tree:
-    """Interpose a dummy root above *tree*'s root (in place); return *tree*.
-
-    Raises :class:`DuplicateNodeError` when *dummy_id* already names a node
-    of *tree* — reusing it would alias that node and corrupt the tree.
-    """
-    old_root = tree.root
-    if old_root is None:
-        raise TreeError("cannot wrap an empty tree under a dummy root")
-    if dummy_id in tree:
-        raise DuplicateNodeError(dummy_id)
-    dummy = Node(dummy_id, DUMMY_ROOT_LABEL, None)
-    dummy.children.append(old_root)
-    old_root.parent = dummy
-    old_root._slot = 0
-    tree.root = dummy
-    tree._nodes[dummy_id] = dummy
-    return tree
-
-
-def _strip_dummy_root(tree: Tree) -> None:
-    """Remove the dummy root, promoting its only child (in place)."""
-    dummy = tree.root
-    if len(dummy.children) != 1:
-        raise EditScriptError(
-            f"dummy root has {len(dummy.children)} children; cannot strip"
-        )
-    new_root = dummy.children[0]
-    new_root.parent = None
-    tree.root = new_root
-    del tree._nodes[dummy.id]

@@ -87,9 +87,7 @@ class JobResult:
         """Replay the script on a copy of *old_tree* (handles dummy roots)."""
         if self.script is None:
             raise ValueError(f"job {self.job_id} has no script (status={self.status})")
-        return self.script.apply_to(
-            old_tree, dummy_id=self.dummy_id if self.wrapped else None
-        )
+        return self.script.apply_to(old_tree, dummy_id=self.dummy_id)
 
 
 def config_key(
@@ -289,10 +287,10 @@ class DiffEngine:
         from ..verify.oracles import VerifyReport, check_cost_accounting, check_replay
 
         script = result.script
-        dummy_id = result.dummy_id if result.wrapped else None
         report = VerifyReport()
         report.record(
-            "replay_isomorphism", check_replay(old_tree, new_tree, script, dummy_id)
+            "replay_isomorphism",
+            check_replay(old_tree, new_tree, script, result.dummy_id),
         )
         report.record(
             "cost_accounting",

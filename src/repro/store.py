@@ -35,7 +35,7 @@ from .core.isomorphism import trees_isomorphic
 from .core.serialization import tree_from_dict, tree_to_dict
 from .core.tree import Tree
 from .editscript.invert import invert_script
-from .editscript.script import EditScript, wrap_with_dummy_root
+from .editscript.script import EditScript
 from .matching.criteria import MatchConfig
 from .pipeline import DiffConfig, DiffPipeline
 from .service.digest import tree_fingerprint
@@ -99,10 +99,8 @@ class VersionStore:
         self._forward: List[EditScript] = []
         #: backward[i] transforms version i+1 into version i
         self._backward: List[EditScript] = []
-        #: whether leg i was generated with dummy-root wrapping, and the
-        #: dummy identifier used (None otherwise)
-        self._wrapped: List[bool] = []
-        self._wrapped_ids: List[Any] = []
+        #: the dummy-root id leg i was generated under (None if unwrapped)
+        self._dummy_ids: List[Any] = []
         self._info: List[CommitInfo] = []
 
     # ------------------------------------------------------------------
@@ -152,7 +150,10 @@ class VersionStore:
         if not trees_isomorphic(head, snapshot):  # pragma: no cover - guard
             raise VersionStoreError("generated delta failed verification")
 
-        backward_base = self._wrapped_head(result.edit)
+        dummy_id = result.edit.dummy_t1_id
+        backward_base = self._head.copy()
+        if dummy_id is not None:
+            backward_base.wrap_root(dummy_id)
         backward = invert_script(backward_base, forward)
         info = CommitInfo(
             version=len(self._info),
@@ -163,19 +164,12 @@ class VersionStore:
         )
         self._forward.append(forward)
         self._backward.append(backward)
-        self._wrapped.append(result.edit.wrapped)
-        self._wrapped_ids.append(result.edit.dummy_t1_id)
+        self._dummy_ids.append(dummy_id)
         self._head = head
         self._info.append(info)
         if self._engine is not None:
             self._head_digest = tree_fingerprint(self._head)
         return info
-
-    def _wrapped_head(self, edit_result) -> Tree:
-        base = self._head.copy()
-        if edit_result.wrapped:
-            base = wrap_with_dummy_root(base, edit_result.dummy_t1_id)
-        return base
 
     # ------------------------------------------------------------------
     # Reading
@@ -260,8 +254,7 @@ class VersionStore:
 
     def _apply_leg(self, tree: Tree, index: int, backward: bool) -> Tree:
         script = self._backward[index] if backward else self._forward[index]
-        dummy_id = self._wrapped_ids[index] if self._wrapped[index] else None
-        return script.apply_to(tree, in_place=True, dummy_id=dummy_id)
+        return script.apply_to(tree, in_place=True, dummy_id=self._dummy_ids[index])
 
     # ------------------------------------------------------------------
     # Persistence
@@ -272,8 +265,8 @@ class VersionStore:
             "head": tree_to_dict(self._head) if self._head is not None else None,
             "forward": [s.to_dicts() for s in self._forward],
             "backward": [s.to_dicts() for s in self._backward],
-            "wrapped": list(self._wrapped),
-            "wrapped_ids": list(self._wrapped_ids),
+            "wrapped": [dummy_id is not None for dummy_id in self._dummy_ids],
+            "wrapped_ids": list(self._dummy_ids),
             "info": [
                 {
                     "version": i.version,
@@ -293,8 +286,7 @@ class VersionStore:
         store._head = tree_from_dict(head) if head is not None else None
         store._forward = [EditScript.from_dicts(s) for s in data.get("forward", [])]
         store._backward = [EditScript.from_dicts(s) for s in data.get("backward", [])]
-        store._wrapped = list(data.get("wrapped", []))
-        store._wrapped_ids = list(data.get("wrapped_ids", []))
+        store._dummy_ids = list(data.get("wrapped_ids", []))
         store._info = [
             CommitInfo(
                 version=i["version"],

@@ -40,7 +40,6 @@ from ..baselines.zhang_shasha import zhang_shasha_distance
 from ..core.tree import Tree
 from ..editscript.generator import EditScriptResult
 from ..editscript.operations import Delete, Insert, Move, Update
-from ..editscript.script import wrap_with_dummy_root
 from ..matching.criteria import MatchConfig
 from .oracles import Violation
 
@@ -79,9 +78,8 @@ def zs_script_bound(t1: Tree, edit: EditScriptResult) -> float:
     The result is the cost of one valid relabel/insert/delete realization
     of the script, hence an upper bound on the optimal ZS distance.
     """
-    dummy_id = edit.dummy_t1_id if edit.wrapped else None
     bound = 0.0
-    for op, work in edit.script.steps(t1.copy(), dummy_id):
+    for op, work in edit.script.steps(t1.copy(), edit.dummy_t1_id):
         if isinstance(op, (Insert, Delete)):
             bound += 1.0
         elif isinstance(op, Update):
@@ -105,10 +103,10 @@ def zs_lower_bound_check(
     ``wrap(T1)`` into ``wrap(T2)``, so the reference distance is taken on
     wrapped copies too.
     """
-    if edit.wrapped:
-        a = wrap_with_dummy_root(t1.copy(), edit.dummy_t1_id)
-        b = wrap_with_dummy_root(t2.copy(), edit.dummy_t2_id)
-        zs = zhang_shasha_distance(a, b)
+    if edit.dummy_t1_id is not None:
+        zs = zhang_shasha_distance(
+            t1.copy().wrap_root(edit.dummy_t1_id), t2.copy().wrap_root(edit.dummy_t2_id)
+        )
     elif zs is None:
         zs = zhang_shasha_distance(t1, t2)
     bound = zs_script_bound(t1, edit)

@@ -632,9 +632,7 @@ def verify_result(
         "conformance", check_conformance(t1, t2, result.edit, result.matching)
     )
     edit = result.edit
-    replayed, violations = _replay(
-        t1, t2, edit.script, edit.dummy_t1_id if edit.wrapped else None
-    )
+    replayed, violations = _replay(t1, t2, edit.script, edit.dummy_t1_id)
     report.record("replay_isomorphism", violations)
     report.record(
         "cost_accounting", check_cost_accounting(t1, t2, edit.script, result.cost())

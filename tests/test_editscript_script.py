@@ -19,7 +19,6 @@ from repro.editscript import (
     operation_cost,
     script_cost,
 )
-from repro.editscript.script import wrap_with_dummy_root
 
 
 @pytest.fixture
@@ -188,7 +187,7 @@ class TestDummyRootReplay:
         assert 1 in base_tree and 99 not in base_tree  # input untouched
 
     def test_wrap_puts_the_dummy_on_top(self, base_tree):
-        wrapped = wrap_with_dummy_root(base_tree, 99)
+        wrapped = base_tree.wrap_root(99)
         assert wrapped.root.label == DUMMY_ROOT_LABEL
         assert [c.id for c in wrapped.root.children] == [1]
 
@@ -199,7 +198,7 @@ class TestDummyRootReplay:
 
     def test_empty_tree_cannot_be_wrapped(self):
         with pytest.raises(TreeError):
-            wrap_with_dummy_root(Tree(), 99)
+            Tree().wrap_root(99)
 
     def test_strip_requires_single_child(self, base_tree):
         script = EditScript([Insert(10, "E", None, 99, 2)])

@@ -127,7 +127,7 @@ class TestParseLatex:
     def test_empty_input(self):
         tree = parse_latex("")
         assert tree.root.label == "D"
-        assert tree.root.children == []
+        assert tree.root.children == ()
 
 
 class TestWriteLatex:
@@ -166,7 +166,7 @@ class TestParseText:
 
     def test_empty_input(self):
         tree = parse_text("\n\n  \n")
-        assert tree.root.children == []
+        assert tree.root.children == ()
 
     def test_write_empty(self):
         from repro.core import Tree

@@ -1,5 +1,8 @@
 """DiffPipeline: config validation, traces, and parity with the legacy wiring."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +156,30 @@ class TestSection8Counters:
         )
         assert observed == self.EXPECTED[doc_set.name]
         assert result.verify(old, new)
+
+
+class TestFig13Golden:
+    """Every Fig. 13 / Table 1 version pair, in both directions, through
+    the default pipeline: the summed §8 counters, the script sizes and a
+    SHA-256 of every script's records pin the scripts byte for byte.
+    """
+
+    def test_all_pairs_both_directions(self):
+        pipeline = DiffPipeline(DiffConfig())
+        r1 = r2 = operations = 0
+        scripts = []
+        for doc_set in paper_document_sets():
+            for older, newer in doc_set.pairs():
+                for t1, t2 in ((older.tree, newer.tree), (newer.tree, older.tree)):
+                    result = pipeline.run(t1, t2)
+                    r1 += result.match_stats.leaf_compares
+                    r2 += result.match_stats.partner_checks
+                    operations += len(result.script)
+                    scripts.append(result.script.to_dicts())
+        digest = hashlib.sha256(json.dumps(scripts, sort_keys=True).encode()).hexdigest()
+        assert len(scripts) == 60
+        assert (r1, r2, operations) == (273748, 85409, 2254)
+        assert digest == "ca2fd810a0298ad64d383c481876288bd404698edab47dc967667be9d37106e7"
 
 
 class TestConfigValidation:

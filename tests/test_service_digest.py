@@ -80,6 +80,35 @@ class TestBasics:
             leaf.label = "Q"
         assert leaf.value == "a b" and leaf.label == "S"
 
+    def test_node_structure_is_read_only(self):
+        # Unlinking a child in place once left len(u) at 3 and the
+        # fingerprint unchanged, so the engine answered "digest" with no
+        # operations for two different trees.
+        from repro.service import DiffEngine
+
+        spec = ("D", None, [("S", "a b"), ("S", "c d")])
+        t, u = Tree.from_obj(spec), Tree.from_obj(spec)
+        before = tree_fingerprint(u)
+        root = u.root
+        with pytest.raises(AttributeError):
+            root.children.pop()
+        with pytest.raises(AttributeError):
+            root.children = ()
+        with pytest.raises(AttributeError):
+            root.children[1].parent = None
+        with pytest.raises(TypeError):
+            root.children[0] = root.children[1]
+        assert len(u) == len(list(u.preorder())) == 3
+        assert tree_fingerprint(u) == before
+        u.delete(root.children[-1].id)
+        assert len(u) == len(list(u.preorder())) == 2
+        assert tree_fingerprint(u) != tree_fingerprint(t)
+        with DiffEngine(workers=1) as engine:
+            result = engine.diff(t, u)
+        assert result.status == "ok" and result.source == "computed"
+        assert len(result.script) == 1
+        assert trees_isomorphic(result.apply_to(t), u)
+
     def test_update_reaches_the_fingerprint_and_the_engine(self):
         from repro.service import DiffEngine
 
