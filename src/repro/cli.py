@@ -51,6 +51,7 @@ from .core.errors import ConfigError
 from .core.serialization import tree_from_dict, tree_from_sexpr
 from .core.tree import Tree
 from .ladiff.pipeline import default_match_config, ladiff, parse_document
+from .matching.criteria import MatchConfig
 from .pipeline import DiffConfig, DiffPipeline
 from .service.engine import DiffEngine
 from .verify.fuzz import (
@@ -84,12 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output-format", choices=("latex", "html", "text"), default=None,
         help="output mark-up (default: same as input format)",
     )
-    p_ladiff.add_argument(
-        "-t", type=float, default=0.5, help="match threshold t (default 0.5)"
-    )
-    p_ladiff.add_argument(
-        "-f", type=float, default=0.6, help="leaf threshold f (default 0.6)"
-    )
+    _add_thresholds(p_ladiff)
     p_ladiff.add_argument(
         "-o", "--out", default=None, help="write output here instead of stdout"
     )
@@ -120,12 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-export", default=None, metavar="PATH",
         help="append recorded spans to PATH as sorted-keys JSONL",
     )
-    p_script.add_argument(
-        "-t", type=float, default=0.5, help="match threshold t (default 0.5)"
-    )
-    p_script.add_argument(
-        "-f", type=float, default=0.6, help="leaf threshold f (default 0.6)"
-    )
+    _add_thresholds(p_script)
 
     p_stats = sub.add_parser("stats", help="diff two documents, report measurements")
     p_stats.add_argument("old")
@@ -151,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache capacity; 0 disables caching (default 256)",
     )
     p_batch.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout in seconds"
+        "--timeout", type=float, default=None,
+        help="seconds to wait for the whole batch; jobs not done by then time out",
     )
     p_batch.add_argument(
         "--warm-cache", default=None, metavar="PATH",
@@ -174,12 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-export", default=None, metavar="PATH",
         help="append recorded spans to PATH as sorted-keys JSONL",
     )
-    p_batch.add_argument(
-        "-t", type=float, default=0.5, help="match threshold t (default 0.5)"
-    )
-    p_batch.add_argument(
-        "-f", type=float, default=0.6, help="leaf threshold f (default 0.6)"
-    )
+    _add_thresholds(p_batch)
 
     p_verify = sub.add_parser(
         "verify",
@@ -291,12 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=("fast", "simple"), default="fast",
         help="matching algorithm (default: fast)",
     )
-    p_serve.add_argument(
-        "-t", type=float, default=0.5, help="match threshold t (default 0.5)"
-    )
-    p_serve.add_argument(
-        "-f", type=float, default=0.6, help="leaf threshold f (default 0.6)"
-    )
+    _add_thresholds(p_serve)
 
     p_simtest = sub.add_parser(
         "simtest",
@@ -355,6 +337,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_thresholds(parser: argparse.ArgumentParser) -> None:
+    """The matching thresholds -t and -f, defaulting as :class:`MatchConfig` does."""
+    defaults = MatchConfig()
+    parser.add_argument(
+        "-t", type=float, default=defaults.t,
+        help=f"match threshold t (default {defaults.t})",
+    )
+    parser.add_argument(
+        "-f", type=float, default=defaults.f,
+        help=f"leaf threshold f (default {defaults.f})",
+    )
+
+
 def _add_fuzz_options(parser: argparse.ArgumentParser, iterations: int) -> None:
     """Options shared by the ``verify`` sweep and the ``fuzz`` loop."""
     parser.add_argument(
@@ -380,12 +375,7 @@ def _add_fuzz_options(parser: argparse.ArgumentParser, iterations: int) -> None:
         "--no-differential", action="store_true",
         help="skip the Match-vs-FastMatch-vs-baseline crosschecks",
     )
-    parser.add_argument(
-        "-t", type=float, default=0.5, help="match threshold t (default 0.5)"
-    )
-    parser.add_argument(
-        "-f", type=float, default=0.6, help="leaf threshold f (default 0.6)"
-    )
+    _add_thresholds(parser)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -22,7 +22,7 @@ from typing import List
 
 from .annotations import Ins, Mov, Mrk, Upd
 from .builder import DeltaNode, DeltaTree
-from .units import HEADING_LABELS, document_units
+from .units import HEADING_LABELS, document_units, heading_note
 
 HTML_STYLE = """\
 <style>
@@ -43,7 +43,7 @@ def render_html(delta: DeltaTree, full_document: bool = False) -> str:
         if kind == "heading":
             tag = f"h{HEADING_LABELS[node.label] + 1}"
             title = html.escape(str(node.value)) if node.value is not None else ""
-            lines.append(f"<{tag}>{_note(node, deleted)}{title}</{tag}>")
+            lines.append(f"<{tag}>{heading_note(node, deleted)}{title}</{tag}>")
         elif kind == "block":
             tag = "p" if node.label == "P" else "li"
             text = " ".join(_sentence(child, gone) for child, gone in sentences)
@@ -62,19 +62,6 @@ def render_html(delta: DeltaTree, full_document: bool = False) -> str:
             + "</body></html>\n"
         )
     return body
-
-
-def _note(node: DeltaNode, deleted: bool) -> str:
-    annotation = node.annotation
-    if deleted:
-        return "(del) "
-    if isinstance(annotation, Ins):
-        return "(ins) "
-    if isinstance(annotation, Upd):
-        return "(upd) "
-    if isinstance(annotation, (Mov, Mrk)):
-        return "(mov) "
-    return ""
 
 
 def _margin(node: DeltaNode, deleted: bool) -> str:

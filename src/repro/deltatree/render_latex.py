@@ -26,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .annotations import Ins, Mov, Mrk, Upd
 from .builder import DeltaNode, DeltaTree
-from .units import HEADING_LABELS, SENTENCE_LABELS, document_units
+from .units import HEADING_LABELS, SENTENCE_LABELS, document_units, heading_note
 
 LATEX_PREAMBLE = "\n".join(
     [
@@ -51,7 +51,7 @@ def render_latex(delta: DeltaTree, full_document: bool = False) -> str:
         if kind == "heading":
             command = "sub" * (HEADING_LABELS[node.label] - 1) + "section"
             title = _escape(str(node.value)) if node.value is not None else ""
-            lines += [f"\\{command}{{{_heading_note(node, deleted)}{title}}}", ""]
+            lines += [f"\\{command}{{{heading_note(node, deleted)}{title}}}", ""]
         elif kind == "block":
             lines += [_block_markup(node, deleted, sentences, keys), ""]
         elif kind == "sentence":
@@ -69,19 +69,6 @@ def render_latex(delta: DeltaTree, full_document: bool = False) -> str:
     if full_document:
         return LATEX_PREAMBLE + body + LATEX_POSTAMBLE
     return body
-
-
-def _heading_note(node: DeltaNode, deleted: bool) -> str:
-    annotation = node.annotation
-    if deleted:
-        return "(del) "
-    if isinstance(annotation, Ins):
-        return "(ins) "
-    if isinstance(annotation, Upd):
-        return "(upd) "
-    if isinstance(annotation, (Mov, Mrk)):
-        return "(mov) "
-    return ""
 
 
 def _block_markup(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, NamedTuple, Tuple
 
-from .annotations import Del
+from .annotations import Del, Ins, Mov, Mrk, Upd
 
 #: Labels treated as sentence-level (font changes).
 SENTENCE_LABELS = {"S"}
@@ -63,6 +63,20 @@ def document_units(root: Any) -> Iterator[Unit]:
             yield Unit("list", node, deleted)
             stack.append((end, False))
         stack.extend((child, deleted) for child in reversed(children))
+
+
+def heading_note(node: Any, deleted: bool) -> str:
+    """The change note both renderers put before a heading's title."""
+    annotation = node.annotation
+    if deleted:
+        return "(del) "
+    if isinstance(annotation, Ins):
+        return "(ins) "
+    if isinstance(annotation, Upd):
+        return "(upd) "
+    if isinstance(annotation, (Mov, Mrk)):
+        return "(mov) "
+    return ""
 
 
 def _is_deleted(node: Any, inherited: bool) -> bool:

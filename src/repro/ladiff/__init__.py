@@ -1,7 +1,8 @@
 """LaDiff: change detection and mark-up for structured documents (§7)."""
 
+from .document import split_sentences
 from .html_parser import parse_html
-from .latex_parser import parse_latex, split_sentences
+from .latex_parser import parse_latex
 from .latex_writer import write_latex
 from .markup import EXPECTED_LATEX_MARKERS, LABEL_TO_UNIT, MARKUP_CONVENTIONS
 from .pipeline import LaDiffResult, default_match_config, ladiff, ladiff_files, parse_document

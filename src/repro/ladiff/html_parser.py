@@ -20,9 +20,8 @@ from __future__ import annotations
 from html.parser import HTMLParser
 from typing import List, Optional
 
-from ..core.node import Node
 from ..core.tree import Tree
-from .latex_parser import split_sentences
+from .document import DocumentBuilder
 
 _SECTION_TAGS = {"h1": "Sec", "h2": "Sec", "h3": "SubSec", "h4": "SubSec",
                  "h5": "SubSec", "h6": "SubSec"}
@@ -33,24 +32,22 @@ _SKIP_TAGS = {"script", "style", "head", "title"}
 
 def parse_html(source: str) -> Tree:
     """Parse an HTML document into a D/Sec/SubSec/P/list/item/S tree."""
-    builder = _TreeBuilder()
-    builder.feed(source)
-    builder.close()
-    return builder.finish()
+    parser = _HtmlEvents()
+    parser.feed(source)
+    parser.close()
+    return parser.document.finish()
 
 
-class _TreeBuilder(HTMLParser):
+class _HtmlEvents(HTMLParser):
+    """Turns tags and text into :class:`DocumentBuilder` calls."""
+
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.tree = Tree()
-        self.document = self.tree.create_node("D", None)
-        self.containers: List[Node] = [self.document]
-        self.text_parts: List[str] = []
+        self.document = DocumentBuilder()
         self.heading: Optional[str] = None  # label while inside <h*>
         self.heading_parts: List[str] = []
         self.skip_depth = 0
 
-    # ------------------------------------------------------------------
     def handle_starttag(self, tag: str, attrs) -> None:
         if tag in _SKIP_TAGS:
             self.skip_depth += 1
@@ -58,20 +55,15 @@ class _TreeBuilder(HTMLParser):
         if self.skip_depth:
             return
         if tag in _SECTION_TAGS:
-            self._flush_paragraph()
+            self.document.end_paragraph()
             self.heading = _SECTION_TAGS[tag]
             self.heading_parts = []
         elif tag in _LIST_TAGS:
-            self._flush_paragraph()
-            node = self.tree.create_node("list", None, parent=self.containers[-1])
-            self.containers.append(node)
+            self.document.open_list()
         elif tag in _ITEM_TAGS:
-            self._flush_paragraph()
-            self._pop_until({"list"})
-            node = self.tree.create_node("item", None, parent=self.containers[-1])
-            self.containers.append(node)
+            self.document.open_item()
         elif tag == "p" or tag == "br":
-            self._flush_paragraph()
+            self.document.end_paragraph()
 
     def handle_endtag(self, tag: str) -> None:
         if tag in _SKIP_TAGS:
@@ -80,68 +72,20 @@ class _TreeBuilder(HTMLParser):
         if self.skip_depth:
             return
         if tag in _SECTION_TAGS and self.heading is not None:
-            label = self.heading
             title = " ".join(" ".join(self.heading_parts).split()) or None
+            self.document.open_section(self.heading, title)
             self.heading = None
-            self.heading_parts = []
-            self._open_section(label, title)
         elif tag in _LIST_TAGS:
-            self._flush_paragraph()
-            self._pop_until({"list"})
-            if self.containers[-1].label == "list":
-                self.containers.pop()
+            self.document.close_list()
         elif tag in _ITEM_TAGS:
-            self._flush_paragraph()
-            if self.containers[-1].label == "item":
-                self.containers.pop()
+            self.document.close_item()
         elif tag == "p":
-            self._flush_paragraph()
+            self.document.end_paragraph()
 
     def handle_data(self, data: str) -> None:
         if self.skip_depth:
             return
         if self.heading is not None:
             self.heading_parts.append(data)
-        elif data.strip():
-            self.text_parts.append(data)
-
-    # ------------------------------------------------------------------
-    def _open_section(self, label: str, title: Optional[str]) -> None:
-        if label == "Sec":
-            self.containers = [self.document]
-            parent = self.document
         else:
-            while self.containers[-1].label not in ("Sec", "D"):
-                self.containers.pop()
-            parent = self.containers[-1]
-        node = self.tree.create_node(label, title, parent=parent)
-        self.containers.append(node)
-
-    def _pop_until(self, labels: set) -> None:
-        while (
-            len(self.containers) > 1
-            and self.containers[-1].label not in labels
-            and self.containers[-1].label in ("item",)
-        ):
-            self.containers.pop()
-
-    def _flush_paragraph(self) -> None:
-        if not self.text_parts:
-            return
-        text = " ".join(" ".join(self.text_parts).split())
-        self.text_parts = []
-        sentences = split_sentences(text)
-        if not sentences:
-            return
-        parent = self.containers[-1]
-        if parent.label == "item":
-            for sentence in sentences:
-                self.tree.create_node("S", sentence, parent=parent)
-            return
-        paragraph = self.tree.create_node("P", None, parent=parent)
-        for sentence in sentences:
-            self.tree.create_node("S", sentence, parent=paragraph)
-
-    def finish(self) -> Tree:
-        self._flush_paragraph()
-        return self.tree
+            self.document.add_text(data)

@@ -24,36 +24,32 @@ is silently dropped.
 from __future__ import annotations
 
 import re
-from typing import List
 
 from ..core.errors import ParseError
-from ..core.node import Node
 from ..core.tree import Tree
+from .document import DocumentBuilder
 
 #: Environments merged into the single ``list`` label.
 LIST_ENVIRONMENTS = ("itemize", "enumerate", "description")
 
+_LISTS = "|".join(LIST_ENVIRONMENTS)
 _COMMENT = re.compile(r"(?<!\\)%.*$", re.MULTILINE)
-_SECTION = re.compile(r"\\(section|subsection)\*?\{([^{}]*)\}")
-_BEGIN_LIST = re.compile(r"\\begin\{(" + "|".join(LIST_ENVIRONMENTS) + r")\}")
-_END_LIST = re.compile(r"\\end\{(" + "|".join(LIST_ENVIRONMENTS) + r")\}")
-_ITEM = re.compile(r"\\item\b\s*")
-_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
+#: The recognized constructs; any other text is paragraph text.
+_CONSTRUCT = re.compile(
+    r"\\(?P<heading>section|subsection)\*?\{(?P<title>[^{}]*)\}"
+    rf"|(?P<begin>\\begin\{{(?:{_LISTS})\}})"
+    rf"|(?P<end>\\end\{{(?:{_LISTS})\}})"
+    r"|\\item\b\s*"
+)
 
 
 def parse_latex(source: str) -> Tree:
     """Parse LaTeX source into a document tree (labels D/Sec/SubSec/P/list/item/S)."""
-    body = _extract_body(source)
-    body = _COMMENT.sub("", body)
-    return _Parser(body).parse()
-
-
-def split_sentences(text: str) -> List[str]:
-    """Split a paragraph's text into sentences on ``.``/``!``/``?`` + space."""
-    text = " ".join(text.split())
-    if not text:
-        return []
-    return [part for part in _SENTENCE_SPLIT.split(text) if part]
+    body = _COMMENT.sub("", _extract_body(source))
+    builder = DocumentBuilder()
+    for line in body.split("\n"):
+        _consume_line(builder, line.strip())
+    return builder.finish()
 
 
 def _extract_body(source: str) -> str:
@@ -67,133 +63,31 @@ def _extract_body(source: str) -> str:
     return source[begin:end]
 
 
-class _Parser:
-    """Line-oriented recursive-descent parser for the LaDiff LaTeX subset."""
-
-    def __init__(self, body: str) -> None:
-        self.lines = body.split("\n")
-        self.index = 0
-        self.tree = Tree()
-        self.document = self.tree.create_node("D", None)
-        # Stack of open containers, innermost last. Sections/subsections
-        # replace each other at their level; lists/items nest freely.
-        self.containers: List[Node] = [self.document]
-        self.paragraph_text: List[str] = []
-
-    # ------------------------------------------------------------------
-    def parse(self) -> Tree:
-        while self.index < len(self.lines):
-            line = self.lines[self.index]
-            self.index += 1
-            self._consume_line(line)
-        self._flush_paragraph()
-        return self.tree
-
-    # ------------------------------------------------------------------
-    def _consume_line(self, line: str) -> None:
-        stripped = line.strip()
-        if not stripped:
-            self._flush_paragraph()
-            return
-        position = 0
-        while position < len(stripped):
-            section = _SECTION.match(stripped, position)
-            if section:
-                self._flush_paragraph()
-                self._open_section(section.group(1), section.group(2).strip())
-                position = section.end()
-                continue
-            begin = _BEGIN_LIST.match(stripped, position)
-            if begin:
-                self._flush_paragraph()
-                self._open_list()
-                position = begin.end()
-                continue
-            end = _END_LIST.match(stripped, position)
-            if end:
-                self._flush_paragraph()
-                self._close_list()
-                position = end.end()
-                continue
-            item = _ITEM.match(stripped, position)
-            if item:
-                self._flush_paragraph()
-                self._open_item()
-                position = item.end()
-                continue
-            # Plain text: accumulate up to the next recognized construct.
-            next_break = _next_construct(stripped, position)
-            chunk = stripped[position:next_break].strip()
-            if chunk:
-                self.paragraph_text.append(chunk)
-            position = next_break
-
-    # ------------------------------------------------------------------
-    # Container management
-    # ------------------------------------------------------------------
-    def _open_section(self, kind: str, title: str) -> None:
-        label = "Sec" if kind == "section" else "SubSec"
-        # Unwind to the level that may contain this heading: sections live
-        # under the document; subsections under the current section.
-        if label == "Sec":
-            self.containers = [self.document]
-            parent = self.document
+def _consume_line(builder: DocumentBuilder, line: str) -> None:
+    if not line:
+        builder.end_paragraph()
+        return
+    position = 0
+    while position < len(line):
+        construct = _CONSTRUCT.match(line, position)
+        if construct is None:
+            # Plain text runs up to the next recognized construct.
+            found = _CONSTRUCT.search(line, position + 1)
+            end = found.start() if found else len(line)
+            builder.add_text(line[position:end])
+            position = end
+            continue
+        position = construct.end()
+        if construct.group("heading"):
+            label = "Sec" if construct.group("heading") == "section" else "SubSec"
+            builder.open_section(label, construct.group("title").strip() or None)
+        elif construct.group("begin"):
+            builder.open_list()
+        elif construct.group("end"):
+            if not builder.in_list():
+                raise ParseError(r"\end{itemize}-style close without open list")
+            builder.close_list()
         else:
-            while self.containers[-1].label not in ("Sec", "D"):
-                self.containers.pop()
-            parent = self.containers[-1]
-        node = self.tree.create_node(label, title or None, parent=parent)
-        self.containers.append(node)
-
-    def _open_list(self) -> None:
-        parent = self._block_parent()
-        node = self.tree.create_node("list", None, parent=parent)
-        self.containers.append(node)
-
-    def _close_list(self) -> None:
-        while self.containers and self.containers[-1].label in ("item",):
-            self.containers.pop()
-        if not self.containers or self.containers[-1].label != "list":
-            raise ParseError(r"\end{itemize}-style close without open list")
-        self.containers.pop()
-
-    def _open_item(self) -> None:
-        while self.containers and self.containers[-1].label == "item":
-            self.containers.pop()
-        if not self.containers or self.containers[-1].label != "list":
-            raise ParseError(r"\item outside of a list environment")
-        node = self.tree.create_node("item", None, parent=self.containers[-1])
-        self.containers.append(node)
-
-    def _block_parent(self) -> Node:
-        """Container that receives paragraphs and lists."""
-        return self.containers[-1]
-
-    # ------------------------------------------------------------------
-    def _flush_paragraph(self) -> None:
-        if not self.paragraph_text:
-            return
-        text = " ".join(self.paragraph_text)
-        self.paragraph_text = []
-        sentences = split_sentences(text)
-        if not sentences:
-            return
-        parent = self._block_parent()
-        if parent.label == "item":
-            # Items hold sentences directly (paper's document schema).
-            for sentence in sentences:
-                self.tree.create_node("S", sentence, parent=parent)
-            return
-        paragraph = self.tree.create_node("P", None, parent=parent)
-        for sentence in sentences:
-            self.tree.create_node("S", sentence, parent=paragraph)
-
-
-def _next_construct(text: str, start: int) -> int:
-    """Index of the next recognized LaTeX construct at or after *start*."""
-    best = len(text)
-    for pattern in (_SECTION, _BEGIN_LIST, _END_LIST, _ITEM):
-        found = pattern.search(text, start + 1)
-        if found and found.start() < best:
-            best = found.start()
-    return best
+            if not builder.in_list():
+                raise ParseError(r"\item outside of a list environment")
+            builder.open_item()

@@ -10,47 +10,34 @@ from __future__ import annotations
 from typing import List
 
 from ..core.tree import Tree
-from .latex_parser import split_sentences
+from ..deltatree.units import document_units
+from .document import DocumentBuilder
 
 
 def parse_text(source: str) -> Tree:
     """Parse plain text: paragraphs split on blank lines, then sentences."""
-    tree = Tree()
-    document = tree.create_node("D", None)
-    for block in _paragraph_blocks(source):
-        sentences = split_sentences(block)
-        if not sentences:
-            continue
-        paragraph = tree.create_node("P", None, parent=document)
-        for sentence in sentences:
-            tree.create_node("S", sentence, parent=paragraph)
-    return tree
+    builder = DocumentBuilder()
+    for line in source.split("\n"):
+        if line.strip():
+            builder.add_text(line)
+        else:
+            builder.end_paragraph()
+    return builder.finish()
 
 
 def write_text(tree: Tree) -> str:
-    """Render a D/P/S tree back to plain text (one blank line per break)."""
+    """Render a document tree as plain text, one paragraph per unit.
+
+    A heading's title and each block's sentences become one paragraph each,
+    and a bare sentence its own paragraph, so every unit's text is kept.
+    """
     paragraphs: List[str] = []
-    if tree.root is None:
-        return ""
-    for node in tree.root.children:
-        if node.label == "P":
-            paragraphs.append(
-                " ".join(str(c.value) for c in node.children if c.label == "S")
-            )
-        elif node.label == "S":
+    units = document_units(tree.root) if tree.root is not None else ()
+    for kind, node, _, sentences in units:
+        if kind == "heading" and node.value is not None:
+            paragraphs.append(str(node.value))
+        elif kind == "block" and sentences:
+            paragraphs.append(" ".join(str(child.value) for child, _ in sentences))
+        elif kind == "sentence":
             paragraphs.append(str(node.value))
     return "\n\n".join(paragraphs) + ("\n" if paragraphs else "")
-
-
-def _paragraph_blocks(source: str) -> List[str]:
-    blocks: List[str] = []
-    current: List[str] = []
-    for line in source.split("\n"):
-        if line.strip():
-            current.append(line.strip())
-        elif current:
-            blocks.append(" ".join(current))
-            current = []
-    if current:
-        blocks.append(" ".join(current))
-    return blocks

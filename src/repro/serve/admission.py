@@ -2,8 +2,11 @@
 
 Overload policy for the diff service, in the order the app applies it:
 
-1. **Max body** — a request larger than ``max_body_bytes`` is refused with
-   413 before its body is even read off the socket.
+1. **Max body** — a request whose ``Content-Length`` exceeds
+   ``max_body_bytes`` is refused with 413 before its body is read off the
+   socket. The protocol layer applies this check
+   (:func:`repro.serve.protocol.read_content_length_body`); the controller
+   only reports the limit in :meth:`AdmissionController.stats`.
 2. **Per-client rate limit** — a token bucket per client identity
    (``X-Client-Id`` header, else the peer address): sustained rate
    ``rate`` tokens/second with burst capacity ``burst``. An empty bucket
@@ -171,9 +174,6 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Checks (in the order the app applies them)
     # ------------------------------------------------------------------
-    def body_allowed(self, content_length: int) -> bool:
-        return content_length <= self.max_body_bytes
-
     def try_admit(self, client: str) -> Decision:
         """Rate-limit then queue check; on success one slot is held."""
         decision = self.limiter.check(client)

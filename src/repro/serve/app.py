@@ -109,9 +109,7 @@ class DiffServer(HttpFront):
         self.config = config if config is not None else ServeConfig()
         super().__init__(self.config.max_body_bytes)
         self.clock = clock
-        self.metrics = (
-            metrics if metrics is not None else ServiceMetrics(clock=self.clock)
-        )
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.tracer = tracer if tracer is not None else Tracer(
             fraction=self.config.trace_fraction,
             capacity=self.config.trace_buffer,

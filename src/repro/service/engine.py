@@ -16,7 +16,7 @@ things that workload needs:
    (digests, short-circuit, one cache get) is linear in the input, so a
    caller may run it inline: the HTTP server answers digest and cache
    hits on its event loop. Matching and sampled spot checks run on a
-   thread pool with per-job timeout and per-job error capture: one
+   thread pool with a batch deadline and per-job error capture: one
    malformed document fails its own job, never the batch.
 
 CPython's GIL serializes pure-Python compute, so the thread pool overlaps
@@ -27,8 +27,7 @@ job (``repro-diff serve --workers N``, one engine per process).
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -120,9 +119,9 @@ class DiffEngine:
     metrics:
         Shared :class:`ServiceMetrics`; a fresh one is created when omitted.
     timeout:
-        Per-job seconds allowed when collecting batch results; a job that
-        exceeds it is reported as ``status="timeout"`` (collection-side —
-        the worker is not forcibly killed, it just no longer counts).
+        Seconds :meth:`map_pairs` waits for a whole batch; a job not done
+        by then is reported as ``status="timeout"``. A queued job is
+        cancelled; a running one is not killed, and counts once, as timed out.
     verify_fraction:
         Fraction of successful jobs (0.0–1.0) to re-check with the
         script-level oracles from :mod:`repro.verify.oracles`
@@ -172,7 +171,7 @@ class DiffEngine:
         if isinstance(cache, int):
             cache = ScriptCache(cache) if cache > 0 else None
         self.cache = cache
-        self.metrics = metrics if metrics is not None else ServiceMetrics(clock=clock)
+        self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.timeout = timeout
         self._config_key = config_key(config, algorithm, postprocess)
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -235,7 +234,10 @@ class DiffEngine:
 
         Every pair yields exactly one :class:`JobResult`; malformed inputs
         or compute failures surface as ``status="error"`` results rather
-        than exceptions.
+        than exceptions. ``timeout`` is one deadline for the whole batch: a
+        job still queued then is cancelled and never runs, and one still
+        running is counted once, as timed out; both come back
+        ``status="timeout"``.
         """
         jobs: List[Tuple[str, TreeSource, TreeSource]] = []
         for index, pair in enumerate(pairs):
@@ -248,16 +250,21 @@ class DiffEngine:
         if not jobs:
             return []
         pool = self.pool()
-        futures = [pool.submit(DiffJob(self, old, new, job_id)) for job_id, old, new in jobs]
+        calls = [DiffJob(self, old, new, job_id) for job_id, old, new in jobs]
+        futures = [pool.submit(job) for job in calls]
+        # One deadline for the whole batch, not one wait per job.
+        done, _ = wait(futures, timeout=self.timeout)
         results: List[JobResult] = []
-        for (job_id, _, _), future in zip(jobs, futures):
-            try:
-                results.append(future.result(timeout=self.timeout))
-            except FutureTimeoutError:
-                self.metrics.incr("jobs_timed_out")
+        for job, future in zip(calls, futures):
+            if future.cancel():  # still queued: it never runs
+                job.abandon()
+                results.append(job.result)
+            elif future in done or not job.expire():
+                results.append(future.result())
+            else:
                 results.append(
                     JobResult(
-                        job_id=job_id,
+                        job_id=job.result.job_id,
                         status="timeout",
                         wall_ms=(self.timeout or 0.0) * 1000.0,
                         error=f"job exceeded {self.timeout}s collection timeout",
@@ -418,7 +425,7 @@ class DiffJob:
     ) -> None:
         self.engine = engine
         self.result = JobResult(job_id=job_id)
-        #: True once the result is final (metrics counted, span closed).
+        #: True once the job is closed (metrics counted, span closed).
         self.done = False
         self._sources = (old, new)
         self._trace = trace
@@ -427,19 +434,17 @@ class DiffJob:
         self._miss: Optional[CacheKey] = None  #: a cache miss's key: compute left
         self._verify = False
         self._elapsed = 0.0
+        #: Makes closing the job, by its own thread or by expire(), happen once.
+        self._lock = threading.Lock()
 
     def lookup(self) -> bool:
         """Run the first leg; True when it answered the job."""
         engine, result = self.engine, self.result
         start = engine.clock.perf_counter()
-        engine.metrics.incr("jobs_submitted")
-        self._span = engine.tracer.span(
-            "engine",
-            kind="engine",
-            ctx=self._trace or engine.default_trace,
-            meta={"job": result.job_id},
-        )
-        result.trace_id = self._span.trace_id
+        with self._lock:
+            if self.done:  # expired before its thread got here
+                return True
+            self._start()
         try:
             old, new = self._sources
             old_tree = old() if callable(old) else old
@@ -480,26 +485,59 @@ class DiffJob:
         return self.result
 
     def abandon(self) -> None:
-        """Close a looked-up job whose second leg will never run."""
+        """Close, as timed out, a job whose compute will never run."""
         self.result.status = "timeout"
         self.result.error = "abandoned before its compute started"
-        self._finish()
+        self.expire()
+
+    def expire(self) -> bool:
+        """Close the job as timed out now; False when it had closed already.
+
+        Its thread may still be running it: that thread then skips any
+        compute not yet started and counts nothing more. The caller reports
+        the timeout, since the thread may still write to :attr:`result`.
+        """
+        with self._lock:
+            if self.done:
+                return False
+            if self._span is None:  # its lookup has not started
+                self._start()
+            self._close("timeout")
+            return True
+
+    def _start(self) -> None:
+        """Count the job as submitted and open its ``engine`` span."""
+        engine = self.engine
+        engine.metrics.incr("jobs_submitted")
+        self._span = engine.tracer.span(
+            "engine",
+            kind="engine",
+            ctx=self._trace or engine.default_trace,
+            meta={"job": self.result.job_id},
+        )
+        self.result.trace_id = self._span.trace_id
 
     def _finish(self) -> None:
+        with self._lock:
+            if not self.done:  # else expire() closed it already
+                self._close(self.result.status)
+
+    def _close(self, status: str) -> None:
+        """Count the job's outcome and close its span; under ``_lock``."""
         engine, result, span = self.engine, self.result, self._span
         assert span is not None
         result.wall_ms = self._elapsed * 1000.0
-        if result.status == "ok":
+        if status == "ok":
             engine.metrics.incr("jobs_succeeded")
             engine.metrics.incr("ops_emitted", result.operations)
-        elif result.status == "timeout":
+        elif status == "timeout":
             engine.metrics.incr("jobs_timed_out")
         else:
             engine.metrics.incr("jobs_failed")
-        if result.status != "timeout":
+        if status != "timeout":
             engine.metrics.observe_wall(result.wall_ms)
-        span.annotate(source=result.source, job_status=result.status)
-        span.close("ok" if result.status == "ok" else "error")
+        span.annotate(source=result.source, job_status=status)
+        span.close("ok" if status == "ok" else "error")
         self.done = True
 
 

@@ -11,9 +11,8 @@ operations emitted, and wall-time percentiles. Everything is thread-safe
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..simtest.clock import SYSTEM_CLOCK, Clock
 from ..verify.oracles import VerifyReport
 
 #: The paper's §8 work counters, summed over computed jobs: leaf compares
@@ -45,11 +44,7 @@ class LatencyHistogram:
     window, which is the standard recent-window approximation.
     """
 
-    def __init__(
-        self,
-        max_samples: int = 4096,
-        clock: Clock = SYSTEM_CLOCK,
-    ) -> None:
+    def __init__(self, max_samples: int = 4096) -> None:
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         self._max = max_samples
@@ -57,18 +52,8 @@ class LatencyHistogram:
         self._next = 0  # ring cursor once the window is full
         self.count = 0
         self.total = 0.0
-        self._clock = clock
-        #: Monotonic stamps of the first/last observation (None until one
-        #: lands) — under an injected clock these are virtual times, which
-        #: is how the simulation harness asserts *when* latency was seen.
-        self.first_at: Optional[float] = None
-        self.last_at: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        now = self._clock.monotonic()
-        if self.first_at is None:
-            self.first_at = now
-        self.last_at = now
         self.count += 1
         self.total += value
         if len(self._samples) < self._max:
@@ -101,13 +86,11 @@ class ServiceMetrics:
     of each job's :class:`~repro.pipeline.Trace`.
     """
 
-    def __init__(self, max_samples: int = 4096, clock: Clock = SYSTEM_CLOCK) -> None:
+    def __init__(self, max_samples: int = 4096) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {name: 0 for name in STANDARD_COUNTERS}
         self._max_samples = max_samples
-        # Drives the first_at/last_at stamps on every histogram.
-        self._clock = clock
-        self.wall_ms = LatencyHistogram(max_samples, clock=self._clock)
+        self.wall_ms = LatencyHistogram(max_samples)
         self._stages: Dict[str, LatencyHistogram] = {}
         self.verify = VerifyReport()
 
@@ -128,9 +111,7 @@ class ServiceMetrics:
         with self._lock:
             histogram = self._stages.get(stage)
             if histogram is None:
-                histogram = self._stages[stage] = LatencyHistogram(
-                    self._max_samples, clock=self._clock
-                )
+                histogram = self._stages[stage] = LatencyHistogram(self._max_samples)
             histogram.observe(milliseconds)
 
     def absorb_verify_report(self, report: VerifyReport) -> None:
@@ -157,7 +138,7 @@ class ServiceMetrics:
     def reset(self) -> None:
         with self._lock:
             self._counters = {name: 0 for name in STANDARD_COUNTERS}
-            self.wall_ms = LatencyHistogram(self.wall_ms._max, clock=self._clock)
+            self.wall_ms = LatencyHistogram(self.wall_ms._max)
             self._stages = {}
             self.verify = VerifyReport()
 

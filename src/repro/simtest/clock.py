@@ -1,11 +1,11 @@
 """Injectable clocks: real time for production, virtual time for simulation.
 
 Every time-dependent component of the serving stack (client backoff,
-admission deadlines, supervisor health ticks, drain polls, metrics
-timestamps) takes an injectable clock defaulting to the real one, so
-production behavior is unchanged while tests and the
-:mod:`repro.simtest.scenario` runner substitute a :class:`SimClock` and
-replay hours of failure timeline in milliseconds, deterministically.
+admission deadlines, supervisor health ticks, drain polls) takes an
+injectable clock defaulting to the real one, so production behavior is
+unchanged while tests and the :mod:`repro.simtest.scenario` runner
+substitute a :class:`SimClock` and replay hours of failure timeline in
+milliseconds, deterministically.
 
 Two implementations of the same small surface:
 

@@ -172,6 +172,42 @@ class TestParseText:
         from repro.core import Tree
         assert write_text(Tree()) == ""
 
+    def test_write_keeps_headings_blocks_and_items(self):
+        tree = parse_latex(
+            "\\section{Intro}\n\nFirst para. Second sentence.\n\n"
+            "\\begin{itemize}\n\\item One item.\n"
+            "\\begin{itemize}\\item Nested.\\end{itemize}\n\\end{itemize}\n\n"
+            "\\subsection{Details}\n\nLast words.\n"
+        )
+        text = write_text(tree)
+        assert text == (
+            "Intro\n\nFirst para. Second sentence.\n\nOne item.\n\n"
+            "Nested.\n\nDetails\n\nLast words.\n"
+        )
+        reparsed = parse_text(text)
+        assert [leaf.value for leaf in reparsed.leaves()] == [
+            "Intro", "First para.", "Second sentence.", "One item.",
+            "Nested.", "Details", "Last words.",
+        ]
+
+    def test_write_keeps_bare_sentences(self):
+        from repro.core import Tree
+        tree = Tree.from_obj(("D", None, [("S", "Alone."), ("P", None, [("S", "In P.")])]))
+        assert write_text(tree) == "Alone.\n\nIn P.\n"
+
+
+class TestParsersBuildArenas:
+    @pytest.mark.parametrize("parse, source", [
+        (parse_latex, "\\section{A}\n\nText.\n\\begin{itemize}\\item I.\\end{itemize}"),
+        (parse_html, "<h1>A</h1><p>Text.</p><ul><li>I.</li></ul>"),
+        (parse_text, "Text.\n\nMore."),
+        (parse_text, ""),
+    ])
+    def test_parsed_tree_is_arena_backed(self, parse, source):
+        tree = parse(source)
+        assert tree.arena_snapshot() is not None
+        assert list(tree.node_ids()) == list(range(1, len(tree) + 1))
+
 
 class TestParseHtml:
     def test_headings_paragraphs(self):

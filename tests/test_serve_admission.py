@@ -134,11 +134,6 @@ class TestAdmissionController:
         assert refused.reason == "rate_limited"
         assert ctrl.in_flight == 1  # the refused request took no slot
 
-    def test_body_limit(self):
-        ctrl = self.make(max_body_bytes=1000)
-        assert ctrl.body_allowed(1000)
-        assert not ctrl.body_allowed(1001)
-
     def test_deadline_capped_by_server_default(self):
         clock = SimClock()
         ctrl = self.make(default_deadline_ms=1000.0, clock=clock)

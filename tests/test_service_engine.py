@@ -1,5 +1,6 @@
 """Tests for the concurrent diff engine (repro.service.engine)."""
 
+import sys
 import time
 
 import pytest
@@ -236,6 +237,13 @@ class TestBatches:
 
 
 
+def assert_jobs_closed_once(engine, submitted):
+    counters = engine.metrics.snapshot()["counters"]
+    assert counters["jobs_submitted"] == submitted
+    closed = sum(counters.get(k, 0) for k in ("jobs_succeeded", "jobs_timed_out", "jobs_failed"))
+    assert closed == submitted
+
+
 class TestTimeoutsAndRetries:
     def test_slow_job_times_out_without_failing_batch(self):
         engine = DiffEngine(workers=2, timeout=0.05)
@@ -252,6 +260,60 @@ class TestTimeoutsAndRetries:
         assert by_id["quick"].status == "ok"
         assert engine.metrics.get("jobs_timed_out") == 1
         engine.close()
+        assert_jobs_closed_once(engine, submitted=2)
+
+    def test_batch_timeout_is_one_deadline_and_queued_jobs_never_run(self):
+        engine = DiffEngine(workers=1, timeout=0.05)
+        base = doc()
+        new = mutated(base)
+        loaded = []
+
+        def slow():
+            time.sleep(0.3)
+            return base
+
+        def quick():
+            loaded.append(True)
+            return base
+
+        started = time.perf_counter()
+        results = engine.map_pairs([(slow, new, "slow"), (quick, new, "q1"), (quick, new, "q2")])
+        # one deadline for the batch, not one wait per job
+        assert time.perf_counter() - started < 0.25
+        assert [r.status for r in results] == ["timeout"] * 3
+        assert engine.metrics.get("jobs_timed_out") == 3
+        engine.close()
+        assert loaded == []  # the queued jobs were cancelled, never run
+        assert_jobs_closed_once(engine, submitted=3)
+        assert engine.metrics.get("jobs_succeeded") == 0
+
+    def test_batch_deadline_counts_each_job_once_under_contention(self):
+        # Load delays sweep across the deadline, so expire() races the
+        # worker threads closing the same jobs.
+        base = doc()
+        new = mutated(base)
+
+        def loader(delay):
+            def load():
+                time.sleep(delay)
+                return base
+            return load
+
+        statuses = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            engine = DiffEngine(workers=4, timeout=0.005, cache=None)
+            for i in range(25):
+                delay = 0.002 + 0.0002 * i
+                pairs = [(loader(d), new) for d in (0.0, delay, delay + 0.001, 0.012)]
+                statuses += [r.status for r in engine.map_pairs(pairs)]
+            engine.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert_jobs_closed_once(engine, submitted=100)
+        assert engine.metrics.get("jobs_succeeded") == statuses.count("ok")
+        assert engine.metrics.get("jobs_timed_out") == statuses.count("timeout")
 
     def test_compute_failure_reports_error_after_one_attempt(self):
         engine = DiffEngine(workers=1, cache=None)

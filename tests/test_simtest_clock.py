@@ -10,7 +10,6 @@ from repro.pipeline import DiffPipeline
 from repro.serve.admission import AdmissionController, Deadline
 from repro.serve.lifecycle import Lifecycle
 from repro.service.engine import DiffEngine
-from repro.service.metrics import ServiceMetrics
 from repro.simtest.clock import SYSTEM_CLOCK, SimClock, SystemClock
 
 
@@ -174,9 +173,6 @@ class TestClockConvention:
     def test_defaults_are_the_system_clock(self):
         deadline = Deadline(60.0)
         assert 59.0 < deadline.remaining() <= 60.0
-        metrics = ServiceMetrics()
-        metrics.observe_wall(1.0)
-        assert abs(metrics.wall_ms.first_at - time.monotonic()) < 1.0
 
     def test_sim_clock_drives_every_component(self, figure1_trees):
         clock = SimClock(start=7.0)
@@ -184,9 +180,6 @@ class TestClockConvention:
         deadline = admission.deadline()
         clock.sleep(1.5)
         assert deadline.remaining() == pytest.approx(0.5)
-        metrics = ServiceMetrics(clock=clock)
-        metrics.observe_wall(1.0)
-        assert metrics.wall_ms.first_at == pytest.approx(8.5)
         # Stage and job timings read the injected clock: no virtual time
         # passes inside a diff, so every measured duration is zero.
         old, new = figure1_trees
