@@ -67,9 +67,9 @@ def edit_region(base, seed, region):
             allowed_subtree.discard(leaf.id)
         else:
             parent = leaf.parent
-            node = work.create_node(
-                "S", engine._fresh_sentence(), parent=parent,
-                position=rng.randint(1, len(parent.children) + 1),
+            node = work.insert(
+                work.fresh_id(), "S", engine._fresh_sentence(), parent.id,
+                rng.randint(1, len(parent.children) + 1),
             )
             allowed_subtree.add(node.id)
         applied += 1

@@ -5,11 +5,15 @@ carry a *label*, a *value*, and a unique *identifier*. Interior nodes usually
 have a null value; leaves carry data (e.g. the text of a sentence).
 
 :class:`Node` instances are always owned by a :class:`repro.core.tree.Tree`;
-user code creates them through the tree's mutation API rather than directly.
+user code never creates them directly. A tree is born from an arena and
+builds its nodes from it on first access; :meth:`Tree.insert
+<repro.core.tree.Tree.insert>` and the dummy-root wrap add the only others.
 Everything a node holds is read-only outside :mod:`repro.core.tree`: its
-label and value, its parent link and its children, a tuple. That module is
-the one writer of node data and structure, and it drops the tree's arena
-snapshot with every write, so no snapshot can outlive the data it describes.
+label and value, its parent link and its children, a tuple. A label is
+written only here, in :meth:`Node.__init__`, and a value only there and in
+:meth:`Tree.update <repro.core.tree.Tree.update>`. That module is the one
+writer of node data and structure, and it drops the tree's arena snapshot
+with every write, so no snapshot can outlive the data it describes.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ class Node:
     label:
         The node's label (e.g. ``"D"``, ``"P"``, ``"S"`` for document,
         paragraph, sentence). Labels come from a fixed but arbitrary set.
-        Read-only: change it with :func:`~repro.core.tree.map_tree`.
+        Read-only: :func:`~repro.core.tree.map_tree` makes a relabeled copy.
     value:
         The node's value; ``None`` for typical interior nodes. Read-only:
         change it with :meth:`Tree.update <repro.core.tree.Tree.update>`.

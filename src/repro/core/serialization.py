@@ -68,8 +68,7 @@ def arena_from_dict(data: Optional[Dict[str, Any]]) -> TreeArena:
     """Parse the dict format straight into an arena (no node objects).
 
     Explicit identifiers are preserved; missing ones are assigned from a
-    counter starting at 1, skipping identifiers already taken — the same
-    rule :meth:`Tree.create_node` applies on the object path.
+    counter starting at 1, skipping identifiers already taken.
     """
     builder = ArenaBuilder()
     if data is None:

@@ -18,13 +18,17 @@ buggy edit script fails loudly instead of corrupting the tree.
 
 Storage model
 -------------
-Since the arena refactor a tree is a *view* over an immutable
-:class:`~repro.core.arena.TreeArena` snapshot. Trees built from an arena
-(:meth:`Tree.from_arena` — the parse, copy and store-checkout paths) keep
-only the arena until some caller actually needs :class:`Node` objects; pure
-array consumers (the arena's structure tables, digests, serialization
-dumps) never force the node graph into existence. The first node-touching
-access materializes all nodes in one preorder pass. Mutations work on the
+Every tree is born from an arena: a tree is a *view* over an immutable
+:class:`~repro.core.arena.TreeArena` snapshot, and :meth:`Tree.from_arena`
+is the one way a tree starts. The parsers, the workload generators,
+:meth:`Tree.from_obj`, copies, store checkouts and :func:`map_tree` all
+fill an :class:`~repro.core.arena.ArenaBuilder` in preorder and wrap the
+result; ``Tree()`` is the view of an empty arena. A view keeps only the
+arena until some caller actually needs :class:`Node` objects; pure array
+consumers (the arena's structure tables, digests, serialization dumps)
+never force the node graph into existence. The first node-touching access
+materializes all nodes in one preorder pass. From then on the tree changes
+only through the four edits and the dummy-root wrap, which work on the
 node graph and invalidate the snapshot; :meth:`Tree.to_arena` re-flattens
 on demand and caches the result until the next mutation.
 
@@ -34,9 +38,8 @@ the arena, and :meth:`Tree._touch` drops them with it; the next
 :meth:`Tree.to_arena` builds a new snapshot and the node binding of
 :meth:`Tree.arena_nodes` together. This module is the one writer of
 nodes: a node's label, value, parent and children are read-only
-everywhere else, and every write here (the builders, the four edit
-operations, the dummy-root wrap and unwrap, :func:`map_tree`) is followed
-by ``_touch``.
+everywhere else, and every write here (the four edit operations and the
+dummy-root wrap and unwrap) is followed by ``_touch``.
 """
 
 from __future__ import annotations
@@ -69,18 +72,8 @@ class Tree:
     """An ordered tree of labeled, valued nodes with unique identifiers."""
 
     def __init__(self) -> None:
-        self._root: Optional[Node] = None
-        self._node_map: Optional[Dict[Any, Node]] = {}
-        self._id_counter: Optional[Iterator[int]] = itertools.count(1)
-        #: Cached immutable snapshot; valid only while ``_arena_fresh``.
-        self._arena: Optional[TreeArena] = None
-        self._arena_fresh = False
-        #: ``_order[p]`` is the Node at preorder position ``p`` of the
-        #: snapshot; reset by every flatten and materialize, so it matches
-        #: any fresh snapshot (see ``arena_nodes``).
-        self._order: Optional[List[Node]] = None
-        #: Detaches where the sibling-slot hint missed and a full scan ran.
-        self.detach_fallback_scans = 0
+        """The empty tree: a view of an empty arena (see :meth:`from_arena`)."""
+        self._view(ArenaBuilder().finish())
 
     # ------------------------------------------------------------------
     # Arena view plumbing
@@ -92,12 +85,25 @@ class Tree:
         The node graph is materialized lazily on first access; callers that
         only read arrays (indexes, digests, serialization) never pay for it.
         """
-        tree = cls()
-        tree._node_map = None
-        tree._arena = arena
-        tree._arena_fresh = True
-        tree._id_counter = None  # lazily seeded past the arena's numeric ids
+        tree = cls.__new__(cls)
+        tree._view(arena)
         return tree
+
+    def _view(self, arena: TreeArena) -> None:
+        self._root: Optional[Node] = None
+        #: Built with the node graph, on first node access.
+        self._node_map: Optional[Dict[Any, Node]] = None
+        #: Seeded by the first :meth:`fresh_id`, past the largest numeric id.
+        self._id_counter: Optional[Iterator[int]] = None
+        #: Cached immutable snapshot; valid only while ``_arena_fresh``.
+        self._arena: Optional[TreeArena] = arena
+        self._arena_fresh = True
+        #: ``_order[p]`` is the Node at preorder position ``p`` of the
+        #: snapshot; reset by every flatten and materialize, so it matches
+        #: any fresh snapshot (see ``arena_nodes``).
+        self._order: Optional[List[Node]] = None
+        #: Detaches where the sibling-slot hint missed and a full scan ran.
+        self.detach_fallback_scans = 0
 
     def to_arena(self) -> TreeArena:
         """Return a fresh struct-of-arrays snapshot (cached until mutation)."""
@@ -176,58 +182,13 @@ class Tree:
             stack.extend((child, pos) for child in reversed(tuple(children)))
         return cls.from_arena(builder.finish())
 
-    def create_node(
-        self,
-        label: str,
-        value: Any = None,
-        parent: Optional[Node] = None,
-        position: Optional[int] = None,
-        node_id: Any = None,
-    ) -> Node:
-        """Create a node and attach it to the tree.
+    def fresh_id(self) -> int:
+        """Return a numeric id no node holds, for :meth:`insert`.
 
-        Unlike :meth:`insert` (the paper's ``INS``), this builder may attach
-        a node anywhere, including as the root, and is intended for initial
-        tree construction rather than for edit scripts.
-
-        Parameters
-        ----------
-        label, value:
-            The new node's label and value.
-        parent:
-            Parent node; ``None`` makes the node the root (only legal when
-            the tree is empty).
-        position:
-            1-based position among the parent's children; appended at the
-            end when omitted.
-        node_id:
-            Explicit identifier; generated when omitted.
+        The first call seeds a counter past the largest numeric id present;
+        later calls continue it, skipping ids taken since.
         """
-        if node_id is None:
-            node_id = self._fresh_id()
-        elif node_id in self._nodes:
-            raise DuplicateNodeError(node_id)
-
-        node = Node(node_id, label, value)
-        if parent is None:
-            if self.root is not None:
-                raise TreeError(
-                    "tree already has a root; pass a parent for the new node"
-                )
-            self._root = node
-        else:
-            parent = self._resolve(parent)
-            if position is None:
-                position = len(parent.children) + 1
-            self._attach(node, parent, position)
-        self._nodes[node_id] = node
-        self._touch()
-        return node
-
-    def _fresh_id(self) -> int:
         if self._id_counter is None:
-            # Arena-backed trees seed lazily: continue past the largest
-            # numeric id present (same rule the deep copy always used).
             numeric = [i for i in self.node_ids() if isinstance(i, int)]
             self._id_counter = itertools.count(max(numeric) + 1 if numeric else 1)
         while True:
@@ -318,7 +279,8 @@ class Tree:
         """Apply ``INS((node_id, label, value), parent_id, position)``.
 
         Inserts a new *leaf* node as the ``position``-th child of the parent
-        (1-based; ``len(children)+1`` appends).
+        (1-based; ``len(children)+1`` appends). :meth:`fresh_id` gives an
+        unused id.
         """
         if node_id in self._nodes:
             raise DuplicateNodeError(node_id)
@@ -553,11 +515,13 @@ def map_tree(tree: Tree, fn: Callable[[Node], Tuple[str, Any]]) -> Tree:
     """Return a new tree where each node's (label, value) is ``fn(node)``.
 
     Structure and identifiers are preserved; useful for normalization passes
-    (e.g. lower-casing sentence values before matching).
+    (e.g. lower-casing sentence values before matching). *fn* sees the
+    source tree's nodes, which stay unchanged.
     """
-    clone = tree.copy()
-    for node in clone.preorder():
-        node._label, node._value = fn(node)
-    # Drop the snapshot the copy shared with the source tree.
-    clone._touch()
-    return clone
+    nodes = tree.arena_nodes()
+    parent = tree.to_arena().parent
+    builder = ArenaBuilder()
+    for pos, node in enumerate(nodes):
+        label, value = fn(node)
+        builder.add(parent[pos], node.id, label, value)
+    return Tree.from_arena(builder.finish())

@@ -34,9 +34,10 @@ LIST_ENVIRONMENTS = ("itemize", "enumerate", "description")
 
 _LISTS = "|".join(LIST_ENVIRONMENTS)
 _COMMENT = re.compile(r"(?<!\\)%.*$", re.MULTILINE)
-#: The recognized constructs; any other text is paragraph text.
+#: The recognized constructs; any other text is paragraph text. A heading
+#: title may hold brace groups one level deep, as in ``\emph{...}``.
 _CONSTRUCT = re.compile(
-    r"\\(?P<heading>section|subsection)\*?\{(?P<title>[^{}]*)\}"
+    r"\\(?P<heading>section|subsection)\*?\{(?P<title>(?:[^{}]|\{[^{}]*\})*)\}"
     rf"|(?P<begin>\\begin\{{(?:{_LISTS})\}})"
     rf"|(?P<end>\\end\{{(?:{_LISTS})\}})"
     r"|\\item\b\s*"

@@ -200,13 +200,10 @@ def _replay_right_op(
                 base_node_id=op.parent_id,
             ))
             return False
-        new_node = merged.create_node(
-            op.label,
-            op.value,
-            parent=merged.get(parent),
-            position=_clamp(op.position, len(merged.get(parent).children) + 1),
-        )
-        id_map[op.node_id] = new_node.id
+        position = _clamp(op.position, len(merged.get(parent).children) + 1)
+        new_id = merged.fresh_id()
+        merged.insert(new_id, op.label, op.value, parent, position)
+        id_map[op.node_id] = new_id
         return True
 
     if isinstance(op, Move):

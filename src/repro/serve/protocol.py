@@ -546,7 +546,7 @@ class HttpFront:
         """Answer and write the request *request_line* opens; True to keep the socket."""
         if not request_line.strip():
             return False
-        started = self.clock.perf_counter()
+        started = self.clock.monotonic()
         self.count("requests")
         self.active_requests += 1
         try:
@@ -578,7 +578,7 @@ class HttpFront:
             if self.lifecycle.draining:
                 keep_alive = False
             status, payload, extra = response
-            self.observe(status, (self.clock.perf_counter() - started) * 1000.0)
+            self.observe(status, (self.clock.monotonic() - started) * 1000.0)
             writer.write(encode_response(status, payload, extra, keep_alive))
             await writer.drain()
             return keep_alive

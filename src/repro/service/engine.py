@@ -440,7 +440,7 @@ class DiffJob:
     def lookup(self) -> bool:
         """Run the first leg; True when it answered the job."""
         engine, result = self.engine, self.result
-        start = engine.clock.perf_counter()
+        start = engine.clock.monotonic()
         with self._lock:
             if self.done:  # expired before its thread got here
                 return True
@@ -457,7 +457,7 @@ class DiffJob:
                 self._verify = engine._should_verify()
         except Exception as exc:
             _fail(result, exc)
-        self._elapsed = engine.clock.perf_counter() - start
+        self._elapsed = engine.clock.monotonic() - start
         if result.status != "ok" or (self._miss is None and not self._verify):
             self._finish()
         return self.done
@@ -470,7 +470,7 @@ class DiffJob:
             return self.result
         engine, result, span = self.engine, self.result, self._span
         assert span is not None
-        start = engine.clock.perf_counter()
+        start = engine.clock.monotonic()
         old_tree, new_tree = self._trees
         try:
             if self._miss is not None:
@@ -480,7 +480,7 @@ class DiffJob:
                 result.verified = engine._spot_check(result, old_tree, new_tree)
         except Exception as exc:
             _fail(result, exc)
-        self._elapsed += engine.clock.perf_counter() - start
+        self._elapsed += engine.clock.monotonic() - start
         self._finish()
         return self.result
 

@@ -18,7 +18,8 @@ Two implementations of the same small surface:
   due during the gap all fire "late" at the new now.
 
 There is one convention: a component that reads time takes a ``Clock``
-(default :data:`SYSTEM_CLOCK`), never a bare callable or ``None``. A
+(default :data:`SYSTEM_CLOCK`), never a bare callable or ``None``, and
+reads one time, ``monotonic()``, for deadlines and durations alike. A
 coroutine waits through ``sleep_async``: real ``asyncio.sleep`` on the
 system clock, an advance plus one loop yield on a ``SimClock``.
 """
@@ -54,12 +55,6 @@ class Clock:
     def monotonic(self) -> float:
         raise NotImplementedError
 
-    def time(self) -> float:
-        raise NotImplementedError
-
-    def perf_counter(self) -> float:
-        raise NotImplementedError
-
     def sleep(self, seconds: float) -> None:
         raise NotImplementedError
 
@@ -80,12 +75,6 @@ class SystemClock(Clock):
 
     def monotonic(self) -> float:
         return time.monotonic()
-
-    def time(self) -> float:
-        return time.time()
-
-    def perf_counter(self) -> float:
-        return time.perf_counter()
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
@@ -125,9 +114,8 @@ class SimClock(Clock):
     fire "in the middle of" a simulated service delay.
     """
 
-    def __init__(self, start: float = 0.0, epoch: float = 1_700_000_000.0) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._epoch = epoch
         self._heap: List[Tuple[float, int, Timer]] = []
         self._seq = itertools.count()
         #: Total virtual seconds slept/advanced (observability for tests).
@@ -139,12 +127,6 @@ class SimClock(Clock):
     # Reading time
     # ------------------------------------------------------------------
     def monotonic(self) -> float:
-        return self._now
-
-    def time(self) -> float:
-        return self._epoch + self._now
-
-    def perf_counter(self) -> float:
         return self._now
 
     # ------------------------------------------------------------------

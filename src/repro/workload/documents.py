@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
+from ..core.arena import ArenaBuilder
 from ..core.tree import Tree
 
 #: A compact English-like vocabulary; the head words get Zipf-weighted mass.
@@ -114,29 +115,36 @@ class DocumentGenerator:
         """Generate one document tree."""
         spec = spec if spec is not None else DocumentSpec()
         self._emitted_sentences = []
-        tree = Tree()
-        root = tree.create_node("D", None)
+        builder = ArenaBuilder()
+        root = self._add(builder, -1, "D", None)
         for _ in range(self._jitter(spec.sections)):
-            section = tree.create_node("Sec", self.heading(), parent=root)
-            self._fill_section(tree, section, spec, allow_subsections=True)
-        return tree
+            section = self._add(builder, root, "Sec", self.heading())
+            self._fill_section(builder, section, spec, allow_subsections=True)
+        return Tree.from_arena(builder.finish())
 
-    def _fill_section(self, tree, parent, spec: DocumentSpec, allow_subsections: bool) -> None:
+    def _fill_section(
+        self, builder: ArenaBuilder, parent: int, spec: DocumentSpec, allow_subsections: bool
+    ) -> None:
         for _ in range(self._jitter(spec.paragraphs_per_section)):
             roll = self.rng.random()
             if allow_subsections and roll < spec.subsection_probability:
-                subsection = tree.create_node("SubSec", self.heading(), parent=parent)
-                self._fill_section(tree, subsection, spec, allow_subsections=False)
+                subsection = self._add(builder, parent, "SubSec", self.heading())
+                self._fill_section(builder, subsection, spec, allow_subsections=False)
             elif roll < spec.subsection_probability + spec.list_probability:
-                lst = tree.create_node("list", None, parent=parent)
+                lst = self._add(builder, parent, "list", None)
                 for _ in range(self._jitter(spec.items_per_list)):
-                    item = tree.create_node("item", None, parent=lst)
+                    item = self._add(builder, lst, "item", None)
                     for _ in range(self._jitter(2)):
-                        tree.create_node("S", self.sentence(spec), parent=item)
+                        self._add(builder, item, "S", self.sentence(spec))
             else:
-                paragraph = tree.create_node("P", None, parent=parent)
+                paragraph = self._add(builder, parent, "P", None)
                 for _ in range(self._jitter(spec.sentences_per_paragraph)):
-                    tree.create_node("S", self.sentence(spec), parent=paragraph)
+                    self._add(builder, paragraph, "S", self.sentence(spec))
+
+    @staticmethod
+    def _add(builder: ArenaBuilder, parent: int, label: str, value: Optional[str]) -> int:
+        """Append a node in preorder; its id is its creation rank."""
+        return builder.add(parent, len(builder.node_ids) + 1, label, value)
 
     def _jitter(self, mean: int) -> int:
         """A count near *mean* (at least 1)."""

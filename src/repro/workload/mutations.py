@@ -106,8 +106,8 @@ class MutationEngine:
             return False
         parent = self.rng.choice(parents)
         position = self.rng.randint(1, len(parent.children) + 1)
-        tree.create_node(
-            self.leaf_label, self._fresh_sentence(), parent=parent, position=position
+        tree.insert(
+            tree.fresh_id(), self.leaf_label, self._fresh_sentence(), parent.id, position
         )
         record.applied.append("insert_leaf")
         record.true_d += 1
@@ -198,10 +198,10 @@ class MutationEngine:
         parent = self.rng.choice(parents)
         template = next(c for c in parent.children if not c.is_leaf)
         position = self.rng.randint(1, len(parent.children) + 1)
-        node = tree.create_node(template.label, None, parent=parent, position=position)
+        node = tree.insert(tree.fresh_id(), template.label, None, parent.id, position)
         sentences = self.rng.randint(1, 4)
-        for _ in range(sentences):
-            tree.create_node(self.leaf_label, self._fresh_sentence(), parent=node)
+        for rank in range(1, sentences + 1):
+            tree.insert(tree.fresh_id(), self.leaf_label, self._fresh_sentence(), node.id, rank)
         record.applied.append("insert_subtree")
         record.true_d += 1 + sentences
         record.true_e += 1 + sentences

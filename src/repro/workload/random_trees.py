@@ -3,7 +3,9 @@
 These are *shape* workloads (arbitrary labeled trees), as opposed to the
 document-structured workloads of :mod:`repro.workload.documents`. All
 generation is driven by a caller-supplied :class:`random.Random` or seed, so
-every test and benchmark is reproducible.
+every test and benchmark is reproducible. Each generator fills an
+:class:`~repro.core.arena.ArenaBuilder` depth-first, so node ids are the
+creation (preorder) ranks 1..n.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from ..core.arena import ArenaBuilder
 from ..core.tree import Tree
 
 DEFAULT_WORDS = (
@@ -47,31 +50,30 @@ def random_tree(
     """Generate a random ordered tree according to *spec*."""
     rng = _as_rng(rng_or_seed)
     spec = spec if spec is not None else RandomTreeSpec()
-    tree = Tree()
-    root = tree.create_node(spec.root_label, None)
+    builder = ArenaBuilder()
     # Materialize the label/word pools once, not per node.
     leaf_labels = list(spec.leaf_labels)
     internal_labels = list(spec.internal_labels)
     vocabulary = list(spec.vocabulary)
 
-    def grow(parent, depth: int) -> None:
+    def add(parent_pos: int, label: str, value) -> int:
+        return builder.add(parent_pos, len(builder.node_ids) + 1, label, value)
+
+    def grow(parent_pos: int, depth: int) -> None:
         children = rng.randint(spec.min_children, spec.max_children)
         for _ in range(children):
             make_leaf = depth >= spec.max_depth or rng.random() < spec.leaf_probability
             if make_leaf:
-                tree.create_node(
+                add(
+                    parent_pos,
                     rng.choice(leaf_labels),
                     random_sentence(rng, spec.words_per_leaf, vocabulary),
-                    parent=parent,
                 )
             else:
-                node = tree.create_node(
-                    rng.choice(internal_labels), None, parent=parent
-                )
-                grow(node, depth + 1)
+                grow(add(parent_pos, rng.choice(internal_labels), None), depth + 1)
 
-    grow(root, 1)
-    return tree
+    grow(add(-1, spec.root_label, None), 1)
+    return Tree.from_arena(builder.finish())
 
 
 def random_sentence(
@@ -94,13 +96,11 @@ def random_flat_tree(
 ) -> Tree:
     """A depth-1 tree with *leaves* random leaves (sequence-like workloads)."""
     rng = _as_rng(rng_or_seed)
-    tree = Tree()
-    root = tree.create_node(root_label, None)
-    for _ in range(leaves):
-        tree.create_node(
-            leaf_label, random_sentence(rng, 4, vocabulary), parent=root
-        )
-    return tree
+    builder = ArenaBuilder()
+    builder.add(-1, 1, root_label, None)
+    for node_id in range(2, leaves + 2):
+        builder.add(0, node_id, leaf_label, random_sentence(rng, 4, vocabulary))
+    return Tree.from_arena(builder.finish())
 
 
 def perfect_tree(
@@ -115,24 +115,24 @@ def perfect_tree(
     Leaves get distinct numeric string values so the tree has no duplicate
     content (Criterion 3 holds trivially).
     """
-    tree = Tree()
-    root = tree.create_node(root_label, None)
+    builder = ArenaBuilder()
     counter = [0]
 
-    def grow(parent, level: int) -> None:
+    def add(parent_pos: int, label: str, value) -> int:
+        return builder.add(parent_pos, len(builder.node_ids) + 1, label, value)
+
+    def grow(parent_pos: int, level: int) -> None:
         for _ in range(fanout):
             if level >= depth:
                 counter[0] += 1
-                tree.create_node(leaf_label, f"leaf {counter[0]}", parent=parent)
+                add(parent_pos, leaf_label, f"leaf {counter[0]}")
             else:
-                node = tree.create_node(internal_label, None, parent=parent)
-                grow(node, level + 1)
+                grow(add(parent_pos, internal_label, None), level + 1)
 
-    if depth == 0:
-        pass
-    else:
+    root = add(-1, root_label, None)
+    if depth > 0:
         grow(root, 1)
-    return tree
+    return Tree.from_arena(builder.finish())
 
 
 def _as_rng(rng_or_seed: Union[random.Random, int]) -> random.Random:

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.core.arena import ArenaBuilder
 from repro.core.tree import Tree
 
 
@@ -75,18 +76,19 @@ def build_tree(spec) -> Tree:
 def random_document_tree(seed: int, depth: int = 3, fanout: int = 4) -> Tree:
     """A small random document-shaped tree with unique sentence values."""
     rng = random.Random(seed)
-    tree = Tree()
-    root = tree.create_node("D", None)
+    builder = ArenaBuilder()
     counter = [0]
 
-    def grow(parent, level):
+    def add(parent_pos, label, value):
+        return builder.add(parent_pos, len(builder.node_ids) + 1, label, value)
+
+    def grow(parent_pos, level):
         for _ in range(rng.randint(1, fanout)):
             if level >= depth or rng.random() < 0.4:
                 counter[0] += 1
-                tree.create_node("S", f"sentence {counter[0]} seed {seed}", parent=parent)
+                add(parent_pos, "S", f"sentence {counter[0]} seed {seed}")
             else:
-                node = tree.create_node("P", None, parent=parent)
-                grow(node, level + 1)
+                grow(add(parent_pos, "P", None), level + 1)
 
-    grow(root, 1)
-    return tree
+    grow(add(-1, "D", None), 1)
+    return Tree.from_arena(builder.finish())

@@ -21,12 +21,12 @@ def tree(spec):
 
 def random_labeled_tree(seed, max_nodes=12):
     rng = random.Random(seed)
-    t = Tree()
-    root = t.create_node(rng.choice("abc"), None)
-    nodes = [root]
+    t = Tree.from_obj((rng.choice("abc"),))
+    nodes = [t.root]
     for _ in range(rng.randint(0, max_nodes - 1)):
         parent = rng.choice(nodes)
-        nodes.append(t.create_node(rng.choice("abc"), None, parent=parent))
+        position = len(parent.children) + 1
+        nodes.append(t.insert(t.fresh_id(), rng.choice("abc"), None, parent.id, position))
     return t
 
 
@@ -104,13 +104,11 @@ class TestZhangShashaPinned:
 
     def test_leaf_per_level_chain(self):
         def chain(tag):
-            t = Tree()
-            node = t.create_node("D", None)
-            for level in range(25):
+            spec = ("P",)
+            for level in reversed(range(25)):
                 words = f"sentence {level} {tag}" if level % 3 == 0 else f"sentence {level}"
-                t.create_node("S", words, parent=node)
-                node = t.create_node("P", None, parent=node)
-            return t
+                spec = ("D" if level == 0 else "P", None, [("S", words), spec])
+            return Tree.from_obj(spec)
 
         t1, t2 = chain("x"), chain("y")
         assert len(t1) == len(t2) == 51

@@ -280,7 +280,7 @@ class TestLazyView:
 
     def test_fresh_ids_continue_past_arena_ids(self):
         view = Tree.from_arena(sample_tree().to_arena())
-        node = view.create_node("S", "new", parent=view.root)
+        node = view.insert(view.fresh_id(), "S", "new", view.root.id, 1)
         assert isinstance(node.id, int)
         assert node.id > max(i for i in sample_tree().node_ids()
                              if isinstance(i, int))

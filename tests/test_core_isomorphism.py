@@ -1,6 +1,7 @@
 """Tests for tree isomorphism (the edit-script correctness oracle)."""
 
 from repro.core import Tree, canonical_form, first_difference, isomorphism_mapping, trees_isomorphic
+from repro.core.serialization import tree_from_dict
 
 
 def tree(spec):
@@ -10,10 +11,10 @@ def tree(spec):
 class TestTreesIsomorphic:
     def test_identical_structure_different_ids(self):
         t1 = tree(("D", None, [("S", "a"), ("S", "b")]))
-        t2 = Tree()
-        root = t2.create_node("D", None, node_id=100)
-        t2.create_node("S", "a", parent=root, node_id=200)
-        t2.create_node("S", "b", parent=root, node_id=300)
+        t2 = tree_from_dict({"id": 100, "label": "D", "children": [
+            {"id": 200, "label": "S", "value": "a"},
+            {"id": 300, "label": "S", "value": "b"},
+        ]})
         assert trees_isomorphic(t1, t2)
 
     def test_label_difference(self):
@@ -44,9 +45,9 @@ class TestTreesIsomorphic:
 class TestIsomorphismMapping:
     def test_mapping_pairs_preorder(self):
         t1 = tree(("D", None, [("S", "a")]))
-        t2 = Tree()
-        root = t2.create_node("D", None, node_id=10)
-        t2.create_node("S", "a", parent=root, node_id=20)
+        t2 = tree_from_dict({"id": 10, "label": "D", "children": [
+            {"id": 20, "label": "S", "value": "a"},
+        ]})
         mapping = isomorphism_mapping(t1, t2)
         assert mapping == {1: 10, 2: 20}
 

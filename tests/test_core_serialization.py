@@ -90,12 +90,12 @@ DEEP = 5000
 
 
 def deep_chain(depth=DEEP):
-    """A P-chain ending in one sentence, built on the object path."""
-    tree = Tree()
-    node = tree.create_node("P")
+    """A P-chain ending in one sentence, grown on the object path by INS."""
+    tree = Tree.from_obj(("P",))
+    parent = tree.root.id
     for _ in range(depth - 2):
-        node = tree.create_node("P", parent=node)
-    tree.create_node("S", "bottom", parent=node)
+        parent = tree.insert(tree.fresh_id(), "P", None, parent, 1).id
+    tree.insert(tree.fresh_id(), "S", "bottom", parent, 1)
     return tree
 
 

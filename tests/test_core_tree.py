@@ -53,25 +53,13 @@ class TestConstruction:
         with pytest.raises(TreeError):
             Tree.from_obj(())
 
-    def test_create_node_requires_empty_tree_for_root(self, small_tree):
-        with pytest.raises(TreeError):
-            small_tree.create_node("D2", None)
-
-    def test_create_node_duplicate_id(self, small_tree):
-        with pytest.raises(DuplicateNodeError):
-            small_tree.create_node("S", "x", parent=small_tree.root, node_id=1)
-
-    def test_create_node_at_position(self, small_tree):
-        parent = small_tree.root.children[0]
-        small_tree.create_node("S", "new", parent=parent, position=1)
-        assert [c.value for c in parent.children] == ["new", "a", "b"]
-
     def test_generated_ids_skip_existing(self):
-        tree = Tree()
-        tree.create_node("D", None, node_id=1)
-        tree.create_node("S", "x", parent=tree.root, node_id=2)
-        fresh = tree.create_node("S", "y", parent=tree.root)
-        assert fresh.id not in (1, 2)
+        tree = Tree.from_obj(("D", None, [("S", "x")]))
+        first = tree.fresh_id()
+        assert first == 3
+        tree.insert(first, "S", "y", 1, 2)
+        tree.insert(4, "S", "z", 1, 3)
+        assert tree.fresh_id() == 5
 
 
 class TestLookup:
@@ -241,7 +229,7 @@ class TestCopy:
 
     def test_copy_fresh_ids_do_not_collide(self, small_tree):
         clone = small_tree.copy()
-        node = clone.create_node("S", "x", parent=clone.root)
+        node = clone.insert(clone.fresh_id(), "S", "x", clone.root.id, 1)
         assert node.id > max(n.id for n in small_tree.preorder())
 
     def test_copy_empty_tree(self):
@@ -308,13 +296,9 @@ class TestWideSiblingDetach:
     WIDTH = 500
 
     def wide_tree(self):
-        tree = Tree()
-        root = tree.create_node("D", None)
-        leaves = [
-            tree.create_node("S", f"v{i}", parent=root)
-            for i in range(self.WIDTH)
-        ]
-        return tree, root, leaves
+        tree = Tree.from_obj(("D", None, [("S", f"v{i}") for i in range(self.WIDTH)]))
+        root = tree.root
+        return tree, root, list(root.children)
 
     def test_back_to_front_bulk_delete_never_scans(self):
         tree, _, leaves = self.wide_tree()
@@ -332,7 +316,7 @@ class TestWideSiblingDetach:
 
     def test_bulk_move_out_never_scans(self):
         tree, root, leaves = self.wide_tree()
-        target = tree.create_node("P", None, parent=root)
+        target = tree.insert(tree.fresh_id(), "P", None, root.id, len(root.children) + 1)
         for leaf in leaves:
             tree.move(leaf.id, target.id, len(target.children) + 1)
         assert tree.detach_fallback_scans == 0

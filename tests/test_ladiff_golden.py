@@ -66,6 +66,12 @@ EDGE_CASES = [
     ("latex", "\\begin{document}\nunclosed"),
 ]
 
+#: A heading title holding a brace group; kept apart from EDGE_CASES so
+#: that digest stays the one recorded before such titles parsed.
+BRACED_TITLE_CASES = [
+    ("latex", "\\section{Intro to \\emph{trees}}\n\nBody text."),
+]
+
 
 def _record(kind, source):
     try:
@@ -166,6 +172,10 @@ GOLDEN = {
         lambda: EDGE_CASES,
         "1bcda255880a02b8c19ce09c53f6afd9664cb5253ce8737d11ca2c5c700f54a1",
     ),
+    "braced_title": (
+        lambda: BRACED_TITLE_CASES,
+        "dd8a7e53492ccd01fee2c8c73781c50ddf5deb959409105bf0dcfee97d6198ba",
+    ),
 }
 
 
@@ -173,6 +183,13 @@ GOLDEN = {
 def test_parsed_trees_match_golden_digest(name):
     cases, expected = GOLDEN[name]
     assert _digest(cases()) == expected
+
+
+def test_braced_section_title_opens_a_section():
+    tree = parse_latex(BRACED_TITLE_CASES[0][1])
+    assert tree.to_obj() == (
+        "D", None, [("Sec", "Intro to \\emph{trees}", [("P", None, [("S", "Body text.", [])])])]
+    )
 
 
 def test_generated_documents_exercise_subsections_and_lists():

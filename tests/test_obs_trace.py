@@ -183,8 +183,6 @@ class _StepClock(Clock):
         self.now += 0.001
         return self.now
 
-    perf_counter = monotonic
-
 
 class TestNullSpan:
     def test_untraced_spans_record_nothing_and_draw_nothing(self):

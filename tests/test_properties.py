@@ -17,12 +17,12 @@ from repro.workload import DocumentSpec, MutationEngine, generate_document
 @st.composite
 def document_trees(draw, max_leaves=14):
     """Small random D/P/S trees with short sentence values."""
-    tree = Tree()
-    root = tree.create_node("D", None)
+    children = []
     n_paragraphs = draw(st.integers(0, 4))
     counter = 0
     for _ in range(n_paragraphs):
-        paragraph = tree.create_node("P", None, parent=root)
+        paragraph = []
+        children.append(("P", None, paragraph))
         n_sentences = draw(st.integers(0, 4))
         for _ in range(n_sentences):
             counter += 1
@@ -32,12 +32,11 @@ def document_trees(draw, max_leaves=14):
                 st.sampled_from(["aa", "bb", "cc", "dd", "ee"]),
                 min_size=1, max_size=4,
             ))
-            tree.create_node("S", " ".join(words), parent=paragraph)
+            paragraph.append(("S", " ".join(words)))
     # a few bare sentences directly under the root
     for _ in range(draw(st.integers(0, 2))):
-        tree.create_node("S", draw(st.sampled_from(["xx yy", "zz ww", "qq"])),
-                         parent=root)
-    return tree
+        children.append(("S", draw(st.sampled_from(["xx yy", "zz ww", "qq"]))))
+    return Tree.from_obj(("D", None, children))
 
 
 @st.composite

@@ -55,13 +55,10 @@ class TestBookSizedDocuments:
     def test_deep_tree_no_recursion_blowup(self):
         """A 3000-deep chain exercises the iterative traversals."""
         from repro.core import Tree
-        deep1 = Tree()
-        deep2 = Tree()
-        for tree in (deep1, deep2):
-            node = tree.create_node("P", None)
-            for level in range(3000):
-                node = tree.create_node("P", None, parent=node)
-            tree.create_node("S", "the bottom sentence", parent=node)
+        spec = ("S", "the bottom sentence")
+        for _ in range(3001):
+            spec = ("P", None, [spec])
+        deep1, deep2 = Tree.from_obj(spec), Tree.from_obj(spec)
         assert len(list(deep1.preorder())) == 3002
         assert len(list(deep1.postorder())) == 3002
         depth = len(list(next(deep1.copy().leaves()).ancestors()))

@@ -170,7 +170,8 @@ class TestSubtreeFastPath:
         index = cached_digests(tree)
         assert tree.to_arena().digests is index
         assert cached_digests(tree) is index
-        bare = doc()  # built node by node: memoized on its first flatten
+        bare = doc()
+        bare.update(bare.root.id, None)  # edited: memoized on its next flatten
         assert bare.arena_snapshot() is None
         assert cached_digests(bare) is cached_digests(bare)
         assert bare.to_arena().digests is cached_digests(bare)

@@ -1,10 +1,10 @@
-"""Only ``core/tree.py`` and ``core/node.py`` write node structure.
+"""Only ``core/tree.py`` and ``core/node.py`` write node data and structure.
 
-Every structural write must be followed by ``Tree._touch()``, or the
-tree's arena snapshot (and the digests and cached diffs read from it)
-would describe a tree that no longer exists. The two owning modules keep
-that rule; this scan keeps every other module of the package from writing
-the private structure fields of an object other than ``self``.
+Every write must be followed by ``Tree._touch()``, or the tree's arena
+snapshot (and the digests and cached diffs read from it) would describe a
+tree that no longer exists. The two owning modules keep that rule; this
+scan keeps every other module of the package from writing the private
+label, value and structure fields of an object other than ``self``.
 """
 
 import ast
@@ -14,7 +14,9 @@ import repro
 
 PACKAGE = Path(repro.__file__).parent
 OWNERS = {PACKAGE / "core" / "tree.py", PACKAGE / "core" / "node.py"}
-STRUCTURE = {"_children", "_parent", "_slot", "_nodes", "_node_map", "_root"}
+STRUCTURE = {
+    "_label", "_value", "_children", "_parent", "_slot", "_nodes", "_node_map", "_root",
+}
 MUTATORS = {"append", "insert", "extend", "pop", "remove", "clear", "update", "setdefault"}
 
 
@@ -52,9 +54,11 @@ def test_the_scan_sees_each_kind_of_write():
         "tree._nodes.pop(k)\n"
         "self._root = node\n"
         "size = len(tree._nodes)\n"
+        "node._label, node._value = pair\n"
     )
     assert list(structure_writes(source)) == [
         (1, "_nodes"), (2, "_slot"), (3, "_node_map"), (4, "_nodes"),
+        (7, "_label"), (7, "_value"),
     ]
 
 

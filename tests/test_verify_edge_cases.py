@@ -98,12 +98,10 @@ def test_identical_siblings_with_one_oddball_moved(algorithm):
 # Deeply skewed trees (depth approaches node count)
 # ---------------------------------------------------------------------------
 def _chain(depth, tail_value):
-    tree = Tree()
-    node = tree.create_node("D", None)
+    spec = ("S", tail_value)
     for _ in range(depth):
-        node = tree.create_node("P", None, parent=node)
-    tree.create_node("S", tail_value, parent=node)
-    return tree
+        spec = ("P", None, [spec])
+    return Tree.from_obj(("D", None, [spec]))
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
