@@ -5,9 +5,9 @@ ephemeral port through real sockets — it is both the load generator for
 the acceptance criteria and the perf trajectory for the serving layer:
 
 * **overload** — a burst of 4× the queue capacity, each request a
-  distinct pair the server has to compute, must come back as a mix of
-  200s and 429s (never a hang, never a 500), with every accepted request
-  completing within its deadline;
+  distinct pair the server has to compute on its pool, must come back as
+  a mix of 200s and 429s (never a hang, never a 500), with every accepted
+  request completing within its deadline;
 * **graceful drain** — SIGTERM must stop the listener, flush in-flight
   work, print the final ``METRICS`` line, and exit 0;
 * **cache warmth** — repeating identical pairs against a warm digest-keyed
@@ -30,6 +30,7 @@ import threading
 import time
 
 from repro.serve.client import DiffServiceClient
+from repro.service.engine import INLINE_MAX_NODES
 from repro.workload import MutationEngine, random_tree
 
 from conftest import print_table
@@ -115,19 +116,33 @@ def snapshot_pairs(count: int, seed: int = 1996):
     return pairs
 
 
+def pool_pairs(count: int, seed: int):
+    """*count* distinct snapshot pairs above ``INLINE_MAX_NODES`` nodes."""
+    pairs = []
+    while len(pairs) < count:
+        [(old, new)] = snapshot_pairs(1, seed=seed)
+        if len(old) + len(new) > INLINE_MAX_NODES:
+            pairs.append((old, new))
+        seed += 1
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Measurements
 # ---------------------------------------------------------------------------
 def measure_overload(port: int, queue_capacity: int) -> dict:
     """Fire a 4x-capacity concurrent burst of raw (non-retrying) requests.
 
-    Every request is a distinct pair, so each one is a cache miss that
-    holds an admission slot while it computes. Repeats of one pair would
-    be cache hits, which the server answers on its event loop without
+    Every request is a distinct pair above ``INLINE_MAX_NODES`` nodes, so
+    each one is a cache miss that holds an admission slot while it
+    computes on the pool. Repeats of one pair would be cache hits, and a
+    smaller miss computes on the loop; the server answers both without
     queueing, so they cannot overload it.
     """
     burst = BURST_FACTOR * queue_capacity
-    pairs = snapshot_pairs(burst, seed=777)
+    pairs = pool_pairs(burst, seed=777)
+    with DiffServiceClient(port=port, retries=0) as probe:
+        before = probe.metrics()["counters"]
     outcomes: list = []
     lock = threading.Lock()
     barrier = threading.Barrier(burst)
@@ -160,6 +175,8 @@ def measure_overload(port: int, queue_capacity: int) -> dict:
     for t in threads:
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads), "burst request hung"
+    with DiffServiceClient(port=port, retries=0) as probe:
+        after = probe.metrics()["counters"]
 
     statuses = sorted({status for status, _, _ in outcomes})
     accepted = [e for s, e, _ in outcomes if s == 200]
@@ -171,6 +188,12 @@ def measure_overload(port: int, queue_capacity: int) -> dict:
         "an accepted request blew its deadline"
     )
     assert all("retry_after_s" in p for p in rejected), "429 without Retry-After"
+    pooled = after["jobs_pooled"] - before["jobs_pooled"]
+    inline = after["jobs_inline"] - before["jobs_inline"]
+    assert (pooled, inline) == (len(accepted), 0), (
+        f"burst did not go to the pool: {pooled} pooled, {inline} inline, "
+        f"{len(accepted)} accepted"
+    )
     return {
         "burst": burst,
         "queue_capacity": queue_capacity,
@@ -262,6 +285,8 @@ def run(distinct: int, json_out: str = None) -> dict:
         "rejected_429": overload["rejected_429"],
         "drained_clean": True,
         "final_jobs_succeeded": final["counters"]["jobs_succeeded"],
+        "final_jobs_inline": final["counters"]["jobs_inline"],
+        "final_jobs_pooled": final["counters"]["jobs_pooled"],
     }
     print("BENCH " + json.dumps(payload, sort_keys=True))
     if json_out:

@@ -29,18 +29,19 @@ check that answer against.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..lcs.bitparallel import lcs_length
 
-_WORD = re.compile(r"[^\s]+")
-
 
 def tokenize_words(text: str) -> List[str]:
-    """Split a sentence into whitespace-delimited words."""
-    return _WORD.findall(text)
+    """Split a sentence into whitespace-delimited words.
+
+    ``str.split()`` breaks on exactly the code points ``re``'s ``\\s``
+    matches: those where ``str.isspace()`` holds.
+    """
+    return text.split()
 
 
 @lru_cache(maxsize=4096)

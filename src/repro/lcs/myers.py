@@ -46,25 +46,27 @@ def myers_lcs_indices(
     if n == 0 or m == 0:
         return []
 
-    # Forward pass: find the depth D of the shortest edit script, keeping a
-    # snapshot of the frontier V before each depth so we can backtrack.
-    v = {1: 0}
-    trace: List[dict] = []
+    # Forward pass: find the depth D of the shortest edit script. The
+    # frontier V lives in a list offset by n + m + 1, so diagonal k is
+    # v[off + k]; before each depth d we snapshot the band -d-1..d+1 that
+    # the backtrack at depth d reads.
+    off = n + m + 1
+    v = [_UNREACHED] * (2 * off + 1)
+    v[off + 1] = 0
+    trace: List[List[int]] = []
     found_d = -1
     for d in range(n + m + 1):
-        trace.append(dict(v))
-        for k in range(-d, d + 1, 2):
-            if k == -d or (
-                k != d and v.get(k - 1, _UNREACHED) < v.get(k + 1, _UNREACHED)
-            ):
-                x = v.get(k + 1, 0)  # move down (insert from s2)
+        trace.append(v[off - d - 1 : off + d + 2])
+        for i in range(off - d, off + d + 1, 2):
+            if i == off - d or (i != off + d and v[i - 1] < v[i + 1]):
+                x = v[i + 1]  # move down (insert from s2)
             else:
-                x = v.get(k - 1, _UNREACHED) + 1  # move right (delete from s1)
-            y = x - k
+                x = v[i - 1] + 1  # move right (delete from s1)
+            y = x - (i - off)
             while x < n and y < m and equal(s1[x], s2[y]):
                 x += 1
                 y += 1
-            v[k] = x
+            v[i] = x
             if x >= n and y >= m:
                 found_d = d
                 break
@@ -85,16 +87,14 @@ def myers_lcs_indices(
                 x -= 1
                 y -= 1
             break
-        snapshot = trace[d]
+        snapshot = trace[d]  # snapshot[j] is diagonal j - d - 1
         k = x - y
-        if k == -d or (
-            k != d
-            and snapshot.get(k - 1, _UNREACHED) < snapshot.get(k + 1, _UNREACHED)
-        ):
+        j = k + d + 1
+        if k == -d or (k != d and snapshot[j - 1] < snapshot[j + 1]):
             prev_k = k + 1
         else:
             prev_k = k - 1
-        prev_x = snapshot[prev_k]
+        prev_x = snapshot[prev_k + d + 1]
         prev_y = prev_x - prev_k
         # Follow the snake (diagonal run) back to where the edit happened.
         while x > prev_x and y > prev_y:

@@ -20,13 +20,17 @@ from ..verify.oracles import VerifyReport
 #: do no matching and add nothing.
 SECTION8_COUNTERS = ("leaf_compares", "partner_checks", "lcs_calls")
 
-#: Counter names the engine maintains; unknown names are allowed (the
-#: metrics object is schemaless) but these are always present in snapshots.
+#: Counter names the engine and the HTTP server maintain; unknown names are
+#: allowed (the metrics object is schemaless) but these are always present
+#: in snapshots. ``jobs_inline`` and ``jobs_pooled`` count where the server
+#: ran the compute a lookup left open: on its event loop or on the pool.
 STANDARD_COUNTERS = (
     "jobs_submitted",
     "jobs_succeeded",
     "jobs_failed",
     "jobs_timed_out",
+    "jobs_inline",
+    "jobs_pooled",
     "cache_hits",
     "cache_misses",
     "digest_short_circuits",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Union
 
 from ..core.arena import ArenaBuilder
@@ -80,8 +81,11 @@ class DocumentGenerator:
             if isinstance(rng_or_seed, random.Random)
             else random.Random(rng_or_seed)
         )
-        # Zipf-ish weights: weight(i) ~ 1 / (i + 10).
-        self._weights = [1.0 / (i + 10) for i in range(len(VOCABULARY))]
+        # Zipf-ish weights: weight(i) ~ 1 / (i + 10), accumulated once
+        # (random.choices would rebuild the running sums on every call).
+        self._cum_weights = list(
+            accumulate(1.0 / (i + 10) for i in range(len(VOCABULARY)))
+        )
         self._emitted_sentences: List[str] = []
 
     # ------------------------------------------------------------------
@@ -97,7 +101,7 @@ class DocumentGenerator:
             length = max(
                 3, int(self.rng.gauss(spec.words_per_sentence, spec.words_per_sentence / 4))
             )
-            words = self.rng.choices(VOCABULARY, weights=self._weights, k=length)
+            words = self.rng.choices(VOCABULARY, cum_weights=self._cum_weights, k=length)
             for index in range(length):
                 if self.rng.random() < spec.content_word_rate:
                     words[index] = self.rng.choice(CONTENT_WORDS)
@@ -107,7 +111,7 @@ class DocumentGenerator:
         return text
 
     def heading(self) -> str:
-        words = self.rng.choices(VOCABULARY, weights=self._weights, k=3)
+        words = self.rng.choices(VOCABULARY, cum_weights=self._cum_weights, k=3)
         return " ".join(word.capitalize() for word in words)
 
     # ------------------------------------------------------------------

@@ -102,6 +102,14 @@ class TestTokenizeWords:
         assert tokenize_words("") == []
         assert tokenize_words("   ") == []
 
+    def test_splits_where_re_whitespace_does_on_every_code_point(self):
+        import re
+
+        text = "".join(f"x{chr(code)}" for code in range(0x110000))
+        words = tokenize_words(text)
+        assert words == re.findall(r"[^\s]+", text)
+        assert len(words) == 1 + sum(chr(code).isspace() for code in range(0x110000))
+
 
 class TestGenericComparators:
     def test_exact(self):
